@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from . import decode as dec
 from .corpus import CognateSet, assemble_reflex_input
 from .errors import ProtoreconError
 from .metrics import FeatureTable, feature_edit_distance, token_edit_distance
@@ -128,23 +127,25 @@ def per_language_error_rates(reflex_model, items, max_len=None):
     """Reflex error rates per daughter language, per behavior group and overall.
 
     items: iterable of (CognateSet, RerankBehavior) with gold protoforms;
-    reflexes are decoded from the gold protoform.  Languages absent from
-    every item are omitted.
+    reflexes are decoded from the gold protoform, all items in one batch.
+    Languages absent from every item are omitted.
     """
     vocab = reflex_model.vocab
-    max_len = reflex_model.max_decode_len if max_len is None else max_len
-    counts = {}  # (group, language) -> [errors, total]
+    rows, labels = [], []  # decode rows; (behavior, language, gold ids) of each
     for cset, behavior in items:
         if cset.protoform is None:
             continue
         for language, reflex in cset.reflexes.items():
-            tagged = assemble_reflex_input(cset.protoform, language, vocab)
-            pred = tuple(dec.greedy_decode(reflex_model.decoder(tagged, language), max_len))
-            wrong = pred != tuple(vocab.encode(reflex))
-            for group in (behavior, "overall"):
-                c = counts.setdefault((group, language), [0, 0])
-                c[0] += wrong
-                c[1] += 1
+            rows.append((assemble_reflex_input(cset.protoform, language, vocab), language))
+            labels.append((behavior, language, tuple(vocab.encode(reflex))))
+    counts = {}  # (group, language) -> [errors, total]
+    for pred, (behavior, language, gold) in zip(reflex_model.greedy_decode_rows(rows, max_len),
+                                                labels):
+        wrong = tuple(pred) != gold
+        for group in (behavior, "overall"):
+            c = counts.setdefault((group, language), [0, 0])
+            c[0] += wrong
+            c[1] += 1
     out = {}
     for (group, language), (errors, total) in counts.items():
         out.setdefault(group, {})[language] = errors / total

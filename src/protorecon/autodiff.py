@@ -40,17 +40,20 @@ class Tensor:
         """Reverse-mode sweep seeding d(self)/d(self) = 1."""
         if self.data.size != 1:
             raise DimensionError("backward() requires a scalar loss")
-        topo, seen = [], set()
-
-        def visit(t):
-            if id(t) in seen:
-                return
-            seen.add(id(t))
-            for p in t.parents:
-                visit(p)
-            topo.append(t)
-
-        visit(self)
+        # Iterative post-order DFS: parents before children, in the order a
+        # recursive visit gives, without a recursion limit on long chains.
+        topo, seen = [], {id(self)}
+        stack = [(self, iter(self.parents))]
+        while stack:
+            node, parents = stack[-1]
+            for p in parents:
+                if id(p) not in seen:
+                    seen.add(id(p))
+                    stack.append((p, iter(p.parents)))
+                    break
+            else:
+                stack.pop()
+                topo.append(node)
         grads = {id(self): np.ones_like(self.data)}
         for t in reversed(topo):
             g = grads.pop(id(t), None)

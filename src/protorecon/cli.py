@@ -131,15 +131,34 @@ def _load_model(path, expect=None):
     return model
 
 
+def _load_model_pair(args):
+    """The recon and reflex checkpoints of args, which must share one vocabulary."""
+    recon = _load_model(args.recon_checkpoint, models.ReconModel)
+    reflex = _load_model(args.reflex_checkpoint, models.ReflexModel)
+    if recon.vocab.content_hash() != reflex.vocab.content_hash():
+        raise CheckpointError(f"checkpoints {args.recon_checkpoint} and "
+                              f"{args.reflex_checkpoint} were trained on different vocabularies")
+    return recon, reflex
+
+
+RERANK_SUMMARY_HEADER = ["id", "reranked_top", "s"]
+
+
 def _parse_predictions(text):
-    """id -> token tuple from a two-column TSV (comment lines ignored)."""
+    """id -> token tuple from a two-column TSV (comment lines ignored).
+
+    The summary.tsv that rerank writes is accepted too: its header
+    RERANK_SUMMARY_HEADER on the first row, then the tokens in column 2 of 3.
+    """
+    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    width = 2
+    if lines and lines[0].split("\t") == RERANK_SUMMARY_HEADER:
+        lines, width = lines[1:], 3
     preds = {}
-    for line in text.splitlines():
-        if not line.strip() or line.startswith("#"):
-            continue
+    for line in lines:
         parts = line.split("\t")
-        if len(parts) != 2:
-            raise SchemaError(f"prediction rows need 2 tab-separated columns: {line!r}")
+        if len(parts) != width:
+            raise SchemaError(f"prediction rows need {width} tab-separated columns: {line!r}")
         preds[parts[0]] = tuple(parts[1].split())
     return preds
 
@@ -208,8 +227,7 @@ def cmd_decode(args):
 
 
 def cmd_rerank(args):
-    recon = _load_model(args.recon_checkpoint, models.ReconModel)
-    reflex = _load_model(args.reflex_checkpoint, models.ReflexModel)
+    recon, reflex = _load_model_pair(args)
     ds = parse_dataset(_read(args.dataset), tokenize=args.tokenize)
     lam = 0.0 if args.ablation == "no-reranker" else args.lam
     cfg = RerankConfig(
@@ -219,7 +237,7 @@ def cmd_rerank(args):
         max_len=args.max_len or recon.max_decode_len,
     )
     cache = ReflexCache()
-    summary = ["id\treranked_top\ts"]
+    summary = ["\t".join(RERANK_SUMMARY_HEADER)]
     for cset in ds.sets:
         top, reranked, _, preds = reconstruct_reranked(recon, reflex, cset, cfg, cache=cache)
         if args.out:
@@ -250,8 +268,7 @@ def cmd_eval(args):
 
 
 def cmd_gridsearch(args):
-    recon = _load_model(args.recon_checkpoint, models.ReconModel)
-    reflex = _load_model(args.reflex_checkpoint, models.ReflexModel)
+    recon, reflex = _load_model_pair(args)
     ds = _load_dataset(args, require_split=True)
     result = grid_search(
         recon, reflex, ds.subset("val"),
@@ -294,8 +311,7 @@ def cmd_correlate(args):
 
 
 def cmd_analyze(args):
-    recon = _load_model(args.recon_checkpoint, models.ReconModel)
-    reflex = _load_model(args.reflex_checkpoint, models.ReflexModel)
+    recon, reflex = _load_model_pair(args)
     ds = parse_dataset(_read(args.dataset), tokenize=args.tokenize)
     table = _feature_table(args)
     cfg = RerankConfig(

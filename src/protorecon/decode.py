@@ -8,6 +8,9 @@ models and toy test models share one code path:
     stepper.step(state, tokens) -> (logprobs[batch, vocab], new_state)
     stepper.select(state, idx) -> state reindexed along the batch axis
 
+A model's batch_decoder(rows) is a stepper over many inputs: row i of
+init_state(len(rows)) decodes rows[i], which greedy_decode_batch uses.
+
 Scoring convention: a hypothesis's length counts emitted tokens including
 the terminating EOS (BOS excluded); its normalized score is
 raw_logprob / length**alpha.  When a hypothesis reaches max_len non-EOS
@@ -63,17 +66,33 @@ def _banned_mask(stepper) -> np.ndarray:
 
 def greedy_decode(stepper, max_len: int) -> list[int]:
     """Argmax per step until EOS or max_len tokens; ties go to the lowest id."""
+    return greedy_decode_batch(stepper, 1, max_len)[0]
+
+
+def greedy_decode_batch(stepper, n_rows: int, max_len: int) -> list[list[int]]:
+    """greedy_decode of n_rows stepper rows at once.
+
+    Every row steps together from stepper.init_state(n_rows); a row that
+    emits EOS retires (stepper.select drops it), so each row's tokens are
+    exactly its own greedy decode.
+    """
     mask = _banned_mask(stepper)
-    state = stepper.init_state(1)
-    prev = np.array([stepper.bos_id])
-    out = []
+    state = stepper.init_state(n_rows)
+    active = np.arange(n_rows)
+    prev = np.full(n_rows, stepper.bos_id)
+    out = [[] for _ in range(n_rows)]
     for _ in range(max_len):
         logp, state = stepper.step(state, prev)
-        tok = int(np.argmax(logp[0] + mask))
-        if tok == stepper.eos_id:
-            break
-        out.append(tok)
-        prev = np.array([tok])
+        prev = np.argmax(logp + mask, axis=1)
+        live = prev != stepper.eos_id
+        if not live.all():
+            keep = np.flatnonzero(live)
+            if not len(keep):
+                break
+            state = stepper.select(state, keep)
+            active, prev = active[keep], prev[keep]
+        for row, tok in zip(active.tolist(), prev.tolist()):
+            out[row].append(tok)
     return out
 
 

@@ -20,7 +20,7 @@ from .corpus import (
 )
 from .errors import ConfigError, ProtoreconError
 from .metrics import FeatureTable, evaluate
-from .rerank import ReflexCache, RerankConfig, reflex_accuracy, rerank
+from .rerank import ReflexCache, rerank, score_candidates
 from .analysis import (
     BehaviorRecord,
     ErrorItem,
@@ -77,9 +77,8 @@ def grid_search(
     r_values = []
     golds = []
     for cset, beam in zip(csets, beams):
-        r_values.append(
-            [reflex_accuracy(reflex_model, c.tokens, cset, cache=cache)[0] for c in beam]
-        )
+        r_values.append(score_candidates(reflex_model, [c.tokens for c in beam], cset,
+                                         cache=cache)[0])
         golds.append(tuple(recon_model.vocab.encode(cset.protoform)))
 
     grid = {}
@@ -173,7 +172,7 @@ def run_seed(config: ExperimentConfig, dataset: Dataset, seed: int, table: Featu
     beam_preds, rerank_preds, golds = [], [], []
     error_items, behavior_records, rate_items = [], [], []
     for cset, beam in zip(csets, beams):
-        rv = [reflex_accuracy(reflex, c.tokens, cset, cache=cache)[0] for c in beam]
+        rv, _ = score_candidates(reflex, [c.tokens for c in beam], cset, cache=cache)
         reranked = rerank(beam, rv, lam)
         gold_ids = tuple(vocab.encode(cset.protoform))
         top = reranked[0]

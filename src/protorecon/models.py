@@ -22,6 +22,7 @@ from .errors import CheckpointError, ConfigError, ProtoreconError, TrainingError
 from .metrics import token_edit_distance
 
 NEG = -1e30  # additive logit mask for ids the decoder must never emit
+DECODE_CHUNK = 128  # rows per batch in greedy_decode_rows; bounds its peak memory
 
 
 @dataclass(frozen=True)
@@ -128,11 +129,21 @@ def _masked_step(h_prev: Tensor, h_new: Tensor, mask_col: np.ndarray) -> Tensor:
     return ad.add(ad.mul(h_new, m), ad.mul(h_prev, inv))
 
 
+def _masked_step_np(h_prev, h_new, mask_col):
+    """Raw-array _masked_step: h_new on rows with mask 1, h_prev elsewhere."""
+    return np.where(mask_col[:, None] > 0, h_new, h_prev)
+
+
 class _GruStepper:
-    """decode.py stepper over raw-array GRU decoding with a classifier closure."""
+    """decode.py stepper over raw-array GRU decoding with a classifier closure.
+
+    h0 holds one encoded row per input.  init_state(batch) repeats a
+    one-row encoding (beam search) or takes an n-row encoding whole
+    (batched greedy decoding, batch = n).  The state is the hidden matrix.
+    """
 
     def __init__(self, h0, dec_params, step_input_fn, classify_fn, vocab_size, bos_id, eos_id, banned_ids):
-        self._h0 = h0  # (1, H)
+        self._h0 = h0  # (inputs, H)
         self._dec = dec_params
         self._step_input = step_input_fn  # token ids -> (B, dec input dim)
         self._classify = classify_fn  # hidden (B, H) -> logits (B, V)
@@ -141,8 +152,11 @@ class _GruStepper:
         self.eos_id = eos_id
         self.banned_ids = banned_ids
 
+    def _rows(self, batch):
+        return np.arange(batch) % len(self._h0)
+
     def init_state(self, batch):
-        return np.repeat(self._h0, batch, axis=0)
+        return self._h0[self._rows(batch)]
 
     def step(self, state, tokens):
         x = self._step_input(np.asarray(tokens))
@@ -152,6 +166,26 @@ class _GruStepper:
 
     def select(self, state, idx):
         return state[idx]
+
+
+class _RowConditionedStepper(_GruStepper):
+    """A _GruStepper whose state is (hidden, input index of each row).
+
+    step_input_fn and classify_fn also take the row indices, so per-input
+    conditioning (the reflex model's target language) follows select().
+    """
+
+    def init_state(self, batch):
+        rows = self._rows(batch)
+        return self._h0[rows], rows
+
+    def step(self, state, tokens):
+        h, rows = state
+        h = ad.gru_cell_np(self._step_input(np.asarray(tokens), rows), h, self._dec)
+        return ad.log_softmax_rows(self._classify(h, rows)), (h, rows)
+
+    def select(self, state, idx):
+        return state[0][idx], state[1][idx]
 
 
 def _pad_batch(seqs, pad_id):
@@ -212,6 +246,15 @@ class _ModelBase:
     def _classifier_np(self, h, w1, b1, w2, b2):
         hidden = np.tanh(h @ w1.data + b1.data)
         return hidden @ w2.data + b2.data + self._output_mask_row()
+
+    def greedy_decode_rows(self, rows, max_len=None) -> list[list[int]]:
+        """Greedy decodes of batch_decoder rows, DECODE_CHUNK rows per batch."""
+        max_len = self.max_decode_len if max_len is None else max_len
+        out = []
+        for start in range(0, len(rows), DECODE_CHUNK):
+            chunk = rows[start : start + DECODE_CHUNK]
+            out += dec.greedy_decode_batch(self.batch_decoder(chunk), len(chunk), max_len)
+        return out
 
     # -- checkpointing --------------------------------------------------------
 
@@ -334,23 +377,30 @@ class ReconModel(_ModelBase):
 
     # -- inference ------------------------------------------------------------
 
-    def encode_np(self, input_ids):
-        self._check_framing(input_ids)
+    def encode_np(self, inputs):
+        """Final encoder states (len(inputs), H) of SEP-framed id sequences."""
+        for seq in inputs:
+            self._check_framing(seq)
         p = self.params
-        lidx = segment_language_indices(input_ids, self.vocab)
-        x = np.concatenate(
-            [p["tok_emb"].data[np.asarray(input_ids)], p["lang_emb"].data[np.asarray(lidx)]], axis=1
-        )
-        h = np.zeros((1, self.config.hidden_size))
+        in_ids, in_mask, _ = _pad_batch(inputs, self.vocab.pad_id)
+        li_ids, _, _ = _pad_batch([segment_language_indices(s, self.vocab) for s in inputs], 0)
+        h = np.zeros((len(inputs), self.config.hidden_size))
         enc = _gate_view(self.params, "enc")
-        for t in range(len(input_ids)):
-            h = ad.gru_cell_np(x[t : t + 1], h, enc)
+        for t in range(in_ids.shape[1]):  # embeddings gathered per step to keep memory small
+            x = np.concatenate(
+                [p["tok_emb"].data[in_ids[:, t]], p["lang_emb"].data[li_ids[:, t]]], axis=1
+            )
+            h = _masked_step_np(h, ad.gru_cell_np(x, h, enc), in_mask[:, t])
         return h
 
     def decoder(self, input_ids) -> _GruStepper:
+        return self.batch_decoder([input_ids])
+
+    def batch_decoder(self, inputs) -> _GruStepper:
+        """Stepper whose init_state(len(inputs)) row i decodes inputs[i]."""
         p = self.params
         return _GruStepper(
-            h0=self.encode_np(input_ids),
+            h0=self.encode_np(inputs),
             dec_params=_gate_view(p, "dec"),
             step_input_fn=lambda toks: p["tok_emb"].data[toks],
             classify_fn=lambda h: self._classifier_np(
@@ -527,53 +577,69 @@ class ReflexModel(_ModelBase):
 
     # -- inference ------------------------------------------------------------
 
-    def encode_np(self, input_ids):
+    def encode_np(self, inputs):
+        """Bridged encoder states (len(inputs), H) of tagged protoforms.
+
+        Inputs of different lengths are right-padded; a padded step keeps
+        the row's state, so the backward direction starts from zeros at the
+        row's last real token, as it does for an unpadded row.
+        """
         p = self.params
         cfg = self.config
-        x_all = p["tok_emb"].data[np.asarray(input_ids)][None, :, :]  # (1, T, E)
-        seq = x_all
+        in_ids, in_mask, _ = _pad_batch(inputs, self.vocab.pad_id)
+        B, T = in_ids.shape
+        seq = None  # the previous layer's states (B, T, dirs * H); embeddings gathered per step
         dirs = ("f", "b") if cfg.bidirectional_encoder else ("f",)
-        T = seq.shape[1]
         for layer in range(cfg.num_encoder_layers):
-            outs = {}
+            last = layer == cfg.num_encoder_layers - 1  # only the final states are needed
+            outs, finals = [], []
             for d in dirs:
                 gates = _gate_view(p, f"enc{layer}{d}")
-                h = np.zeros((1, cfg.hidden_size))
-                states = []
-                order = range(T) if d == "f" else range(T - 1, -1, -1)
-                for t in order:
-                    h = ad.gru_cell_np(seq[:, t, :], h, gates)
-                    states.append(h)
-                outs[d] = states if d == "f" else states[::-1]
-            if cfg.bidirectional_encoder:
-                seq = np.stack(
-                    [np.concatenate([outs["f"][t], outs["b"][t]], axis=1) for t in range(T)], axis=1
-                )
-                final = np.concatenate([outs["f"][-1], outs["b"][0]], axis=1)
-            else:
-                seq = np.stack(outs["f"], axis=1)
-                final = outs["f"][-1]
+                h = np.zeros((B, cfg.hidden_size))
+                states = [None] * T
+                for t in range(T) if d == "f" else range(T - 1, -1, -1):
+                    x = p["tok_emb"].data[in_ids[:, t]] if seq is None else seq[:, t, :]
+                    h = _masked_step_np(h, ad.gru_cell_np(x, h, gates), in_mask[:, t])
+                    if not last:
+                        states[t] = h
+                outs.append(states)
+                finals.append(h)  # forward: state at the last token; backward: at the first
+            if not last:
+                seq = np.concatenate([np.stack(states, axis=1) for states in outs], axis=2)
+        final = np.concatenate(finals, axis=1)
         return np.tanh(final @ p["bridge.W"].data + p["bridge.b"].data)
 
-    def decoder(self, tagged_input_ids, language: str) -> _GruStepper:
+    def decoder(self, tagged_input_ids, language: str) -> _RowConditionedStepper:
+        return self.batch_decoder([(tagged_input_ids, language)])
+
+    def batch_decoder(self, rows) -> _RowConditionedStepper:
+        """Stepper over (tagged protoform ids, language) rows; see _GruStepper."""
         p = self.params
         cfg = self.config
-        li = self.language_index(language)
-        w2, b2 = self._clf_weights(li)
+        lang = np.array([self.language_index(row[1]) for row in rows], dtype=np.int64)
+        one_hot = np.eye(len(self.vocab.languages))
 
-        def step_input(toks):
+        def step_input(toks, rows_idx):
             x = p["tok_emb"].data[toks]
             if cfg.decode_with_language_embedding:
-                x = np.concatenate([x, p["lang_emb"].data[np.full(len(toks), li + 1)]], axis=1)
+                x = np.concatenate([x, p["lang_emb"].data[lang[rows_idx] + 1]], axis=1)
             return x
 
-        def classify(h):
+        def classify(h, rows_idx):
+            li = lang[rows_idx]
             if cfg.one_hot_target_encoding:
-                h = np.concatenate([h, self._one_hot(li, h.shape[0])], axis=1)
-            return self._classifier_np(h, p["clf.W1"], p["clf.b1"], w2, b2)
+                h = np.concatenate([h, one_hot[li]], axis=1)
+            if not cfg.target_gated_classifier:
+                return self._classifier_np(h, p["clf.W1"], p["clf.b1"], p["clf.W2"], p["clf.b2"])
+            logits = np.empty((len(h), self.vocab.size))
+            for l in np.unique(li):  # one output block per target language
+                sel = li == l
+                w2, b2 = self._clf_weights(int(l))
+                logits[sel] = self._classifier_np(h[sel], p["clf.W1"], p["clf.b1"], w2, b2)
+            return logits
 
-        return _GruStepper(
-            h0=self.encode_np(tagged_input_ids),
+        return _RowConditionedStepper(
+            h0=self.encode_np([row[0] for row in rows]),
             dec_params=_gate_view(p, "dec"),
             step_input_fn=step_input,
             classify_fn=classify,
@@ -623,14 +689,9 @@ def _greedy_val_ted(model, examples):
     """Mean token edit distance of greedy decodes against gold targets."""
     if not examples:
         return 0.0
-    total = 0
-    for ex in examples:
-        if model.kind == "recon":
-            stepper = model.decoder(ex[0])
-        else:
-            stepper = model.decoder(ex[0], ex[2])
-        pred = dec.greedy_decode(stepper, model.max_decode_len)
-        total += token_edit_distance(pred, ex[1])
+    rows = [ex[0] if model.kind == "recon" else (ex[0], ex[2]) for ex in examples]
+    preds = model.greedy_decode_rows(rows)
+    total = sum(token_edit_distance(pred, ex[1]) for pred, ex in zip(preds, examples))
     return total / len(examples)
 
 

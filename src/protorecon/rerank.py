@@ -7,6 +7,7 @@ reranker score r, and candidates are reordered by s = m + lambda * r.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -54,53 +55,67 @@ class ReflexCache:
         self._memo[key] = value
 
 
-def predict_reflex(reflex_model, candidate_tokens, language, max_len, cache=None):
-    """Greedy reflex decode of a candidate protoform into one daughter language."""
-    key = (tuple(candidate_tokens), language)
-    if cache is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-    vocab = reflex_model.vocab
-    token_strings = vocab.decode(candidate_tokens)
-    tagged = assemble_reflex_input(token_strings, language, vocab)
-    pred = tuple(dec.greedy_decode(reflex_model.decoder(tagged, language), max_len))
-    if cache is not None:
-        cache.put(key, pred)
-    return pred
+def score_candidates(reflex_model, candidates, cset: CognateSet, max_len=None, cache=None):
+    """Reflex accuracy r of every candidate protoform of one cognate set.
 
-
-def reflex_accuracy(reflex_model, candidate_tokens, cset: CognateSet, max_len=None, cache=None):
-    """Fraction of present reflexes derived exactly from the candidate.
-
-    Returns (r, predictions dict language -> predicted id tuple).  Candidate
-    tokens unknown to the reflex model's vocabulary make every decode count
-    as incorrect (with a warning) rather than raising.
+    Every (candidate, present language) pair missing from the cache is
+    decoded in one batch.  Returns (r values, predictions), one entry per
+    candidate; a prediction maps language -> predicted id tuple.  Candidate
+    ids unknown to the reflex model's vocabulary make that candidate's
+    decodes count as incorrect (with a warning) rather than raising.
     """
-    if not candidate_tokens:
+    if any(not tokens for tokens in candidates):
         raise ProtoreconError("empty candidate protoform")
     if not cset.reflexes:
         raise ProtoreconError(f"cognate set {cset.id!r} has no reflexes")
     vocab = reflex_model.vocab
-    max_len = reflex_model.max_decode_len if max_len is None else max_len
-    unknown = [t for t in candidate_tokens if not 0 <= t < vocab.size]
-    predictions = {}
-    if unknown:
-        warnings.warn(
-            f"candidate contains ids unknown to the reflex vocabulary: {unknown}; "
-            "its reflex decodes count as incorrect",
-            stacklevel=2,
-        )
-        correct = 0
+    candidates = [tuple(tokens) for tokens in candidates]
+    known = []
+    for tokens in candidates:
+        unknown = [t for t in tokens if not 0 <= t < vocab.size]
+        if unknown:
+            warnings.warn(
+                f"candidate contains ids unknown to the reflex vocabulary: {unknown}; "
+                "its reflex decodes count as incorrect",
+                stacklevel=2,
+            )
+        known.append(not unknown)
+
+    found, pending = {}, {}  # (candidate, language) -> prediction; keys still to decode
+    for tokens in itertools.compress(candidates, known):
         for language in cset.reflexes:
-            predictions[language] = ()
-    else:
-        correct = 0
-        for language in cset.reflexes:
-            pred = predict_reflex(reflex_model, candidate_tokens, language, max_len, cache)
-            predictions[language] = pred
-            correct += pred == tuple(vocab.encode(cset.reflexes[language]))
-    return correct / len(cset.reflexes), predictions
+            key = (tokens, language)
+            if key in found or key in pending:
+                continue
+            hit = None if cache is None else cache.get(key)
+            if hit is None:
+                pending[key] = None
+            else:
+                found[key] = hit
+    rows = [(assemble_reflex_input(vocab.decode(tokens), language, vocab), language)
+            for tokens, language in pending]
+    for key, pred in zip(pending, reflex_model.greedy_decode_rows(rows, max_len)):
+        found[key] = tuple(pred)
+        if cache is not None:
+            cache.put(key, found[key])
+
+    golds = {}
+    if any(known):
+        golds = {lang: tuple(vocab.encode(reflex)) for lang, reflex in cset.reflexes.items()}
+    r_values, predictions = [], []
+    for tokens, ok in zip(candidates, known):
+        preds = {lang: found[(tokens, lang)] if ok else () for lang in cset.reflexes}
+        correct = sum(ok and preds[lang] == golds[lang] for lang in cset.reflexes)
+        r_values.append(correct / len(cset.reflexes))
+        predictions.append(preds)
+    return r_values, predictions
+
+
+def reflex_accuracy(reflex_model, candidate_tokens, cset: CognateSet, max_len=None, cache=None):
+    """score_candidates for one candidate: (r, predictions dict)."""
+    r_values, predictions = score_candidates(reflex_model, [candidate_tokens], cset, max_len,
+                                             cache)
+    return r_values[0], predictions[0]
 
 
 def rerank(candidates, r_values, lam: float) -> list[RerankedCandidate]:
@@ -139,13 +154,11 @@ def reconstruct_reranked(recon_model, reflex_model, cset: CognateSet, config: Re
         recon_model.decoder(input_ids),
         dec.BeamConfig(k=config.k, alpha=config.alpha, max_len=config.max_len),
     )
-    r_values, all_predictions = [], {}
-    for i, cand in enumerate(beam):
-        r, preds = reflex_accuracy(reflex_model, cand.tokens, cset, cache=cache)
-        r_values.append(r)
-        all_predictions[i] = preds
+    r_values, predictions = score_candidates(
+        reflex_model, [cand.tokens for cand in beam], cset, cache=cache
+    )
     reranked = rerank(beam, r_values, config.lam)
-    return reranked[0], reranked, beam, all_predictions
+    return reranked[0], reranked, beam, dict(enumerate(predictions))
 
 
 def format_rerank_tsv(cset: CognateSet, reranked, predictions, vocab) -> str:

@@ -152,6 +152,91 @@ def test_shared_subexpression_accumulates():
     assert x.grad[0, 0] == pytest.approx(12.0)
 
 
+def _gru_chain(steps, seed=11):
+    """Loss of a GRU run for `steps` steps with shared weights, and its parameters."""
+    rng = np.random.default_rng(seed)
+    params = {}
+    for gate in ("z", "r", "h"):
+        params[f"W_{gate}"] = ad.parameter(rng.normal(scale=0.3, size=(3, 4)), f"W_{gate}")
+        params[f"U_{gate}"] = ad.parameter(rng.normal(scale=0.3, size=(4, 4)), f"U_{gate}")
+        params[f"b_{gate}"] = ad.parameter(rng.normal(scale=0.3, size=4), f"b_{gate}")
+    x = Tensor(rng.normal(size=(2, 3)))
+    h = Tensor(np.zeros((2, 4)))
+    for _ in range(steps):
+        h = ad.gru_cell(x, h, params)
+    return _sum(h), list(params.values())
+
+
+def _recursive_backward(loss):
+    """Tensor.backward as it was with a recursive topological sort (the order oracle)."""
+    topo, seen = [], set()
+
+    def visit(t):
+        if id(t) in seen:
+            return
+        seen.add(id(t))
+        for p in t.parents:
+            visit(p)
+        topo.append(t)
+
+    visit(loss)
+    grads = {id(loss): np.ones_like(loss.data)}
+    for t in reversed(topo):
+        g = grads.pop(id(t), None)
+        if g is None:
+            continue
+        if t.grad is not None:
+            t.grad += g
+        if t.backward_rule is None:
+            continue
+        for parent, pg in t.backward_rule(g):
+            if not (parent.requires_grad or parent.parents):
+                continue
+            if id(parent) in grads:
+                grads[id(parent)] += pg
+            else:
+                grads[id(parent)] = np.array(pg)
+
+
+def test_backward_long_chain_does_not_recurse():
+    loss, params = _gru_chain(400)
+    loss.backward()
+    assert all(np.all(np.isfinite(p.grad)) and np.any(p.grad) for p in params)
+
+
+def test_backward_matches_recursive_order():
+    loss, params = _gru_chain(100)
+    _recursive_backward(loss)
+    want = [p.grad.copy() for p in params]
+    for p in params:
+        p.zero_grad()
+    loss.backward()
+    for p, w in zip(params, want):
+        assert np.array_equal(p.grad, w)
+
+
+def test_backward_leaves_no_reference_cycle():
+    """Once the loss is dropped, reference counting alone frees the tape."""
+    import gc
+    import weakref
+
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        loss, _params = _gru_chain(5)
+        node = loss.parents[1].parents[0]  # the last GRU state
+        assert node.parents
+        ref = weakref.ref(node.data)
+        del node
+        loss.backward()
+        del loss
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 # -- optimizer ----------------------------------------------------------------
 
 

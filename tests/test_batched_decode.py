@@ -1,0 +1,250 @@
+"""Batched greedy decoding equals the per-item decodes it replaced.
+
+The oracle below is the one-row inference path as it was before decoding
+was batched: each input is encoded alone at batch 1, decoded by its own
+stepper, and greedy_decode runs one row until EOS.  Batched decodes must be
+token-identical to it.
+"""
+
+import numpy as np
+import pytest
+
+from protorecon import autodiff as ad
+from protorecon import decode as dec
+from protorecon import models
+from protorecon.corpus import (
+    assemble_reconstruction_input,
+    assemble_reflex_input,
+    build_vocabulary,
+)
+from protorecon.rerank import ReflexCache, RerankConfig, reconstruct_reranked, rerank
+from protorecon.synthetic import generate_family
+from tests.conftest import tiny_recon_config, tiny_reflex_config
+
+# -- oracle: the per-item decode path -------------------------------------------
+
+
+class _OracleStepper:
+    def __init__(self, h0, dec_params, step_input_fn, classify_fn, model):
+        self._h0, self._dec = h0, dec_params
+        self._step_input, self._classify = step_input_fn, classify_fn
+        self.vocab_size = model.vocab.size
+        self.bos_id = model.vocab.bos_id
+        self.eos_id = model.vocab.eos_id
+        self.banned_ids = model.banned_output_ids()
+
+    def init_state(self, batch):
+        return np.repeat(self._h0, batch, axis=0)
+
+    def step(self, state, tokens):
+        h = ad.gru_cell_np(self._step_input(np.asarray(tokens)), state, self._dec)
+        return ad.log_softmax_rows(self._classify(h)), h
+
+    def select(self, state, idx):
+        return state[idx]
+
+
+def _oracle_greedy(stepper, max_len):
+    mask = np.zeros(stepper.vocab_size)
+    mask[list(stepper.banned_ids)] = -np.inf
+    state = stepper.init_state(1)
+    prev = np.array([stepper.bos_id])
+    out = []
+    for _ in range(max_len):
+        logp, state = stepper.step(state, prev)
+        tok = int(np.argmax(logp[0] + mask))
+        if tok == stepper.eos_id:
+            break
+        out.append(tok)
+        prev = np.array([tok])
+    return out
+
+
+def _oracle_recon_decoder(model, input_ids):
+    p = model.params
+    lidx = models.segment_language_indices(input_ids, model.vocab)
+    x = np.concatenate(
+        [p["tok_emb"].data[np.asarray(input_ids)], p["lang_emb"].data[np.asarray(lidx)]], axis=1
+    )
+    h = np.zeros((1, model.config.hidden_size))
+    enc = models._gate_view(p, "enc")
+    for t in range(len(input_ids)):
+        h = ad.gru_cell_np(x[t : t + 1], h, enc)
+    return _OracleStepper(
+        h, models._gate_view(p, "dec"),
+        lambda toks: p["tok_emb"].data[toks],
+        lambda hh: model._classifier_np(hh, p["clf.W1"], p["clf.b1"], p["clf.W2"], p["clf.b2"]),
+        model,
+    )
+
+
+def _oracle_reflex_encode(model, input_ids):
+    p, cfg = model.params, model.config
+    seq = p["tok_emb"].data[np.asarray(input_ids)][None, :, :]
+    dirs = ("f", "b") if cfg.bidirectional_encoder else ("f",)
+    T = seq.shape[1]
+    for layer in range(cfg.num_encoder_layers):
+        outs = {}
+        for d in dirs:
+            gates = models._gate_view(p, f"enc{layer}{d}")
+            h = np.zeros((1, cfg.hidden_size))
+            states = []
+            for t in (range(T) if d == "f" else range(T - 1, -1, -1)):
+                h = ad.gru_cell_np(seq[:, t, :], h, gates)
+                states.append(h)
+            outs[d] = states if d == "f" else states[::-1]
+        if cfg.bidirectional_encoder:
+            seq = np.stack(
+                [np.concatenate([outs["f"][t], outs["b"][t]], axis=1) for t in range(T)], axis=1
+            )
+            final = np.concatenate([outs["f"][-1], outs["b"][0]], axis=1)
+        else:
+            seq = np.stack(outs["f"], axis=1)
+            final = outs["f"][-1]
+    return np.tanh(final @ p["bridge.W"].data + p["bridge.b"].data)
+
+
+def _oracle_reflex_decoder(model, tagged, language):
+    p, cfg = model.params, model.config
+    li = model.language_index(language)
+    w2, b2 = model._clf_weights(li)
+
+    def step_input(toks):
+        x = p["tok_emb"].data[toks]
+        if cfg.decode_with_language_embedding:
+            x = np.concatenate([x, p["lang_emb"].data[np.full(len(toks), li + 1)]], axis=1)
+        return x
+
+    def classify(h):
+        if cfg.one_hot_target_encoding:
+            h = np.concatenate([h, model._one_hot(li, h.shape[0])], axis=1)
+        return model._classifier_np(h, p["clf.W1"], p["clf.b1"], w2, b2)
+
+    return _OracleStepper(_oracle_reflex_encode(model, tagged), models._gate_view(p, "dec"),
+                          step_input, classify, model)
+
+
+def _oracle_reconstruct_reranked(recon, reflex, cset, config):
+    input_ids = assemble_reconstruction_input(cset, recon.vocab)
+    beam = dec.beam_search(
+        _oracle_recon_decoder(recon, input_ids),
+        dec.BeamConfig(k=config.k, alpha=config.alpha, max_len=config.max_len),
+    )
+    vocab = reflex.vocab
+    r_values, predictions = [], {}
+    for i, cand in enumerate(beam):
+        preds, correct = {}, 0
+        for lang in cset.reflexes:
+            tagged = assemble_reflex_input(vocab.decode(cand.tokens), lang, vocab)
+            preds[lang] = tuple(_oracle_greedy(_oracle_reflex_decoder(reflex, tagged, lang),
+                                               reflex.max_decode_len))
+            correct += preds[lang] == tuple(vocab.encode(cset.reflexes[lang]))
+        r_values.append(correct / len(cset.reflexes))
+        predictions[i] = preds
+    reranked = rerank(beam, r_values, config.lam)
+    return reranked[0], reranked, beam, predictions
+
+
+# -- tiny random models -----------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def family():
+    dataset, _rules = generate_family(n_sets=16, n_daughters=4, seed=3)
+    return dataset, build_vocabulary(dataset)
+
+
+def _randomize(model, seed, scale=1.5, eos_bias=5.0):
+    """Spread the parameters, and favour EOS, so that decode lengths vary."""
+    rng = np.random.default_rng(seed)
+    for name, p in model.params.items():
+        p.data = rng.normal(scale=scale, size=p.data.shape)
+        if name.startswith("clf.b2"):
+            p.data[model.vocab.eos_id] += eos_bias
+    return model
+
+
+def _reflex_rows(dataset, vocab, n, seed):
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(n):
+        proto = dataset.sets[int(rng.integers(len(dataset.sets)))].protoform
+        lang = dataset.languages[int(rng.integers(len(dataset.languages)))]
+        rows.append((assemble_reflex_input(proto, lang, vocab), lang))
+    return rows
+
+
+REFLEX_CONDITIONING = {
+    "one-hot": dict(),
+    "gated": dict(one_hot_target_encoding=False, target_gated_classifier=True),
+    "language-embedding": dict(one_hot_target_encoding=False,
+                               decode_with_language_embedding=True),
+    "unidirectional": dict(bidirectional_encoder=False),
+    "two-layer": dict(num_encoder_layers=2),
+    "all": dict(target_gated_classifier=True, decode_with_language_embedding=True,
+                num_encoder_layers=2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFLEX_CONDITIONING))
+def test_reflex_batch_matches_per_item_decodes(family, name):
+    dataset, vocab = family
+    lengths_seen = set()
+    for seed in range(3):
+        model = _randomize(models.ReflexModel(
+            tiny_reflex_config(seed=seed, **REFLEX_CONDITIONING[name]), vocab), 100 + seed)
+        rows = _reflex_rows(dataset, vocab, 30, seed)
+        assert len({len(ids) for ids, _ in rows}) > 1
+        assert len({lang for _, lang in rows}) > 1
+        max_len = 6
+        got = model.greedy_decode_rows(rows, max_len)
+        want = [_oracle_greedy(_oracle_reflex_decoder(model, ids, lang), max_len)
+                for ids, lang in rows]
+        assert got == want
+        # the one-row decoder is the batch of one
+        assert [dec.greedy_decode(model.decoder(ids, lang), max_len) for ids, lang in rows] == want
+        lengths_seen |= {len(w) for w in want}
+    assert max_len in lengths_seen and min(lengths_seen) < max_len
+
+
+def test_recon_batch_matches_per_item_decodes(family):
+    dataset, vocab = family
+    inputs = [assemble_reconstruction_input(cs, vocab) for cs in dataset.sets]
+    inputs += [assemble_reconstruction_input(cs, vocab, dataset.languages[:2])
+               for cs in dataset.sets[:4]]
+    assert len({len(ids) for ids in inputs}) > 1
+    lengths_seen = set()
+    for seed in range(3):
+        model = _randomize(models.ReconModel(tiny_recon_config(seed=seed), vocab), 200 + seed)
+        got = model.greedy_decode_rows(inputs, 8)
+        want = [_oracle_greedy(_oracle_recon_decoder(model, ids), 8) for ids in inputs]
+        assert got == want
+        lengths_seen |= {len(w) for w in want}
+    assert 8 in lengths_seen and min(lengths_seen) < 8
+
+
+def test_decode_rows_split_into_chunks(family, monkeypatch):
+    dataset, vocab = family
+    model = _randomize(models.ReflexModel(tiny_reflex_config(), vocab), 7)
+    rows = _reflex_rows(dataset, vocab, 11, 5)
+    whole = model.greedy_decode_rows(rows, 6)
+    monkeypatch.setattr(models, "DECODE_CHUNK", 4)
+    assert model.greedy_decode_rows(rows, 6) == whole
+    assert model.greedy_decode_rows([], 6) == []
+
+
+@pytest.mark.parametrize("name", ["one-hot", "all"])
+def test_reconstruct_reranked_matches_per_item_path(family, name):
+    dataset, vocab = family
+    # no EOS bias here: an empty beam candidate makes both paths raise
+    recon = _randomize(models.ReconModel(tiny_recon_config(seed=1), vocab), 300, scale=0.8,
+                       eos_bias=0.0)
+    reflex = _randomize(models.ReflexModel(
+        tiny_reflex_config(seed=2, **REFLEX_CONDITIONING[name]), vocab), 301, scale=0.8)
+    recon.max_decode_len = reflex.max_decode_len = 6
+    config = RerankConfig(lam=1.0, k=5, alpha=1.0, max_len=6)
+    cache = ReflexCache()
+    for cset in dataset.sets:
+        want = _oracle_reconstruct_reranked(recon, reflex, cset, config)
+        assert reconstruct_reranked(recon, reflex, cset, config) == want
+        assert reconstruct_reranked(recon, reflex, cset, config, cache=cache) == want

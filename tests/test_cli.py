@@ -151,3 +151,50 @@ def test_bundled_presets_load():
     for name in ("recon_gru_bs_wikihan", "reflex_gru_wikihan"):
         preset = load_preset(name)
         assert "hidden_size" in preset and "lr" in preset
+
+
+def test_eval_reads_rerank_summary(workdir, tmp_path, capsys):
+    """eval takes rerank's summary.tsv as is and scores it like a two-column file."""
+    out = tmp_path / "rr"
+    assert main(["rerank", "--dataset", str(workdir / "data.tsv"),
+                 "--recon-checkpoint", str(workdir / "recon.ckpt"),
+                 "--reflex-checkpoint", str(workdir / "reflex.ckpt"),
+                 "--beam-size", "3", "--out", str(out)]) == 0
+    summary = (out / "summary.tsv").read_text().splitlines()
+    assert summary[0] == "id\treranked_top\ts"
+    two_col = tmp_path / "preds.tsv"
+    rows = [line.split("\t") for line in summary[1:]]
+    two_col.write_text("".join(f"{i}\t{top}\n" for i, top, _s in rows), encoding="utf-8")
+    reports = []
+    for preds in (out / "summary.tsv", two_col):
+        assert main(["eval", "--dataset", str(workdir / "data.tsv"),
+                     "--predictions", str(preds)]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert reports[0].splitlines()[0].startswith("ACC%")
+
+
+def test_eval_rejects_malformed_predictions(workdir, tmp_path):
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("syn1\tp a\tx\n", encoding="utf-8")
+    assert main(["eval", "--dataset", str(workdir / "data.tsv"),
+                 "--predictions", str(bad)]) == 3
+
+
+def test_mismatched_checkpoint_vocabularies_exit_3(workdir, tmp_path, capsys):
+    """A recon/reflex pair trained on different vocabularies is a data error."""
+    from protorecon import models
+    from protorecon.corpus import build_vocabulary
+
+    other, _ = generate_family(n_sets=30, n_daughters=2, seed=8)
+    other_reflex = tmp_path / "other_reflex.ckpt"
+    models.ReflexModel(models.ReflexModelConfig(**TINY_PRESET), build_vocabulary(other)).save(
+        other_reflex)
+    pair = ["--recon-checkpoint", str(workdir / "recon.ckpt"),
+            "--reflex-checkpoint", str(other_reflex)]
+    data = ["--dataset", str(workdir / "data.tsv")]
+    for argv in (["rerank", *data, *pair],
+                 ["analyze", *data, *pair, "--out", str(tmp_path / "an")],
+                 ["gridsearch", *data, "--split", str(workdir / "split.tsv"), *pair]):
+        assert main(argv) == 3, argv[0]
+        assert "different vocabularies" in capsys.readouterr().err

@@ -132,7 +132,7 @@ def test_banned_ids_include_language_tags(tiny_vocab):
 def test_recon_rejects_unframed_input(tiny_vocab):
     model = models.ReconModel(tiny_recon_config(), tiny_vocab)
     with pytest.raises(ProtoreconError):
-        model.encode_np(tiny_vocab.encode(["p", "a"]))
+        model.encode_np([tiny_vocab.encode(["p", "a"])])
 
 
 # -- determinism --------------------------------------------------------------
