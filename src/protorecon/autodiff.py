@@ -262,27 +262,76 @@ def add_scalars(tensors) -> Tensor:
     return Tensor(out)
 
 
-def gru_cell(x: Tensor, h_prev: Tensor, params: dict) -> Tensor:
-    """One GRU step: h_next = (1 - z) * h_prev + z * h_tilde.
+def _gate_z(z, mask):
+    """The update gate with padded rows (mask 0) zeroed, so that they keep h exactly."""
+    return z if mask is None else z * mask[:, None]
 
-    params holds W_z/U_z/b_z, W_r/U_r/b_r, W_h/U_h/b_h with W_* of shape
-    (input, hidden) and U_* of shape (hidden, hidden).
+
+def _gru_forward(x, h, W, U_zr, U_h, b, mask):
+    """Raw-array GRU step over stacked gates: (h_next, (z|r, h_tilde)).
+
+    Gates are finished in place, and the (batch, 3 * hidden) product x @ W is
+    freed early, so that a step holds little more than its outputs.
     """
-    z = sigmoid(add(add(matmul(x, params["W_z"]), matmul(h_prev, params["U_z"])), params["b_z"]))
-    r = sigmoid(add(add(matmul(x, params["W_r"]), matmul(h_prev, params["U_r"])), params["b_r"]))
-    h_tilde = tanh(
-        add(add(matmul(x, params["W_h"]), matmul(mul(r, h_prev), params["U_h"])), params["b_h"])
-    )
-    return add(mul(affine(z, -1.0, 1.0), h_prev), mul(z, h_tilde))
+    H = h.shape[1]
+    a = x @ W
+    zr = h @ U_zr
+    zr += a[:, : 2 * H]
+    zr += b[: 2 * H]
+    np.negative(zr, out=zr)
+    np.exp(zr, out=zr)
+    zr += 1.0
+    np.divide(1.0, zr, out=zr)  # sigmoid
+    h_tilde = a[:, 2 * H :].copy()
+    del a
+    h_tilde += (zr[:, H:] * h) @ U_h
+    h_tilde += b[2 * H :]
+    np.tanh(h_tilde, out=h_tilde)
+    zm = _gate_z(zr[:, :H], mask)
+    out = 1.0 - zm
+    out *= h
+    out += zm * h_tilde
+    return out, (zr, h_tilde)
 
 
-def gru_cell_np(x: np.ndarray, h_prev: np.ndarray, params: dict) -> np.ndarray:
-    """Inference-path twin of gru_cell on raw arrays (no tape)."""
-    p = {k: (v.data if isinstance(v, Tensor) else v) for k, v in params.items()}
-    z = 1.0 / (1.0 + np.exp(-(x @ p["W_z"] + h_prev @ p["U_z"] + p["b_z"])))
-    r = 1.0 / (1.0 + np.exp(-(x @ p["W_r"] + h_prev @ p["U_r"] + p["b_r"])))
-    h_tilde = np.tanh(x @ p["W_h"] + (r * h_prev) @ p["U_h"] + p["b_h"])
-    return (1.0 - z) * h_prev + z * h_tilde
+def gru_cell(x: Tensor, h_prev: Tensor, gates, mask=None) -> Tensor:
+    """One GRU step, h_next = (1 - z) * h_prev + z * h_tilde, as one tape node.
+
+    gates = (W, U_zr, U_h, b) with the gates stacked z|r|h: W = [W_z W_r W_h]
+    of shape (input, 3 * hidden), U_zr = [U_z U_r] of shape (hidden,
+    2 * hidden), U_h (hidden, hidden) and b = [b_z b_r b_h].  Rows whose mask
+    entry is 0 (a padded step) keep h_prev.
+    """
+    W, U_zr, U_h, b = gates
+    out, (zr, h_tilde) = _gru_forward(
+        x.data, h_prev.data, W.data, U_zr.data, U_h.data, b.data, mask)
+    if not _tracked(x, h_prev, *gates):
+        return Tensor(out)
+    H = h_prev.data.shape[1]
+
+    def rule(g):
+        h = h_prev.data
+        z, r = zr[:, :H], zr[:, H:]
+        zm = _gate_z(z, mask)
+        da = np.empty((g.shape[0], 3 * H))  # pre-activation grads, z|r|h
+        da[:, :H] = _gate_z(g * (h_tilde - h), mask) * z * (1.0 - z)
+        da[:, 2 * H :] = g * zm * (1.0 - h_tilde * h_tilde)
+        drh = da[:, 2 * H :] @ U_h.data.T
+        da[:, H : 2 * H] = drh * h * r * (1.0 - r)
+        grads = [(W, x.data.T @ da), (U_zr, h.T @ da[:, : 2 * H]),
+                 (U_h, (r * h).T @ da[:, 2 * H :]), (b, da.sum(axis=0))]
+        if _tracked(x):
+            grads.append((x, da @ W.data.T))
+        if _tracked(h_prev):
+            grads.append((h_prev, g * (1.0 - zm) + drh * r + da[:, : 2 * H] @ U_zr.data.T))
+        return grads
+
+    return Tensor(out, parents=(x, h_prev, *gates), backward_rule=rule)
+
+
+def gru_cell_np(x: np.ndarray, h_prev: np.ndarray, gates, mask=None) -> np.ndarray:
+    """gru_cell on raw arrays (no tape); gates are the stacked arrays."""
+    return _gru_forward(x, h_prev, *gates, mask)[0]
 
 
 class Adam:

@@ -84,11 +84,16 @@ def _load_dataset(args, require_split=False):
 
 
 def load_preset(name: str) -> dict:
-    """Load a bundled hyperparameter preset by name, or a JSON file by path."""
-    if os.path.exists(name):
-        return json.loads(_read(name))
+    """Load a bundled hyperparameter preset by name, or a JSON file by path.
+
+    The preset must be a JSON object; anything else is a ConfigError.
+    """
     try:
-        text = (resources.files("protorecon") / "presets" / f"{name}.json").read_text("utf-8")
+        if os.path.exists(name):
+            text = _read(name)
+        else:
+            text = (resources.files("protorecon") / "presets" / f"{name}.json").read_text("utf-8")
+        preset = json.loads(text)
     except FileNotFoundError:
         available = sorted(
             p.name[:-5]
@@ -96,21 +101,26 @@ def load_preset(name: str) -> dict:
             if p.name.endswith(".json")
         )
         raise ConfigError(f"unknown preset {name!r}; available: {available}") from None
-    return json.loads(text)
+    except ValueError as exc:  # invalid JSON or not UTF-8
+        raise ConfigError(f"preset {name!r} is not valid JSON: {exc}") from None
+    if not isinstance(preset, dict):
+        raise ConfigError(f"preset {name!r} must be a JSON object, not {type(preset).__name__}")
+    return preset
 
 
-def _model_config(args, kind: str):
+def _model_config(preset_name, kind: str, seed=None):
+    """A kind's model config from an optional preset, rejecting fields the kind lacks."""
     cls = models.ReconModelConfig if kind == "recon" else models.ReflexModelConfig
     fields = {f.name for f in dataclasses.fields(cls)}
     values = {}
-    if getattr(args, "preset", None):
-        preset = load_preset(args.preset)
+    if preset_name:
+        preset = load_preset(preset_name)
         unknown = set(preset) - fields
         if unknown:
             raise ConfigError(f"preset has fields not valid for a {kind} model: {sorted(unknown)}")
         values.update(preset)
-    if getattr(args, "seed", None) is not None:
-        values["seed"] = args.seed
+    if seed is not None:
+        values["seed"] = seed
     return cls(**values)
 
 
@@ -193,7 +203,7 @@ def cmd_split(args):
 def _cmd_train(args, kind):
     ds = _load_dataset(args, require_split=True)
     vocab = build_vocabulary(ds)
-    config = _model_config(args, kind)
+    config = _model_config(args.preset, kind, args.seed)
     model = models.new_model(kind, config, vocab)
     log = (lambda msg: print(msg, file=sys.stderr)) if args.verbose else None
     model = models.train(model, ds, log=log)
@@ -369,16 +379,11 @@ def cmd_analyze(args):
 
 def cmd_run(args):
     seeds = tuple(range(args.seeds)) if args.seed is None else (args.seed,)
-    recon_kwargs, reflex_kwargs = {}, {}
-    if args.preset:
-        recon_kwargs = load_preset(args.preset)
-    if args.reflex_preset:
-        reflex_kwargs = load_preset(args.reflex_preset)
     config = ExperimentConfig(
         dataset_path=args.dataset,
         out_dir=args.out,
-        recon_config=models.ReconModelConfig(**recon_kwargs),
-        reflex_config=models.ReflexModelConfig(**reflex_kwargs),
+        recon_config=_model_config(args.preset, "recon"),
+        reflex_config=_model_config(args.reflex_preset, "reflex"),
         seeds=seeds,
         beam_size=args.beam_size,
         lam=args.lam,

@@ -162,9 +162,9 @@ def parse_dataset(tsv_text: str, tokenize: str = "whitespace") -> Dataset:
 
     The header's first column names the protoform column (or is literally
     ``id``, in which case the second column is the protoform column); the
-    remaining columns name the daughter languages.
+    remaining columns name the daughter languages.  CRLF line ends read as LF.
     """
-    lines = tsv_text.split("\n")
+    lines = tsv_text.replace("\r\n", "\n").split("\n")
     if lines and lines[-1] == "":
         lines = lines[:-1]
     if not lines:
@@ -291,9 +291,9 @@ def split_dataset(
 
 
 def parse_split_file(tsv_text: str) -> dict[str, str]:
-    """Two-column TSV (id, split tag) supplied externally."""
+    """Two-column TSV (id, split tag) supplied externally; CRLF line ends read as LF."""
     tags = {}
-    for lineno, line in enumerate(tsv_text.split("\n"), start=1):
+    for lineno, line in enumerate(tsv_text.replace("\r\n", "\n").split("\n"), start=1):
         if not line:
             continue
         cells = line.split("\t")

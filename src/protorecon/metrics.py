@@ -73,8 +73,8 @@ class FeatureTable:
 
     @classmethod
     def from_tsv(cls, tsv_text: str) -> "FeatureTable":
-        """Header: token, tone, then one column per feature name."""
-        lines = [ln for ln in tsv_text.split("\n") if ln]
+        """Header: token, tone, then one column per feature name; CRLF reads as LF."""
+        lines = [ln for ln in tsv_text.replace("\r\n", "\n").split("\n") if ln]
         if not lines:
             raise SchemaError("empty feature table")
         header = lines[0].split("\t")

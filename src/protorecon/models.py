@@ -99,11 +99,22 @@ def _gru_params(rng, n_in, n_hid, prefix):
     return params
 
 
-def _gate_view(params, prefix):
-    return {k.split(".")[-1]: params[f"{prefix}.{k.split('.')[-1]}"] for k in
-            [f"{prefix}.W_z", f"{prefix}.U_z", f"{prefix}.b_z",
-             f"{prefix}.W_r", f"{prefix}.U_r", f"{prefix}.b_r",
-             f"{prefix}.W_h", f"{prefix}.U_h", f"{prefix}.b_h"]}
+def _stacked_gates(params, prefix):
+    """The (W, U_zr, U_h, b) that ad.gru_cell takes, from the nine per-gate parameters.
+
+    Stacked with ad.concat once per forward pass, so gradients land on the
+    named parameters and the checkpoint layout stays per gate.
+    """
+    def cat(names, axis=1):
+        return ad.concat([params[f"{prefix}.{n}"] for n in names], axis=axis)
+
+    return (cat(("W_z", "W_r", "W_h")), cat(("U_z", "U_r")), params[f"{prefix}.U_h"],
+            cat(("b_z", "b_r", "b_h"), axis=0))
+
+
+def _stacked_gate_arrays(params, prefix):
+    """_stacked_gates as raw arrays, for ad.gru_cell_np."""
+    return tuple(t.data for t in _stacked_gates(params, prefix))
 
 
 def segment_language_indices(ids, vocab: Vocabulary) -> list[int]:
@@ -120,18 +131,6 @@ def segment_language_indices(ids, vocab: Vocabulary) -> list[int]:
         else:
             out.append(cur)
     return out
-
-
-def _masked_step(h_prev: Tensor, h_new: Tensor, mask_col: np.ndarray) -> Tensor:
-    """Keep h_prev on rows whose sequence already ended (mask 0)."""
-    m = Tensor(mask_col[:, None])
-    inv = Tensor(1.0 - mask_col[:, None])
-    return ad.add(ad.mul(h_new, m), ad.mul(h_prev, inv))
-
-
-def _masked_step_np(h_prev, h_new, mask_col):
-    """Raw-array _masked_step: h_new on rows with mask 1, h_prev elsewhere."""
-    return np.where(mask_col[:, None] > 0, h_new, h_prev)
 
 
 class _GruStepper:
@@ -188,6 +187,10 @@ class _RowConditionedStepper(_GruStepper):
         return state[0][idx], state[1][idx]
 
 
+def _concat(parts):
+    return ad.concat(parts) if len(parts) > 1 else parts[0]
+
+
 def _pad_batch(seqs, pad_id):
     """Right-pad id lists; returns (ids matrix, mask matrix, lengths)."""
     lengths = np.array([len(s) for s in seqs])
@@ -238,9 +241,17 @@ class _ModelBase:
         row[list(self.banned_output_ids())] = NEG
         return row
 
-    def _classifier_t(self, h: Tensor, w1, b1, w2, b2) -> Tensor:
+    def _classifier_t(self, h: Tensor, w1, b1, blocks) -> Tensor:
+        """Logits of the MLP classifier; the hidden layer is shared by all rows.
+
+        blocks lists (rows, w2, b2) output blocks: rows is None for one block
+        over every row, else an index array, and the logits come out in the
+        order of the blocks' rows concatenated.
+        """
         hidden = ad.tanh(ad.add(ad.matmul(h, w1), b1))
-        logits = ad.add(ad.matmul(hidden, w2), b2)
+        parts = [ad.add(ad.matmul(hidden if rows is None else ad.embedding(hidden, rows), w2), b2)
+                 for rows, w2, b2 in blocks]
+        logits = parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)
         return ad.add(logits, Tensor(self._output_mask_row()))
 
     def _classifier_np(self, h, w1, b1, w2, b2):
@@ -345,29 +356,26 @@ class ReconModel(_ModelBase):
         li_ids, _, _ = _pad_batch(lidx, 0)
         B = len(inputs)
         h = Tensor(np.zeros((B, self.config.hidden_size)))
-        enc = _gate_view(p, "enc")
+        enc = _stacked_gates(p, "enc")
         for t in range(in_ids.shape[1]):
             x = ad.concat([ad.embedding(p["tok_emb"], in_ids[:, t]),
                            ad.embedding(p["lang_emb"], li_ids[:, t])])
-            if rate:
-                x = ad.dropout(x, rate, dropout_rng)
-            h = _masked_step(h, ad.gru_cell(x, h, enc), in_mask[:, t])
+            h = ad.gru_cell(ad.dropout(x, rate, dropout_rng), h, enc, in_mask[:, t])
 
         tgt = [list(t) + [eos] for t in targets]
         tgt_ids, tgt_mask, _ = _pad_batch(tgt, self.vocab.pad_id)
         prev_ids = np.concatenate(
             [np.full((B, 1), self.vocab.bos_id, dtype=np.int64), tgt_ids[:, :-1]], axis=1
         )
-        dec_p = _gate_view(p, "dec")
+        dec_g = _stacked_gates(p, "dec")
+        blocks = [(None, p["clf.W2"], p["clf.b2"])]
         total_tokens = tgt_mask.sum()
         step_losses, logits_steps = [], []
         for t in range(tgt_ids.shape[1]):
-            x = ad.embedding(p["tok_emb"], prev_ids[:, t])
-            if rate:
-                x = ad.dropout(x, rate, dropout_rng)
-            h = _masked_step(h, ad.gru_cell(x, h, dec_p), tgt_mask[:, t])
-            h_in = ad.dropout(h, rate, dropout_rng) if rate else h
-            logits = self._classifier_t(h_in, p["clf.W1"], p["clf.b1"], p["clf.W2"], p["clf.b2"])
+            x = ad.dropout(ad.embedding(p["tok_emb"], prev_ids[:, t]), rate, dropout_rng)
+            h = ad.gru_cell(x, h, dec_g, tgt_mask[:, t])
+            h_in = ad.dropout(h, rate, dropout_rng)
+            logits = self._classifier_t(h_in, p["clf.W1"], p["clf.b1"], blocks)
             if collect_logits:
                 logits_steps.append(logits)
             step_losses.append(
@@ -385,12 +393,12 @@ class ReconModel(_ModelBase):
         in_ids, in_mask, _ = _pad_batch(inputs, self.vocab.pad_id)
         li_ids, _, _ = _pad_batch([segment_language_indices(s, self.vocab) for s in inputs], 0)
         h = np.zeros((len(inputs), self.config.hidden_size))
-        enc = _gate_view(self.params, "enc")
+        enc = _stacked_gate_arrays(p, "enc")
         for t in range(in_ids.shape[1]):  # embeddings gathered per step to keep memory small
             x = np.concatenate(
                 [p["tok_emb"].data[in_ids[:, t]], p["lang_emb"].data[li_ids[:, t]]], axis=1
             )
-            h = _masked_step_np(h, ad.gru_cell_np(x, h, enc), in_mask[:, t])
+            h = ad.gru_cell_np(x, h, enc, in_mask[:, t])
         return h
 
     def decoder(self, input_ids) -> _GruStepper:
@@ -401,7 +409,7 @@ class ReconModel(_ModelBase):
         p = self.params
         return _GruStepper(
             h0=self.encode_np(inputs),
-            dec_params=_gate_view(p, "dec"),
+            dec_params=_stacked_gate_arrays(p, "dec"),
             step_input_fn=lambda toks: p["tok_emb"].data[toks],
             classify_fn=lambda h: self._classifier_np(
                 h, p["clf.W1"], p["clf.b1"], p["clf.W2"], p["clf.b2"]
@@ -467,113 +475,92 @@ class ReflexModel(_ModelBase):
             return p[f"clf.W2.{lang_index}"], p[f"clf.b2.{lang_index}"]
         return p["clf.W2"], p["clf.b2"]
 
-    def _one_hot(self, lang_index: int, rows: int) -> np.ndarray:
-        out = np.zeros((rows, len(self.vocab.languages)))
-        out[:, lang_index] = 1.0
-        return out
+    # -- training forward -----------------------------------------------------
 
-    # -- encoder (uniform-length batch, so no masking needed) ----------------
+    def _encode_t(self, in_ids: np.ndarray, in_mask: np.ndarray, rate, dropout_rng):
+        """Bridged final encoder states (B, H) of right-padded inputs.
 
-    def _encode_t(self, in_ids: np.ndarray, rate, dropout_rng):
-        """in_ids: (B, T) with equal true lengths.  Returns final state bridge (B, H)."""
+        A padded step keeps the row's state, so the backward direction, which
+        meets a row's pads first, stays at zero until its last real token.
+        """
         p = self.params
         cfg = self.config
         B, T = in_ids.shape
-        seq = []
-        for t in range(T):
-            x = ad.embedding(p["tok_emb"], in_ids[:, t])
-            if rate:
-                x = ad.dropout(x, rate, dropout_rng)
-            seq.append(x)
+        seq = [ad.dropout(ad.embedding(p["tok_emb"], in_ids[:, t]), rate, dropout_rng)
+               for t in range(T)]
         dirs = ("f", "b") if cfg.bidirectional_encoder else ("f",)
         for layer in range(cfg.num_encoder_layers):
-            outs = {}
+            outs, finals = [], []
             for d in dirs:
-                gates = _gate_view(p, f"enc{layer}{d}")
+                gates = _stacked_gates(p, f"enc{layer}{d}")
                 h = Tensor(np.zeros((B, cfg.hidden_size)))
-                states = []
-                order = range(T) if d == "f" else range(T - 1, -1, -1)
-                for t in order:
-                    h = ad.gru_cell(seq[t], h, gates)
-                    states.append(h)
-                outs[d] = states if d == "f" else states[::-1]
-            if cfg.bidirectional_encoder:
-                new_seq = [ad.concat([outs["f"][t], outs["b"][t]]) for t in range(T)]
-                final = ad.concat([outs["f"][-1], outs["b"][0]])
-            else:
-                new_seq = outs["f"]
-                final = outs["f"][-1]
-            if layer < cfg.num_encoder_layers - 1 and rate:
-                new_seq = [ad.dropout(s, rate, dropout_rng) for s in new_seq]
-            seq = new_seq
+                states = [None] * T
+                for t in range(T) if d == "f" else range(T - 1, -1, -1):
+                    h = states[t] = ad.gru_cell(seq[t], h, gates, in_mask[:, t])
+                outs.append(states)
+                finals.append(h)  # forward: state at the last token; backward: at the first
+            if layer < cfg.num_encoder_layers - 1:
+                seq = [ad.dropout(_concat([states[t] for states in outs]), rate, dropout_rng)
+                       for t in range(T)]
+        final = _concat(finals)
         return ad.tanh(ad.add(ad.matmul(final, p["bridge.W"]), p["bridge.b"]))
 
-    # -- training forward -----------------------------------------------------
+    def group_loss(self, inputs, targets, lang_indices, dropout_rng=None):
+        """Mean token loss of rows of any input length and target language.
 
-    def group_loss(self, inputs, targets, lang_index, normalizer, dropout_rng=None,
-                   collect_logits=False):
-        """Loss contribution of a same-language, same-input-length group.
-
-        inputs: tagged protoform id lists of equal length; targets: reflex id
-        lists (EOS appended here); normalizer: token count the final mean
-        divides by (supplied by the caller so groups combine into one mean).
+        inputs: tagged protoform id lists; targets: reflex id lists (EOS
+        appended here); lang_indices: each row's language index.  Rows are
+        right-padded and masked into one graph; every row's loss divides by
+        the total target token count.
         """
         p = self.params
         cfg = self.config
         rate = cfg.dropout if dropout_rng is not None else 0.0
-        eos = self.vocab.eos_id
         B = len(inputs)
-        in_ids = np.asarray(inputs, dtype=np.int64)
-        h = self._encode_t(in_ids, rate, dropout_rng)
+        lang = np.asarray(lang_indices, dtype=np.int64)
+        in_ids, in_mask, _ = _pad_batch(inputs, self.vocab.pad_id)
+        h = self._encode_t(in_ids, in_mask, rate, dropout_rng)
 
-        tgt = [list(t) + [eos] for t in targets]
-        tgt_ids, tgt_mask, _ = _pad_batch(tgt, self.vocab.pad_id)
+        tgt_ids, tgt_mask, _ = _pad_batch([list(t) + [self.vocab.eos_id] for t in targets],
+                                          self.vocab.pad_id)
         prev_ids = np.concatenate(
             [np.full((B, 1), self.vocab.bos_id, dtype=np.int64), tgt_ids[:, :-1]], axis=1
         )
-        dec_p = _gate_view(p, "dec")
-        w2, b2 = self._clf_weights(lang_index)
-        one_hot = Tensor(self._one_hot(lang_index, B)) if cfg.one_hot_target_encoding else None
-        lang_rows = (
-            ad.embedding(p["lang_emb"], np.full(B, lang_index + 1, dtype=np.int64))
-            if cfg.decode_with_language_embedding
-            else None
-        )
-        step_losses, logits_steps = [], []
-        for t in range(tgt_ids.shape[1]):
-            x = ad.embedding(p["tok_emb"], prev_ids[:, t])
-            if rate:
-                x = ad.dropout(x, rate, dropout_rng)
+        ce_ids, ce_mask = tgt_ids, tgt_mask  # rows in the order the logits come in
+        if cfg.target_gated_classifier:  # one output block per language present
+            blocks = [(np.flatnonzero(lang == l), *self._clf_weights(int(l)))
+                      for l in np.unique(lang)]
+            order = np.concatenate([rows for rows, _, _ in blocks])
+            ce_ids, ce_mask = tgt_ids[order], tgt_mask[order]
+        else:
+            blocks = [(None, p["clf.W2"], p["clf.b2"])]
+        dec_g = _stacked_gates(p, "dec")
+        one_hot = (Tensor(np.eye(len(self.vocab.languages))[lang])
+                   if cfg.one_hot_target_encoding else None)
+        lang_rows = (ad.embedding(p["lang_emb"], lang + 1)
+                     if cfg.decode_with_language_embedding else None)
+        total_tokens = tgt_mask.sum()
+        step_losses = []
+        for t in range(prev_ids.shape[1]):
+            x = ad.dropout(ad.embedding(p["tok_emb"], prev_ids[:, t]), rate, dropout_rng)
             if lang_rows is not None:
                 x = ad.concat([x, lang_rows])
-            h = _masked_step(h, ad.gru_cell(x, h, dec_p), tgt_mask[:, t])
-            h_in = ad.dropout(h, rate, dropout_rng) if rate else h
+            h = ad.gru_cell(x, h, dec_g, tgt_mask[:, t])
+            h_in = ad.dropout(h, rate, dropout_rng)
             clf_in = ad.concat([h_in, one_hot]) if one_hot is not None else h_in
-            logits = self._classifier_t(clf_in, p["clf.W1"], p["clf.b1"], w2, b2)
-            if collect_logits:
-                logits_steps.append(logits)
-            step_losses.append(
-                ad.softmax_cross_entropy(logits, tgt_ids[:, t], tgt_mask[:, t], normalizer=normalizer)
-            )
-        return ad.add_scalars(step_losses), (logits_steps if collect_logits else None)
+            logits = self._classifier_t(clf_in, p["clf.W1"], p["clf.b1"], blocks)
+            step_losses.append(ad.softmax_cross_entropy(
+                logits, ce_ids[:, t], ce_mask[:, t], normalizer=total_tokens))
+        return ad.add_scalars(step_losses)
 
     def batch_loss(self, examples, dropout_rng=None):
-        """Mean token loss over (input_ids, target_ids, language) examples."""
-        groups: dict[tuple, list] = {}
-        for ex in examples:
-            groups.setdefault((ex[2], len(ex[0])), []).append(ex)
-        total_tokens = float(sum(len(ex[1]) + 1 for ex in examples))
-        losses = []
-        for (lang, _), exs in sorted(groups.items()):
-            loss, _ = self.group_loss(
-                [ex[0] for ex in exs],
-                [ex[1] for ex in exs],
-                self.language_index(lang),
-                normalizer=total_tokens,
-                dropout_rng=dropout_rng,
-            )
-            losses.append(loss)
-        return ad.add_scalars(losses)
+        """Mean token loss over (input_ids, target_ids, language) examples, in one graph."""
+        return self.group_loss(
+            [ex[0] for ex in examples],
+            [ex[1] for ex in examples],
+            [self.language_index(ex[2]) for ex in examples],
+            dropout_rng=dropout_rng,
+        )
 
     # -- inference ------------------------------------------------------------
 
@@ -594,12 +581,12 @@ class ReflexModel(_ModelBase):
             last = layer == cfg.num_encoder_layers - 1  # only the final states are needed
             outs, finals = [], []
             for d in dirs:
-                gates = _gate_view(p, f"enc{layer}{d}")
+                gates = _stacked_gate_arrays(p, f"enc{layer}{d}")
                 h = np.zeros((B, cfg.hidden_size))
                 states = [None] * T
                 for t in range(T) if d == "f" else range(T - 1, -1, -1):
                     x = p["tok_emb"].data[in_ids[:, t]] if seq is None else seq[:, t, :]
-                    h = _masked_step_np(h, ad.gru_cell_np(x, h, gates), in_mask[:, t])
+                    h = ad.gru_cell_np(x, h, gates, in_mask[:, t])
                     if not last:
                         states[t] = h
                 outs.append(states)
@@ -640,7 +627,7 @@ class ReflexModel(_ModelBase):
 
         return _RowConditionedStepper(
             h0=self.encode_np([row[0] for row in rows]),
-            dec_params=_gate_view(p, "dec"),
+            dec_params=_stacked_gate_arrays(p, "dec"),
             step_input_fn=step_input,
             classify_fn=classify,
             vocab_size=self.vocab.size,

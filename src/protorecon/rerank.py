@@ -60,17 +60,16 @@ def score_candidates(reflex_model, candidates, cset: CognateSet, max_len=None, c
 
     Every (candidate, present language) pair missing from the cache is
     decoded in one batch.  Returns (r values, predictions), one entry per
-    candidate; a prediction maps language -> predicted id tuple.  Candidate
-    ids unknown to the reflex model's vocabulary make that candidate's
-    decodes count as incorrect (with a warning) rather than raising.
+    candidate; a prediction maps language -> predicted id tuple.  An empty
+    candidate (beam search ranked EOS first) and one with ids unknown to the
+    reflex model's vocabulary (with a warning) are not decoded: they get
+    r = 0 and empty predictions.
     """
-    if any(not tokens for tokens in candidates):
-        raise ProtoreconError("empty candidate protoform")
     if not cset.reflexes:
         raise ProtoreconError(f"cognate set {cset.id!r} has no reflexes")
     vocab = reflex_model.vocab
     candidates = [tuple(tokens) for tokens in candidates]
-    known = []
+    decodable = []
     for tokens in candidates:
         unknown = [t for t in tokens if not 0 <= t < vocab.size]
         if unknown:
@@ -79,10 +78,10 @@ def score_candidates(reflex_model, candidates, cset: CognateSet, max_len=None, c
                 "its reflex decodes count as incorrect",
                 stacklevel=2,
             )
-        known.append(not unknown)
+        decodable.append(bool(tokens) and not unknown)
 
     found, pending = {}, {}  # (candidate, language) -> prediction; keys still to decode
-    for tokens in itertools.compress(candidates, known):
+    for tokens in itertools.compress(candidates, decodable):
         for language in cset.reflexes:
             key = (tokens, language)
             if key in found or key in pending:
@@ -100,10 +99,10 @@ def score_candidates(reflex_model, candidates, cset: CognateSet, max_len=None, c
             cache.put(key, found[key])
 
     golds = {}
-    if any(known):
+    if any(decodable):
         golds = {lang: tuple(vocab.encode(reflex)) for lang, reflex in cset.reflexes.items()}
     r_values, predictions = [], []
-    for tokens, ok in zip(candidates, known):
+    for tokens, ok in zip(candidates, decodable):
         preds = {lang: found[(tokens, lang)] if ok else () for lang in cset.reflexes}
         correct = sum(ok and preds[lang] == golds[lang] for lang in cset.reflexes)
         r_values.append(correct / len(cset.reflexes))

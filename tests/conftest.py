@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from protorecon import models
 from protorecon.autodiff import log_softmax_rows
@@ -38,6 +39,12 @@ def tiny_split(tiny_dataset):
     return apply_split_tags(tiny_dataset, tags)
 
 
+# Property tests draw their examples from a fixed seed and have no time limit,
+# so a slow spell of the machine cannot fail or change them.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
+
+
 def tiny_recon_config(**overrides):
     base = dict(embedding_size=8, hidden_size=10, feedforward_size=10, dropout=0.0,
                 batch_size=4, lr=0.01, max_epochs=2, warmup_epochs=0, seed=0)
@@ -50,6 +57,19 @@ def tiny_reflex_config(**overrides):
                 batch_size=4, lr=0.01, max_epochs=2, warmup_epochs=0, seed=0)
     base.update(overrides)
     return models.ReflexModelConfig(**base)
+
+
+# Reflex-model conditionings that together cover every encoder and classifier path.
+REFLEX_CONDITIONING = {
+    "one-hot": dict(),
+    "gated": dict(one_hot_target_encoding=False, target_gated_classifier=True),
+    "language-embedding": dict(one_hot_target_encoding=False,
+                               decode_with_language_embedding=True),
+    "unidirectional": dict(bidirectional_encoder=False),
+    "two-layer": dict(num_encoder_layers=2),
+    "all": dict(target_gated_classifier=True, decode_with_language_embedding=True,
+                num_encoder_layers=2),
+}
 
 
 class ToyStepper:

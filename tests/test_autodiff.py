@@ -6,6 +6,7 @@ import pytest
 from protorecon import autodiff as ad
 from protorecon.autodiff import Tensor
 from protorecon.errors import DimensionError, TrainingError
+from tests.oracles import gru_cell_six, masked_step, stack_gates
 
 
 def _check(loss_fn, params, tol=1e-6, **kw):
@@ -106,6 +107,15 @@ def test_softmax_cross_entropy_normalizer():
     assert float(loss_scaled.data) == pytest.approx(np.log(3.0) / 2.0)
 
 
+def _gru_params(rng, n_in, n_hid, scale=1.0):
+    params = {}
+    for gate in ("z", "r", "h"):
+        params[f"W_{gate}"] = ad.parameter(rng.normal(size=(n_in, n_hid)) * scale, f"W_{gate}")
+        params[f"U_{gate}"] = ad.parameter(rng.normal(size=(n_hid, n_hid)) * scale, f"U_{gate}")
+        params[f"b_{gate}"] = ad.parameter(rng.normal(size=n_hid) * scale, f"b_{gate}")
+    return params
+
+
 def test_gru_cell_gradient():
     rng = np.random.default_rng(9)
     params = {}
@@ -117,11 +127,63 @@ def test_gru_cell_gradient():
     h0 = ad.parameter(rng.normal(size=(3, 6)), "h0")
 
     def loss():
-        h = ad.gru_cell(x, h0, params)
-        h = ad.gru_cell(ad.tanh(x), h, params)  # two chained steps, reused weights
+        gates = stack_gates(params)
+        h = ad.gru_cell(x, h0, gates)
+        h = ad.gru_cell(ad.tanh(x), h, gates)  # two chained steps, reused weights
         return _sum(h)
 
     _check(loss, [x, h0] + list(params.values()), samples_per_param=3)
+
+
+def test_gru_cell_masked_gradient():
+    rng = np.random.default_rng(12)
+    params = _gru_params(rng, 4, 6, scale=0.5)
+    x = ad.parameter(rng.normal(size=(4, 4)), "x")
+    h0 = ad.parameter(rng.normal(size=(4, 6)), "h0")
+    masks = (np.array([1.0, 0.0, 1.0, 0.0]), np.array([1.0, 1.0, 0.0, 0.0]))
+
+    def loss():
+        gates = stack_gates(params)
+        h = ad.gru_cell(x, h0, gates, masks[0])
+        h = ad.gru_cell(ad.tanh(x), h, gates, masks[1])
+        return _sum(h)
+
+    _check(loss, [x, h0] + list(params.values()), samples_per_param=3)
+
+
+@pytest.mark.parametrize("mask", [None, np.array([1.0, 0.0, 1.0, 1.0, 0.0])])
+def test_gru_cell_matches_six_matmul_oracle(mask):
+    """The fused node equals the six-matmul primitive graph, forward and backward."""
+    rng = np.random.default_rng(13)
+    params = _gru_params(rng, 7, 6)
+    x = ad.parameter(rng.normal(size=(5, 7)), "x")
+    h0 = ad.parameter(rng.normal(size=(5, 6)), "h0")
+    upstream = Tensor(rng.normal(size=(6, 1)))
+    leaves = [x, h0] + list(params.values())
+
+    def run(step):
+        for p in leaves:
+            p.zero_grad()
+        h = step(x, h0)
+        h = step(ad.tanh(x), h)
+        ad.matmul(Tensor(np.ones((1, 5))), ad.matmul(h, upstream)).backward()
+        return h.data, [p.grad.copy() for p in leaves]
+
+    def fused(xx, h):
+        return ad.gru_cell(xx, h, stack_gates(params), mask)
+
+    def oracle(xx, h):
+        h_new = gru_cell_six(xx, h, params)
+        return h_new if mask is None else masked_step(h, h_new, mask)
+
+    got_h, got_grads = run(fused)
+    want_h, want_grads = run(oracle)
+    np.testing.assert_allclose(got_h, want_h, rtol=1e-12, atol=1e-12)
+    for p, got, want in zip(leaves, got_grads, want_grads):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max(),
+                                   err_msg=p.name)
+    if mask is not None:  # both steps are padded on these rows: the state is kept exactly
+        assert np.array_equal(got_h[mask == 0], h0.data[mask == 0])
 
 
 def test_gru_cell_np_matches_tensor_path():
@@ -133,9 +195,18 @@ def test_gru_cell_np_matches_tensor_path():
         params[f"b_{gate}"] = ad.parameter(rng.normal(size=6), f"b_{gate}")
     x = rng.normal(size=(2, 4))
     h0 = rng.normal(size=(2, 6))
-    t = ad.gru_cell(Tensor(x), Tensor(h0), params)
-    n = ad.gru_cell_np(x, h0, params)
+    gates = stack_gates(params)
+    t = ad.gru_cell(Tensor(x), Tensor(h0), gates)
+    n = ad.gru_cell_np(x, h0, tuple(g.data for g in gates))
     assert np.allclose(t.data, n, atol=1e-12)
+    assert np.allclose(gru_cell_six(Tensor(x), Tensor(h0), params).data, n, atol=1e-12)
+
+
+def test_gru_cell_builds_no_node_off_the_tape():
+    rng = np.random.default_rng(14)
+    gates = tuple(Tensor(g.data) for g in stack_gates(_gru_params(rng, 3, 4)))
+    h = ad.gru_cell(Tensor(rng.normal(size=(2, 3))), Tensor(np.zeros((2, 4))), gates)
+    assert not h.parents and h.backward_rule is None
 
 
 def test_backward_requires_scalar():
@@ -162,8 +233,9 @@ def _gru_chain(steps, seed=11):
         params[f"b_{gate}"] = ad.parameter(rng.normal(scale=0.3, size=4), f"b_{gate}")
     x = Tensor(rng.normal(size=(2, 3)))
     h = Tensor(np.zeros((2, 4)))
+    gates = stack_gates(params)
     for _ in range(steps):
-        h = ad.gru_cell(x, h, params)
+        h = ad.gru_cell(x, h, gates)
     return _sum(h), list(params.values())
 
 

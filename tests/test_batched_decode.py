@@ -19,7 +19,7 @@ from protorecon.corpus import (
 )
 from protorecon.rerank import ReflexCache, RerankConfig, reconstruct_reranked, rerank
 from protorecon.synthetic import generate_family
-from tests.conftest import tiny_recon_config, tiny_reflex_config
+from tests.conftest import REFLEX_CONDITIONING, tiny_recon_config, tiny_reflex_config
 
 # -- oracle: the per-item decode path -------------------------------------------
 
@@ -67,11 +67,11 @@ def _oracle_recon_decoder(model, input_ids):
         [p["tok_emb"].data[np.asarray(input_ids)], p["lang_emb"].data[np.asarray(lidx)]], axis=1
     )
     h = np.zeros((1, model.config.hidden_size))
-    enc = models._gate_view(p, "enc")
+    enc = models._stacked_gate_arrays(p, "enc")
     for t in range(len(input_ids)):
         h = ad.gru_cell_np(x[t : t + 1], h, enc)
     return _OracleStepper(
-        h, models._gate_view(p, "dec"),
+        h, models._stacked_gate_arrays(p, "dec"),
         lambda toks: p["tok_emb"].data[toks],
         lambda hh: model._classifier_np(hh, p["clf.W1"], p["clf.b1"], p["clf.W2"], p["clf.b2"]),
         model,
@@ -86,7 +86,7 @@ def _oracle_reflex_encode(model, input_ids):
     for layer in range(cfg.num_encoder_layers):
         outs = {}
         for d in dirs:
-            gates = models._gate_view(p, f"enc{layer}{d}")
+            gates = models._stacked_gate_arrays(p, f"enc{layer}{d}")
             h = np.zeros((1, cfg.hidden_size))
             states = []
             for t in (range(T) if d == "f" else range(T - 1, -1, -1)):
@@ -117,10 +117,13 @@ def _oracle_reflex_decoder(model, tagged, language):
 
     def classify(h):
         if cfg.one_hot_target_encoding:
-            h = np.concatenate([h, model._one_hot(li, h.shape[0])], axis=1)
+            one_hot = np.zeros((h.shape[0], len(model.vocab.languages)))
+            one_hot[:, li] = 1.0
+            h = np.concatenate([h, one_hot], axis=1)
         return model._classifier_np(h, p["clf.W1"], p["clf.b1"], w2, b2)
 
-    return _OracleStepper(_oracle_reflex_encode(model, tagged), models._gate_view(p, "dec"),
+    return _OracleStepper(_oracle_reflex_encode(model, tagged),
+                          models._stacked_gate_arrays(p, "dec"),
                           step_input, classify, model)
 
 
@@ -174,18 +177,6 @@ def _reflex_rows(dataset, vocab, n, seed):
     return rows
 
 
-REFLEX_CONDITIONING = {
-    "one-hot": dict(),
-    "gated": dict(one_hot_target_encoding=False, target_gated_classifier=True),
-    "language-embedding": dict(one_hot_target_encoding=False,
-                               decode_with_language_embedding=True),
-    "unidirectional": dict(bidirectional_encoder=False),
-    "two-layer": dict(num_encoder_layers=2),
-    "all": dict(target_gated_classifier=True, decode_with_language_embedding=True,
-                num_encoder_layers=2),
-}
-
-
 @pytest.mark.parametrize("name", sorted(REFLEX_CONDITIONING))
 def test_reflex_batch_matches_per_item_decodes(family, name):
     dataset, vocab = family
@@ -236,7 +227,7 @@ def test_decode_rows_split_into_chunks(family, monkeypatch):
 @pytest.mark.parametrize("name", ["one-hot", "all"])
 def test_reconstruct_reranked_matches_per_item_path(family, name):
     dataset, vocab = family
-    # no EOS bias here: an empty beam candidate makes both paths raise
+    # no EOS bias here, so that beams hold long candidates (empty ones: test_rerank.py)
     recon = _randomize(models.ReconModel(tiny_recon_config(seed=1), vocab), 300, scale=0.8,
                        eos_bias=0.0)
     reflex = _randomize(models.ReflexModel(

@@ -198,3 +198,41 @@ def test_mismatched_checkpoint_vocabularies_exit_3(workdir, tmp_path, capsys):
                  ["gridsearch", *data, "--split", str(workdir / "split.tsv"), *pair]):
         assert main(argv) == 3, argv[0]
         assert "different vocabularies" in capsys.readouterr().err
+
+
+def test_rerank_and_analyze_score_empty_candidates(workdir, tmp_path):
+    """A recon model that ranks EOS first yields empty candidates; both commands exit 0."""
+    from protorecon import models
+
+    recon = models.load_checkpoint(workdir / "recon.ckpt")
+    recon.params["clf.b2"].data[recon.vocab.eos_id] += 10.0
+    recon.save(tmp_path / "eos_recon.ckpt")
+    pair = ["--recon-checkpoint", str(tmp_path / "eos_recon.ckpt"),
+            "--reflex-checkpoint", str(workdir / "reflex.ckpt")]
+    data = ["--dataset", str(workdir / "data.tsv"), "--beam-size", "3"]
+    assert main(["rerank", *data, *pair, "--out", str(tmp_path / "rr")]) == 0
+    rows = (tmp_path / "rr" / "syn1.tsv").read_text().splitlines()
+    empty = [row.split("\t") for row in rows[1:] if row.split("\t")[1] == ""]
+    assert empty and all(float(cells[-3]) == 0.0 for cells in empty)
+    assert main(["analyze", *data, *pair, "--out", str(tmp_path / "an")]) == 0
+
+
+@pytest.mark.parametrize("text", ['{"hidden_size": 10,', "[1, 2]", '"preset"', "\xff\xfe"])
+def test_malformed_preset_exit_2(workdir, tmp_path, capsys, text):
+    """A preset that is not valid JSON, or not a JSON object, is a configuration error."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(text.encode("latin-1"))
+    data = ["--dataset", str(workdir / "data.tsv"), "--preset", str(bad)]
+    assert main(["train-recon", *data, "--out", str(tmp_path / "x.ckpt")]) == 2
+    assert main(["run", *data, "--seeds", "1", "--out", str(tmp_path / "run")]) == 2
+    assert "preset" in capsys.readouterr().err
+
+
+def test_run_rejects_preset_fields_of_the_other_model(workdir, tmp_path, capsys):
+    """run validates its presets like train-recon/train-reflex: a reflex-only field exits 2."""
+    preset = tmp_path / "reflex_only.json"
+    preset.write_text(json.dumps({**TINY_PRESET, "num_encoder_layers": 2}), encoding="utf-8")
+    assert main(["run", "--dataset", str(workdir / "data.tsv"), "--preset", str(preset),
+                 "--seeds", "1", "--out", str(tmp_path / "run")]) == 2
+    assert "num_encoder_layers" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()

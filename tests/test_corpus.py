@@ -34,6 +34,14 @@ def test_parse_without_id_column():
     assert ds.sets[0].protoform == ("p", "a")
 
 
+def test_parse_crlf_equals_lf():
+    from tests.conftest import TINY_TSV
+
+    crlf = parse_dataset(TINY_TSV.replace("\n", "\r\n"))
+    assert crlf == parse_dataset(TINY_TSV)
+    assert crlf.languages[-1] == "LangB" and crlf.sets[0].reflexes["LangB"] == ("b", "a")
+
+
 def test_parse_missing_cells(tiny_dataset):
     w6 = tiny_dataset.sets[5]
     assert "LangB" not in w6.reflexes
@@ -154,6 +162,11 @@ def test_split_file_roundtrip(tiny_dataset):
     tags = parse_split_file(text)
     assert tags == ds.split_tags
     assert apply_split_tags(tiny_dataset, tags).split_tags == tags
+
+
+def test_split_file_crlf_equals_lf(tiny_dataset):
+    text = serialize_split_tags(split_dataset(tiny_dataset, (0.7, 0.1, 0.2), seed=1).split_tags)
+    assert parse_split_file(text.replace("\n", "\r\n")) == parse_split_file(text)
 
 
 def test_split_file_rejects_bad_tag():

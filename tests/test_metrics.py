@@ -105,6 +105,14 @@ def test_feature_table_parsing(table):
     assert table.is_tone("˥") and not table.is_tone("p")
 
 
+def test_feature_table_crlf_equals_lf(table):
+    crlf = FeatureTable.from_tsv(FEATURE_TSV.replace("\n", "\r\n"))
+    assert crlf.feature_names == table.feature_names == ("f1", "f2", "f3")
+    assert crlf.tone_flags == table.tone_flags
+    assert crlf.vectors.keys() == table.vectors.keys()
+    assert all(np.array_equal(crlf.vectors[t], table.vectors[t]) for t in table.vectors)
+
+
 def test_feature_table_rejects_bad_values():
     with pytest.raises(SchemaError):
         FeatureTable.from_tsv("token\ttone\tf1\np\t0\t2\n")

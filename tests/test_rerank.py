@@ -91,10 +91,27 @@ def test_reflex_accuracy_unknown_ids_warns(tiny_dataset, tiny_vocab):
     assert all(p == () for p in preds.values())
 
 
-def test_reflex_accuracy_rejects_empty_candidate(tiny_dataset, tiny_vocab):
+def test_reflex_accuracy_scores_empty_candidate_zero(tiny_dataset, tiny_vocab):
+    """An empty candidate is not decoded: r = 0 and empty predictions, like unknown ids."""
     model = models.ReflexModel(tiny_reflex_config(), tiny_vocab)
-    with pytest.raises(ProtoreconError):
-        reflex_accuracy(model, (), tiny_dataset.sets[0])
+    cs = tiny_dataset.sets[0]
+    r, preds = reflex_accuracy(model, (), cs)
+    assert r == 0.0
+    assert preds == {lang: () for lang in cs.reflexes}
+
+
+def test_reconstruct_reranked_scores_empty_beam_candidate(tiny_dataset, tiny_vocab):
+    """A recon model that ranks EOS first still reranks; its empty candidate gets r = 0."""
+    recon = models.ReconModel(tiny_recon_config(), tiny_vocab)
+    recon.params["clf.b2"].data[tiny_vocab.eos_id] += 5.0
+    reflex = models.ReflexModel(tiny_reflex_config(), tiny_vocab)
+    cfg = RerankConfig(lam=1.0, k=3, alpha=1.0, max_len=6)
+    for cs in tiny_dataset.sets:
+        top, reranked, beam, preds = reconstruct_reranked(recon, reflex, cs, cfg)
+        assert beam[0].tokens == ()
+        empty = next(rc for rc in reranked if rc.beam_rank == 0)
+        assert empty.r == 0.0 and empty.s == empty.m
+        assert preds[0] == {lang: () for lang in cs.reflexes}
 
 
 def test_reflex_cache_hits(tiny_dataset, tiny_vocab):
