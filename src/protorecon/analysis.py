@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from enum import Enum
 
@@ -160,3 +161,59 @@ def behavior_distribution(records) -> dict:
     changed = counts[RerankBehavior.IMPROVED] + counts[RerankBehavior.WORSENED]
     ratio = counts[RerankBehavior.IMPROVED] / changed if changed else None
     return {"counts": counts, "total": sum(counts.values()), "improved_over_changed": ratio}
+
+
+def write_analysis_tables(out_dir, reflex_model, results, languages, table=None, stamp=""):
+    """Write behavior.tsv, similarity.tsv (with a feature table) and error_rates.tsv.
+
+    results: (cognate set with a gold protoform, its reranked list, its beam
+    candidates) per set, read once.  error_rates.tsv lists the languages of
+    languages that some set has.  Every file starts with stamp.  Returns
+    each set's BehaviorRecord.
+    """
+    vocab = reflex_model.vocab
+    records, error_items, rate_items = [], [], []
+    for cset, reranked, beam in results:
+        gold_ids = tuple(vocab.encode(cset.protoform))
+        record = categorize(beam, reranked, gold_ids)
+        records.append(record)
+        rate_items.append((cset, record.behavior))
+        if reranked[0].tokens != gold_ids:
+            error_items.append(ErrorItem(cset=cset, predicted=vocab.decode(reranked[0].tokens),
+                                         gold=tuple(cset.protoform), behavior=record.behavior))
+    if not records:
+        raise ProtoreconError("no cognate set with a gold protoform to analyze")
+    os.makedirs(out_dir, exist_ok=True)
+
+    def write(name, lines):
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="\n") as f:
+            f.write(stamp + "\n".join(lines) + "\n")
+
+    dist = behavior_distribution(records)
+    lines = ["category\tcount\tpercent"]
+    for b in RerankBehavior:
+        c = dist["counts"][b]
+        lines.append(f"{b.value}\t{c}\t{100 * c / dist['total']:.2f}")
+    ratio = dist["improved_over_changed"]
+    lines.append(f"Improved/Changed\t-\t{'-' if ratio is None else f'{100 * ratio:.2f}'}")
+    write("behavior.tsv", lines)
+
+    if table is not None:
+        sim = similarity_comparison_table(error_items, table)
+        lines = ["category\tn\tpct_pred_closer_d_t\tpct_pred_closer_d_f"]
+        for b in RerankBehavior:
+            row = sim[b]
+            cells = ["-" if row[d] is None else f"{100 * row[d]:.2f}" for d in ("d_t", "d_f")]
+            lines.append("\t".join([b.value, str(row["count"]), *cells]))
+        write("similarity.tsv", lines)
+
+    rates = per_language_error_rates(reflex_model, rate_items)
+    langs = [lang for lang in languages if any(lang in group for group in rates.values())]
+    lines = ["category\t" + "\t".join(langs)]
+    for group in list(RerankBehavior) + ["overall"]:
+        if group in rates:
+            cells = [f"{100 * rates[group][lang]:.2f}" if lang in rates[group] else "-"
+                     for lang in langs]
+            lines.append("\t".join([group if group == "overall" else group.value, *cells]))
+    write("error_rates.tsv", lines)
+    return records

@@ -3,6 +3,9 @@
 Just enough machinery for GRU encoder-decoder models: 64-bit values, a tape
 recorded per forward pass, and backward rules for the handful of primitives
 the models need.  No general broadcasting beyond bias rows and column masks.
+An op whose inputs are all untracked (no grad, no parents) returns a plain
+Tensor before it builds a backward rule, so inference runs the training
+forward on untracked parameters with no tape.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ import numpy as np
 
 from .errors import DimensionError, TrainingError
 
+_F64 = np.dtype(np.float64)
+
 
 class Tensor:
     """A numpy array with an optional gradient accumulator and backward rule."""
@@ -18,7 +23,9 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "parents", "backward_rule", "name")
 
     def __init__(self, data, requires_grad=False, parents=(), backward_rule=None, name=None):
-        self.data = np.asarray(data, dtype=np.float64)
+        # every op makes a Tensor, so a float64 array skips np.asarray's dtype handling
+        self.data = data if type(data) is np.ndarray and data.dtype is _F64 else np.asarray(
+            data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad = np.zeros_like(self.data) if requires_grad else None
         self.parents = parents
@@ -76,7 +83,10 @@ class Tensor:
 
 
 def _tracked(*tensors) -> bool:
-    return any(t.requires_grad or t.parents for t in tensors)
+    for t in tensors:  # a plain loop: this check runs on every op, with or without a tape
+        if t.requires_grad or t.parents:
+            return True
+    return False
 
 
 def constant(data) -> Tensor:
@@ -92,17 +102,21 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
     if out.shape != a.data.shape:
         raise DimensionError(f"add: incompatible shapes {a.shape} vs {b.shape}")
+    if not _tracked(a, b):
+        return Tensor(out)
 
     def rule(g):
         gb = g.sum(axis=0) if b.data.ndim < g.ndim else g
         return ((a, g), (b, gb))
 
-    return Tensor(out, parents=(a, b), backward_rule=rule) if _tracked(a, b) else Tensor(out)
+    return Tensor(out, parents=(a, b), backward_rule=rule)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product with numpy broadcasting (e.g. column masks)."""
     out = a.data * b.data
+    if not _tracked(a, b):
+        return Tensor(out)
 
     def unbroadcast(g, shape):
         while g.ndim > len(shape):
@@ -118,41 +132,44 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             (b, unbroadcast(g * a.data, b.data.shape)),
         )
 
-    return Tensor(out, parents=(a, b), backward_rule=rule) if _tracked(a, b) else Tensor(out)
+    return Tensor(out, parents=(a, b), backward_rule=rule)
 
 
 def affine(x: Tensor, scale: float, shift: float) -> Tensor:
     """scale * x + shift with scalar constants (covers negation and 1 - x)."""
     out = scale * x.data + shift
+    if not _tracked(x):
+        return Tensor(out)
 
     def rule(g):
         return ((x, scale * g),)
 
-    return Tensor(out, parents=(x,), backward_rule=rule) if _tracked(x) else Tensor(out)
+    return Tensor(out, parents=(x,), backward_rule=rule)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise DimensionError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
     out = a.data @ b.data
+    if not _tracked(a, b):
+        return Tensor(out)
 
     def rule(g):
         return ((a, g @ b.data.T), (b, a.data.T @ g))
 
-    return Tensor(out, parents=(a, b), backward_rule=rule) if _tracked(a, b) else Tensor(out)
+    return Tensor(out, parents=(a, b), backward_rule=rule)
 
 
 def concat(tensors, axis=1) -> Tensor:
     out = np.concatenate([t.data for t in tensors], axis=axis)
+    if not _tracked(*tensors):
+        return Tensor(out)
     splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
 
     def rule(g):
-        parts = np.split(g, splits, axis=axis)
-        return tuple(zip(tensors, parts))
+        return tuple(zip(tensors, np.split(g, splits, axis=axis)))
 
-    if _tracked(*tensors):
-        return Tensor(out, parents=tuple(tensors), backward_rule=rule)
-    return Tensor(out)
+    return Tensor(out, parents=tuple(tensors), backward_rule=rule)
 
 
 def narrow(x: Tensor, start: int, size: int, axis: int = 1) -> Tensor:
@@ -161,44 +178,52 @@ def narrow(x: Tensor, start: int, size: int, axis: int = 1) -> Tensor:
     index[axis] = slice(start, start + size)
     index = tuple(index)
     out = x.data[index]
+    if not _tracked(x):
+        return Tensor(out)
 
     def rule(g):
         full = np.zeros_like(x.data)
         full[index] = g
         return ((x, full),)
 
-    return Tensor(out, parents=(x,), backward_rule=rule) if _tracked(x) else Tensor(out)
+    return Tensor(out, parents=(x,), backward_rule=rule)
 
 
 def sigmoid(x: Tensor) -> Tensor:
     out = 1.0 / (1.0 + np.exp(-x.data))
+    if not _tracked(x):
+        return Tensor(out)
 
     def rule(g):
         return ((x, g * out * (1.0 - out)),)
 
-    return Tensor(out, parents=(x,), backward_rule=rule) if _tracked(x) else Tensor(out)
+    return Tensor(out, parents=(x,), backward_rule=rule)
 
 
 def tanh(x: Tensor) -> Tensor:
     out = np.tanh(x.data)
+    if not _tracked(x):
+        return Tensor(out)
 
     def rule(g):
         return ((x, g * (1.0 - out * out)),)
 
-    return Tensor(out, parents=(x,), backward_rule=rule) if _tracked(x) else Tensor(out)
+    return Tensor(out, parents=(x,), backward_rule=rule)
 
 
 def embedding(table: Tensor, ids) -> Tensor:
     """Gather rows of an embedding table."""
     ids = np.asarray(ids, dtype=np.int64)
     out = table.data[ids]
+    if not _tracked(table):
+        return Tensor(out)
 
     def rule(g):
         full = np.zeros_like(table.data)
         np.add.at(full, ids, g)
         return ((table, full),)
 
-    return Tensor(out, parents=(table,), backward_rule=rule) if _tracked(table) else Tensor(out)
+    return Tensor(out, parents=(table,), backward_rule=rule)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
@@ -207,11 +232,13 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
         return x
     mask = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
     out = x.data * mask
+    if not _tracked(x):
+        return Tensor(out)
 
     def rule(g):
         return ((x, g * mask),)
 
-    return Tensor(out, parents=(x,), backward_rule=rule) if _tracked(x) else Tensor(out)
+    return Tensor(out, parents=(x,), backward_rule=rule)
 
 
 def log_softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -239,6 +266,8 @@ def softmax_cross_entropy(logits: Tensor, targets, weights=None, normalizer=None
     logp = log_softmax_rows(logits.data)
     rows = np.arange(len(targets))
     out = -(w * logp[rows, targets]).sum() / total
+    if not _tracked(logits):
+        return Tensor(out)
 
     def rule(g):
         probs = np.exp(logp)
@@ -246,20 +275,18 @@ def softmax_cross_entropy(logits: Tensor, targets, weights=None, normalizer=None
         grad[rows, targets] -= w / total
         return ((logits, g.reshape(()) * grad),)
 
-    if _tracked(logits):
-        return Tensor(out, parents=(logits,), backward_rule=rule)
-    return Tensor(out)
+    return Tensor(out, parents=(logits,), backward_rule=rule)
 
 
 def add_scalars(tensors) -> Tensor:
     out = np.array(sum(float(t.data) for t in tensors))
+    if not _tracked(*tensors):
+        return Tensor(out)
 
     def rule(g):
         return tuple((t, g.reshape(t.data.shape)) for t in tensors)
 
-    if _tracked(*tensors):
-        return Tensor(out, parents=tuple(tensors), backward_rule=rule)
-    return Tensor(out)
+    return Tensor(out, parents=tuple(tensors), backward_rule=rule)
 
 
 def _gate_z(z, mask):
@@ -303,10 +330,10 @@ def gru_cell(x: Tensor, h_prev: Tensor, gates, mask=None) -> Tensor:
     entry is 0 (a padded step) keep h_prev.
     """
     W, U_zr, U_h, b = gates
+    if not _tracked(x, h_prev, W, U_zr, U_h, b):
+        return Tensor(gru_cell_np(x.data, h_prev.data, (W.data, U_zr.data, U_h.data, b.data), mask))
     out, (zr, h_tilde) = _gru_forward(
         x.data, h_prev.data, W.data, U_zr.data, U_h.data, b.data, mask)
-    if not _tracked(x, h_prev, *gates):
-        return Tensor(out)
     H = h_prev.data.shape[1]
 
     def rule(g):
@@ -330,7 +357,7 @@ def gru_cell(x: Tensor, h_prev: Tensor, gates, mask=None) -> Tensor:
 
 
 def gru_cell_np(x: np.ndarray, h_prev: np.ndarray, gates, mask=None) -> np.ndarray:
-    """gru_cell on raw arrays (no tape); gates are the stacked arrays."""
+    """gru_cell's forward on raw arrays, which gru_cell runs when nothing is tracked."""
     return _gru_forward(x, h_prev, *gates, mask)[0]
 
 

@@ -45,33 +45,37 @@ def write_checkpoint(path, arrays: dict, config: dict, vocab_hash: str, seed: in
 
 
 def read_checkpoint(path):
-    """Returns (arrays, config, vocab_hash, seed)."""
+    """Returns (arrays, config, vocab_hash, seed); any other layout is a CheckpointError."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[: len(MAGIC)] != MAGIC:
         raise CheckpointError("not a checkpoint file (bad magic)")
     off = len(MAGIC)
-    (version,) = struct.unpack_from("<I", blob, off)
-    off += 4
-    if version != FORMAT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    (hlen,) = struct.unpack_from("<I", blob, off)
-    off += 4
     try:
+        version, hlen = struct.unpack_from("<II", blob, off)
+        if version != FORMAT_VERSION:
+            raise CheckpointError(f"unsupported checkpoint version {version}")
+        off += 8
         header = json.loads(blob[off : off + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"corrupt checkpoint header: {exc}") from exc
-    off += hlen
-    arrays = {}
-    for desc in header["arrays"]:
-        dtype = np.dtype(_DTYPES[desc["dtype"]])
-        count = int(np.prod(desc["shape"], dtype=np.int64)) if desc["shape"] else 1
-        nbytes = count * dtype.itemsize
-        if off + nbytes > len(blob):
-            raise CheckpointError(f"truncated payload for array {desc['name']!r}")
-        arr = np.frombuffer(blob[off : off + nbytes], dtype=dtype).reshape(desc["shape"])
-        arrays[desc["name"]] = arr.astype(desc["dtype"])
-        off += nbytes
+        off += hlen
+        arrays = {}
+        for desc in header["arrays"]:
+            if desc["dtype"] not in _DTYPES:
+                raise CheckpointError(f"unsupported dtype {desc['dtype']!r} "
+                                      f"for array {desc['name']!r}")
+            dtype = np.dtype(_DTYPES[desc["dtype"]])
+            count = int(np.prod(desc["shape"], dtype=np.int64)) if desc["shape"] else 1
+            nbytes = count * dtype.itemsize
+            if off + nbytes > len(blob):
+                raise CheckpointError(f"truncated payload for array {desc['name']!r}")
+            arr = np.frombuffer(blob[off : off + nbytes], dtype=dtype).reshape(desc["shape"])
+            arrays[desc["name"]] = arr.astype(desc["dtype"])
+            off += nbytes
+        result = arrays, header["config"], header["vocab_hash"], header["seed"]
+    except KeyError as exc:
+        raise CheckpointError(f"checkpoint header lacks {exc}") from None
+    except (TypeError, ValueError, struct.error) as exc:  # includes invalid UTF-8 and JSON
+        raise CheckpointError(f"corrupt checkpoint header: {exc}") from None
     if off != len(blob):
         raise CheckpointError("trailing bytes after last array payload")
-    return arrays, header["config"], header["vocab_hash"], header["seed"]
+    return result

@@ -6,7 +6,6 @@ Exit codes: 0 success, 2 configuration error, 3 data error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -41,14 +40,7 @@ from .experiment import (
 from .metrics import FeatureTable, bundled_feature_table, evaluate
 from .rerank import ReflexCache, RerankConfig, reconstruct_reranked, format_rerank_tsv
 from .stats import compare, pearson_correlation, significant
-from .analysis import (
-    ErrorItem,
-    RerankBehavior,
-    behavior_distribution,
-    categorize,
-    per_language_error_rates,
-    similarity_comparison_table,
-)
+from .analysis import write_analysis_tables
 
 DATA_ERRORS = (SchemaError, VocabularyError, CheckpointError, OSError)
 
@@ -109,19 +101,12 @@ def load_preset(name: str) -> dict:
 
 
 def _model_config(preset_name, kind: str, seed=None):
-    """A kind's model config from an optional preset, rejecting fields the kind lacks."""
-    cls = models.ReconModelConfig if kind == "recon" else models.ReflexModelConfig
-    fields = {f.name for f in dataclasses.fields(cls)}
-    values = {}
-    if preset_name:
-        preset = load_preset(preset_name)
-        unknown = set(preset) - fields
-        if unknown:
-            raise ConfigError(f"preset has fields not valid for a {kind} model: {sorted(unknown)}")
-        values.update(preset)
+    """A kind's model config from an optional preset; see models.config_from_dict."""
+    values = load_preset(preset_name) if preset_name else {}
     if seed is not None:
         values["seed"] = seed
-    return cls(**values)
+    cls = models.ReconModelConfig if kind == "recon" else models.ReflexModelConfig
+    return models.config_from_dict(cls, values)
 
 
 def _feature_table(args):
@@ -330,50 +315,9 @@ def cmd_analyze(args):
         max_len=args.max_len or recon.max_decode_len,
     )
     cache = ReflexCache()
-    records, error_items, rate_items = [], [], []
-    for cset in ds.sets:
-        if cset.protoform is None:
-            continue
-        top, reranked, beam, _ = reconstruct_reranked(recon, reflex, cset, cfg, cache=cache)
-        gold_ids = tuple(recon.vocab.encode(cset.protoform))
-        record = categorize(beam, reranked, gold_ids)
-        records.append(record)
-        rate_items.append((cset, record.behavior))
-        if top.tokens != gold_ids:
-            error_items.append(ErrorItem(cset=cset, predicted=recon.vocab.decode(top.tokens),
-                                         gold=tuple(cset.protoform), behavior=record.behavior))
-    os.makedirs(args.out, exist_ok=True)
-
-    dist = behavior_distribution(records)
-    lines = ["category\tcount\tpercent"]
-    for b in RerankBehavior:
-        c = dist["counts"][b]
-        lines.append(f"{b.value}\t{c}\t{100 * c / dist['total']:.2f}")
-    ratio = dist["improved_over_changed"]
-    lines.append(f"Improved/Changed\t-\t{'-' if ratio is None else f'{100 * ratio:.2f}'}")
-    _write(os.path.join(args.out, "behavior.tsv"), "\n".join(lines) + "\n")
-
-    if table is not None:
-        sim = similarity_comparison_table(error_items, table)
-        lines = ["category\tn\tpct_pred_closer_d_t\tpct_pred_closer_d_f"]
-        for b in RerankBehavior:
-            row = sim[b]
-            dt = "-" if row["d_t"] is None else f"{100 * row['d_t']:.2f}"
-            df = "-" if row["d_f"] is None else f"{100 * row['d_f']:.2f}"
-            lines.append(f"{b.value}\t{row['count']}\t{dt}\t{df}")
-        _write(os.path.join(args.out, "similarity.tsv"), "\n".join(lines) + "\n")
-
-    rates = per_language_error_rates(reflex, rate_items)
-    langs = [lang for lang in ds.languages if any(lang in g for g in rates.values())]
-    lines = ["category\t" + "\t".join(langs)]
-    for group in list(RerankBehavior) + ["overall"]:
-        if group not in rates:
-            continue
-        name = group if group == "overall" else group.value
-        lines.append(name + "\t" + "\t".join(
-            f"{100 * rates[group][lang]:.2f}" if lang in rates[group] else "-" for lang in langs
-        ))
-    _write(os.path.join(args.out, "error_rates.tsv"), "\n".join(lines) + "\n")
+    results = ((cset, *reconstruct_reranked(recon, reflex, cset, cfg, cache=cache)[1:3])
+               for cset in ds.sets if cset.protoform is not None)
+    write_analysis_tables(args.out, reflex, results, ds.languages, table)
     print(f"analysis written to {args.out}", file=sys.stderr)
 
 

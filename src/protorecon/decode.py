@@ -156,47 +156,6 @@ def beam_search(stepper, config: BeamConfig) -> list[Candidate]:
     return [completed[i] for i in ranked[: config.k]]
 
 
-def beam_search_reference(stepper, config: BeamConfig) -> list[Candidate]:
-    """Scalar reference implementation with identical semantics to beam_search."""
-    mask = _banned_mask(stepper)
-    eos = stepper.eos_id
-    frontier = [((), 0.0, stepper.init_state(1), stepper.bos_id)]
-    completed: list[Candidate] = []
-
-    for t in range(1, config.max_len + 2):
-        expansions = []
-        for b, (prefix, score, state, last) in enumerate(frontier):
-            logp, new_state = stepper.step(state, np.array([last]))
-            row = logp[0] + mask
-            for v in range(stepper.vocab_size):
-                if t == config.max_len + 1 and v != eos:
-                    continue
-                if row[v] == NEG_INF:
-                    continue
-                expansions.append((score + row[v], b, v, prefix, new_state))
-        expansions.sort(key=lambda e: (-e[0], e[1], e[2]))
-        new_frontier = []
-        for score, b, v, prefix, state in expansions[: config.k]:
-            if v == eos:
-                completed.append(
-                    Candidate(tokens=prefix, m=score / t**config.alpha, raw_logp=score, length=t)
-                )
-            else:
-                new_frontier.append((prefix + (v,), score, stepper.select(state, np.array([0])), v))
-        frontier = new_frontier
-        if not frontier:
-            break
-        if len(completed) >= config.k:
-            kth = sorted(completed, key=lambda c: -c.m)[config.k - 1].m
-            denom = (config.max_len + 1) ** config.alpha
-            bounds = [s / denom if config.alpha > 0 else s for _, s, _, _ in frontier]
-            if all(b <= kth for b in bounds):
-                break
-
-    ranked = sorted(range(len(completed)), key=lambda i: (-completed[i].m, i))
-    return [completed[i] for i in ranked[: config.k]]
-
-
 def format_candidates_tsv(candidates, id_to_token) -> str:
     """Candidate list as TSV: rank, space-joined tokens, m with 6 decimals."""
     lines = ["rank\ttokens\tm"]

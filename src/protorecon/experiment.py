@@ -21,15 +21,7 @@ from .corpus import (
 from .errors import ConfigError, ProtoreconError
 from .metrics import FeatureTable, evaluate
 from .rerank import ReflexCache, rerank, score_candidates
-from .analysis import (
-    BehaviorRecord,
-    ErrorItem,
-    RerankBehavior,
-    behavior_distribution,
-    categorize,
-    per_language_error_rates,
-    similarity_comparison_table,
-)
+from .analysis import write_analysis_tables
 
 DEFAULT_K_RANGE = (2, 4, 6, 8, 10)
 DEFAULT_LAMBDA_RANGE = tuple(round(0.3 * i, 10) for i in range(1, 15))  # 0.3 .. 4.2
@@ -167,85 +159,26 @@ def run_seed(config: ExperimentConfig, dataset: Dataset, seed: int, table: Featu
     csets = [cs for cs in test.sets if cs.protoform is not None]
     beams = _beam_for_sets(recon, csets, config.beam_size, alpha, recon.max_decode_len)
     cache = ReflexCache()
+    reranked = [rerank(beam, score_candidates(reflex, [c.tokens for c in beam], cset,
+                                              cache=cache)[0], lam)
+                for cset, beam in zip(csets, beams)]
+    gold_strs = [tuple(cs.protoform) for cs in csets]
+    report = evaluate([vocab.decode(ranked[0].tokens) for ranked in reranked], gold_strs, table)
+    beam_report = evaluate([vocab.decode(beam[0].tokens) for beam in beams], gold_strs, table)
+    records = write_analysis_tables(seed_dir, reflex, zip(csets, reranked, beams),
+                                    dataset.languages, table, stamp)
 
     rows = ["id\tgold\tbeam_top\treranked_top\tm\tr\ts\tbehavior"]
-    beam_preds, rerank_preds, golds = [], [], []
-    error_items, behavior_records, rate_items = [], [], []
-    for cset, beam in zip(csets, beams):
-        rv, _ = score_candidates(reflex, [c.tokens for c in beam], cset, cache=cache)
-        reranked = rerank(beam, rv, lam)
-        gold_ids = tuple(vocab.encode(cset.protoform))
-        top = reranked[0]
-        beam_preds.append(beam[0].tokens)
-        rerank_preds.append(top.tokens)
-        golds.append(gold_ids)
-        record = categorize(beam, reranked, gold_ids)
-        behavior_records.append(record)
-        rate_items.append((cset, record.behavior))
-        if top.tokens != gold_ids:
-            error_items.append(
-                ErrorItem(
-                    cset=cset,
-                    predicted=vocab.decode(top.tokens),
-                    gold=cset.protoform,
-                    behavior=record.behavior,
-                )
-            )
-        rows.append(
-            "\t".join(
-                [
-                    cset.id,
-                    " ".join(cset.protoform),
-                    " ".join(vocab.decode(beam[0].tokens)),
-                    " ".join(vocab.decode(top.tokens)),
-                    f"{top.m:.6f}",
-                    f"{top.r:.4f}",
-                    f"{top.s:.6f}",
-                    record.behavior.value,
-                ]
-            )
-        )
+    for cset, beam, ranked, record in zip(csets, beams, reranked, records):
+        top = ranked[0]
+        rows.append("\t".join([
+            cset.id, " ".join(cset.protoform), " ".join(vocab.decode(beam[0].tokens)),
+            " ".join(vocab.decode(top.tokens)), f"{top.m:.6f}", f"{top.r:.4f}", f"{top.s:.6f}",
+            record.behavior.value,
+        ]))
     _write(os.path.join(seed_dir, "predictions.tsv"), stamp, "\n".join(rows) + "\n")
-
-    gold_strs = [tuple(cs.protoform) for cs in csets]
-    rerank_strs = [vocab.decode(p) for p in rerank_preds]
-    beam_strs = [vocab.decode(p) for p in beam_preds]
-    report = evaluate(rerank_strs, gold_strs, table)
-    beam_report = evaluate(beam_strs, gold_strs, table)
     _write(os.path.join(seed_dir, "metrics.tsv"), stamp, report.as_tsv_row())
     _write(os.path.join(seed_dir, "metrics_beam_only.tsv"), stamp, beam_report.as_tsv_row())
-
-    dist = behavior_distribution(behavior_records)
-    lines = ["category\tcount\tpercent"]
-    for b in RerankBehavior:
-        c = dist["counts"][b]
-        lines.append(f"{b.value}\t{c}\t{100 * c / dist['total']:.2f}")
-    ratio = dist["improved_over_changed"]
-    lines.append(f"Improved/Changed\t-\t{'-' if ratio is None else f'{100 * ratio:.2f}'}")
-    _write(os.path.join(seed_dir, "behavior.tsv"), stamp, "\n".join(lines) + "\n")
-
-    if table is not None:
-        sim = similarity_comparison_table(error_items, table)
-        lines = ["category\tn\tpct_pred_closer_d_t\tpct_pred_closer_d_f"]
-        for b in RerankBehavior:
-            row = sim[b]
-            dt = "-" if row["d_t"] is None else f"{100 * row['d_t']:.2f}"
-            df = "-" if row["d_f"] is None else f"{100 * row['d_f']:.2f}"
-            lines.append(f"{b.value}\t{row['count']}\t{dt}\t{df}")
-        _write(os.path.join(seed_dir, "similarity.tsv"), stamp, "\n".join(lines) + "\n")
-
-    rates = per_language_error_rates(reflex, rate_items)
-    langs = [lang for lang in dataset.languages
-             if any(lang in group for group in rates.values())]
-    lines = ["category\t" + "\t".join(langs)]
-    for group in list(RerankBehavior) + ["overall"]:
-        if group not in rates:
-            continue
-        name = group if group == "overall" else group.value
-        cells = [f"{100 * rates[group][lang]:.2f}" if lang in rates[group] else "-"
-                 for lang in langs]
-        lines.append(f"{name}\t" + "\t".join(cells))
-    _write(os.path.join(seed_dir, "error_rates.tsv"), stamp, "\n".join(lines) + "\n")
 
     return {
         "ACC": report.acc,

@@ -2,14 +2,17 @@
 
 The reconstruction model consumes a concatenated cognate-set sequence and
 emits a protoform; the reflex model consumes a language-tagged protoform
-and emits the reflex in that daughter language.  Training paths build
-autodiff graphs; decoding paths run on raw arrays through the stepper
-interface in decode.py.
+and emits the reflex in that daughter language.  Each model's encoder and
+decoder step are written once with autodiff ops: training runs them on the
+parameters and builds a tape, and decoding (encode_np, and batch_decoder
+through the stepper interface in decode.py) runs them on an untracked view
+of the parameters, where the ops record nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,7 +20,7 @@ from . import autodiff as ad
 from . import checkpoint as ckpt
 from . import decode as dec
 from .autodiff import Tensor
-from .corpus import Dataset, Vocabulary, build_vocabulary
+from .corpus import Dataset, Vocabulary
 from .errors import CheckpointError, ConfigError, ProtoreconError, TrainingError
 from .metrics import token_edit_distance
 
@@ -78,6 +81,29 @@ class ReflexModelConfig(ReconModelConfig):
             )
 
 
+_FIELD_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
+
+
+def config_from_dict(cls, values):
+    """A cls config (a model config dataclass) from a dict of field values.
+
+    Unknown fields and values of the wrong type are a ConfigError: an int
+    field takes an int but not a bool, a float field an int or a float.
+    """
+    if not isinstance(values, dict):
+        raise ConfigError(f"{cls.__name__} values must be an object, not {type(values).__name__}")
+    types = {f.name: _FIELD_TYPES[f.type] for f in fields(cls)}
+    unknown = sorted(set(values) - set(types))
+    if unknown:
+        raise ConfigError(f"fields not valid for {cls.__name__}: {unknown}")
+    for name, value in values.items():
+        allowed = types[name]
+        if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
+            kinds = " or ".join(t.__name__ for t in allowed)
+            raise ConfigError(f"{cls.__name__} field {name!r} must be {kinds}, not {value!r}")
+    return cls(**values)
+
+
 @dataclass
 class TrainingHistory:
     epoch_losses: list = field(default_factory=list)  # (epoch, mean train loss)
@@ -112,11 +138,6 @@ def _stacked_gates(params, prefix):
             cat(("b_z", "b_r", "b_h"), axis=0))
 
 
-def _stacked_gate_arrays(params, prefix):
-    """_stacked_gates as raw arrays, for ad.gru_cell_np."""
-    return tuple(t.data for t in _stacked_gates(params, prefix))
-
-
 def segment_language_indices(ids, vocab: Vocabulary) -> list[int]:
     """Per-position language index (0 = structural) for a concatenated input."""
     tag_to_index = {vocab.language_tag_id(lang): i + 1 for i, lang in enumerate(vocab.languages)}
@@ -133,58 +154,49 @@ def segment_language_indices(ids, vocab: Vocabulary) -> list[int]:
     return out
 
 
+class _Conditioning(NamedTuple):
+    """Per-row target-language inputs of a decoder step."""
+
+    one_hot: Tensor | None  # rows appended to the classifier input
+    lang_rows: Tensor | None  # lang_emb rows appended to the decoder input
+    blocks: list  # classifier output blocks (rows or None, w2, masked b2), see _classifier
+    order: np.ndarray | None  # row order of the logits; None when they come in row order
+
+
 class _GruStepper:
-    """decode.py stepper over raw-array GRU decoding with a classifier closure.
+    """decode.py stepper running a model's _decode_step on untracked parameters.
 
     h0 holds one encoded row per input.  init_state(batch) repeats a
     one-row encoding (beam search) or takes an n-row encoding whole
-    (batched greedy decoding, batch = n).  The state is the hidden matrix.
+    (batched greedy decoding, batch = n).  The state is (hidden matrix,
+    input index of each row, their _Conditioning), so per-input
+    conditioning (the reflex model's target language) follows select(),
+    the only place where the rows change.
     """
 
-    def __init__(self, h0, dec_params, step_input_fn, classify_fn, vocab_size, bos_id, eos_id, banned_ids):
-        self._h0 = h0  # (inputs, H)
-        self._dec = dec_params
-        self._step_input = step_input_fn  # token ids -> (B, dec input dim)
-        self._classify = classify_fn  # hidden (B, H) -> logits (B, V)
-        self.vocab_size = vocab_size
-        self.bos_id = bos_id
-        self.eos_id = eos_id
-        self.banned_ids = banned_ids
-
-    def _rows(self, batch):
-        return np.arange(batch) % len(self._h0)
+    def __init__(self, model, params, h0, conditioning):
+        self._model, self._p, self._h0 = model, params, h0
+        self._dec = _stacked_gates(params, "dec")
+        self._conditioning = conditioning  # input indices of rows -> _Conditioning
+        self.vocab_size = model.vocab.size
+        self.bos_id = model.vocab.bos_id
+        self.eos_id = model.vocab.eos_id
+        self.banned_ids = model.banned_output_ids()
 
     def init_state(self, batch):
-        return self._h0[self._rows(batch)]
+        rows = np.arange(batch) % len(self._h0)
+        return self._h0[rows], rows, self._conditioning(rows)
 
     def step(self, state, tokens):
-        x = self._step_input(np.asarray(tokens))
-        h = ad.gru_cell_np(x, state, self._dec)
-        logits = self._classify(h)
-        return ad.log_softmax_rows(logits), h
+        h, rows, cond = state
+        h, logits = self._model._decode_step(self._p, self._dec, Tensor(h), tokens, cond)
+        if cond.order is not None:  # back from classifier-block order to row order
+            logits = ad.embedding(logits, np.argsort(cond.order))
+        return ad.log_softmax_rows(logits.data), (h.data, rows, cond)
 
     def select(self, state, idx):
-        return state[idx]
-
-
-class _RowConditionedStepper(_GruStepper):
-    """A _GruStepper whose state is (hidden, input index of each row).
-
-    step_input_fn and classify_fn also take the row indices, so per-input
-    conditioning (the reflex model's target language) follows select().
-    """
-
-    def init_state(self, batch):
-        rows = self._rows(batch)
-        return self._h0[rows], rows
-
-    def step(self, state, tokens):
-        h, rows = state
-        h = ad.gru_cell_np(self._step_input(np.asarray(tokens), rows), h, self._dec)
-        return ad.log_softmax_rows(self._classify(h, rows)), (h, rows)
-
-    def select(self, state, idx):
-        return state[0][idx], state[1][idx]
+        rows = state[1][idx]
+        return state[0][idx], rows, self._conditioning(rows)
 
 
 def _concat(parts):
@@ -204,6 +216,14 @@ def _pad_batch(seqs, pad_id):
 
 
 class _ModelBase:
+    """Parameter bookkeeping, decoder and checkpointing of both models.
+
+    Each model writes its forward once, with autodiff ops on a parameter
+    dict p: training passes self.params and builds a tape; inference
+    (encode_np, batch_decoder) passes _untracked_params() with dropout rate
+    0, on which the same ops record nothing.
+    """
+
     kind = ""
 
     def __init__(self, config, vocab: Vocabulary):
@@ -212,6 +232,9 @@ class _ModelBase:
         self.params: dict[str, Tensor] = {}
         self.history = TrainingHistory()
         self.max_decode_len = 40
+        row = np.zeros(vocab.size)
+        row[list(self.banned_output_ids())] = NEG
+        self._output_mask = Tensor(row)  # added to every output bias b2
 
     # -- parameter bookkeeping ------------------------------------------------
 
@@ -230,33 +253,69 @@ class _ModelBase:
     def snapshot(self):
         return {k: v.data.copy() for k, v in self.params.items()}
 
+    def _untracked_params(self):
+        """The parameters as untracked Tensors, on which ops record no tape."""
+        return {k: Tensor(v.data) for k, v in self.params.items()}
+
     def banned_output_ids(self):
         v = self.vocab
         banned = [v.pad_id, v.bos_id, v.sep_id, v.delim_id, v.unk_id]
         banned += [v.language_tag_id(lang) for lang in v.languages]
         return tuple(banned)
 
-    def _output_mask_row(self):
-        row = np.zeros(self.vocab.size)
-        row[list(self.banned_output_ids())] = NEG
-        return row
+    # -- decoder --------------------------------------------------------------
 
-    def _classifier_t(self, h: Tensor, w1, b1, blocks) -> Tensor:
+    def _classifier(self, h: Tensor, w1, b1, blocks) -> Tensor:
         """Logits of the MLP classifier; the hidden layer is shared by all rows.
 
         blocks lists (rows, w2, b2) output blocks: rows is None for one block
         over every row, else an index array, and the logits come out in the
-        order of the blocks' rows concatenated.
+        order of the blocks' rows concatenated.  Each b2 already carries the
+        banned-output mask row (NEG at banned ids), added once per forward.
         """
         hidden = ad.tanh(ad.add(ad.matmul(h, w1), b1))
         parts = [ad.add(ad.matmul(hidden if rows is None else ad.embedding(hidden, rows), w2), b2)
                  for rows, w2, b2 in blocks]
-        logits = parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)
-        return ad.add(logits, Tensor(self._output_mask_row()))
+        return parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)
 
-    def _classifier_np(self, h, w1, b1, w2, b2):
-        hidden = np.tanh(h @ w1.data + b1.data)
-        return hidden @ w2.data + b2.data + self._output_mask_row()
+    def _decode_step(self, p, dec_gates, h, prev_ids, cond: _Conditioning, mask=None, rate=0.0,
+                     dropout_rng=None):
+        """One decoder step after tokens prev_ids: (next hidden state, logits)."""
+        x = ad.dropout(ad.embedding(p["tok_emb"], prev_ids), rate, dropout_rng)
+        if cond.lang_rows is not None:
+            x = ad.concat([x, cond.lang_rows])
+        h = ad.gru_cell(x, h, dec_gates, mask)
+        h_in = ad.dropout(h, rate, dropout_rng)
+        clf_in = ad.concat([h_in, cond.one_hot]) if cond.one_hot is not None else h_in
+        return h, self._classifier(clf_in, p["clf.W1"], p["clf.b1"], cond.blocks)
+
+    def _decoder_loss(self, h, targets, cond: _Conditioning, rate, dropout_rng, logits_out=None):
+        """Teacher-forced mean token loss of decoding targets from encoder states h.
+
+        targets are id lists without EOS; EOS is appended here.  Every row's
+        loss divides by the total target token count.  The step logits are
+        appended to logits_out when it is a list.
+        """
+        p = self.params
+        tgt_ids, tgt_mask, _ = _pad_batch([list(t) + [self.vocab.eos_id] for t in targets],
+                                          self.vocab.pad_id)
+        prev_ids = np.concatenate(
+            [np.full((len(targets), 1), self.vocab.bos_id, dtype=np.int64), tgt_ids[:, :-1]], axis=1
+        )
+        ce_ids, ce_mask = tgt_ids, tgt_mask  # rows in the order the logits come in
+        if cond.order is not None:
+            ce_ids, ce_mask = tgt_ids[cond.order], tgt_mask[cond.order]
+        dec_g = _stacked_gates(p, "dec")
+        total_tokens = tgt_mask.sum()
+        step_losses = []
+        for t in range(tgt_ids.shape[1]):
+            h, logits = self._decode_step(p, dec_g, h, prev_ids[:, t], cond, tgt_mask[:, t], rate,
+                                          dropout_rng)
+            if logits_out is not None:
+                logits_out.append(logits)
+            step_losses.append(ad.softmax_cross_entropy(
+                logits, ce_ids[:, t], ce_mask[:, t], normalizer=total_tokens))
+        return ad.add_scalars(step_losses)
 
     def greedy_decode_rows(self, rows, max_len=None) -> list[list[int]]:
         """Greedy decodes of batch_decoder rows, DECODE_CHUNK rows per batch."""
@@ -285,24 +344,28 @@ class _ModelBase:
 def load_checkpoint(path, vocab: Vocabulary | None = None):
     """Rebuild a trained model from a checkpoint container."""
     arrays, header, vocab_hash, _seed = ckpt.read_checkpoint(path)
-    tokens = tuple(header["vocab_tokens"])
-    stored_vocab = Vocabulary(
-        id_to_token=tokens,
-        token_to_id={t: i for i, t in enumerate(tokens)},
-        languages=tuple(header["languages"]),
-    )
+    try:
+        kind, config, tokens = header["kind"], header["config"], tuple(header["vocab_tokens"])
+        languages, max_decode_len = tuple(header["languages"]), int(header["max_decode_len"])
+    except KeyError as exc:
+        raise CheckpointError(f"checkpoint header lacks {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"corrupt checkpoint header: {exc}") from None
+    if kind not in ("recon", "reflex"):
+        raise CheckpointError(f"unknown model kind {kind!r}")
+    try:
+        config = config_from_dict(ReconModelConfig if kind == "recon" else ReflexModelConfig,
+                                  config)
+    except ConfigError as exc:
+        raise CheckpointError(f"checkpoint config: {exc}") from None
     if vocab is not None and vocab.content_hash() != vocab_hash:
         raise CheckpointError("vocabulary hash mismatch between checkpoint and dataset")
-    use_vocab = vocab if vocab is not None else stored_vocab
-    kind = header["kind"]
-    if kind == "recon":
-        model = ReconModel(ReconModelConfig(**header["config"]), use_vocab)
-    elif kind == "reflex":
-        model = ReflexModel(ReflexModelConfig(**header["config"]), use_vocab)
-    else:
-        raise CheckpointError(f"unknown model kind {kind!r}")
+    if vocab is None:
+        vocab = Vocabulary(id_to_token=tokens, token_to_id={t: i for i, t in enumerate(tokens)},
+                           languages=languages)
+    model = new_model(kind, config, vocab)
     model.load_param_arrays(arrays)
-    model.max_decode_len = int(header["max_decode_len"])
+    model.max_decode_len = max_decode_len
     return model
 
 
@@ -338,6 +401,24 @@ class ReconModel(_ModelBase):
         if len(input_ids) < 3 or input_ids[0] != sep or input_ids[-1] != sep:
             raise ProtoreconError("reconstruction input must be SEP-framed")
 
+    def _encode(self, p, inputs, rate=0.0, dropout_rng=None):
+        """Final encoder states (len(inputs), H) of SEP-framed id sequences."""
+        for seq in inputs:
+            self._check_framing(seq)
+        in_ids, in_mask, _ = _pad_batch(inputs, self.vocab.pad_id)
+        li_ids, _, _ = _pad_batch([segment_language_indices(s, self.vocab) for s in inputs], 0)
+        h = Tensor(np.zeros((len(inputs), self.config.hidden_size)))
+        enc = _stacked_gates(p, "enc")
+        for t in range(in_ids.shape[1]):  # embeddings gathered per step to keep memory small
+            x = ad.concat([ad.embedding(p["tok_emb"], in_ids[:, t]),
+                           ad.embedding(p["lang_emb"], li_ids[:, t])])
+            h = ad.gru_cell(ad.dropout(x, rate, dropout_rng), h, enc, in_mask[:, t])
+        return h
+
+    def _conditioning(self, p):
+        blocks = [(None, p["clf.W2"], ad.add(p["clf.b2"], self._output_mask))]
+        return _Conditioning(None, None, blocks, None)
+
     # -- training forward -----------------------------------------------------
 
     def batch_loss(self, inputs, targets, dropout_rng=None, collect_logits=False):
@@ -346,79 +427,27 @@ class ReconModel(_ModelBase):
         targets are protoform id lists without EOS; EOS is appended here.
         Returns (loss Tensor, per-step logits list or None).
         """
-        for seq in inputs:
-            self._check_framing(seq)
-        p = self.params
         rate = self.config.dropout if dropout_rng is not None else 0.0
-        eos = self.vocab.eos_id
-        in_ids, in_mask, _ = _pad_batch(inputs, self.vocab.pad_id)
-        lidx = [segment_language_indices(seq, self.vocab) for seq in inputs]
-        li_ids, _, _ = _pad_batch(lidx, 0)
-        B = len(inputs)
-        h = Tensor(np.zeros((B, self.config.hidden_size)))
-        enc = _stacked_gates(p, "enc")
-        for t in range(in_ids.shape[1]):
-            x = ad.concat([ad.embedding(p["tok_emb"], in_ids[:, t]),
-                           ad.embedding(p["lang_emb"], li_ids[:, t])])
-            h = ad.gru_cell(ad.dropout(x, rate, dropout_rng), h, enc, in_mask[:, t])
-
-        tgt = [list(t) + [eos] for t in targets]
-        tgt_ids, tgt_mask, _ = _pad_batch(tgt, self.vocab.pad_id)
-        prev_ids = np.concatenate(
-            [np.full((B, 1), self.vocab.bos_id, dtype=np.int64), tgt_ids[:, :-1]], axis=1
-        )
-        dec_g = _stacked_gates(p, "dec")
-        blocks = [(None, p["clf.W2"], p["clf.b2"])]
-        total_tokens = tgt_mask.sum()
-        step_losses, logits_steps = [], []
-        for t in range(tgt_ids.shape[1]):
-            x = ad.dropout(ad.embedding(p["tok_emb"], prev_ids[:, t]), rate, dropout_rng)
-            h = ad.gru_cell(x, h, dec_g, tgt_mask[:, t])
-            h_in = ad.dropout(h, rate, dropout_rng)
-            logits = self._classifier_t(h_in, p["clf.W1"], p["clf.b1"], blocks)
-            if collect_logits:
-                logits_steps.append(logits)
-            step_losses.append(
-                ad.softmax_cross_entropy(logits, tgt_ids[:, t], tgt_mask[:, t], normalizer=total_tokens)
-            )
-        return ad.add_scalars(step_losses), (logits_steps if collect_logits else None)
+        h = self._encode(self.params, inputs, rate, dropout_rng)
+        logits_steps = [] if collect_logits else None
+        loss = self._decoder_loss(h, targets, self._conditioning(self.params), rate, dropout_rng,
+                                  logits_steps)
+        return loss, logits_steps
 
     # -- inference ------------------------------------------------------------
 
     def encode_np(self, inputs):
-        """Final encoder states (len(inputs), H) of SEP-framed id sequences."""
-        for seq in inputs:
-            self._check_framing(seq)
-        p = self.params
-        in_ids, in_mask, _ = _pad_batch(inputs, self.vocab.pad_id)
-        li_ids, _, _ = _pad_batch([segment_language_indices(s, self.vocab) for s in inputs], 0)
-        h = np.zeros((len(inputs), self.config.hidden_size))
-        enc = _stacked_gate_arrays(p, "enc")
-        for t in range(in_ids.shape[1]):  # embeddings gathered per step to keep memory small
-            x = np.concatenate(
-                [p["tok_emb"].data[in_ids[:, t]], p["lang_emb"].data[li_ids[:, t]]], axis=1
-            )
-            h = ad.gru_cell_np(x, h, enc, in_mask[:, t])
-        return h
+        """Final encoder states (len(inputs), H) of SEP-framed id sequences, as an array."""
+        return self._encode(self._untracked_params(), inputs).data
 
     def decoder(self, input_ids) -> _GruStepper:
         return self.batch_decoder([input_ids])
 
     def batch_decoder(self, inputs) -> _GruStepper:
         """Stepper whose init_state(len(inputs)) row i decodes inputs[i]."""
-        p = self.params
-        return _GruStepper(
-            h0=self.encode_np(inputs),
-            dec_params=_stacked_gate_arrays(p, "dec"),
-            step_input_fn=lambda toks: p["tok_emb"].data[toks],
-            classify_fn=lambda h: self._classifier_np(
-                h, p["clf.W1"], p["clf.b1"], p["clf.W2"], p["clf.b2"]
-            ),
-            vocab_size=self.vocab.size,
-            bos_id=self.vocab.bos_id,
-            eos_id=self.vocab.eos_id,
-            banned_ids=self.banned_output_ids(),
-        )
+        p = self._untracked_params()
+        cond = self._conditioning(p)
+        return _GruStepper(self, p, self.encode_np(inputs), lambda rows: cond)
 
 
 class ReflexModel(_ModelBase):
@@ -469,41 +498,63 @@ class ReflexModel(_ModelBase):
         except ValueError:
             raise ProtoreconError(f"language {language!r} outside inventory") from None
 
-    def _clf_weights(self, lang_index: int):
-        p = self.params
-        if self.config.target_gated_classifier:
-            return p[f"clf.W2.{lang_index}"], p[f"clf.b2.{lang_index}"]
-        return p["clf.W2"], p["clf.b2"]
+    def _encode(self, p, inputs, rate=0.0, dropout_rng=None):
+        """Bridged final encoder states (len(inputs), H) of tagged protoforms.
 
-    # -- training forward -----------------------------------------------------
-
-    def _encode_t(self, in_ids: np.ndarray, in_mask: np.ndarray, rate, dropout_rng):
-        """Bridged final encoder states (B, H) of right-padded inputs.
-
-        A padded step keeps the row's state, so the backward direction, which
-        meets a row's pads first, stays at zero until its last real token.
+        Inputs are right-padded.  A padded step keeps the row's state, so the
+        backward direction, which meets a row's pads first, stays at zero
+        until its last real token.  Per-step states are kept only for a layer
+        that a next layer reads, and untracked embeddings not at all.
         """
-        p = self.params
         cfg = self.config
+        in_ids, in_mask, _ = _pad_batch(inputs, self.vocab.pad_id)
         B, T = in_ids.shape
-        seq = [ad.dropout(ad.embedding(p["tok_emb"], in_ids[:, t]), rate, dropout_rng)
-               for t in range(T)]
+        seq = [None] * T  # each step's layer input; layer 0 gathers embeddings as it goes
         dirs = ("f", "b") if cfg.bidirectional_encoder else ("f",)
         for layer in range(cfg.num_encoder_layers):
+            last = layer == cfg.num_encoder_layers - 1
             outs, finals = [], []
             for d in dirs:
                 gates = _stacked_gates(p, f"enc{layer}{d}")
                 h = Tensor(np.zeros((B, cfg.hidden_size)))
                 states = [None] * T
                 for t in range(T) if d == "f" else range(T - 1, -1, -1):
-                    h = states[t] = ad.gru_cell(seq[t], h, gates, in_mask[:, t])
+                    x = seq[t]
+                    if x is None:
+                        x = ad.dropout(ad.embedding(p["tok_emb"], in_ids[:, t]), rate, dropout_rng)
+                        if rate or x.parents:  # both directions share its dropout mask and
+                            seq[t] = x  # tape node; a plain gather is cheaper to redo than keep
+                    h = ad.gru_cell(x, h, gates, in_mask[:, t])
+                    if not last:
+                        states[t] = h
                 outs.append(states)
                 finals.append(h)  # forward: state at the last token; backward: at the first
-            if layer < cfg.num_encoder_layers - 1:
+            if not last:
                 seq = [ad.dropout(_concat([states[t] for states in outs]), rate, dropout_rng)
                        for t in range(T)]
         final = _concat(finals)
         return ad.tanh(ad.add(ad.matmul(final, p["bridge.W"]), p["bridge.b"]))
+
+    def _conditioning(self, p, lang) -> _Conditioning:
+        """Decoder-step conditioning of rows whose language indices are lang.
+
+        The target-gated classifier gets one output block per language
+        present, so its logits come in the order of those blocks' rows.
+        """
+        cfg = self.config
+        one_hot = (Tensor(np.eye(len(self.vocab.languages))[lang])
+                   if cfg.one_hot_target_encoding else None)
+        lang_rows = (ad.embedding(p["lang_emb"], lang + 1)
+                     if cfg.decode_with_language_embedding else None)
+        if not cfg.target_gated_classifier:
+            blocks = [(None, p["clf.W2"], ad.add(p["clf.b2"], self._output_mask))]
+            return _Conditioning(one_hot, lang_rows, blocks, None)
+        blocks = [(np.flatnonzero(lang == l), p[f"clf.W2.{l}"],
+                   ad.add(p[f"clf.b2.{l}"], self._output_mask)) for l in np.unique(lang)]
+        order = np.concatenate([rows for rows, _, _ in blocks])
+        return _Conditioning(one_hot, lang_rows, blocks, order)
+
+    # -- training forward -----------------------------------------------------
 
     def group_loss(self, inputs, targets, lang_indices, dropout_rng=None):
         """Mean token loss of rows of any input length and target language.
@@ -513,45 +564,10 @@ class ReflexModel(_ModelBase):
         right-padded and masked into one graph; every row's loss divides by
         the total target token count.
         """
-        p = self.params
-        cfg = self.config
-        rate = cfg.dropout if dropout_rng is not None else 0.0
-        B = len(inputs)
-        lang = np.asarray(lang_indices, dtype=np.int64)
-        in_ids, in_mask, _ = _pad_batch(inputs, self.vocab.pad_id)
-        h = self._encode_t(in_ids, in_mask, rate, dropout_rng)
-
-        tgt_ids, tgt_mask, _ = _pad_batch([list(t) + [self.vocab.eos_id] for t in targets],
-                                          self.vocab.pad_id)
-        prev_ids = np.concatenate(
-            [np.full((B, 1), self.vocab.bos_id, dtype=np.int64), tgt_ids[:, :-1]], axis=1
-        )
-        ce_ids, ce_mask = tgt_ids, tgt_mask  # rows in the order the logits come in
-        if cfg.target_gated_classifier:  # one output block per language present
-            blocks = [(np.flatnonzero(lang == l), *self._clf_weights(int(l)))
-                      for l in np.unique(lang)]
-            order = np.concatenate([rows for rows, _, _ in blocks])
-            ce_ids, ce_mask = tgt_ids[order], tgt_mask[order]
-        else:
-            blocks = [(None, p["clf.W2"], p["clf.b2"])]
-        dec_g = _stacked_gates(p, "dec")
-        one_hot = (Tensor(np.eye(len(self.vocab.languages))[lang])
-                   if cfg.one_hot_target_encoding else None)
-        lang_rows = (ad.embedding(p["lang_emb"], lang + 1)
-                     if cfg.decode_with_language_embedding else None)
-        total_tokens = tgt_mask.sum()
-        step_losses = []
-        for t in range(prev_ids.shape[1]):
-            x = ad.dropout(ad.embedding(p["tok_emb"], prev_ids[:, t]), rate, dropout_rng)
-            if lang_rows is not None:
-                x = ad.concat([x, lang_rows])
-            h = ad.gru_cell(x, h, dec_g, tgt_mask[:, t])
-            h_in = ad.dropout(h, rate, dropout_rng)
-            clf_in = ad.concat([h_in, one_hot]) if one_hot is not None else h_in
-            logits = self._classifier_t(clf_in, p["clf.W1"], p["clf.b1"], blocks)
-            step_losses.append(ad.softmax_cross_entropy(
-                logits, ce_ids[:, t], ce_mask[:, t], normalizer=total_tokens))
-        return ad.add_scalars(step_losses)
+        rate = self.config.dropout if dropout_rng is not None else 0.0
+        h = self._encode(self.params, inputs, rate, dropout_rng)
+        cond = self._conditioning(self.params, np.asarray(lang_indices, dtype=np.int64))
+        return self._decoder_loss(h, targets, cond, rate, dropout_rng)
 
     def batch_loss(self, examples, dropout_rng=None):
         """Mean token loss over (input_ids, target_ids, language) examples, in one graph."""
@@ -565,76 +581,18 @@ class ReflexModel(_ModelBase):
     # -- inference ------------------------------------------------------------
 
     def encode_np(self, inputs):
-        """Bridged encoder states (len(inputs), H) of tagged protoforms.
+        """Bridged encoder states (len(inputs), H) of tagged protoforms, as an array."""
+        return self._encode(self._untracked_params(), inputs).data
 
-        Inputs of different lengths are right-padded; a padded step keeps
-        the row's state, so the backward direction starts from zeros at the
-        row's last real token, as it does for an unpadded row.
-        """
-        p = self.params
-        cfg = self.config
-        in_ids, in_mask, _ = _pad_batch(inputs, self.vocab.pad_id)
-        B, T = in_ids.shape
-        seq = None  # the previous layer's states (B, T, dirs * H); embeddings gathered per step
-        dirs = ("f", "b") if cfg.bidirectional_encoder else ("f",)
-        for layer in range(cfg.num_encoder_layers):
-            last = layer == cfg.num_encoder_layers - 1  # only the final states are needed
-            outs, finals = [], []
-            for d in dirs:
-                gates = _stacked_gate_arrays(p, f"enc{layer}{d}")
-                h = np.zeros((B, cfg.hidden_size))
-                states = [None] * T
-                for t in range(T) if d == "f" else range(T - 1, -1, -1):
-                    x = p["tok_emb"].data[in_ids[:, t]] if seq is None else seq[:, t, :]
-                    h = ad.gru_cell_np(x, h, gates, in_mask[:, t])
-                    if not last:
-                        states[t] = h
-                outs.append(states)
-                finals.append(h)  # forward: state at the last token; backward: at the first
-            if not last:
-                seq = np.concatenate([np.stack(states, axis=1) for states in outs], axis=2)
-        final = np.concatenate(finals, axis=1)
-        return np.tanh(final @ p["bridge.W"].data + p["bridge.b"].data)
-
-    def decoder(self, tagged_input_ids, language: str) -> _RowConditionedStepper:
+    def decoder(self, tagged_input_ids, language: str) -> _GruStepper:
         return self.batch_decoder([(tagged_input_ids, language)])
 
-    def batch_decoder(self, rows) -> _RowConditionedStepper:
+    def batch_decoder(self, rows) -> _GruStepper:
         """Stepper over (tagged protoform ids, language) rows; see _GruStepper."""
-        p = self.params
-        cfg = self.config
+        p = self._untracked_params()
         lang = np.array([self.language_index(row[1]) for row in rows], dtype=np.int64)
-        one_hot = np.eye(len(self.vocab.languages))
-
-        def step_input(toks, rows_idx):
-            x = p["tok_emb"].data[toks]
-            if cfg.decode_with_language_embedding:
-                x = np.concatenate([x, p["lang_emb"].data[lang[rows_idx] + 1]], axis=1)
-            return x
-
-        def classify(h, rows_idx):
-            li = lang[rows_idx]
-            if cfg.one_hot_target_encoding:
-                h = np.concatenate([h, one_hot[li]], axis=1)
-            if not cfg.target_gated_classifier:
-                return self._classifier_np(h, p["clf.W1"], p["clf.b1"], p["clf.W2"], p["clf.b2"])
-            logits = np.empty((len(h), self.vocab.size))
-            for l in np.unique(li):  # one output block per target language
-                sel = li == l
-                w2, b2 = self._clf_weights(int(l))
-                logits[sel] = self._classifier_np(h[sel], p["clf.W1"], p["clf.b1"], w2, b2)
-            return logits
-
-        return _RowConditionedStepper(
-            h0=self.encode_np([row[0] for row in rows]),
-            dec_params=_stacked_gate_arrays(p, "dec"),
-            step_input_fn=step_input,
-            classify_fn=classify,
-            vocab_size=self.vocab.size,
-            bos_id=self.vocab.bos_id,
-            eos_id=self.vocab.eos_id,
-            banned_ids=self.banned_output_ids(),
-        )
+        return _GruStepper(self, p, self.encode_np([row[0] for row in rows]),
+                           lambda idx: self._conditioning(p, lang[idx]))
 
 
 # -- training loop ------------------------------------------------------------

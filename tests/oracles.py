@@ -1,11 +1,13 @@
-"""Test oracles: the training paths that faster library code replaced.
+"""Test oracles: slow, simple versions of what faster library code does.
 
 ``gru_cell_six`` is the GRU step as it was before the gates were stacked
 into one tape node: six gate matmuls and about twenty primitive nodes.
 ``grouped_batch_loss`` is the reflex batch loss as it was before a batch
 became one masked graph: one graph per (language, input length) group,
-built from ``gru_cell_six``.  The library's outputs and gradients must
-match these within rounding.
+built from ``gru_cell_six``.  ``beam_search_reference`` is a scalar beam
+search that expands one hypothesis and one token at a time, where
+decode.beam_search ranks the whole frontier at once.  The library's
+outputs and gradients must match these within rounding.
 """
 
 import numpy as np
@@ -13,6 +15,9 @@ import numpy as np
 from protorecon import autodiff as ad
 from protorecon import models
 from protorecon.autodiff import Tensor
+from protorecon.decode import BeamConfig, Candidate
+
+NEG_INF = -np.inf
 
 GATE_NAMES = ("W_z", "U_z", "b_z", "W_r", "U_r", "b_r", "W_h", "U_h", "b_h")
 
@@ -94,7 +99,8 @@ def grouped_group_loss(model, inputs, targets, lang_index, normalizer, dropout_r
         [np.full((B, 1), model.vocab.bos_id, dtype=np.int64), tgt_ids[:, :-1]], axis=1
     )
     dec_p = gate_dict(p, "dec")
-    w2, b2 = model._clf_weights(lang_index)
+    w2, b2 = ((p[f"clf.W2.{lang_index}"], p[f"clf.b2.{lang_index}"])
+              if cfg.target_gated_classifier else (p["clf.W2"], p["clf.b2"]))
     one_hot = None
     if cfg.one_hot_target_encoding:
         one_hot = Tensor(np.zeros((B, len(model.vocab.languages))))
@@ -113,7 +119,7 @@ def grouped_group_loss(model, inputs, targets, lang_index, normalizer, dropout_r
         h_in = ad.dropout(h, rate, dropout_rng) if rate else h
         clf_in = ad.concat([h_in, one_hot]) if one_hot is not None else h_in
         hidden = ad.tanh(ad.add(ad.matmul(clf_in, p["clf.W1"]), p["clf.b1"]))
-        logits = ad.add(ad.add(ad.matmul(hidden, w2), b2), Tensor(model._output_mask_row()))
+        logits = ad.add(ad.add(ad.matmul(hidden, w2), b2), model._output_mask)
         step_losses.append(
             ad.softmax_cross_entropy(logits, tgt_ids[:, t], tgt_mask[:, t], normalizer=normalizer)
         )
@@ -133,3 +139,45 @@ def grouped_batch_loss(model, examples, dropout_rng=None):
             normalizer=total_tokens, dropout_rng=dropout_rng,
         ))
     return ad.add_scalars(losses)
+
+
+def beam_search_reference(stepper, config: BeamConfig) -> list[Candidate]:
+    """Scalar beam search with the semantics of decode.beam_search, one expansion at a time."""
+    mask = np.zeros(stepper.vocab_size)
+    mask[list(stepper.banned_ids)] = NEG_INF
+    eos = stepper.eos_id
+    frontier = [((), 0.0, stepper.init_state(1), stepper.bos_id)]
+    completed: list[Candidate] = []
+
+    for t in range(1, config.max_len + 2):
+        expansions = []
+        for b, (prefix, score, state, last) in enumerate(frontier):
+            logp, new_state = stepper.step(state, np.array([last]))
+            row = logp[0] + mask
+            for v in range(stepper.vocab_size):
+                if t == config.max_len + 1 and v != eos:
+                    continue
+                if row[v] == NEG_INF:
+                    continue
+                expansions.append((score + row[v], b, v, prefix, new_state))
+        expansions.sort(key=lambda e: (-e[0], e[1], e[2]))
+        new_frontier = []
+        for score, b, v, prefix, state in expansions[: config.k]:
+            if v == eos:
+                completed.append(
+                    Candidate(tokens=prefix, m=score / t**config.alpha, raw_logp=score, length=t)
+                )
+            else:
+                new_frontier.append((prefix + (v,), score, stepper.select(state, np.array([0])), v))
+        frontier = new_frontier
+        if not frontier:
+            break
+        if len(completed) >= config.k:
+            kth = sorted(completed, key=lambda c: -c.m)[config.k - 1].m
+            denom = (config.max_len + 1) ** config.alpha
+            bounds = [s / denom if config.alpha > 0 else s for _, s, _, _ in frontier]
+            if all(b <= kth for b in bounds):
+                break
+
+    ranked = sorted(range(len(completed)), key=lambda i: (-completed[i].m, i))
+    return [completed[i] for i in ranked[: config.k]]

@@ -20,8 +20,24 @@ from protorecon.corpus import (
 from protorecon.rerank import ReflexCache, RerankConfig, reconstruct_reranked, rerank
 from protorecon.synthetic import generate_family
 from tests.conftest import REFLEX_CONDITIONING, tiny_recon_config, tiny_reflex_config
+from tests.oracles import GATE_NAMES
 
 # -- oracle: the per-item decode path -------------------------------------------
+
+
+def _gate_arrays(p, prefix):
+    """One GRU's stacked (W, U_zr, U_h, b) arrays, as ad.gru_cell_np takes them."""
+    g = {name: p[f"{prefix}.{name}"].data for name in GATE_NAMES}
+    return (np.concatenate([g["W_z"], g["W_r"], g["W_h"]], axis=1),
+            np.concatenate([g["U_z"], g["U_r"]], axis=1), g["U_h"],
+            np.concatenate([g["b_z"], g["b_r"], g["b_h"]]))
+
+
+def _classify(model, h, w1, b1, w2, b2):
+    """Logits of the MLP classifier, with the banned output ids masked."""
+    mask_row = np.zeros(model.vocab.size)
+    mask_row[list(model.banned_output_ids())] = models.NEG
+    return np.tanh(h @ w1.data + b1.data) @ w2.data + b2.data + mask_row
 
 
 class _OracleStepper:
@@ -67,13 +83,13 @@ def _oracle_recon_decoder(model, input_ids):
         [p["tok_emb"].data[np.asarray(input_ids)], p["lang_emb"].data[np.asarray(lidx)]], axis=1
     )
     h = np.zeros((1, model.config.hidden_size))
-    enc = models._stacked_gate_arrays(p, "enc")
+    enc = _gate_arrays(p, "enc")
     for t in range(len(input_ids)):
         h = ad.gru_cell_np(x[t : t + 1], h, enc)
     return _OracleStepper(
-        h, models._stacked_gate_arrays(p, "dec"),
+        h, _gate_arrays(p, "dec"),
         lambda toks: p["tok_emb"].data[toks],
-        lambda hh: model._classifier_np(hh, p["clf.W1"], p["clf.b1"], p["clf.W2"], p["clf.b2"]),
+        lambda hh: _classify(model, hh, p["clf.W1"], p["clf.b1"], p["clf.W2"], p["clf.b2"]),
         model,
     )
 
@@ -86,7 +102,7 @@ def _oracle_reflex_encode(model, input_ids):
     for layer in range(cfg.num_encoder_layers):
         outs = {}
         for d in dirs:
-            gates = models._stacked_gate_arrays(p, f"enc{layer}{d}")
+            gates = _gate_arrays(p, f"enc{layer}{d}")
             h = np.zeros((1, cfg.hidden_size))
             states = []
             for t in (range(T) if d == "f" else range(T - 1, -1, -1)):
@@ -107,7 +123,8 @@ def _oracle_reflex_encode(model, input_ids):
 def _oracle_reflex_decoder(model, tagged, language):
     p, cfg = model.params, model.config
     li = model.language_index(language)
-    w2, b2 = model._clf_weights(li)
+    w2, b2 = ((p[f"clf.W2.{li}"], p[f"clf.b2.{li}"]) if cfg.target_gated_classifier
+              else (p["clf.W2"], p["clf.b2"]))
 
     def step_input(toks):
         x = p["tok_emb"].data[toks]
@@ -120,10 +137,10 @@ def _oracle_reflex_decoder(model, tagged, language):
             one_hot = np.zeros((h.shape[0], len(model.vocab.languages)))
             one_hot[:, li] = 1.0
             h = np.concatenate([h, one_hot], axis=1)
-        return model._classifier_np(h, p["clf.W1"], p["clf.b1"], w2, b2)
+        return _classify(model, h, p["clf.W1"], p["clf.b1"], w2, b2)
 
     return _OracleStepper(_oracle_reflex_encode(model, tagged),
-                          models._stacked_gate_arrays(p, "dec"),
+                          _gate_arrays(p, "dec"),
                           step_input, classify, model)
 
 

@@ -1,6 +1,8 @@
 """The command-line interface: subcommands, plumbing, and exit codes."""
 
+import dataclasses
 import json
+import struct
 
 import pytest
 
@@ -236,3 +238,81 @@ def test_run_rejects_preset_fields_of_the_other_model(workdir, tmp_path, capsys)
                  "--seeds", "1", "--out", str(tmp_path / "run")]) == 2
     assert "num_encoder_layers" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def _checkpoint_with(path, header_json: str, payload=b""):
+    """A checkpoint container holding the given JSON text as its header."""
+    from protorecon.checkpoint import FORMAT_VERSION, MAGIC
+
+    header = header_json.encode("utf-8")
+    path.write_bytes(MAGIC + struct.pack("<II", FORMAT_VERSION, len(header)) + header + payload)
+    return path
+
+
+def _model_checkpoint_with(path, source, edit):
+    """source's checkpoint with its model header (kind, config, ...) changed by edit."""
+    from protorecon.checkpoint import read_checkpoint, write_checkpoint
+
+    arrays, header, vocab_hash, seed = read_checkpoint(source)
+    edit(header)
+    write_checkpoint(path, arrays, header, vocab_hash, seed)
+    return path
+
+
+MALFORMED_CHECKPOINTS = {
+    "no arrays": lambda p, src: _checkpoint_with(p, '{"config": {}, "vocab_hash": "h", "seed": 0}'),
+    "unknown dtype": lambda p, src: _checkpoint_with(
+        p, '{"arrays": [{"name": "a", "dtype": "complex128", "shape": [1]}], "config": {}, '
+           '"vocab_hash": "h", "seed": 0}', payload=bytes(16)),
+    "header not an object": lambda p, src: _checkpoint_with(p, "[1, 2]"),
+    "no kind": lambda p, src: _model_checkpoint_with(p, src, lambda h: h.pop("kind")),
+    "unknown config field": lambda p, src: _model_checkpoint_with(
+        p, src, lambda h: h["config"].update(bogus=1)),
+    "mistyped config value": lambda p, src: _model_checkpoint_with(
+        p, src, lambda h: h["config"].update(hidden_size="10")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+def test_malformed_checkpoint_exit_3(workdir, tmp_path, capsys, case):
+    """A checkpoint whose header breaks the container or model layout is a data error."""
+    bad = MALFORMED_CHECKPOINTS[case](tmp_path / "bad.ckpt", workdir / "recon.ckpt")
+    data = ["--dataset", str(workdir / "data.tsv")]
+    assert main(["decode", *data, "--checkpoint", str(bad)]) == 3
+    assert main(["rerank", *data, "--recon-checkpoint", str(bad),
+                 "--reflex-checkpoint", str(workdir / "reflex.ckpt")]) == 3
+    err = capsys.readouterr().err
+    assert err.count("data error") == 2 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("values", [{"hidden_size": "64"}, {"lr": "x"}, {"batch_size": True},
+                                    {"dropout": False}, {"bidirectional_encoder": 1}])
+def test_mistyped_preset_value_exit_2(workdir, tmp_path, capsys, values):
+    """A preset value of the wrong type is a configuration error, for train and run alike."""
+    preset = tmp_path / "typed.json"
+    preset.write_text(json.dumps({**TINY_PRESET, **values}), encoding="utf-8")
+    data = ["--dataset", str(workdir / "data.tsv")]
+    assert main(["train-reflex", *data, "--preset", str(preset),
+                 "--out", str(tmp_path / "x.ckpt")]) == 2
+    assert main(["run", *data, "--reflex-preset", str(preset), "--seeds", "1",
+                 "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.count(repr(next(iter(values.values())))) == 2
+    assert not (tmp_path / "x.ckpt").exists()
+
+
+def test_config_from_dict_accepts_ints_for_float_fields():
+    from protorecon.models import ReconModelConfig, config_from_dict
+
+    assert config_from_dict(ReconModelConfig, {"lr": 1, "dropout": 0}).lr == 1
+
+
+def test_analyze_without_gold_protoforms_fails_typed(workdir, tmp_path, capsys):
+    ds = parse_dataset((workdir / "data.tsv").read_text())
+    no_gold = tmp_path / "no_gold.tsv"
+    no_gold.write_text(serialize_dataset(dataclasses.replace(
+        ds, sets=tuple(dataclasses.replace(cs, protoform=None) for cs in ds.sets))))
+    assert main(["analyze", "--dataset", str(no_gold),
+                 "--recon-checkpoint", str(workdir / "recon.ckpt"),
+                 "--reflex-checkpoint", str(workdir / "reflex.ckpt"),
+                 "--out", str(tmp_path / "an")]) == 1
+    assert "no cognate set with a gold protoform" in capsys.readouterr().err

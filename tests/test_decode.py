@@ -6,12 +6,12 @@ import pytest
 from protorecon.decode import (
     BeamConfig,
     beam_search,
-    beam_search_reference,
     format_candidates_tsv,
     greedy_decode,
 )
 from protorecon.errors import ConfigError
 from tests.conftest import ToyStepper, enumerate_candidates
+from tests.oracles import beam_search_reference
 
 
 class UniformStepper:

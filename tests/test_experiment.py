@@ -143,3 +143,30 @@ def test_run_experiment_multiple_seeds_aggregate(small_family, tmp_path):
     assert lines[1].split("\t")[0] == "seed"
     assert lines[-2].split("\t")[0] == "mean"
     assert lines[-1].split("\t")[0] == "std"
+
+
+def test_analyze_writes_the_tables_of_run_seed(small_family, tmp_path):
+    """One writer: for the same model pair and test sets, analyze writes what run_seed does."""
+    from importlib import resources
+
+    from protorecon.cli import main
+    from protorecon.corpus import parse_dataset
+
+    table = str(resources.files("protorecon") / "data" / "feature_table.tsv")
+    config = _small_config(small_family, tmp_path / "run", feature_table_path=table)
+    _, failures = run_experiment(config)
+    assert failures == {}
+    dataset = split_dataset(parse_dataset(small_family.read_text()), config.split_ratios,
+                            config.split_seed)
+    test_sets = tmp_path / "test.tsv"
+    test_sets.write_text(serialize_dataset(dataset.subset("test")), encoding="utf-8")
+    seed_dir = tmp_path / "run" / "seed0"
+    assert main(["analyze", "--dataset", str(test_sets),
+                 "--recon-checkpoint", str(seed_dir / "recon.ckpt"),
+                 "--reflex-checkpoint", str(seed_dir / "reflex.ckpt"),
+                 "--beam-size", str(config.beam_size), "--lambda", str(config.lam),
+                 "--feature-table", table, "--out", str(tmp_path / "an")]) == 0
+    for name in ("behavior.tsv", "similarity.tsv", "error_rates.tsv"):
+        stamp, *run_lines = (seed_dir / name).read_text().splitlines()
+        assert stamp.startswith("# config=")
+        assert (tmp_path / "an" / name).read_text().splitlines() == run_lines, name

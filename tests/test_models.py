@@ -13,7 +13,7 @@ from protorecon.corpus import (
     build_vocabulary,
 )
 from protorecon.errors import CheckpointError, ConfigError, ProtoreconError
-from tests.conftest import tiny_recon_config, tiny_reflex_config
+from tests.conftest import REFLEX_CONDITIONING, tiny_recon_config, tiny_reflex_config
 
 
 def _recon_batch(dataset, vocab):
@@ -215,8 +215,48 @@ def test_stepper_batch_consistency(tiny_dataset, tiny_vocab):
     toks = np.array([stepper.bos_id] * 3)
     logp, state = stepper.step(state, toks)
     assert np.allclose(logp[0], logp[1]) and np.allclose(logp[1], logp[2])
-    picked = stepper.select(state, np.array([2, 0]))
-    assert picked.shape[0] == 2
+    hidden, rows, _cond = stepper.select(state, np.array([2, 0]))  # (hidden, input rows, ...)
+    assert hidden.shape[0] == 2 and rows.tolist() == [0, 0]
+
+
+@pytest.mark.parametrize("conditioning", ["one-hot", "all"])
+def test_inference_builds_no_tape(tiny_dataset, tiny_vocab, monkeypatch, conditioning):
+    """Greedy and beam decoding run the training forward on untracked parameters:
+    they make no Tensor with parents and leave every gradient as it was."""
+    recon = models.ReconModel(tiny_recon_config(), tiny_vocab)
+    reflex = models.ReflexModel(tiny_reflex_config(**REFLEX_CONDITIONING[conditioning]),
+                                tiny_vocab)
+    rng = np.random.default_rng(0)
+    for model in (recon, reflex):
+        for p in model.parameters():
+            p.grad[...] = rng.normal(size=p.grad.shape)
+    grads = [p.grad.copy() for model in (recon, reflex) for p in model.parameters()]
+    taped = []
+    init = ad.Tensor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.parents:
+            taped.append(self)
+
+    monkeypatch.setattr(ad.Tensor, "__init__", counting_init)
+    sets = tiny_dataset.sets
+    recon_inputs = [assemble_reconstruction_input(cs, tiny_vocab) for cs in sets]
+    reflex_rows = [(assemble_reflex_input(cs.protoform, lang, tiny_vocab), lang)
+                   for cs in sets for lang in cs.reflexes]
+    beam = dec.BeamConfig(k=3, max_len=5)
+    recon.greedy_decode_rows(recon_inputs, 5)
+    reflex.greedy_decode_rows(reflex_rows, 5)
+    dec.beam_search(recon.decoder(recon_inputs[0]), beam)
+    dec.beam_search(reflex.decoder(*reflex_rows[0]), beam)
+    monkeypatch.undo()
+    assert taped == []
+    after = [p.grad for model in (recon, reflex) for p in model.parameters()]
+    assert all(np.array_equal(a, b) for a, b in zip(grads, after))
+    # the counter sees the tape of a training forward
+    monkeypatch.setattr(ad.Tensor, "__init__", counting_init)
+    recon.batch_loss(recon_inputs[:2], [tiny_vocab.encode(cs.protoform) for cs in sets[:2]])
+    assert taped
 
 
 def test_reflex_decoder_language_sensitivity(tiny_dataset, tiny_vocab):
