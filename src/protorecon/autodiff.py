@@ -18,7 +18,11 @@ _F64 = np.dtype(np.float64)
 
 
 class Tensor:
-    """A numpy array with an optional gradient accumulator and backward rule."""
+    """A numpy array with an optional gradient accumulator and backward rule.
+
+    A tensor that requires grad gets its gradient array on first use
+    (zero_grad, or backward reaching it), so inference never allocates one.
+    """
 
     __slots__ = ("data", "grad", "requires_grad", "parents", "backward_rule", "name")
 
@@ -27,7 +31,7 @@ class Tensor:
         self.data = data if type(data) is np.ndarray and data.dtype is _F64 else np.asarray(
             data, dtype=np.float64)
         self.requires_grad = requires_grad
-        self.grad = np.zeros_like(self.data) if requires_grad else None
+        self.grad = None
         self.parents = parents
         self.backward_rule = backward_rule
         self.name = name
@@ -42,6 +46,8 @@ class Tensor:
     def zero_grad(self):
         if self.grad is not None:
             self.grad[...] = 0.0
+        elif self.requires_grad:
+            self.grad = np.zeros_like(self.data)
 
     def backward(self):
         """Reverse-mode sweep seeding d(self)/d(self) = 1."""
@@ -66,7 +72,9 @@ class Tensor:
             g = grads.pop(id(t), None)
             if g is None:
                 continue
-            if t.grad is not None:
+            if t.requires_grad:
+                if t.grad is None:
+                    t.grad = np.zeros_like(t.data)
                 t.grad += g
             if t.backward_rule is None:
                 continue
@@ -374,6 +382,7 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
+        self.zero_grad()  # step() reads every gradient
 
     def zero_grad(self):
         for p in self.params:

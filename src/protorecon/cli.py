@@ -15,7 +15,6 @@ from . import decode as dec
 from . import models
 from .corpus import (
     apply_split_tags,
-    assemble_reconstruction_input,
     build_vocabulary,
     parse_dataset,
     parse_split_file,
@@ -37,8 +36,15 @@ from .experiment import (
     grid_search,
     run_experiment,
 )
-from .metrics import FeatureTable, bundled_feature_table, evaluate
-from .rerank import ReflexCache, RerankConfig, reconstruct_reranked, format_rerank_tsv
+from .metrics import evaluate, load_feature_table
+from .rerank import (
+    ReflexCache,
+    RerankConfig,
+    check_model_pair,
+    format_rerank_tsv,
+    rerank,
+    scored_beams,
+)
 from .stats import compare, pearson_correlation, significant
 from .analysis import write_analysis_tables
 
@@ -111,11 +117,7 @@ def _model_config(preset_name, kind: str, seed=None):
 
 def _feature_table(args):
     path = getattr(args, "feature_table", None)
-    if path is None:
-        return None
-    if path == "bundled":
-        return bundled_feature_table()
-    return FeatureTable.from_tsv(_read(path))
+    return None if path is None else load_feature_table(path)
 
 
 def _load_model(path, expect=None):
@@ -130,9 +132,8 @@ def _load_model_pair(args):
     """The recon and reflex checkpoints of args, which must share one vocabulary."""
     recon = _load_model(args.recon_checkpoint, models.ReconModel)
     reflex = _load_model(args.reflex_checkpoint, models.ReflexModel)
-    if recon.vocab.content_hash() != reflex.vocab.content_hash():
-        raise CheckpointError(f"checkpoints {args.recon_checkpoint} and "
-                              f"{args.reflex_checkpoint} were trained on different vocabularies")
+    check_model_pair(recon, reflex,
+                     f"checkpoints {args.recon_checkpoint} and {args.reflex_checkpoint}")
     return recon, reflex
 
 
@@ -213,11 +214,10 @@ def cmd_decode(args):
         max_len=args.max_len or model.max_decode_len,
     )
     lines = ["id\trank\tcandidate\tm"]
-    for cset in ds.sets:
-        ids = assemble_reconstruction_input(cset, model.vocab)
-        for rank, cand in enumerate(dec.beam_search(model.decoder(ids), cfg)):
-            lines.append(f"{cset.id}\t{rank}\t"
-                         f"{' '.join(model.vocab.decode(cand.tokens))}\t{cand.m:.6f}")
+    for batch, beams in model.beam_search_sets(ds.sets, cfg):
+        for cset, beam in zip(batch, beams):
+            lines += [f"{cset.id}\t{rank}\t{' '.join(model.vocab.decode(cand.tokens))}\t"
+                      f"{cand.m:.6f}" for rank, cand in enumerate(beam)]
     _emit("\n".join(lines) + "\n", args.out)
 
 
@@ -231,13 +231,14 @@ def cmd_rerank(args):
         alpha=recon.config.alpha if args.alpha is None else args.alpha,
         max_len=args.max_len or recon.max_decode_len,
     )
-    cache = ReflexCache()
     summary = ["\t".join(RERANK_SUMMARY_HEADER)]
-    for cset in ds.sets:
-        top, reranked, _, preds = reconstruct_reranked(recon, reflex, cset, cfg, cache=cache)
+    scored = scored_beams(recon, reflex, ds.sets, cfg.beam, ReflexCache())
+    for cset, (beam, r_values, preds) in zip(ds.sets, scored):
+        reranked = rerank(beam, r_values, cfg.lam)
+        top = reranked[0]
         if args.out:
             _write(os.path.join(args.out, f"{cset.id}.tsv"),
-                   format_rerank_tsv(cset, reranked, preds, recon.vocab))
+                   format_rerank_tsv(cset, reranked, dict(enumerate(preds)), recon.vocab))
         summary.append(f"{cset.id}\t{' '.join(recon.vocab.decode(top.tokens))}\t{top.s:.6f}")
     text = "\n".join(summary) + "\n"
     if args.out:
@@ -314,9 +315,9 @@ def cmd_analyze(args):
         alpha=recon.config.alpha if args.alpha is None else args.alpha,
         max_len=args.max_len or recon.max_decode_len,
     )
-    cache = ReflexCache()
-    results = ((cset, *reconstruct_reranked(recon, reflex, cset, cfg, cache=cache)[1:3])
-               for cset in ds.sets if cset.protoform is not None)
+    csets = [cset for cset in ds.sets if cset.protoform is not None]
+    results = ((cset, rerank(beam, r_values, cfg.lam), beam) for cset, (beam, r_values, _)
+               in zip(csets, scored_beams(recon, reflex, csets, cfg.beam, ReflexCache())))
     write_analysis_tables(args.out, reflex, results, ds.languages, table)
     print(f"analysis written to {args.out}", file=sys.stderr)
 
@@ -454,7 +455,8 @@ def build_parser():
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--max-len", type=int, default=None)
-    p.add_argument("--feature-table", default=None)
+    p.add_argument("--feature-table", default=None,
+                   help="feature TSV path, or 'bundled' (enables FER)")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("run", help="train, decode, rerank, evaluate across seeds")
@@ -467,7 +469,8 @@ def build_parser():
     p.add_argument("--beam-size", type=int, default=10)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--feature-table", default=None)
+    p.add_argument("--feature-table", default=None,
+                   help="feature TSV path, or 'bundled' (enables FER)")
     p.add_argument("--ablation", choices=("no-reranker",), default=None)
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_run)

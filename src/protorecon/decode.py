@@ -9,7 +9,8 @@ models and toy test models share one code path:
     stepper.select(state, idx) -> state reindexed along the batch axis
 
 A model's batch_decoder(rows) is a stepper over many inputs: row i of
-init_state(len(rows)) decodes rows[i], which greedy_decode_batch uses.
+init_state(len(rows)) decodes rows[i], which greedy_decode_batch and
+beam_search_batch use.
 
 Scoring convention: a hypothesis's length counts emitted tokens including
 the terminating EOS (BOS excluded); its normalized score is
@@ -97,63 +98,82 @@ def greedy_decode_batch(stepper, n_rows: int, max_len: int) -> list[list[int]]:
 
 
 def beam_search(stepper, config: BeamConfig) -> list[Candidate]:
-    """Vectorized beam search returning <= k candidates sorted by m descending.
+    """Beam search returning <= k candidates sorted by m descending.
 
     Frontier expansion keeps the k best expansions by raw log probability
     (ties: earlier beam, then lower token id); expansions ending in EOS move
     to a completed pool.  Search stops when the frontier is empty or no
     frontier hypothesis can still beat the k-th completed normalized score.
     """
+    return beam_search_batch(stepper, 1, config)[0]
+
+
+def beam_search_batch(stepper, n_rows: int, config: BeamConfig) -> list[list[Candidate]]:
+    """beam_search of n_rows stepper rows at once, over one flattened frontier.
+
+    Row i of stepper.init_state(n_rows) starts search i.  Each search keeps
+    its own top-k selection, completed pool and stop rule; its frontier rows
+    form one contiguous block of the state, and it leaves the frontier when
+    it stops, so each result is exactly that row's own beam_search.
+    """
     mask = _banned_mask(stepper)
-    eos = stepper.eos_id
-    state = stepper.init_state(1)
-    prev = np.array([stepper.bos_id])
-    raw = np.zeros(1)
-    prefixes = [()]
-    completed: list[Candidate] = []
+    eos, k = stepper.eos_id, config.k
+    state = stepper.init_state(n_rows)
+    prev = np.full(n_rows, stepper.bos_id)
+    raw = np.zeros(n_rows)
+    owner = np.arange(n_rows)  # search of each frontier row, ascending
+    prefixes = [()] * n_rows
+    completed: list[list[Candidate]] = [[] for _ in range(n_rows)]
     final_len_norm = (config.max_len + 1) ** config.alpha
 
     for t in range(1, config.max_len + 2):
+        if not len(owner):
+            break
         logp, state = stepper.step(state, prev)
         logp = logp + mask
         if t == config.max_len + 1:  # cap reached: force EOS
             forced = np.full_like(logp, NEG_INF)
             forced[:, eos] = logp[:, eos]
             logp = forced
-        total = raw[:, None] + logp
-        n_beams, vocab = total.shape
-        flat = total.reshape(-1)
-        beam_idx = np.repeat(np.arange(n_beams), vocab)
-        tok_idx = np.tile(np.arange(vocab), n_beams)
-        order = np.lexsort((tok_idx, beam_idx, -flat))
-        keep_beams, keep_toks, keep_raw = [], [], []
-        for pos in order[: config.k]:
-            score = flat[pos]
-            if score == NEG_INF:
-                break
-            b, v = int(beam_idx[pos]), int(tok_idx[pos])
-            if v == eos:
-                completed.append(
-                    Candidate(tokens=prefixes[b], m=score / t**config.alpha, raw_logp=score, length=t)
-                )
-            else:
-                keep_beams.append(b)
-                keep_toks.append(v)
-                keep_raw.append(score)
-        if not keep_beams:
-            break
-        prefixes = [prefixes[b] + (v,) for b, v in zip(keep_beams, keep_toks)]
-        state = stepper.select(state, np.array(keep_beams))
-        prev = np.array(keep_toks)
-        raw = np.array(keep_raw)
-        if len(completed) >= config.k:
-            kth = sorted(completed, key=lambda c: -c.m)[config.k - 1].m
-            bound = raw / final_len_norm if config.alpha > 0 else raw
-            if np.all(bound <= kth):
-                break
+        # each search's (beam, token) block, padded to the widest with -inf rows
+        live, starts, counts = np.unique(owner, return_index=True, return_counts=True)
+        vocab = logp.shape[1]
+        blocks = np.full((len(live), counts.max(), vocab), NEG_INF)
+        blocks[np.repeat(np.arange(len(live)), counts),
+               np.arange(len(owner)) - np.repeat(starts, counts)] = raw[:, None] + logp
+        flat = blocks.reshape(len(live), -1)
+        # stable: equal scores keep row-major (beam, token) order
+        top = np.argsort(-flat, axis=1, kind="stable")[:, :k]
+        scores = np.take_along_axis(flat, top, axis=1)
+        rows, toks = starts[:, None] + top // vocab, top % vocab
+        finite = scores > NEG_INF  # sorted last, so a search ends its list at the first -inf
+        for i, j in zip(*np.nonzero(finite & (toks == eos))):
+            score = scores[i, j]
+            completed[live[i]].append(Candidate(tokens=prefixes[rows[i, j]],
+                                                m=score / t**config.alpha, raw_logp=score,
+                                                length=t))
+        keep = finite & (toks != eos)
+        stays = keep.any(axis=1)
+        for i in np.flatnonzero(stays):
+            s = live[i]
+            if len(completed[s]) >= k:
+                kth = sorted(completed[s], key=lambda c: -c.m)[k - 1].m
+                bound = scores[i][keep[i]]
+                bound = bound / final_len_norm if config.alpha > 0 else bound
+                stays[i] = not np.all(bound <= kth)
+        keep &= stays[:, None]
+        sel = rows[keep]
+        prefixes = [prefixes[r] + (v,) for r, v in zip(sel.tolist(), toks[keep].tolist())]
+        owner = np.repeat(live, keep.sum(axis=1))
+        if len(sel):
+            state = stepper.select(state, sel)
+        prev, raw = toks[keep], scores[keep]
 
-    ranked = sorted(range(len(completed)), key=lambda i: (-completed[i].m, i))
-    return [completed[i] for i in ranked[: config.k]]
+    out = []
+    for pool in completed:
+        ranked = sorted(range(len(pool)), key=lambda i: (-pool[i].m, i))
+        out.append([pool[i] for i in ranked[:k]])
+    return out
 
 
 def format_candidates_tsv(candidates, id_to_token) -> str:

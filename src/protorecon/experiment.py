@@ -12,15 +12,10 @@ import numpy as np
 
 from . import decode as dec
 from . import models
-from .corpus import (
-    Dataset,
-    assemble_reconstruction_input,
-    build_vocabulary,
-    split_dataset,
-)
+from .corpus import Dataset, build_vocabulary, split_dataset
 from .errors import ConfigError, ProtoreconError
-from .metrics import FeatureTable, evaluate
-from .rerank import ReflexCache, rerank, score_candidates
+from .metrics import FeatureTable, evaluate, load_feature_table
+from .rerank import ReflexCache, rerank, scored_beams
 from .analysis import write_analysis_tables
 
 DEFAULT_K_RANGE = (2, 4, 6, 8, 10)
@@ -32,15 +27,6 @@ class GridResult:
     k: int
     lam: float
     grid: dict  # (k, lam) -> validation accuracy
-
-
-def _beam_for_sets(recon_model, csets, k, alpha, max_len):
-    out = []
-    for cset in csets:
-        ids = assemble_reconstruction_input(cset, recon_model.vocab)
-        stepper = recon_model.decoder(ids)
-        out.append(dec.beam_search(stepper, dec.BeamConfig(k=k, alpha=alpha, max_len=max_len)))
-    return out
 
 
 def grid_search(
@@ -63,28 +49,21 @@ def grid_search(
         raise ProtoreconError("empty validation split")
     alpha = recon_model.config.alpha if alpha is None else alpha
     max_len = recon_model.max_decode_len if max_len is None else max_len
-    k_max = max(k_range)
-    beams = _beam_for_sets(recon_model, csets, k_max, alpha, max_len)
-    cache = ReflexCache()
-    r_values = []
-    golds = []
-    for cset, beam in zip(csets, beams):
-        r_values.append(score_candidates(reflex_model, [c.tokens for c in beam], cset,
-                                         cache=cache)[0])
-        golds.append(tuple(recon_model.vocab.encode(cset.protoform)))
+    config = dec.BeamConfig(k=max(k_range), alpha=alpha, max_len=max_len)
+    correct = dict.fromkeys(((k, lam) for k in sorted(k_range) for lam in sorted(lambda_range)), 0)
+    for cset, (beam, r_values, _) in zip(csets, scored_beams(recon_model, reflex_model, csets,
+                                                             config, ReflexCache())):
+        gold = tuple(recon_model.vocab.encode(cset.protoform))
+        for k, lam in correct:
+            correct[(k, lam)] += rerank(beam[:k], r_values[:k], lam)[0].tokens == gold
 
     grid = {}
     best = None
-    for k in sorted(k_range):
-        for lam in sorted(lambda_range):
-            correct = 0
-            for beam, rv, gold in zip(beams, r_values, golds):
-                reranked = rerank(beam[:k], rv[:k], lam)
-                correct += reranked[0].tokens == gold
-            acc = correct / len(csets)
-            grid[(k, lam)] = acc
-            if best is None or acc > best[0]:
-                best = (acc, k, lam)
+    for (k, lam), n_correct in correct.items():
+        acc = n_correct / len(csets)
+        grid[(k, lam)] = acc
+        if best is None or acc > best[0]:
+            best = (acc, k, lam)
     return GridResult(k=best[1], lam=best[2], grid=grid)
 
 
@@ -157,22 +136,26 @@ def run_seed(config: ExperimentConfig, dataset: Dataset, seed: int, table: Featu
     lam = 0.0 if config.ablation_no_reranker else config.lam
     test = dataset.subset("test")
     csets = [cs for cs in test.sets if cs.protoform is not None]
-    beams = _beam_for_sets(recon, csets, config.beam_size, alpha, recon.max_decode_len)
-    cache = ReflexCache()
-    reranked = [rerank(beam, score_candidates(reflex, [c.tokens for c in beam], cset,
-                                              cache=cache)[0], lam)
-                for cset, beam in zip(csets, beams)]
+    beam_config = dec.BeamConfig(k=config.beam_size, alpha=alpha, max_len=recon.max_decode_len)
+    tops = []  # (beam top, reranked top) per set
+
+    def results():
+        for cset, (beam, r_values, _) in zip(csets, scored_beams(recon, reflex, csets,
+                                                                 beam_config, ReflexCache())):
+            reranked = rerank(beam, r_values, lam)
+            tops.append((beam[0], reranked[0]))
+            yield cset, reranked, beam
+
+    records = write_analysis_tables(seed_dir, reflex, results(), dataset.languages, table, stamp)
     gold_strs = [tuple(cs.protoform) for cs in csets]
-    report = evaluate([vocab.decode(ranked[0].tokens) for ranked in reranked], gold_strs, table)
-    beam_report = evaluate([vocab.decode(beam[0].tokens) for beam in beams], gold_strs, table)
-    records = write_analysis_tables(seed_dir, reflex, zip(csets, reranked, beams),
-                                    dataset.languages, table, stamp)
+    report = evaluate([vocab.decode(top.tokens) for _, top in tops], gold_strs, table)
+    beam_report = evaluate([vocab.decode(beam_top.tokens) for beam_top, _ in tops], gold_strs,
+                           table)
 
     rows = ["id\tgold\tbeam_top\treranked_top\tm\tr\ts\tbehavior"]
-    for cset, beam, ranked, record in zip(csets, beams, reranked, records):
-        top = ranked[0]
+    for cset, (beam_top, top), record in zip(csets, tops, records):
         rows.append("\t".join([
-            cset.id, " ".join(cset.protoform), " ".join(vocab.decode(beam[0].tokens)),
+            cset.id, " ".join(cset.protoform), " ".join(vocab.decode(beam_top.tokens)),
             " ".join(vocab.decode(top.tokens)), f"{top.m:.6f}", f"{top.r:.4f}", f"{top.s:.6f}",
             record.behavior.value,
         ]))
@@ -201,10 +184,7 @@ def run_experiment(config: ExperimentConfig, log=None):
             dataset = apply_split_tags(dataset, parse_split_file(f.read()))
     else:
         dataset = split_dataset(dataset, config.split_ratios, config.split_seed)
-    table = None
-    if config.feature_table_path:
-        with open(config.feature_table_path, encoding="utf-8") as f:
-            table = FeatureTable.from_tsv(f.read())
+    table = load_feature_table(config.feature_table_path) if config.feature_table_path else None
     os.makedirs(config.out_dir, exist_ok=True)
     stamp = f"# config={config.config_hash()} seeds={','.join(map(str, config.seeds))}\n"
 

@@ -108,6 +108,14 @@ def bundled_feature_table() -> FeatureTable:
     return FeatureTable.from_tsv(text)
 
 
+def load_feature_table(path: str) -> FeatureTable:
+    """The feature table TSV at path; the name "bundled" is the packaged table."""
+    if path == "bundled":
+        return bundled_feature_table()
+    with open(path, encoding="utf-8") as f:
+        return FeatureTable.from_tsv(f.read())
+
+
 def feature_edit_distance(a, b, table: FeatureTable) -> float:
     """Weighted Levenshtein: substitution = feature Hamming / F, indel = 1."""
     a, b = list(a), list(b)

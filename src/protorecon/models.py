@@ -25,7 +25,7 @@ from .errors import CheckpointError, ConfigError, ProtoreconError, TrainingError
 from .metrics import token_edit_distance
 
 NEG = -1e30  # additive logit mask for ids the decoder must never emit
-DECODE_CHUNK = 128  # rows per batch in greedy_decode_rows; bounds its peak memory
+DECODE_CHUNK = 128  # rows per decode batch (greedy rows, or beam sets times k); bounds peak memory
 
 
 @dataclass(frozen=True)
@@ -448,6 +448,21 @@ class ReconModel(_ModelBase):
         p = self._untracked_params()
         cond = self._conditioning(p)
         return _GruStepper(self, p, self.encode_np(inputs), lambda rows: cond)
+
+    def beam_search_sets(self, csets, config: dec.BeamConfig):
+        """Beam candidates of a sequence of cognate sets, one batch of sets at a time.
+
+        A batch holds max(1, DECODE_CHUNK // k) sets, so that its frontier has
+        at most DECODE_CHUNK rows, and runs one beam_search_batch.  Yields
+        (the batch's sets, their candidate lists).
+        """
+        from .corpus import assemble_reconstruction_input
+
+        size = max(1, DECODE_CHUNK // config.k)
+        for start in range(0, len(csets), size):
+            batch = csets[start : start + size]
+            inputs = [assemble_reconstruction_input(cs, self.vocab) for cs in batch]
+            yield batch, dec.beam_search_batch(self.batch_decoder(inputs), len(batch), config)
 
 
 class ReflexModel(_ModelBase):

@@ -7,13 +7,12 @@ reranker score r, and candidates are reordered by s = m + lambda * r.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 
 from . import decode as dec
 from .corpus import CognateSet, assemble_reflex_input
-from .errors import ConfigError, ProtoreconError
+from .errors import CheckpointError, ConfigError, ProtoreconError
 
 
 @dataclass(frozen=True)
@@ -26,6 +25,10 @@ class RerankConfig:
     def __post_init__(self):
         if self.lam < 0:
             raise ConfigError(f"score adjustment weight must be >= 0, got {self.lam}")
+
+    @property
+    def beam(self) -> dec.BeamConfig:
+        return dec.BeamConfig(k=self.k, alpha=self.alpha, max_len=self.max_len)
 
 
 @dataclass(frozen=True)
@@ -55,42 +58,47 @@ class ReflexCache:
         self._memo[key] = value
 
 
-def score_candidates(reflex_model, candidates, cset: CognateSet, max_len=None, cache=None):
-    """Reflex accuracy r of every candidate protoform of one cognate set.
+def score_candidates(reflex_model, items, max_len=None, cache=None):
+    """Reflex accuracy r of every candidate protoform of some cognate sets.
 
-    Every (candidate, present language) pair missing from the cache is
-    decoded in one batch.  Returns (r values, predictions), one entry per
-    candidate; a prediction maps language -> predicted id tuple.  An empty
-    candidate (beam search ranked EOS first) and one with ids unknown to the
-    reflex model's vocabulary (with a warning) are not decoded: they get
-    r = 0 and empty predictions.
+    items lists (candidate token lists, cognate set) pairs.  Every
+    (candidate, present language) pair of all items that is missing from the
+    cache is decoded in one greedy_decode_rows call.  Returns one (r values,
+    predictions) pair per item, with one entry per candidate; a prediction
+    maps language -> predicted id tuple.  An empty candidate (beam search
+    ranked EOS first) and one with ids unknown to the reflex model's
+    vocabulary (with a warning) are not decoded: they get r = 0 and empty
+    predictions.
     """
-    if not cset.reflexes:
-        raise ProtoreconError(f"cognate set {cset.id!r} has no reflexes")
     vocab = reflex_model.vocab
-    candidates = [tuple(tokens) for tokens in candidates]
-    decodable = []
-    for tokens in candidates:
-        unknown = [t for t in tokens if not 0 <= t < vocab.size]
-        if unknown:
-            warnings.warn(
-                f"candidate contains ids unknown to the reflex vocabulary: {unknown}; "
-                "its reflex decodes count as incorrect",
-                stacklevel=2,
-            )
-        decodable.append(bool(tokens) and not unknown)
-
     found, pending = {}, {}  # (candidate, language) -> prediction; keys still to decode
-    for tokens in itertools.compress(candidates, decodable):
-        for language in cset.reflexes:
-            key = (tokens, language)
-            if key in found or key in pending:
+    items = [([tuple(tokens) for tokens in candidates], cset) for candidates, cset in items]
+    decodable = []
+    for candidates, cset in items:
+        if not cset.reflexes:
+            raise ProtoreconError(f"cognate set {cset.id!r} has no reflexes")
+        oks = []
+        for tokens in candidates:
+            unknown = [t for t in tokens if not 0 <= t < vocab.size]
+            if unknown:
+                warnings.warn(
+                    f"candidate contains ids unknown to the reflex vocabulary: {unknown}; "
+                    "its reflex decodes count as incorrect",
+                    stacklevel=2,
+                )
+            oks.append(bool(tokens) and not unknown)
+            if not oks[-1]:
                 continue
-            hit = None if cache is None else cache.get(key)
-            if hit is None:
-                pending[key] = None
-            else:
-                found[key] = hit
+            for language in cset.reflexes:
+                key = (tokens, language)
+                if key in found or key in pending:
+                    continue
+                hit = None if cache is None else cache.get(key)
+                if hit is None:
+                    pending[key] = None
+                else:
+                    found[key] = hit
+        decodable.append(oks)
     rows = [(assemble_reflex_input(vocab.decode(tokens), language, vocab), language)
             for tokens, language in pending]
     for key, pred in zip(pending, reflex_model.greedy_decode_rows(rows, max_len)):
@@ -98,23 +106,49 @@ def score_candidates(reflex_model, candidates, cset: CognateSet, max_len=None, c
         if cache is not None:
             cache.put(key, found[key])
 
-    golds = {}
-    if any(decodable):
-        golds = {lang: tuple(vocab.encode(reflex)) for lang, reflex in cset.reflexes.items()}
-    r_values, predictions = [], []
-    for tokens, ok in zip(candidates, decodable):
-        preds = {lang: found[(tokens, lang)] if ok else () for lang in cset.reflexes}
-        correct = sum(ok and preds[lang] == golds[lang] for lang in cset.reflexes)
-        r_values.append(correct / len(cset.reflexes))
-        predictions.append(preds)
-    return r_values, predictions
+    out = []
+    for (candidates, cset), oks in zip(items, decodable):
+        golds = {}
+        if any(oks):
+            golds = {lang: tuple(vocab.encode(reflex)) for lang, reflex in cset.reflexes.items()}
+        r_values, predictions = [], []
+        for tokens, ok in zip(candidates, oks):
+            preds = {lang: found[(tokens, lang)] if ok else () for lang in cset.reflexes}
+            correct = sum(ok and preds[lang] == golds[lang] for lang in cset.reflexes)
+            r_values.append(correct / len(cset.reflexes))
+            predictions.append(preds)
+        out.append((r_values, predictions))
+    return out
 
 
 def reflex_accuracy(reflex_model, candidate_tokens, cset: CognateSet, max_len=None, cache=None):
     """score_candidates for one candidate: (r, predictions dict)."""
-    r_values, predictions = score_candidates(reflex_model, [candidate_tokens], cset, max_len,
-                                             cache)
+    r_values, predictions = score_candidates(reflex_model, [([candidate_tokens], cset)], max_len,
+                                             cache)[0]
     return r_values[0], predictions[0]
+
+
+def check_model_pair(recon_model, reflex_model, names="the recon and reflex models"):
+    """Raise CheckpointError unless both models share one vocabulary."""
+    if recon_model.vocab.content_hash() != reflex_model.vocab.content_hash():
+        raise CheckpointError(f"{names} were trained on different vocabularies")
+
+
+def scored_beams(recon_model, reflex_model, csets, config: dec.BeamConfig, cache=None):
+    """Beam candidates and their reflex scores for a sequence of cognate sets.
+
+    Sets go through recon_model.beam_search_sets a batch at a time, and
+    every uncached (candidate, language) pair of a batch through one
+    score_candidates call.  Yields (beam candidates, r values, predictions)
+    per set, in input order.  The two models must share one vocabulary.
+    """
+    check_model_pair(recon_model, reflex_model)
+    for batch, beams in recon_model.beam_search_sets(csets, config):
+        scores = score_candidates(reflex_model,
+                                  [([c.tokens for c in beam], cset)
+                                   for cset, beam in zip(batch, beams)], cache=cache)
+        for beam, (r_values, predictions) in zip(beams, scores):
+            yield beam, r_values, predictions
 
 
 def rerank(candidates, r_values, lam: float) -> list[RerankedCandidate]:
@@ -141,21 +175,13 @@ def rerank(candidates, r_values, lam: float) -> list[RerankedCandidate]:
 
 def reconstruct_reranked(recon_model, reflex_model, cset: CognateSet, config: RerankConfig,
                          cache=None):
-    """Full composition: beam search, score reflexes, rerank.
+    """Full composition for one set: beam search, score reflexes, rerank.
 
     Returns (top RerankedCandidate, full reranked list, beam candidates,
     per-candidate reflex predictions keyed by beam rank).
     """
-    from .corpus import assemble_reconstruction_input
-
-    input_ids = assemble_reconstruction_input(cset, recon_model.vocab)
-    beam = dec.beam_search(
-        recon_model.decoder(input_ids),
-        dec.BeamConfig(k=config.k, alpha=config.alpha, max_len=config.max_len),
-    )
-    r_values, predictions = score_candidates(
-        reflex_model, [cand.tokens for cand in beam], cset, cache=cache
-    )
+    [(beam, r_values, predictions)] = scored_beams(recon_model, reflex_model, [cset],
+                                                   config.beam, cache)
     reranked = rerank(beam, r_values, config.lam)
     return reranked[0], reranked, beam, dict(enumerate(predictions))
 

@@ -278,6 +278,8 @@ def test_backward_long_chain_does_not_recurse():
 
 def test_backward_matches_recursive_order():
     loss, params = _gru_chain(100)
+    for p in params:
+        p.zero_grad()  # the oracle only adds into existing gradient arrays
     _recursive_backward(loss)
     want = [p.grad.copy() for p in params]
     for p in params:

@@ -6,6 +6,9 @@ stepper, and greedy_decode runs one row until EOS.  Batched decodes must be
 token-identical to it.
 """
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,14 @@ from protorecon.corpus import (
     assemble_reflex_input,
     build_vocabulary,
 )
-from protorecon.rerank import ReflexCache, RerankConfig, reconstruct_reranked, rerank
+from protorecon.rerank import (
+    ReflexCache,
+    RerankConfig,
+    reconstruct_reranked,
+    rerank,
+    score_candidates,
+    scored_beams,
+)
 from protorecon.synthetic import generate_family
 from tests.conftest import REFLEX_CONDITIONING, tiny_recon_config, tiny_reflex_config
 from tests.oracles import GATE_NAMES
@@ -144,25 +154,36 @@ def _oracle_reflex_decoder(model, tagged, language):
                           step_input, classify, model)
 
 
+def _oracle_scores(reflex, candidates, cset):
+    """r and predictions of each candidate, one decode per (candidate, language).
+
+    An empty candidate, or one with ids unknown to the reflex vocabulary, is
+    not decoded: r = 0 and empty predictions.
+    """
+    vocab = reflex.vocab
+    r_values, predictions = [], []
+    for tokens in candidates:
+        preds, correct = {lang: () for lang in cset.reflexes}, 0
+        if tokens and all(0 <= t < vocab.size for t in tokens):
+            for lang in cset.reflexes:
+                tagged = assemble_reflex_input(vocab.decode(tokens), lang, vocab)
+                preds[lang] = tuple(_oracle_greedy(_oracle_reflex_decoder(reflex, tagged, lang),
+                                                   reflex.max_decode_len))
+                correct += preds[lang] == tuple(vocab.encode(cset.reflexes[lang]))
+        r_values.append(correct / len(cset.reflexes))
+        predictions.append(preds)
+    return r_values, predictions
+
+
 def _oracle_reconstruct_reranked(recon, reflex, cset, config):
     input_ids = assemble_reconstruction_input(cset, recon.vocab)
     beam = dec.beam_search(
         _oracle_recon_decoder(recon, input_ids),
         dec.BeamConfig(k=config.k, alpha=config.alpha, max_len=config.max_len),
     )
-    vocab = reflex.vocab
-    r_values, predictions = [], {}
-    for i, cand in enumerate(beam):
-        preds, correct = {}, 0
-        for lang in cset.reflexes:
-            tagged = assemble_reflex_input(vocab.decode(cand.tokens), lang, vocab)
-            preds[lang] = tuple(_oracle_greedy(_oracle_reflex_decoder(reflex, tagged, lang),
-                                               reflex.max_decode_len))
-            correct += preds[lang] == tuple(vocab.encode(cset.reflexes[lang]))
-        r_values.append(correct / len(cset.reflexes))
-        predictions[i] = preds
+    r_values, predictions = _oracle_scores(reflex, [cand.tokens for cand in beam], cset)
     reranked = rerank(beam, r_values, config.lam)
-    return reranked[0], reranked, beam, predictions
+    return reranked[0], reranked, beam, dict(enumerate(predictions))
 
 
 # -- tiny random models -----------------------------------------------------------
@@ -256,3 +277,60 @@ def test_reconstruct_reranked_matches_per_item_path(family, name):
         want = _oracle_reconstruct_reranked(recon, reflex, cset, config)
         assert reconstruct_reranked(recon, reflex, cset, config) == want
         assert reconstruct_reranked(recon, reflex, cset, config, cache=cache) == want
+
+
+@pytest.mark.parametrize("name", sorted(REFLEX_CONDITIONING))
+def test_scored_beams_match_per_set_path(family, name, monkeypatch):
+    """Batches of sets give each set's per-set beam, r, ranks and predictions.
+
+    A many-row matmul may round differently from a one-row one, so m and s
+    match within 1e-9; everything else matches exactly.
+    """
+    dataset, vocab = family
+    # the EOS bias puts the empty candidate in a few beams
+    recon = _randomize(models.ReconModel(tiny_recon_config(seed=1), vocab), 300, scale=0.8)
+    reflex = _randomize(models.ReflexModel(
+        tiny_reflex_config(seed=2, **REFLEX_CONDITIONING[name]), vocab), 301, scale=0.8)
+    recon.max_decode_len = reflex.max_decode_len = 6
+    config = RerankConfig(lam=1.0, k=5, alpha=1.0, max_len=6)
+    want = [_oracle_reconstruct_reranked(recon, reflex, cset, config) for cset in dataset.sets]
+    assert any(cand.tokens == () for _, _, beam, _ in want for cand in beam)
+    monkeypatch.setattr(models, "DECODE_CHUNK", 16)  # 3 sets per batch, 6 batches
+    cache = ReflexCache()
+    for run_cache in (None, cache, cache):  # the last run reads every decode from the cache
+        got = list(scored_beams(recon, reflex, dataset.sets, config.beam, run_cache))
+        assert len(got) == len(want)
+        for (beam, r_values, preds), (_, w_reranked, w_beam, w_preds) in zip(got, want):
+            assert [(c.tokens, c.length) for c in beam] == [(c.tokens, c.length) for c in w_beam]
+            assert [c.m for c in beam] == pytest.approx([c.m for c in w_beam], abs=1e-9)
+            assert dict(enumerate(preds)) == w_preds
+            reranked = rerank(beam, r_values, config.lam)
+            assert ([(c.tokens, c.r, c.beam_rank, c.rerank_rank) for c in reranked]
+                    == [(c.tokens, c.r, c.beam_rank, c.rerank_rank) for c in w_reranked])
+            assert [c.s for c in reranked] == pytest.approx([c.s for c in w_reranked], abs=1e-9)
+
+
+def test_score_candidates_across_sets_matches_oracle(family):
+    """One call over many sets scores each like the oracle, empty and unknown ids included,
+    and warns once per candidate with unknown ids, as one call per set did."""
+    dataset, vocab = family
+    reflex = _randomize(models.ReflexModel(tiny_reflex_config(), vocab), 11, scale=0.8)
+    reflex.max_decode_len = 6
+    rng = np.random.default_rng(4)
+    items = []
+    for i, cset in enumerate(dataset.sets[:6]):
+        candidates = [tuple(vocab.encode(cs.protoform))
+                      for cs in rng.choice(dataset.sets[:6], size=3)]  # repeats across sets
+        candidates += [(), (vocab.size + 3,), tuple(vocab.encode(cset.protoform))]
+        if i % 2:  # the first reflex becomes the last candidate's decode, so that r > 0
+            lang = next(iter(cset.reflexes))
+            pred = _oracle_scores(reflex, candidates[-1:], cset)[1][0][lang]
+            cset = dataclasses.replace(cset, reflexes={**cset.reflexes,
+                                                       lang: tuple(vocab.decode(pred))})
+        items.append((candidates, cset))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = score_candidates(reflex, items, cache=ReflexCache())
+    assert len(caught) == len(items)
+    assert got == [_oracle_scores(reflex, candidates, cset) for candidates, cset in items]
+    assert sum(r > 0 for r_values, _ in got for r in r_values) >= 3

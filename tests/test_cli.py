@@ -132,6 +132,29 @@ def test_run_subcommand(workdir, tmp_path):
     assert (out / "seed0" / "predictions.tsv").exists()
 
 
+def test_run_takes_the_bundled_feature_table(workdir, tmp_path):
+    out = tmp_path / "run"
+    assert main(["run", "--dataset", str(workdir / "data.tsv"),
+                 "--preset", str(workdir / "preset.json"),
+                 "--reflex-preset", str(workdir / "preset.json"),
+                 "--seeds", "1", "--beam-size", "3", "--feature-table", "bundled",
+                 "--out", str(out)]) == 0
+    assert (out / "seed0" / "similarity.tsv").exists()
+
+
+def test_reranking_loaded_models_allocates_no_gradients(workdir):
+    """Inference on loaded checkpoints leaves every parameter without a gradient array."""
+    from protorecon import models
+    from protorecon.decode import BeamConfig
+    from protorecon.rerank import ReflexCache, scored_beams
+
+    recon = models.load_checkpoint(workdir / "recon.ckpt")
+    reflex = models.load_checkpoint(workdir / "reflex.ckpt")
+    sets = parse_dataset((workdir / "data.tsv").read_text()).sets
+    assert len(list(scored_beams(recon, reflex, sets, BeamConfig(k=3), ReflexCache()))) == 30
+    assert all(p.grad is None for model in (recon, reflex) for p in model.parameters())
+
+
 def test_exit_code_config_error(workdir):
     # unknown preset name is a configuration problem -> exit 2
     assert main(["train-recon", "--dataset", str(workdir / "data.tsv"),

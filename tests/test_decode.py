@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from protorecon.autodiff import log_softmax_rows
 from protorecon.decode import (
     BeamConfig,
     beam_search,
+    beam_search_batch,
     format_candidates_tsv,
     greedy_decode,
 )
@@ -105,6 +109,51 @@ def test_vectorized_matches_reference():
         for a, b in zip(fast, slow):
             assert a.m == pytest.approx(b.m, abs=1e-9)
             assert a.raw_logp == pytest.approx(b.raw_logp, abs=1e-9)
+
+
+class RowStepper(ToyStepper):
+    """ToyStepper whose rows are different searches.
+
+    Row i of init_state(n) draws its distributions from (seed, first + i,
+    prefix), so RowStepper(v, seed, first=i) alone replays that row.  With
+    tied=True the logits are small integers, so that expansions tie often.
+    """
+
+    def __init__(self, vocab_size, seed, first=0, tied=False):
+        super().__init__(vocab_size, seed)
+        self.first, self.tied = first, tied
+
+    def init_state(self, batch):
+        return [(self.first + i, ()) for i in range(batch)]
+
+    def step(self, state, tokens):
+        new_state = [(row, prefix + (int(t),)) for (row, prefix), t in zip(state, tokens)]
+        rngs = [np.random.default_rng([self.seed, row, *prefix]) for row, prefix in new_state]
+        size = self.vocab_size
+        logits = [rng.integers(0, 2, size) if self.tied else rng.normal(size=size) for rng in rngs]
+        return log_softmax_rows(np.stack(logits) * 2.0), new_state
+
+
+@settings(max_examples=100)
+@given(n=st.integers(1, 6), vocab=st.integers(3, 6), k=st.integers(1, 5),
+       alpha=st.sampled_from([0.0, 0.7, 1.0]), max_len=st.integers(1, 4),
+       seed=st.integers(0, 2**16), tied=st.booleans())
+def test_batched_beam_matches_reference_row_by_row(n, vocab, k, alpha, max_len, seed, tied):
+    """Searches sharing one flattened frontier each equal their own scalar search."""
+    cfg = BeamConfig(k=k, alpha=alpha, max_len=max_len)
+    got = beam_search_batch(RowStepper(vocab, seed, tied=tied), n, cfg)
+    assert len(got) == n
+    for row, cands in enumerate(got):
+        assert cands == beam_search_reference(RowStepper(vocab, seed, first=row, tied=tied), cfg)
+
+
+def test_batched_searches_stop_at_different_steps():
+    """Rows of one batch stop on their own: some at the length cap, some before it."""
+    cfg = BeamConfig(k=2, alpha=1.0, max_len=4)
+    got = beam_search_batch(RowStepper(5, 9), 6, cfg)
+    longest = [max(c.length for c in cands) for cands in got]
+    assert cfg.max_len + 1 in longest and min(longest) < cfg.max_len + 1
+    assert got == [beam_search(RowStepper(5, 9, first=row), cfg) for row in range(6)]
 
 
 def test_exhaustive_k_returns_sorted_and_bounded():

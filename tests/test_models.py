@@ -229,6 +229,7 @@ def test_inference_builds_no_tape(tiny_dataset, tiny_vocab, monkeypatch, conditi
     rng = np.random.default_rng(0)
     for model in (recon, reflex):
         for p in model.parameters():
+            p.zero_grad()
             p.grad[...] = rng.normal(size=p.grad.shape)
     grads = [p.grad.copy() for model in (recon, reflex) for p in model.parameters()]
     taped = []

@@ -6,7 +6,8 @@ import pytest
 from protorecon import models
 from protorecon.corpus import build_vocabulary
 from protorecon.decode import Candidate
-from protorecon.errors import ConfigError, ProtoreconError
+from protorecon.errors import CheckpointError, ConfigError, ProtoreconError
+from protorecon.experiment import grid_search
 from protorecon.rerank import (
     ReflexCache,
     RerankConfig,
@@ -14,7 +15,9 @@ from protorecon.rerank import (
     reflex_accuracy,
     format_rerank_tsv,
     rerank,
+    scored_beams,
 )
+from protorecon.synthetic import generate_family
 from tests.conftest import tiny_recon_config, tiny_reflex_config
 
 # Worked example: five candidates with model scores m and reflex accuracies r;
@@ -161,3 +164,18 @@ def test_format_rerank_tsv(tiny_dataset, tiny_vocab):
     lines = text.strip().split("\n")
     assert lines[0].split("\t")[:3] == ["beam_rank", "candidate", "m"]
     assert len(lines) == 3
+
+
+def test_library_rejects_models_of_different_vocabularies(tiny_split, tiny_vocab):
+    """A recon/reflex pair built on different vocabularies is refused before any decode."""
+    recon = models.ReconModel(tiny_recon_config(), tiny_vocab)
+    other, _ = generate_family(n_sets=10, n_daughters=2, seed=1)
+    reflex = models.ReflexModel(tiny_reflex_config(), build_vocabulary(other))
+    cfg = RerankConfig(lam=1.0, k=3, alpha=1.0, max_len=6)
+    cs = tiny_split.sets[0]
+    with pytest.raises(CheckpointError, match="different vocabularies"):
+        next(scored_beams(recon, reflex, [cs], cfg.beam))
+    with pytest.raises(CheckpointError, match="different vocabularies"):
+        reconstruct_reranked(recon, reflex, cs, cfg)
+    with pytest.raises(CheckpointError, match="different vocabularies"):
+        grid_search(recon, reflex, tiny_split, k_range=(2,), lambda_range=(1.0,))
