@@ -40,9 +40,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def has_nonfinite(self) -> bool:
-        return not np.all(np.isfinite(self.data))
-
     def zero_grad(self):
         if self.grad is not None:
             self.grad[...] = 0.0
@@ -97,10 +94,6 @@ def _tracked(*tensors) -> bool:
     return False
 
 
-def constant(data) -> Tensor:
-    return Tensor(data)
-
-
 def parameter(data, name=None) -> Tensor:
     return Tensor(data, requires_grad=True, name=name)
 
@@ -118,41 +111,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         return ((a, g), (b, gb))
 
     return Tensor(out, parents=(a, b), backward_rule=rule)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product with numpy broadcasting (e.g. column masks)."""
-    out = a.data * b.data
-    if not _tracked(a, b):
-        return Tensor(out)
-
-    def unbroadcast(g, shape):
-        while g.ndim > len(shape):
-            g = g.sum(axis=0)
-        for ax, n in enumerate(shape):
-            if n == 1 and g.shape[ax] != 1:
-                g = g.sum(axis=ax, keepdims=True)
-        return g
-
-    def rule(g):
-        return (
-            (a, unbroadcast(g * b.data, a.data.shape)),
-            (b, unbroadcast(g * a.data, b.data.shape)),
-        )
-
-    return Tensor(out, parents=(a, b), backward_rule=rule)
-
-
-def affine(x: Tensor, scale: float, shift: float) -> Tensor:
-    """scale * x + shift with scalar constants (covers negation and 1 - x)."""
-    out = scale * x.data + shift
-    if not _tracked(x):
-        return Tensor(out)
-
-    def rule(g):
-        return ((x, scale * g),)
-
-    return Tensor(out, parents=(x,), backward_rule=rule)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -178,34 +136,6 @@ def concat(tensors, axis=1) -> Tensor:
         return tuple(zip(tensors, np.split(g, splits, axis=axis)))
 
     return Tensor(out, parents=tuple(tensors), backward_rule=rule)
-
-
-def narrow(x: Tensor, start: int, size: int, axis: int = 1) -> Tensor:
-    """Contiguous slice along an axis."""
-    index = [slice(None)] * x.data.ndim
-    index[axis] = slice(start, start + size)
-    index = tuple(index)
-    out = x.data[index]
-    if not _tracked(x):
-        return Tensor(out)
-
-    def rule(g):
-        full = np.zeros_like(x.data)
-        full[index] = g
-        return ((x, full),)
-
-    return Tensor(out, parents=(x,), backward_rule=rule)
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    out = 1.0 / (1.0 + np.exp(-x.data))
-    if not _tracked(x):
-        return Tensor(out)
-
-    def rule(g):
-        return ((x, g * out * (1.0 - out)),)
-
-    return Tensor(out, parents=(x,), backward_rule=rule)
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -402,10 +332,6 @@ class Adam:
             p.data -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
             if self.weight_decay:
                 p.data -= lr * self.weight_decay * p.data
-
-    def state_arrays(self):
-        return {"m": self.m, "v": self.v, "t": self.t}
-
 
 def warmup_scale(epoch: int, warmup_epochs: int) -> float:
     """Linear warmup from 0 over warmup_epochs, then constant 1."""

@@ -11,7 +11,6 @@ import os
 import sys
 from importlib import resources
 
-from . import decode as dec
 from . import models
 from .corpus import (
     apply_split_tags,
@@ -37,14 +36,7 @@ from .experiment import (
     run_experiment,
 )
 from .metrics import evaluate, load_feature_table
-from .rerank import (
-    ReflexCache,
-    RerankConfig,
-    check_model_pair,
-    format_rerank_tsv,
-    rerank,
-    scored_beams,
-)
+from .rerank import check_lambda, check_model_pair, format_rerank_tsv, rerank, scored_beams
 from .stats import compare, pearson_correlation, significant
 from .analysis import write_analysis_tables
 
@@ -72,7 +64,7 @@ def _emit(text, out=None):
 
 
 def _load_dataset(args, require_split=False):
-    ds = parse_dataset(_read(args.dataset), tokenize=getattr(args, "tokenize", "whitespace"))
+    ds = parse_dataset(_read(args.dataset), tokenize=args.tokenize)
     split = getattr(args, "split", None)
     if split:
         ds = apply_split_tags(ds, parse_split_file(_read(split)))
@@ -160,10 +152,7 @@ def _parse_predictions(text):
 
 
 def _float_range(text):
-    values = tuple(float(v) for v in text.split(","))
-    if not values:
-        raise ConfigError("empty range")
-    return values
+    return tuple(float(v) for v in text.split(","))
 
 
 def _int_range(text):
@@ -208,11 +197,7 @@ def cmd_train_reflex(args):
 def cmd_decode(args):
     model = _load_model(args.checkpoint, models.ReconModel)
     ds = parse_dataset(_read(args.dataset), tokenize=args.tokenize)
-    cfg = dec.BeamConfig(
-        k=args.beam_size,
-        alpha=model.config.alpha if args.alpha is None else args.alpha,
-        max_len=args.max_len or model.max_decode_len,
-    )
+    cfg = model.beam_config(args.beam_size, args.alpha, args.max_len)
     lines = ["id\trank\tcandidate\tm"]
     for batch, beams in model.beam_search_sets(ds.sets, cfg):
         for cset, beam in zip(batch, beams):
@@ -223,18 +208,14 @@ def cmd_decode(args):
 
 def cmd_rerank(args):
     recon, reflex = _load_model_pair(args)
-    ds = parse_dataset(_read(args.dataset), tokenize=args.tokenize)
+    beam_config = recon.beam_config(args.beam_size, args.alpha, args.max_len)
+    check_lambda(args.lam)
     lam = 0.0 if args.ablation == "no-reranker" else args.lam
-    cfg = RerankConfig(
-        lam=lam,
-        k=args.beam_size,
-        alpha=recon.config.alpha if args.alpha is None else args.alpha,
-        max_len=args.max_len or recon.max_decode_len,
-    )
+    ds = parse_dataset(_read(args.dataset), tokenize=args.tokenize)
     summary = ["\t".join(RERANK_SUMMARY_HEADER)]
-    scored = scored_beams(recon, reflex, ds.sets, cfg.beam, ReflexCache())
-    for cset, (beam, r_values, preds) in zip(ds.sets, scored):
-        reranked = rerank(beam, r_values, cfg.lam)
+    for cset, (beam, r_values, preds) in zip(ds.sets, scored_beams(recon, reflex, ds.sets,
+                                                                   beam_config)):
+        reranked = rerank(beam, r_values, lam)
         top = reranked[0]
         if args.out:
             _write(os.path.join(args.out, f"{cset.id}.tsv"),
@@ -308,16 +289,13 @@ def cmd_correlate(args):
 
 def cmd_analyze(args):
     recon, reflex = _load_model_pair(args)
+    beam_config = recon.beam_config(args.beam_size, args.alpha, args.max_len)
+    check_lambda(args.lam)
     ds = parse_dataset(_read(args.dataset), tokenize=args.tokenize)
     table = _feature_table(args)
-    cfg = RerankConfig(
-        lam=args.lam, k=args.beam_size,
-        alpha=recon.config.alpha if args.alpha is None else args.alpha,
-        max_len=args.max_len or recon.max_decode_len,
-    )
     csets = [cset for cset in ds.sets if cset.protoform is not None]
-    results = ((cset, rerank(beam, r_values, cfg.lam), beam) for cset, (beam, r_values, _)
-               in zip(csets, scored_beams(recon, reflex, csets, cfg.beam, ReflexCache())))
+    results = ((cset, rerank(beam, r_values, args.lam), beam) for cset, (beam, r_values, _)
+               in zip(csets, scored_beams(recon, reflex, csets, beam_config)))
     write_analysis_tables(args.out, reflex, results, ds.languages, table)
     print(f"analysis written to {args.out}", file=sys.stderr)
 
@@ -350,13 +328,28 @@ def cmd_run(args):
 # --- parser wiring ---
 
 
-def _add_common(p, dataset=True, tokenize=True, out_required=False):
-    if dataset:
-        p.add_argument("--dataset", required=True, help="cognate-set TSV")
-    if tokenize:
-        p.add_argument("--tokenize", choices=("whitespace", "codepoint"),
-                       default="whitespace", help="token segmentation of cells")
+def _add_common(p, out_required=False):
+    p.add_argument("--dataset", required=True, help="cognate-set TSV")
+    p.add_argument("--tokenize", choices=("whitespace", "codepoint"),
+                   default="whitespace", help="token segmentation of cells")
     p.add_argument("--out", required=out_required, default=None, help="output path")
+
+
+# the beam and rerank settings; ReconModel.beam_config and check_lambda check them
+SETTING_FLAGS = {
+    "--beam-size": dict(type=int, default=10, help="beam size k, >= 1"),
+    "--alpha": dict(type=float, default=None,
+                    help="length normalization, finite and >= 0 (default: the recon model's)"),
+    "--lambda": dict(dest="lam", type=float, default=1.0,
+                     help="weight of r in s = m + lambda * r, finite and >= 0"),
+    "--max-len": dict(type=int, default=None,
+                      help="longest candidate, >= 1 (default: the recon model's)"),
+}
+
+
+def _add_settings(p, *flags):
+    for flag in flags:
+        p.add_argument(flag, **SETTING_FLAGS[flag])
 
 
 def build_parser():
@@ -393,19 +386,14 @@ def build_parser():
     p = sub.add_parser("decode", help="beam-search protoform candidates")
     _add_common(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--beam-size", type=int, default=10)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--max-len", type=int, default=None)
+    _add_settings(p, "--beam-size", "--alpha", "--max-len")
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("rerank", help="beam search plus reflex-prediction reranking")
     _add_common(p)
     p.add_argument("--recon-checkpoint", required=True)
     p.add_argument("--reflex-checkpoint", required=True)
-    p.add_argument("--beam-size", type=int, default=10)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--max-len", type=int, default=None)
+    _add_settings(p, "--beam-size", "--alpha", "--lambda", "--max-len")
     p.add_argument("--ablation", choices=("no-reranker",), default=None)
     p.set_defaults(func=cmd_rerank)
 
@@ -426,7 +414,7 @@ def build_parser():
                    help="comma-separated beam sizes")
     p.add_argument("--lambda-range", type=_float_range, default=DEFAULT_LAMBDA_RANGE,
                    help="comma-separated lambda values")
-    p.add_argument("--alpha", type=float, default=None)
+    _add_settings(p, "--alpha")
     p.set_defaults(func=cmd_gridsearch)
 
     p = sub.add_parser("compare", help="rank-sum test plus bootstrap CI on two score files")
@@ -451,10 +439,7 @@ def build_parser():
     _add_common(p, out_required=True)
     p.add_argument("--recon-checkpoint", required=True)
     p.add_argument("--reflex-checkpoint", required=True)
-    p.add_argument("--beam-size", type=int, default=10)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--max-len", type=int, default=None)
+    _add_settings(p, "--beam-size", "--alpha", "--lambda", "--max-len")
     p.add_argument("--feature-table", default=None,
                    help="feature TSV path, or 'bundled' (enables FER)")
     p.set_defaults(func=cmd_analyze)
@@ -466,9 +451,7 @@ def build_parser():
     p.add_argument("--split", default=None)
     p.add_argument("--seed", type=int, default=None, help="run one specific seed")
     p.add_argument("--seeds", type=int, default=1, help="run seeds 0..N-1")
-    p.add_argument("--beam-size", type=int, default=10)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    _add_settings(p, "--beam-size", "--alpha", "--lambda")
     p.add_argument("--feature-table", default=None,
                    help="feature TSV path, or 'bundled' (enables FER)")
     p.add_argument("--ablation", choices=("no-reranker",), default=None)

@@ -111,10 +111,6 @@ class Vocabulary:
     def unk_id(self) -> int:
         return self.token_to_id[UNK]
 
-    @property
-    def structural_ids(self) -> tuple[int, ...]:
-        return tuple(range(len(STRUCTURAL_TOKENS)))
-
     def language_tag(self, language: str) -> str:
         return f"<{language}>"
 
@@ -123,10 +119,6 @@ class Vocabulary:
         if tag not in self.token_to_id:
             raise VocabularyError(f"unknown language {language!r}")
         return self.token_to_id[tag]
-
-    @property
-    def language_tag_ids(self) -> dict[str, int]:
-        return {lang: self.language_tag_id(lang) for lang in self.languages}
 
     def encode(self, tokens, allow_unk: bool = False) -> list[int]:
         out = []
@@ -271,6 +263,8 @@ def split_dataset(
     seed: int = 0,
 ) -> Dataset:
     """Deterministically shuffle by seed and partition into train/val/test."""
+    if not all(0 <= r < np.inf for r in ratios):  # NaN fails both comparisons
+        raise ConfigError(f"split ratios must be finite and >= 0, got {tuple(ratios)}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError(f"split ratios must sum to 1, got {sum(ratios)}")
     n = len(dataset.sets)

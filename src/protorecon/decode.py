@@ -51,8 +51,9 @@ class BeamConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ConfigError(f"beam size must be >= 1, got {self.k}")
-        if self.alpha < 0:
-            raise ConfigError(f"length normalization constant must be >= 0, got {self.alpha}")
+        if not 0 <= self.alpha < np.inf:  # NaN fails both comparisons
+            raise ConfigError(f"length normalization constant must be finite and >= 0, "
+                              f"got {self.alpha}")
         if self.max_len < 1:
             raise ConfigError(f"max decode length must be >= 1, got {self.max_len}")
 
@@ -175,11 +176,3 @@ def beam_search_batch(stepper, n_rows: int, config: BeamConfig) -> list[list[Can
         out.append([pool[i] for i in ranked[:k]])
     return out
 
-
-def format_candidates_tsv(candidates, id_to_token) -> str:
-    """Candidate list as TSV: rank, space-joined tokens, m with 6 decimals."""
-    lines = ["rank\ttokens\tm"]
-    for rank, cand in enumerate(candidates):
-        toks = " ".join(id_to_token[i] for i in cand.tokens)
-        lines.append(f"{rank}\t{toks}\t{cand.m:.6f}")
-    return "\n".join(lines) + "\n"

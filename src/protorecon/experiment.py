@@ -15,7 +15,7 @@ from . import models
 from .corpus import Dataset, build_vocabulary, split_dataset
 from .errors import ConfigError, ProtoreconError
 from .metrics import FeatureTable, evaluate, load_feature_table
-from .rerank import ReflexCache, rerank, scored_beams
+from .rerank import check_lambda, rerank, scored_beams
 from .analysis import write_analysis_tables
 
 DEFAULT_K_RANGE = (2, 4, 6, 8, 10)
@@ -42,17 +42,19 @@ def grid_search(
 
     Beam search runs once per cognate set at max(k_range); smaller k reuse
     the truncated candidate list.  Ties prefer smaller k, then smaller
-    lambda.
+    lambda.  Every k and lambda is checked before any decoding.
     """
+    if not (k_range and lambda_range):
+        raise ConfigError("the k and lambda ranges must not be empty")
+    configs = {k: recon_model.beam_config(k, alpha, max_len) for k in k_range}
+    for lam in lambda_range:
+        check_lambda(lam)
     csets = [cs for cs in val_dataset.sets if cs.protoform is not None]
     if not csets:
         raise ProtoreconError("empty validation split")
-    alpha = recon_model.config.alpha if alpha is None else alpha
-    max_len = recon_model.max_decode_len if max_len is None else max_len
-    config = dec.BeamConfig(k=max(k_range), alpha=alpha, max_len=max_len)
     correct = dict.fromkeys(((k, lam) for k in sorted(k_range) for lam in sorted(lambda_range)), 0)
     for cset, (beam, r_values, _) in zip(csets, scored_beams(recon_model, reflex_model, csets,
-                                                             config, ReflexCache())):
+                                                             configs[max(k_range)])):
         gold = tuple(recon_model.vocab.encode(cset.protoform))
         for k, lam in correct:
             correct[(k, lam)] += rerank(beam[:k], r_values[:k], lam)[0].tokens == gold
@@ -93,8 +95,13 @@ class ExperimentConfig:
     ablation_no_reranker: bool = False
 
     def __post_init__(self):
+        if not self.seeds:
+            raise ConfigError("no seeds to run")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be distinct")
+        # checked before any training; alpha None means the recon config's, checked there
+        dec.BeamConfig(k=self.beam_size, alpha=0.0 if self.alpha is None else self.alpha)
+        check_lambda(self.lam)
 
     def config_hash(self) -> str:
         def enc(obj):
@@ -132,16 +139,15 @@ def run_seed(config: ExperimentConfig, dataset: Dataset, seed: int, table: Featu
     recon.save(os.path.join(seed_dir, "recon.ckpt"))
     reflex.save(os.path.join(seed_dir, "reflex.ckpt"))
 
-    alpha = recon_cfg.alpha if config.alpha is None else config.alpha
     lam = 0.0 if config.ablation_no_reranker else config.lam
     test = dataset.subset("test")
     csets = [cs for cs in test.sets if cs.protoform is not None]
-    beam_config = dec.BeamConfig(k=config.beam_size, alpha=alpha, max_len=recon.max_decode_len)
+    beam_config = recon.beam_config(config.beam_size, config.alpha)
     tops = []  # (beam top, reranked top) per set
 
     def results():
         for cset, (beam, r_values, _) in zip(csets, scored_beams(recon, reflex, csets,
-                                                                 beam_config, ReflexCache())):
+                                                                 beam_config)):
             reranked = rerank(beam, r_values, lam)
             tops.append((beam[0], reranked[0]))
             yield cset, reranked, beam

@@ -53,8 +53,7 @@ class ReconModelConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must be in [0, 1)")
-        if self.alpha < 0:
-            raise ConfigError("alpha must be >= 0")
+        dec.BeamConfig(k=1, alpha=self.alpha)  # alpha is a beam setting: BeamConfig checks it
         if self.max_epochs < 0:
             raise ConfigError("max_epochs must be >= 0")
 
@@ -289,12 +288,11 @@ class _ModelBase:
         clf_in = ad.concat([h_in, cond.one_hot]) if cond.one_hot is not None else h_in
         return h, self._classifier(clf_in, p["clf.W1"], p["clf.b1"], cond.blocks)
 
-    def _decoder_loss(self, h, targets, cond: _Conditioning, rate, dropout_rng, logits_out=None):
+    def _decoder_loss(self, h, targets, cond: _Conditioning, rate, dropout_rng):
         """Teacher-forced mean token loss of decoding targets from encoder states h.
 
         targets are id lists without EOS; EOS is appended here.  Every row's
-        loss divides by the total target token count.  The step logits are
-        appended to logits_out when it is a list.
+        loss divides by the total target token count.
         """
         p = self.params
         tgt_ids, tgt_mask, _ = _pad_batch([list(t) + [self.vocab.eos_id] for t in targets],
@@ -311,8 +309,6 @@ class _ModelBase:
         for t in range(tgt_ids.shape[1]):
             h, logits = self._decode_step(p, dec_g, h, prev_ids[:, t], cond, tgt_mask[:, t], rate,
                                           dropout_rng)
-            if logits_out is not None:
-                logits_out.append(logits)
             step_losses.append(ad.softmax_cross_entropy(
                 logits, ce_ids[:, t], ce_mask[:, t], normalizer=total_tokens))
         return ad.add_scalars(step_losses)
@@ -421,18 +417,16 @@ class ReconModel(_ModelBase):
 
     # -- training forward -----------------------------------------------------
 
-    def batch_loss(self, inputs, targets, dropout_rng=None, collect_logits=False):
+    def batch_loss(self, inputs, targets, dropout_rng=None):
         """Teacher-forced mean token loss over a batch of (input, protoform).
 
         targets are protoform id lists without EOS; EOS is appended here.
-        Returns (loss Tensor, per-step logits list or None).
+        Returns (loss Tensor, None).
         """
         rate = self.config.dropout if dropout_rng is not None else 0.0
         h = self._encode(self.params, inputs, rate, dropout_rng)
-        logits_steps = [] if collect_logits else None
-        loss = self._decoder_loss(h, targets, self._conditioning(self.params), rate, dropout_rng,
-                                  logits_steps)
-        return loss, logits_steps
+        return self._decoder_loss(h, targets, self._conditioning(self.params), rate,
+                                  dropout_rng), None
 
     # -- inference ------------------------------------------------------------
 
@@ -448,6 +442,14 @@ class ReconModel(_ModelBase):
         p = self._untracked_params()
         cond = self._conditioning(p)
         return _GruStepper(self, p, self.encode_np(inputs), lambda rows: cond)
+
+    def beam_config(self, k, alpha=None, max_len=None) -> dec.BeamConfig:
+        """The checked beam settings of k, alpha and max_len for this model.
+
+        alpha defaults to the config's alpha and max_len to max_decode_len.
+        """
+        return dec.BeamConfig(k=k, alpha=self.config.alpha if alpha is None else alpha,
+                              max_len=self.max_decode_len if max_len is None else max_len)
 
     def beam_search_sets(self, csets, config: dec.BeamConfig):
         """Beam candidates of a sequence of cognate sets, one batch of sets at a time.

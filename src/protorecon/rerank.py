@@ -7,12 +7,19 @@ reranker score r, and candidates are reordered by s = m + lambda * r.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 from . import decode as dec
-from .corpus import CognateSet, assemble_reflex_input
+from .corpus import CognateSet
 from .errors import CheckpointError, ConfigError, ProtoreconError
+
+
+def check_lambda(lam):
+    """Raise ConfigError unless lam, the weight of r in s = m + lam * r, is finite and >= 0."""
+    if not 0 <= lam < math.inf:  # NaN fails both comparisons
+        raise ConfigError(f"score adjustment weight must be finite and >= 0, got {lam}")
 
 
 @dataclass(frozen=True)
@@ -23,8 +30,8 @@ class RerankConfig:
     max_len: int = 64
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ConfigError(f"score adjustment weight must be >= 0, got {self.lam}")
+        check_lambda(self.lam)
+        self.beam  # BeamConfig checks k, alpha and max_len
 
     @property
     def beam(self) -> dec.BeamConfig:
@@ -99,8 +106,7 @@ def score_candidates(reflex_model, items, max_len=None, cache=None):
                 else:
                     found[key] = hit
         decodable.append(oks)
-    rows = [(assemble_reflex_input(vocab.decode(tokens), language, vocab), language)
-            for tokens, language in pending]
+    rows = [([vocab.language_tag_id(language), *tokens], language) for tokens, language in pending]
     for key, pred in zip(pending, reflex_model.greedy_decode_rows(rows, max_len)):
         found[key] = tuple(pred)
         if cache is not None:
@@ -141,8 +147,10 @@ def scored_beams(recon_model, reflex_model, csets, config: dec.BeamConfig, cache
     every uncached (candidate, language) pair of a batch through one
     score_candidates call.  Yields (beam candidates, r values, predictions)
     per set, in input order.  The two models must share one vocabulary.
+    Without a cache, one is made for this call.
     """
     check_model_pair(recon_model, reflex_model)
+    cache = ReflexCache() if cache is None else cache
     for batch, beams in recon_model.beam_search_sets(csets, config):
         scores = score_candidates(reflex_model,
                                   [([c.tokens for c in beam], cset)

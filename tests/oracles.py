@@ -2,6 +2,8 @@
 
 ``gru_cell_six`` is the GRU step as it was before the gates were stacked
 into one tape node: six gate matmuls and about twenty primitive nodes.
+Its elementwise ops ``mul``, ``affine`` and ``sigmoid`` live here, with
+``narrow``: only the oracles and their gradient checks use them.
 ``grouped_batch_loss`` is the reflex batch loss as it was before a batch
 became one masked graph: one graph per (language, input length) group,
 built from ``gru_cell_six``.  ``beam_search_reference`` is a scalar beam
@@ -22,6 +24,48 @@ NEG_INF = -np.inf
 GATE_NAMES = ("W_z", "U_z", "b_z", "W_r", "U_r", "b_r", "W_h", "U_h", "b_h")
 
 
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise product with numpy broadcasting (e.g. column masks)."""
+
+    def unbroadcast(g, shape):
+        while g.ndim > len(shape):
+            g = g.sum(axis=0)
+        for ax, n in enumerate(shape):
+            if n == 1 and g.shape[ax] != 1:
+                g = g.sum(axis=ax, keepdims=True)
+        return g
+
+    def rule(g):
+        return ((a, unbroadcast(g * b.data, a.data.shape)),
+                (b, unbroadcast(g * a.data, b.data.shape)))
+
+    return Tensor(a.data * b.data, parents=(a, b), backward_rule=rule)
+
+
+def affine(x: Tensor, scale: float, shift: float) -> Tensor:
+    """scale * x + shift with scalar constants (covers negation and 1 - x)."""
+    return Tensor(scale * x.data + shift, parents=(x,), backward_rule=lambda g: ((x, scale * g),))
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    out = 1.0 / (1.0 + np.exp(-x.data))
+    return Tensor(out, parents=(x,), backward_rule=lambda g: ((x, g * out * (1.0 - out)),))
+
+
+def narrow(x: Tensor, start: int, size: int, axis: int = 1) -> Tensor:
+    """Contiguous slice along an axis."""
+    index = [slice(None)] * x.data.ndim
+    index[axis] = slice(start, start + size)
+    index = tuple(index)
+
+    def rule(g):
+        full = np.zeros_like(x.data)
+        full[index] = g
+        return ((x, full),)
+
+    return Tensor(x.data[index], parents=(x,), backward_rule=rule)
+
+
 def gate_dict(params, prefix):
     """The nine per-gate parameters of one GRU, keyed W_z ... b_h."""
     return {name: params[f"{prefix}.{name}"] for name in GATE_NAMES}
@@ -37,21 +81,21 @@ def stack_gates(gates):
 
 def gru_cell_six(x, h_prev, params):
     """One GRU step from primitives: h_next = (1 - z) * h_prev + z * h_tilde."""
-    z = ad.sigmoid(ad.add(ad.add(ad.matmul(x, params["W_z"]), ad.matmul(h_prev, params["U_z"])),
-                          params["b_z"]))
-    r = ad.sigmoid(ad.add(ad.add(ad.matmul(x, params["W_r"]), ad.matmul(h_prev, params["U_r"])),
-                          params["b_r"]))
+    z = sigmoid(ad.add(ad.add(ad.matmul(x, params["W_z"]), ad.matmul(h_prev, params["U_z"])),
+                       params["b_z"]))
+    r = sigmoid(ad.add(ad.add(ad.matmul(x, params["W_r"]), ad.matmul(h_prev, params["U_r"])),
+                       params["b_r"]))
     h_tilde = ad.tanh(ad.add(ad.add(ad.matmul(x, params["W_h"]),
-                                    ad.matmul(ad.mul(r, h_prev), params["U_h"])),
+                                    ad.matmul(mul(r, h_prev), params["U_h"])),
                              params["b_h"]))
-    return ad.add(ad.mul(ad.affine(z, -1.0, 1.0), h_prev), ad.mul(z, h_tilde))
+    return ad.add(mul(affine(z, -1.0, 1.0), h_prev), mul(z, h_tilde))
 
 
 def masked_step(h_prev, h_new, mask_col):
     """Keep h_prev on rows whose sequence already ended (mask 0)."""
     m = Tensor(mask_col[:, None])
     inv = Tensor(1.0 - mask_col[:, None])
-    return ad.add(ad.mul(h_new, m), ad.mul(h_prev, inv))
+    return ad.add(mul(h_new, m), mul(h_prev, inv))
 
 
 def _encode_group(model, in_ids, rate, dropout_rng):

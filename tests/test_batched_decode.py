@@ -11,6 +11,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from protorecon import autodiff as ad
 from protorecon import decode as dec
@@ -154,21 +156,26 @@ def _oracle_reflex_decoder(model, tagged, language):
                           step_input, classify, model)
 
 
-def _oracle_scores(reflex, candidates, cset):
+def _oracle_scores(reflex, candidates, cset, decode_row=None):
     """r and predictions of each candidate, one decode per (candidate, language).
 
     An empty candidate, or one with ids unknown to the reflex vocabulary, is
-    not decoded: r = 0 and empty predictions.
+    not decoded: r = 0 and empty predictions.  decode_row(tagged ids,
+    language) decodes one row; by default it is the oracle decoder of the
+    ReflexModel reflex.
     """
     vocab = reflex.vocab
+    if decode_row is None:
+        def decode_row(tagged, lang):
+            return _oracle_greedy(_oracle_reflex_decoder(reflex, tagged, lang),
+                                  reflex.max_decode_len)
     r_values, predictions = [], []
     for tokens in candidates:
         preds, correct = {lang: () for lang in cset.reflexes}, 0
         if tokens and all(0 <= t < vocab.size for t in tokens):
             for lang in cset.reflexes:
                 tagged = assemble_reflex_input(vocab.decode(tokens), lang, vocab)
-                preds[lang] = tuple(_oracle_greedy(_oracle_reflex_decoder(reflex, tagged, lang),
-                                                   reflex.max_decode_len))
+                preds[lang] = tuple(decode_row(tagged, lang))
                 correct += preds[lang] == tuple(vocab.encode(cset.reflexes[lang]))
         r_values.append(correct / len(cset.reflexes))
         predictions.append(preds)
@@ -334,3 +341,75 @@ def test_score_candidates_across_sets_matches_oracle(family):
     assert len(caught) == len(items)
     assert got == [_oracle_scores(reflex, candidates, cset) for candidates, cset in items]
     assert sum(r > 0 for r_values, _ in got for r in r_values) >= 3
+
+
+class _GoldReflexStub:
+    """A reflex model stand-in on the recon model's vocabulary.
+
+    A (candidate, language) pair in gold decodes to gold[pair]; every other
+    row decodes to nothing, which matches no reflex.
+    """
+
+    def __init__(self, vocab, gold):
+        self.vocab, self.gold = vocab, gold
+
+    def decode_row(self, tagged, language):
+        assert tagged[0] == self.vocab.language_tag_id(language)
+        return list(self.gold.get((tuple(tagged[1:]), language), ()))
+
+    def greedy_decode_rows(self, rows, max_len=None):
+        return [self.decode_row(tagged, language) for tagged, language in rows]
+
+
+@pytest.fixture(scope="module")
+def recon_beams(family):
+    """A random recon model, its beam config, and each family set's oracle beam."""
+    dataset, vocab = family
+    recon = _randomize(models.ReconModel(tiny_recon_config(seed=1), vocab), 300, scale=0.8,
+                       eos_bias=0.0)
+    recon.max_decode_len = 6
+    config = dec.BeamConfig(k=5, alpha=1.0, max_len=6)
+    beams = [dec.beam_search(_oracle_recon_decoder(recon, assemble_reconstruction_input(cs, vocab)),
+                             config) for cs in dataset.sets]
+    return recon, config, beams
+
+
+LAST_EVERYWHERE = frozenset((i, 4, lang) for i in range(16) for lang in range(4))
+
+
+@settings(max_examples=30)
+@example(chosen=LAST_EVERYWHERE, lam=4.2)
+@given(chosen=st.frozensets(st.tuples(st.integers(0, 15), st.integers(0, 4), st.integers(0, 3))),
+       lam=st.sampled_from([0.0, 0.3, 1.0, 4.2]))
+def test_rerank_with_gold_reflexes_matches_oracle(family, recon_beams, chosen, lam):
+    """scored_beams plus rerank equal the per-set oracle when r > 0.
+
+    chosen holds (set, beam rank, language index) rows whose reflex decode is
+    the set's gold reflex, so r takes values from 0 to 1 and reranking moves
+    candidates.
+    """
+    dataset, vocab = family
+    recon, config, beams = recon_beams
+    gold = {}
+    for i, rank, lang in sorted(chosen):
+        cset, beam = dataset.sets[i], beams[i]
+        language = sorted(cset.reflexes)[lang % len(cset.reflexes)]
+        gold[(beam[rank % len(beam)].tokens, language)] = vocab.encode(cset.reflexes[language])
+    stub = _GoldReflexStub(vocab, gold)
+    got = list(scored_beams(recon, stub, dataset.sets, config))
+    assert len(got) == len(beams)
+    moved = False
+    for cset, w_beam, (beam, r_values, preds) in zip(dataset.sets, beams, got):
+        w_r_values, w_preds = _oracle_scores(stub, [c.tokens for c in w_beam], cset,
+                                             stub.decode_row)
+        assert [c.tokens for c in beam] == [c.tokens for c in w_beam]
+        assert (r_values, preds) == (w_r_values, w_preds)
+        reranked, w_reranked = rerank(beam, r_values, lam), rerank(w_beam, w_r_values, lam)
+        assert ([(c.tokens, c.r, c.beam_rank, c.rerank_rank) for c in reranked]
+                == [(c.tokens, c.r, c.beam_rank, c.rerank_rank) for c in w_reranked])
+        assert [c.s for c in reranked] == pytest.approx([c.s for c in w_reranked], abs=1e-9)
+        moved |= reranked[0].beam_rank != 0
+    some_r = any(r > 0 for _, r_values, _ in got for r in r_values)
+    assert some_r == any(tokens for tokens, _ in gold)
+    if chosen == LAST_EVERYWHERE:  # the last candidate of every beam has r = 1
+        assert moved

@@ -339,3 +339,41 @@ def test_analyze_without_gold_protoforms_fails_typed(workdir, tmp_path, capsys):
                  "--reflex-checkpoint", str(workdir / "reflex.ckpt"),
                  "--out", str(tmp_path / "an")]) == 1
     assert "no cognate set with a gold protoform" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--lambda", "-1"],
+    ["run", "--beam-size", "0"],
+    ["run", "--seeds", "0"],
+    ["run", "--alpha", "nan"],
+    ["gridsearch", "--k-range", "0,2"],
+    ["gridsearch", "--lambda-range=-1,0.3"],
+    ["rerank", "--lambda", "nan"],
+    ["rerank", "--lambda", "inf"],
+    ["rerank", "--alpha", "nan"],
+    ["analyze", "--lambda", "-1"],
+    ["decode", "--max-len", "0"],
+    ["split", "--ratios", "1.2", "-0.1", "-0.1"],
+    ["split", "--ratios", "nan", "0.5", "0.5"],
+], ids=" ".join)
+def test_bad_settings_exit_2_before_any_work(workdir, tmp_path, capsys, argv):
+    """A bad beam, rerank, seed or split setting exits 2 with a typed message and writes
+    nothing: run trains no model."""
+    command, *flags = argv
+    pair = ["--recon-checkpoint", str(workdir / "recon.ckpt"),
+            "--reflex-checkpoint", str(workdir / "reflex.ckpt")]
+    preset = str(workdir / "preset.json")
+    extra = {
+        "run": ["--preset", preset, "--reflex-preset", preset, "--out", str(tmp_path / "run")],
+        "gridsearch": [*pair, "--split", str(workdir / "split.tsv")],
+        "rerank": pair,
+        "analyze": [*pair, "--out", str(tmp_path / "an")],
+        "decode": ["--checkpoint", str(workdir / "recon.ckpt")],
+        "split": [],
+    }[command]
+    assert main([command, "--dataset", str(workdir / "data.tsv"), *extra, *flags]) == 2
+    captured = capsys.readouterr()
+    assert "configuration error:" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+    assert captured.out == ""
+    assert not list(tmp_path.iterdir())  # no seed*/recon.ckpt, no table, no split

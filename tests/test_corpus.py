@@ -152,8 +152,10 @@ def test_split_deterministic(tiny_dataset):
 
 
 def test_split_bad_ratios(tiny_dataset):
-    with pytest.raises(ConfigError):
-        split_dataset(tiny_dataset, (0.5, 0.1, 0.2))
+    for ratios in ((0.5, 0.1, 0.2), (1.2, -0.1, -0.1), (float("nan"), 0.5, 0.5),
+                   (float("inf"), 0.5, 0.5)):
+        with pytest.raises(ConfigError):
+            split_dataset(tiny_dataset, ratios)
 
 
 def test_split_file_roundtrip(tiny_dataset):

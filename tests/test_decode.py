@@ -10,7 +10,6 @@ from protorecon.decode import (
     BeamConfig,
     beam_search,
     beam_search_batch,
-    format_candidates_tsv,
     greedy_decode,
 )
 from protorecon.errors import ConfigError
@@ -43,6 +42,9 @@ def test_config_validation():
         BeamConfig(k=2, alpha=-0.1)
     with pytest.raises(ConfigError):
         BeamConfig(k=2, max_len=0)
+    for alpha in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            BeamConfig(k=2, alpha=alpha)
 
 
 def test_uniform_model_worked_example():
@@ -186,12 +188,3 @@ def test_returns_at_most_k():
     for k in (1, 2, 5):
         assert len(beam_search(stepper, BeamConfig(k=k, alpha=1.0, max_len=4))) <= k
 
-
-def test_format_candidates_tsv():
-    stepper = ToyStepper(vocab_size=4, seed=13)
-    cands = beam_search(stepper, BeamConfig(k=3, alpha=1.0, max_len=3))
-    text = format_candidates_tsv(cands, {i: f"t{i}" for i in range(4)})
-    lines = text.strip().split("\n")
-    assert lines[0] == "rank\ttokens\tm"
-    assert len(lines) == 1 + len(cands)
-    assert lines[1].startswith("0\t")

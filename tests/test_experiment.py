@@ -71,6 +71,26 @@ def test_experiment_config_rejects_duplicate_seeds():
         ExperimentConfig(dataset_path="d", out_dir="o", seeds=(1, 1))
 
 
+@pytest.mark.parametrize("bad", [dict(seeds=()), dict(beam_size=0), dict(lam=-1.0),
+                                 dict(lam=float("nan")), dict(alpha=float("inf")),
+                                 dict(alpha=-0.5)])
+def test_experiment_config_rejects_bad_settings(bad):
+    """Settings that every seed's rerank would refuse are refused before any training."""
+    with pytest.raises(ConfigError):
+        ExperimentConfig(dataset_path="d", out_dir="o", **bad)
+
+
+@pytest.mark.parametrize("ranges", [dict(k_range=(0, 2)), dict(lambda_range=(-1.0, 0.3)),
+                                    dict(lambda_range=(float("nan"),)), dict(k_range=())])
+def test_grid_search_checks_every_setting_before_decoding(tiny_split, monkeypatch, ranges):
+    vocab = build_vocabulary(tiny_split)
+    recon = models.ReconModel(tiny_recon_config(), vocab)
+    reflex = models.ReflexModel(tiny_reflex_config(), vocab)
+    monkeypatch.setattr(models.ReconModel, "beam_search_sets", None)  # any decode fails
+    with pytest.raises(ConfigError):
+        grid_search(recon, reflex, tiny_split.subset("val"), **ranges)
+
+
 @pytest.fixture(scope="module")
 def small_family(tmp_path_factory):
     root = tmp_path_factory.mktemp("family")

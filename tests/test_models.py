@@ -47,6 +47,20 @@ def test_config_validation():
         tiny_reflex_config(one_hot_target_encoding=False,
                            target_gated_classifier=False,
                            decode_with_language_embedding=False)
+    for alpha in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            tiny_recon_config(alpha=alpha)
+
+
+def test_beam_config_resolves_against_the_model(tiny_vocab):
+    """alpha and max_len default to the recon model's; every value is checked."""
+    recon = models.ReconModel(tiny_recon_config(alpha=0.5), tiny_vocab)
+    recon.max_decode_len = 7
+    assert recon.beam_config(3) == dec.BeamConfig(k=3, alpha=0.5, max_len=7)
+    assert recon.beam_config(3, 0.0, 2) == dec.BeamConfig(k=3, alpha=0.0, max_len=2)
+    for bad in (dict(k=0), dict(k=3, alpha=float("nan")), dict(k=3, max_len=0)):
+        with pytest.raises(ConfigError):
+            recon.beam_config(**bad)
 
 
 # -- gradient checks ----------------------------------------------------------

@@ -69,8 +69,10 @@ def test_rerank_validates_lengths():
 
 
 def test_rerank_config_validation():
-    with pytest.raises(ConfigError):
-        RerankConfig(lam=-0.5)
+    for bad in (dict(lam=-0.5), dict(lam=float("nan")), dict(lam=float("inf")),
+                dict(lam=1.0, k=0), dict(lam=1.0, alpha=float("nan")), dict(lam=1.0, max_len=0)):
+        with pytest.raises(ConfigError):
+            RerankConfig(**bad)
     RerankConfig(lam=0.0)  # boundary allowed
 
 
