@@ -47,7 +47,11 @@ class Tensor:
             self.grad = np.zeros_like(self.data)
 
     def backward(self):
-        """Reverse-mode sweep seeding d(self)/d(self) = 1."""
+        """Reverse-mode sweep seeding d(self)/d(self) = 1.
+
+        The sweep consumes the graph: afterwards every node of it has no
+        parents and no backward rule, so a graph is differentiated once.
+        """
         if self.data.size != 1:
             raise DimensionError("backward() requires a scalar loss")
         # Iterative post-order DFS: parents before children, in the order a
@@ -65,7 +69,10 @@ class Tensor:
                 stack.pop()
                 topo.append(node)
         grads = {id(self): np.ones_like(self.data)}
-        for t in reversed(topo):
+        while topo:
+            t = topo.pop()
+            # let go of the inputs now, so that the forward's arrays are freed as the sweep goes
+            rule, t.parents, t.backward_rule = t.backward_rule, (), None
             g = grads.pop(id(t), None)
             if g is None:
                 continue
@@ -73,15 +80,17 @@ class Tensor:
                 if t.grad is None:
                     t.grad = np.zeros_like(t.data)
                 t.grad += g
-            if t.backward_rule is None:
+            if rule is None:
                 continue
-            for parent, pg in t.backward_rule(g):
+            for parent, pg in rule(g):
                 if not (parent.requires_grad or parent.parents):
                     continue
                 if id(parent) in grads:
                     grads[id(parent)] += pg
-                else:
+                elif pg is g or pg.base is not None:  # may be shared: keep a copy to add into
                     grads[id(parent)] = np.array(pg)
+                else:  # a fresh array that the rule made for this parent
+                    grads[id(parent)] = pg
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={self.requires_grad}, name={self.name})"
@@ -126,6 +135,40 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(out, parents=(a, b), backward_rule=rule)
 
 
+def reshape(x: Tensor, shape) -> Tensor:
+    out = x.data.reshape(shape)
+    if not _tracked(x):
+        return Tensor(out)
+    return Tensor(out, parents=(x,), backward_rule=lambda g: ((x, g.reshape(x.data.shape)),))
+
+
+def grouped_affine(x: Tensor, groups) -> Tensor:
+    """x[rows] @ w + b for each (rows, w, b) group, stacked in group order.
+
+    rows holds distinct row indices of x, or is None for every row.  One
+    node for all groups, so that the backward writes each group's rows of
+    the input gradient in place: a gather per group would scatter an
+    input-sized gradient per group.
+    """
+    xs = [x.data if rows is None else x.data[rows] for rows, _, _ in groups]
+    parts = [xg @ w.data + b.data for xg, (_, w, b) in zip(xs, groups)]
+    out = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    params = [t for _, w, b in groups for t in (w, b)]
+    if not _tracked(x, *params):
+        return Tensor(out)
+    ends = np.cumsum([len(xg) for xg in xs])
+
+    def rule(g):
+        gx, grads = np.zeros_like(x.data), []
+        for (rows, w, b), xg, end in zip(groups, xs, ends):
+            g_part = g[end - len(xg) : end]
+            grads += [(w, xg.T @ g_part), (b, g_part.sum(axis=0))]
+            gx[slice(None) if rows is None else rows] += g_part @ w.data.T
+        return grads + [(x, gx)]
+
+    return Tensor(out, parents=(x, *params), backward_rule=rule)
+
+
 def concat(tensors, axis=1) -> Tensor:
     out = np.concatenate([t.data for t in tensors], axis=axis)
     if not _tracked(*tensors):
@@ -149,32 +192,72 @@ def tanh(x: Tensor) -> Tensor:
     return Tensor(out, parents=(x,), backward_rule=rule)
 
 
+def _scatter_rows(shape, ids, g):
+    """The gradient of a table of shape gathered by ids (any shape) from that gather's g.
+
+    Sums each id's gradient rows into its table row through a one-hot
+    (rows, ids) matmul, written straight into a fresh table-shaped array.
+    """
+    flat = ids.reshape(-1)
+    one_hot = np.zeros((shape[0], flat.size))
+    one_hot[flat, np.arange(flat.size)] = 1.0
+    full = np.empty(shape)
+    np.matmul(one_hot, g.reshape(flat.size, -1), out=full.reshape(shape[0], -1))
+    return full
+
+
 def embedding(table: Tensor, ids) -> Tensor:
-    """Gather rows of an embedding table."""
+    """Gather entries along axis 0 of a table by an int array of ids of any shape."""
     ids = np.asarray(ids, dtype=np.int64)
     out = table.data[ids]
     if not _tracked(table):
         return Tensor(out)
+    return Tensor(out, parents=(table,),
+                  backward_rule=lambda g: ((table, _scatter_rows(table.data.shape, ids, g)),))
+
+
+def embeddings(pairs) -> Tensor:
+    """Gathers of 2-D tables by (table, ids) pairs of one ids shape, concatenated.
+
+    Equals concat(..., axis=-1) of their embeddings, gathered straight into
+    the one output: no array per gather stays on the tape.
+    """
+    pairs = [(table, np.asarray(ids, dtype=np.int64)) for table, ids in pairs]
+    out = np.concatenate([table.data[ids] for table, ids in pairs], axis=-1)
+    tables = [table for table, _ in pairs]
+    if not _tracked(*tables):
+        return Tensor(out)
+    ends = np.cumsum([table.data.shape[1] for table in tables])
 
     def rule(g):
-        full = np.zeros_like(table.data)
-        np.add.at(full, ids, g)
-        return ((table, full),)
+        return tuple((table, _scatter_rows(table.data.shape, ids,
+                                           g[..., end - table.data.shape[1] : end]))
+                     for (table, ids), end in zip(pairs, ends))
 
-    return Tensor(out, parents=(table,), backward_rule=rule)
+    return Tensor(out, parents=tuple(tables), backward_rule=rule)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout with a mask drawn from the supplied generator."""
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None = None,
+            keep: np.ndarray | None = None) -> Tensor:
+    """Inverted dropout x * keep / (1 - rate), with boolean keep = rng.random(x.shape) >= rate.
+
+    A keep mask drawn beforehand may be passed instead of rng, so that a
+    caller can draw the masks of several dropouts in another order.
+    """
     if rate <= 0.0:
         return x
-    mask = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
-    out = x.data * mask
+    if keep is None:
+        keep = rng.random(x.data.shape) >= rate
+    scale = 1.0 / (1.0 - rate)
+    out = x.data * scale
+    out *= keep
     if not _tracked(x):
         return Tensor(out)
 
     def rule(g):
-        return ((x, g * mask),)
+        gx = g * scale
+        gx *= keep
+        return ((x, gx),)
 
     return Tensor(out, parents=(x,), backward_rule=rule)
 
@@ -185,14 +268,17 @@ def log_softmax_rows(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def softmax_cross_entropy(logits: Tensor, targets, weights=None, normalizer=None) -> Tensor:
+def softmax_cross_entropy(logits: Tensor, targets, weights=None, normalizer=None,
+                          steps=None) -> Tensor:
     """Weighted-mean cross-entropy over rows of logits.
 
     targets: int array of row labels; weights: per-row nonnegative floats
     (default all ones).  Reduction is sum(w_i * nll_i) / normalizer, with
     normalizer defaulting to sum(w_i) -- the mean-over-tokens convention
-    once pad rows get weight 0.  Callers accumulating the loss over several
-    decode steps pass the full token count as the normalizer.
+    once pad rows get weight 0.  steps, a (T, n) array of row indices, splits
+    the rows of a whole teacher-forced sequence into its decode steps: each
+    step's rows are reduced in the order given, and the step losses added in
+    step order, as a loop over steps would add them.
     """
     targets = np.asarray(targets, dtype=np.int64)
     if logits.data.ndim != 2 or targets.shape != (logits.data.shape[0],):
@@ -203,7 +289,11 @@ def softmax_cross_entropy(logits: Tensor, targets, weights=None, normalizer=None
         raise DimensionError("softmax_cross_entropy: no weighted rows")
     logp = log_softmax_rows(logits.data)
     rows = np.arange(len(targets))
-    out = -(w * logp[rows, targets]).sum() / total
+    weighted = w * logp[rows, targets]
+    if steps is None:
+        out = -weighted.sum() / total
+    else:
+        out = np.array(sum(float(-weighted[step].sum() / total) for step in steps))
     if not _tracked(logits):
         return Tensor(out)
 
@@ -216,30 +306,21 @@ def softmax_cross_entropy(logits: Tensor, targets, weights=None, normalizer=None
     return Tensor(out, parents=(logits,), backward_rule=rule)
 
 
-def add_scalars(tensors) -> Tensor:
-    out = np.array(sum(float(t.data) for t in tensors))
-    if not _tracked(*tensors):
-        return Tensor(out)
-
-    def rule(g):
-        return tuple((t, g.reshape(t.data.shape)) for t in tensors)
-
-    return Tensor(out, parents=tuple(tensors), backward_rule=rule)
-
-
 def _gate_z(z, mask):
     """The update gate with padded rows (mask 0) zeroed, so that they keep h exactly."""
-    return z if mask is None else z * mask[:, None]
+    return z if mask is None else z * mask[..., None]
 
 
 def _gru_forward(x, h, W, U_zr, U_h, b, mask):
     """Raw-array GRU step over stacked gates: (h_next, (z|r, h_tilde)).
 
-    Gates are finished in place, and the (batch, 3 * hidden) product x @ W is
-    freed early, so that a step holds little more than its outputs.
+    With W None, x is already the step's input projection x @ W, which
+    gru_sequence computes for all steps at once.  Gates are finished in
+    place, and a projection made here is freed early, so that a step holds
+    little more than its outputs.
     """
     H = h.shape[1]
-    a = x @ W
+    a = x if W is None else x @ W
     zr = h @ U_zr
     zr += a[:, : 2 * H]
     zr += b[: 2 * H]
@@ -259,39 +340,93 @@ def _gru_forward(x, h, W, U_zr, U_h, b, mask):
     return out, (zr, h_tilde)
 
 
+def gru_sequence(X: Tensor, h0: Tensor, gates, mask=None, reverse=False) -> Tensor:
+    """A GRU over a whole batch of sequences as one tape node: states (T, B, H) of X (T, B, D).
+
+    states[t] is the state after step t, which is gru_cell's step
+    (_gru_forward); reverse runs the steps from T - 1 down to 0, as the
+    backward direction of an encoder does.  A row whose mask (T, B) is 0 at
+    a step keeps its state there.  The input projection X @ W is one GEMM
+    over all steps (Appleyard, Kocisky & Blunsom 2016, arXiv:1604.01946).
+    The backward is a BPTT loop over the steps; after it dW, dU_zr, dU_h
+    and dX are one GEMM each over the stacked steps.
+    """
+    W, U_zr, U_h, b = gates
+    T, B, D = X.data.shape
+    H = h0.data.shape[1]
+    A = (X.data.reshape(T * B, D) @ W.data).reshape(T, B, 3 * H)
+    states, z, r, h_tilde = (np.empty((T, B, H)) for _ in range(4))
+    order = range(T - 1, -1, -1) if reverse else range(T)
+    h = h0.data
+    for t in order:
+        h, (zr, h_tilde[t]) = _gru_forward(A[t], h, None, U_zr.data, U_h.data, b.data,
+                                           None if mask is None else mask[t])
+        states[t], z[t], r[t] = h, zr[:, :H], zr[:, H:]
+    del A
+    if not _tracked(X, h0, *gates):
+        return Tensor(states)
+
+    def rule(g):
+        ends = (states[1:], h0.data[None]) if reverse else (h0.data[None], states[:-1])
+        h_prev = np.concatenate(ends)  # the state each step started from
+        zm = _gate_z(z, mask)
+        # dA, the pre-activation grads z|r|h, first holds the factors of the
+        # step gradients that do not depend on the carried gradient, made in
+        # one contiguous (T, B, H) array f at a time
+        dA = np.empty((T, B, 3 * H))
+        np.subtract(h_tilde, h_prev, out=dA[..., :H])
+        f = np.subtract(1.0, z)
+        f *= zm
+        dA[..., :H] *= f
+        np.subtract(1.0, r, out=f)
+        f *= r
+        f *= h_prev
+        dA[..., H : 2 * H] = f
+        np.multiply(h_tilde, h_tilde, out=f)
+        np.subtract(1.0, f, out=f)
+        f *= zm
+        dA[..., 2 * H :] = f
+        keep = np.subtract(1.0, zm, out=f)
+        del zm
+        dh = np.zeros((B, H))  # gradient carried back into the state of the step before
+        for t in reversed(order):
+            g_t = g[t] + dh
+            dA[t, :, :H] *= g_t
+            dA[t, :, 2 * H :] *= g_t
+            drh = dA[t, :, 2 * H :] @ U_h.data.T
+            dA[t, :, H : 2 * H] *= drh
+            dh = g_t * keep[t] + drh * r[t] + dA[t, :, : 2 * H] @ U_zr.data.T
+        dA = dA.reshape(T * B, 3 * H)
+        grads = [(W, X.data.reshape(T * B, D).T @ dA),
+                 (U_zr, h_prev.reshape(T * B, H).T @ dA[:, : 2 * H]),
+                 (U_h, np.multiply(r, h_prev, out=keep).reshape(T * B, H).T @ dA[:, 2 * H :]),
+                 (b, dA.sum(axis=0))]
+        if _tracked(X):
+            dX = np.empty((T, B, D))
+            np.matmul(dA, W.data.T, out=dX.reshape(T * B, D))
+            grads.append((X, dX))
+        if _tracked(h0):
+            grads.append((h0, dh))
+        return grads
+
+    return Tensor(states, parents=(X, h0, *gates), backward_rule=rule)
+
+
 def gru_cell(x: Tensor, h_prev: Tensor, gates, mask=None) -> Tensor:
-    """One GRU step, h_next = (1 - z) * h_prev + z * h_tilde, as one tape node.
+    """One GRU step, h_next = (1 - z) * h_prev + z * h_tilde.
 
     gates = (W, U_zr, U_h, b) with the gates stacked z|r|h: W = [W_z W_r W_h]
     of shape (input, 3 * hidden), U_zr = [U_z U_r] of shape (hidden,
     2 * hidden), U_h (hidden, hidden) and b = [b_z b_r b_h].  Rows whose mask
-    entry is 0 (a padded step) keep h_prev.
+    entry is 0 (a padded step) keep h_prev.  Off the tape this is
+    gru_cell_np; on it, a one-step gru_sequence.
     """
     W, U_zr, U_h, b = gates
     if not _tracked(x, h_prev, W, U_zr, U_h, b):
         return Tensor(gru_cell_np(x.data, h_prev.data, (W.data, U_zr.data, U_h.data, b.data), mask))
-    out, (zr, h_tilde) = _gru_forward(
-        x.data, h_prev.data, W.data, U_zr.data, U_h.data, b.data, mask)
-    H = h_prev.data.shape[1]
-
-    def rule(g):
-        h = h_prev.data
-        z, r = zr[:, :H], zr[:, H:]
-        zm = _gate_z(z, mask)
-        da = np.empty((g.shape[0], 3 * H))  # pre-activation grads, z|r|h
-        da[:, :H] = _gate_z(g * (h_tilde - h), mask) * z * (1.0 - z)
-        da[:, 2 * H :] = g * zm * (1.0 - h_tilde * h_tilde)
-        drh = da[:, 2 * H :] @ U_h.data.T
-        da[:, H : 2 * H] = drh * h * r * (1.0 - r)
-        grads = [(W, x.data.T @ da), (U_zr, h.T @ da[:, : 2 * H]),
-                 (U_h, (r * h).T @ da[:, 2 * H :]), (b, da.sum(axis=0))]
-        if _tracked(x):
-            grads.append((x, da @ W.data.T))
-        if _tracked(h_prev):
-            grads.append((h_prev, g * (1.0 - zm) + drh * r + da[:, : 2 * H] @ U_zr.data.T))
-        return grads
-
-    return Tensor(out, parents=(x, h_prev, *gates), backward_rule=rule)
+    states = gru_sequence(reshape(x, (1, *x.data.shape)), h_prev, gates,
+                          None if mask is None else mask[None])
+    return reshape(states, h_prev.data.shape)
 
 
 def gru_cell_np(x: np.ndarray, h_prev: np.ndarray, gates, mask=None) -> np.ndarray:

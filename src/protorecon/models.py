@@ -199,7 +199,37 @@ class _GruStepper:
 
 
 def _concat(parts):
-    return ad.concat(parts) if len(parts) > 1 else parts[0]
+    return ad.concat(parts, axis=-1) if len(parts) > 1 else parts[0]
+
+
+def _on_tape(p):
+    """Whether p is a model's parameter dict (a training forward) or an untracked view of it.
+
+    This one test picks between whole sequences on the tape and one step at
+    a time off it, in the encoders and the decoder alike.
+    """
+    return p["tok_emb"].requires_grad
+
+
+def _gru_run(on_tape, seq, h0, gates, mask, reverse=False, keep_states=True):
+    """(states, final state) of a GRU over the inputs of T steps, mask (T, B).
+
+    On the tape seq is a (T, B, D) Tensor, and states the (T, B, H) Tensor
+    of one ad.gru_sequence.  Off it (inference) seq is a function of a step
+    index, the steps run one at a time through ad.gru_cell, so that only one
+    step's inputs are gathered at once, and states is a list of per-step
+    states (None unless keep_states).
+    """
+    T = len(mask)
+    if on_tape:
+        states = ad.gru_sequence(seq, h0, gates, mask, reverse)
+        return states, ad.embedding(states, 0 if reverse else T - 1)
+    states, h = [None] * T, h0
+    for t in range(T - 1, -1, -1) if reverse else range(T):
+        h = ad.gru_cell(seq(t), h, gates, mask[t])
+        if keep_states:
+            states[t] = h
+    return states, h
 
 
 def _pad_batch(seqs, pad_id):
@@ -272,46 +302,62 @@ class _ModelBase:
         order of the blocks' rows concatenated.  Each b2 already carries the
         banned-output mask row (NEG at banned ids), added once per forward.
         """
-        hidden = ad.tanh(ad.add(ad.matmul(h, w1), b1))
-        parts = [ad.add(ad.matmul(hidden if rows is None else ad.embedding(hidden, rows), w2), b2)
-                 for rows, w2, b2 in blocks]
-        return parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)
+        return ad.grouped_affine(ad.tanh(ad.add(ad.matmul(h, w1), b1)), blocks)
 
     def _decode_step(self, p, dec_gates, h, prev_ids, cond: _Conditioning, mask=None, rate=0.0,
-                     dropout_rng=None):
-        """One decoder step after tokens prev_ids: (next hidden state, logits)."""
-        x = ad.dropout(ad.embedding(p["tok_emb"], prev_ids), rate, dropout_rng)
+                     keep=(None, None)):
+        """The decoder after tokens prev_ids: (hidden states, logits).
+
+        Off the tape prev_ids (B,) is one step (ad.gru_cell), as decoding
+        runs it.  On the tape prev_ids (T, B) is a whole teacher-forced batch
+        (one ad.gru_sequence); its logits rows are the T * B (step, row)
+        pairs, step-major, in the order cond's classifier blocks give them.
+        keep holds the dropout keep masks of the inputs and of the states.
+        """
+        on_tape = _on_tape(p)
+        x = ad.dropout(ad.embedding(p["tok_emb"], prev_ids), rate, keep=keep[0])
         if cond.lang_rows is not None:
-            x = ad.concat([x, cond.lang_rows])
-        h = ad.gru_cell(x, h, dec_gates, mask)
-        h_in = ad.dropout(h, rate, dropout_rng)
-        clf_in = ad.concat([h_in, cond.one_hot]) if cond.one_hot is not None else h_in
+            x = ad.concat([x, cond.lang_rows], axis=-1)
+        h = (ad.gru_sequence if on_tape else ad.gru_cell)(x, h, dec_gates, mask)
+        h_in = ad.dropout(h, rate, keep=keep[1])
+        clf_in = ad.concat([h_in, cond.one_hot], axis=-1) if cond.one_hot is not None else h_in
+        if on_tape:
+            clf_in = ad.reshape(clf_in, (-1, clf_in.data.shape[2]))
         return h, self._classifier(clf_in, p["clf.W1"], p["clf.b1"], cond.blocks)
 
-    def _decoder_loss(self, h, targets, cond: _Conditioning, rate, dropout_rng):
+    def _decoder_loss(self, h, targets, conditioning, rate, dropout_rng):
         """Teacher-forced mean token loss of decoding targets from encoder states h.
 
         targets are id lists without EOS; EOS is appended here.  Every row's
-        loss divides by the total target token count.
+        loss divides by the total target token count.  conditioning(rows)
+        gives the _Conditioning of the batch rows at the positions of rows.
+        The decoder runs once over the whole (T, B) batch.  Its dropout masks
+        are drawn step by step, the input's before the state's, and the loss
+        adds the steps in order, as a step-by-step decoder does.
         """
-        p = self.params
+        p, cfg = self.params, self.config
         tgt_ids, tgt_mask, _ = _pad_batch([list(t) + [self.vocab.eos_id] for t in targets],
                                           self.vocab.pad_id)
+        B, T = tgt_ids.shape
         prev_ids = np.concatenate(
-            [np.full((len(targets), 1), self.vocab.bos_id, dtype=np.int64), tgt_ids[:, :-1]], axis=1
+            [np.full((B, 1), self.vocab.bos_id, dtype=np.int64), tgt_ids[:, :-1]], axis=1
         )
-        ce_ids, ce_mask = tgt_ids, tgt_mask  # rows in the order the logits come in
-        if cond.order is not None:
-            ce_ids, ce_mask = tgt_ids[cond.order], tgt_mask[cond.order]
-        dec_g = _stacked_gates(p, "dec")
-        total_tokens = tgt_mask.sum()
-        step_losses = []
-        for t in range(tgt_ids.shape[1]):
-            h, logits = self._decode_step(p, dec_g, h, prev_ids[:, t], cond, tgt_mask[:, t], rate,
-                                          dropout_rng)
-            step_losses.append(ad.softmax_cross_entropy(
-                logits, ce_ids[:, t], ce_mask[:, t], normalizer=total_tokens))
-        return ad.add_scalars(step_losses)
+        cond = conditioning(np.broadcast_to(np.arange(B), (T, B)))
+        keep = (None, None)
+        if rate:
+            keep = (np.empty((T, B, cfg.embedding_size), dtype=bool),
+                    np.empty((T, B, cfg.hidden_size), dtype=bool))
+            for t in range(T):
+                for k in keep:
+                    k[t] = dropout_rng.random(k.shape[1:]) >= rate
+        _, logits = self._decode_step(p, _stacked_gates(p, "dec"), h, prev_ids.T, cond,
+                                      tgt_mask.T, rate, keep)
+        rows = np.arange(T * B) if cond.order is None else cond.order  # step * B + row, per logit
+        # a step's logits in the order a step's classifier blocks give them
+        steps = np.sort(np.argsort(rows).reshape(T, B), axis=1)
+        return ad.softmax_cross_entropy(logits, tgt_ids.T.reshape(-1)[rows],
+                                        tgt_mask.T.reshape(-1)[rows],
+                                        normalizer=tgt_mask.sum(), steps=steps)
 
     def greedy_decode_rows(self, rows, max_len=None) -> list[list[int]]:
         """Greedy decodes of batch_decoder rows, DECODE_CHUNK rows per batch."""
@@ -398,18 +444,24 @@ class ReconModel(_ModelBase):
             raise ProtoreconError("reconstruction input must be SEP-framed")
 
     def _encode(self, p, inputs, rate=0.0, dropout_rng=None):
-        """Final encoder states (len(inputs), H) of SEP-framed id sequences."""
+        """Final encoder states (len(inputs), H) of SEP-framed id sequences.
+
+        On the tape the batch is one (T, B) gather per table and one GRU
+        node; off it the embeddings are gathered step by step (see _gru_run).
+        """
         for seq in inputs:
             self._check_framing(seq)
         in_ids, in_mask, _ = _pad_batch(inputs, self.vocab.pad_id)
         li_ids, _, _ = _pad_batch([segment_language_indices(s, self.vocab) for s in inputs], 0)
-        h = Tensor(np.zeros((len(inputs), self.config.hidden_size)))
-        enc = _stacked_gates(p, "enc")
-        for t in range(in_ids.shape[1]):  # embeddings gathered per step to keep memory small
-            x = ad.concat([ad.embedding(p["tok_emb"], in_ids[:, t]),
-                           ad.embedding(p["lang_emb"], li_ids[:, t])])
-            h = ad.gru_cell(ad.dropout(x, rate, dropout_rng), h, enc, in_mask[:, t])
-        return h
+        ids, lang_ids = in_ids.T, li_ids.T  # time-major
+
+        def x(t):  # the inputs of step t, or of every step for t = slice(None)
+            return ad.embeddings([(p["tok_emb"], ids[t]), (p["lang_emb"], lang_ids[t])])
+
+        on_tape = _on_tape(p)
+        seq = ad.dropout(x(slice(None)), rate, dropout_rng) if on_tape else x
+        h0 = Tensor(np.zeros((len(inputs), self.config.hidden_size)))
+        return _gru_run(on_tape, seq, h0, _stacked_gates(p, "enc"), in_mask.T, keep_states=False)[1]
 
     def _conditioning(self, p):
         blocks = [(None, p["clf.W2"], ad.add(p["clf.b2"], self._output_mask))]
@@ -425,8 +477,8 @@ class ReconModel(_ModelBase):
         """
         rate = self.config.dropout if dropout_rng is not None else 0.0
         h = self._encode(self.params, inputs, rate, dropout_rng)
-        return self._decoder_loss(h, targets, self._conditioning(self.params), rate,
-                                  dropout_rng), None
+        cond = self._conditioning(self.params)
+        return self._decoder_loss(h, targets, lambda rows: cond, rate, dropout_rng), None
 
     # -- inference ------------------------------------------------------------
 
@@ -520,36 +572,34 @@ class ReflexModel(_ModelBase):
 
         Inputs are right-padded.  A padded step keeps the row's state, so the
         backward direction, which meets a row's pads first, stays at zero
-        until its last real token.  Per-step states are kept only for a layer
-        that a next layer reads, and untracked embeddings not at all.
+        until its last real token.  On the tape each layer and direction is
+        one GRU node over the whole batch; off it the steps run one at a time
+        (see _gru_run), and per-step states are kept only for a layer that a
+        next layer reads.
         """
         cfg = self.config
         in_ids, in_mask, _ = _pad_batch(inputs, self.vocab.pad_id)
-        B, T = in_ids.shape
-        seq = [None] * T  # each step's layer input; layer 0 gathers embeddings as it goes
+        ids, mask = in_ids.T, in_mask.T  # time-major
+        h0 = Tensor(np.zeros((len(inputs), cfg.hidden_size)))
         dirs = ("f", "b") if cfg.bidirectional_encoder else ("f",)
+        on_tape = _on_tape(p)
+        if on_tape:
+            seq = ad.dropout(ad.embedding(p["tok_emb"], ids), rate, dropout_rng)
+        else:
+            def seq(t):  # each direction gathers again: cheaper than keeping the gathers
+                return ad.embedding(p["tok_emb"], ids[t])
         for layer in range(cfg.num_encoder_layers):
             last = layer == cfg.num_encoder_layers - 1
-            outs, finals = [], []
-            for d in dirs:
-                gates = _stacked_gates(p, f"enc{layer}{d}")
-                h = Tensor(np.zeros((B, cfg.hidden_size)))
-                states = [None] * T
-                for t in range(T) if d == "f" else range(T - 1, -1, -1):
-                    x = seq[t]
-                    if x is None:
-                        x = ad.dropout(ad.embedding(p["tok_emb"], in_ids[:, t]), rate, dropout_rng)
-                        if rate or x.parents:  # both directions share its dropout mask and
-                            seq[t] = x  # tape node; a plain gather is cheaper to redo than keep
-                    h = ad.gru_cell(x, h, gates, in_mask[:, t])
-                    if not last:
-                        states[t] = h
-                outs.append(states)
-                finals.append(h)  # forward: state at the last token; backward: at the first
-            if not last:
-                seq = [ad.dropout(_concat([states[t] for states in outs]), rate, dropout_rng)
-                       for t in range(T)]
-        final = _concat(finals)
+            runs = [_gru_run(on_tape, seq, h0, _stacked_gates(p, f"enc{layer}{d}"), mask, d == "b",
+                             keep_states=not last) for d in dirs]
+            if last:
+                break
+            if on_tape:
+                seq = ad.dropout(_concat([states for states, _ in runs]), rate, dropout_rng)
+            else:
+                steps = [_concat([states[t] for states, _ in runs]) for t in range(len(ids))]
+                seq = steps.__getitem__
+        final = _concat([h for _, h in runs])  # forward: state at the last token; backward: first
         return ad.tanh(ad.add(ad.matmul(final, p["bridge.W"]), p["bridge.b"]))
 
     def _conditioning(self, p, lang) -> _Conditioning:
@@ -583,8 +633,9 @@ class ReflexModel(_ModelBase):
         """
         rate = self.config.dropout if dropout_rng is not None else 0.0
         h = self._encode(self.params, inputs, rate, dropout_rng)
-        cond = self._conditioning(self.params, np.asarray(lang_indices, dtype=np.int64))
-        return self._decoder_loss(h, targets, cond, rate, dropout_rng)
+        lang = np.asarray(lang_indices, dtype=np.int64)
+        return self._decoder_loss(
+            h, targets, lambda rows: self._conditioning(self.params, lang[rows]), rate, dropout_rng)
 
     def batch_loss(self, examples, dropout_rng=None):
         """Mean token loss over (input_ids, target_ids, language) examples, in one graph."""

@@ -107,8 +107,15 @@ def exact_rank_sum_distribution(nx, ny):
     return {w: c / total for w, c in sorted(counts.items())}
 
 
+def _check_fraction(name, value):
+    """A ConfigError unless value is in (0, 1); NaN and infinities fail the comparison."""
+    if not 0.0 < value < 1.0:
+        raise ConfigError(f"{name} must be in (0, 1), not {value!r}")
+
+
 def bootstrap_ci(x, y, n_resamples=10_000, level=0.99, seed=0):
     """Percentile CI for mean(x) - mean(y), resampling groups independently."""
+    _check_fraction("level", level)
     if n_resamples < 1000:
         raise ConfigError("n_resamples must be >= 1000")
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
@@ -133,6 +140,7 @@ def compare(x, y, alternative="greater", alpha=0.01, n_resamples=10_000, level=0
 
 def significant(comparison: ComparisonResult, alpha=0.01) -> bool:
     """True iff the p-value passes AND the CI excludes 0 on the hypothesized side."""
+    _check_fraction("alpha", alpha)
     if comparison.p_value >= alpha:
         return False
     if comparison.alternative == "greater":

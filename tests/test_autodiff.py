@@ -6,11 +6,23 @@ them; their checks here keep the oracle GRU step honest.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from protorecon import autodiff as ad
 from protorecon.autodiff import Tensor
 from protorecon.errors import DimensionError, TrainingError
-from tests.oracles import affine, gru_cell_six, masked_step, mul, narrow, sigmoid, stack_gates
+from tests.oracles import (
+    affine,
+    embedding_grad,
+    gru_cell_six,
+    masked_step,
+    mul,
+    narrow,
+    sigmoid,
+    stack_gates,
+)
 
 
 def _check(loss_fn, params, tol=1e-6, **kw):
@@ -87,6 +99,85 @@ def test_embedding():
     _check(lambda: _sum(ad.tanh(ad.embedding(table, ids))), [table])
 
 
+@st.composite
+def gathers(draw):
+    """(table rows, ids): 1-D or (T, B) ids with repeats, into small and large tables."""
+    rows = draw(st.sampled_from([1, 3, 17, 509, 600]))
+    shape = draw(st.sampled_from([(1,), (9,), (40,), (1, 1), (7, 5), (12, 16)]))
+    ids = draw(hnp.arrays(np.int64, shape, elements=st.integers(0, min(rows, 4) - 1)
+                          if draw(st.booleans()) else st.integers(0, rows - 1)))
+    return rows, ids
+
+
+@settings(max_examples=60)
+@given(gather=gathers(), width=st.integers(1, 9), seed=st.integers(0, 2**16))
+def test_embedding_gradient_matches_add_at_oracle(gather, width, seed):
+    rows, ids = gather
+    rng = np.random.default_rng(seed)
+    table = ad.parameter(rng.normal(size=(rows, width)), "emb")
+    g = rng.normal(size=(*ids.shape, width))
+    out = ad.embedding(table, ids)
+    assert np.array_equal(out.data, table.data[ids])
+    (got,) = out.backward_rule(g)
+    np.testing.assert_allclose(got[1], embedding_grad(table.data.shape, ids, g), rtol=0,
+                               atol=1e-12 * max(1.0, np.abs(g).sum()))
+
+
+@settings(max_examples=20)
+@given(gather=gathers(), seed=st.integers(0, 2**16))
+def test_embeddings_equal_concatenated_embeddings(gather, seed):
+    rows, ids = gather
+    rng = np.random.default_rng(seed)
+    tok = ad.parameter(rng.normal(size=(rows, 3)), "tok")
+    lang = ad.parameter(rng.normal(size=(5, 2)), "lang")
+    lang_ids = ids % 5
+    out = ad.embeddings([(tok, ids), (lang, lang_ids)])
+    want = ad.concat([ad.embedding(tok, ids), ad.embedding(lang, lang_ids)], axis=-1)
+    assert np.array_equal(out.data, want.data)
+    g = rng.normal(size=out.shape)
+    got_grads = dict((id(t), pg) for t, pg in out.backward_rule(g))
+    want_grads = {id(tok): embedding_grad(tok.shape, ids, g[..., :3]),
+                  id(lang): embedding_grad(lang.shape, lang_ids, g[..., 3:])}
+    for key, want_grad in want_grads.items():
+        np.testing.assert_allclose(got_grads[key], want_grad, rtol=0,
+                                   atol=1e-12 * max(1.0, np.abs(g).sum()))
+
+
+def test_embedding_and_reshape_gradients():
+    rng = np.random.default_rng(15)
+    table = ad.parameter(rng.normal(size=(4, 3, 2)), "states")  # a 3-D table: pick whole steps
+    _check(lambda: _sum(ad.reshape(ad.tanh(ad.embedding(table, np.array([[3, 0], [3, 3]]))),
+                                   (4, 6))), [table])
+
+
+@pytest.mark.parametrize("partition", [False, True])
+def test_grouped_affine_equals_gathered_affine_maps(partition):
+    """One node equals a gather, matmul and bias per group, concatenated; gradients checked."""
+    rng = np.random.default_rng(19)
+    x = ad.parameter(rng.normal(size=(7, 4)), "x")
+    ws = [ad.parameter(rng.normal(size=(4, 3)), f"w{i}") for i in range(3)]
+    bs = [ad.parameter(rng.normal(size=3), f"b{i}") for i in range(3)]
+    rows = [np.array([5, 0, 2]), np.array([6]), np.array([1, 3, 4])] if partition else [None]
+    groups = list(zip(rows, ws, bs))
+    got = ad.grouped_affine(x, groups)
+    parts = [ad.add(ad.matmul(x if r is None else ad.embedding(x, r), w), b) for r, w, b in groups]
+    want = parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)
+    assert np.array_equal(got.data, want.data)
+    upstream = Tensor(rng.normal(size=(3, 1)))
+    _check(lambda: _sum(ad.matmul(ad.tanh(ad.grouped_affine(x, groups)), upstream)),
+           [x] + [t for _, w, b in groups for t in (w, b)])
+
+
+def test_dropout_scales_like_a_float_mask():
+    """Boolean keep masks times 1 / (1 - rate) give x * mask and g * mask bitwise."""
+    x = ad.parameter(np.random.default_rng(5).normal(size=(6, 5)))
+    mask = (np.random.default_rng(6).random(x.shape) >= 0.3) / (1.0 - 0.3)
+    out = ad.dropout(x, 0.3, np.random.default_rng(6))
+    assert np.array_equal(out.data, x.data * mask)
+    g = np.random.default_rng(7).normal(size=x.shape)
+    assert np.array_equal(out.backward_rule(g)[0][1], g * mask)
+
+
 def test_dropout_mask_gradient():
     rng = np.random.default_rng(7)
     x = ad.parameter(rng.normal(size=(6, 6)), "x")
@@ -100,6 +191,25 @@ def test_softmax_cross_entropy():
     targets = np.array([0, 1, 2, 3, 4, 0])
     weights = np.array([1.0, 1.0, 0.0, 1.0, 1.0, 1.0])  # one masked row
     _check(lambda: ad.softmax_cross_entropy(logits, targets, weights), [logits])
+
+
+def test_softmax_cross_entropy_steps_add_like_a_step_loop():
+    """Rows reduced step by step in the given order, steps added in order: bitwise the loop."""
+    rng = np.random.default_rng(16)
+    T, B = 5, 7
+    logits = ad.parameter(rng.normal(size=(T * B, 6)) * 3.0, "logits")
+    targets = rng.integers(0, 6, T * B)
+    weights = (rng.random(T * B) < 0.8).astype(float)
+    steps = np.stack([rng.permutation(np.arange(t * B, (t + 1) * B)) for t in range(T)])
+    total = weights.sum()
+    loop = sum(float(ad.softmax_cross_entropy(Tensor(logits.data[s]), targets[s], weights[s],
+                                              normalizer=total).data) for s in steps)
+    got = ad.softmax_cross_entropy(logits, targets, weights, normalizer=total, steps=steps)
+    assert float(got.data) == loop
+    want = ad.softmax_cross_entropy(logits, targets, weights, normalizer=total)
+    assert float(got.data) == pytest.approx(float(want.data), rel=1e-13)
+    _check(lambda: ad.softmax_cross_entropy(logits, targets, weights, normalizer=total,
+                                            steps=steps), [logits])
 
 
 def test_softmax_cross_entropy_normalizer():
@@ -188,6 +298,58 @@ def test_gru_cell_matches_six_matmul_oracle(mask):
                                    err_msg=p.name)
     if mask is not None:  # both steps are padded on these rows: the state is kept exactly
         assert np.array_equal(got_h[mask == 0], h0.data[mask == 0])
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("masked", [False, True])
+def test_gru_sequence_gradient(reverse, masked):
+    rng = np.random.default_rng(17)
+    params = _gru_params(rng, 4, 5, scale=0.5)
+    T, B = 4, 3
+    X = ad.parameter(rng.normal(size=(T, B, 4)), "X")
+    h0 = ad.parameter(rng.normal(size=(B, 5)), "h0")
+    mask = (rng.random((T, B)) < 0.6).astype(float) if masked else None
+    upstream = Tensor(rng.normal(size=(5, 1)))
+
+    def loss():
+        states = ad.gru_sequence(X, h0, stack_gates(params), mask, reverse)
+        return _sum(ad.matmul(ad.reshape(ad.tanh(states), (T * B, 5)), upstream))
+
+    _check(loss, [X, h0] + list(params.values()), samples_per_param=3)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_gru_sequence_matches_six_matmul_step_chain(reverse):
+    """One sequence node equals a chain of primitive GRU steps, states and every gradient."""
+    rng = np.random.default_rng(18)
+    T, B, D, H = 6, 5, 7, 4
+    params = _gru_params(rng, D, H)
+    X = ad.parameter(rng.normal(size=(T, B, D)), "X")
+    h0 = ad.parameter(rng.normal(size=(B, H)), "h0")
+    mask = (rng.random((T, B)) < 0.7).astype(float)
+    upstream = rng.normal(size=(T, B, H))
+    leaves = [X, h0] + list(params.values())
+    for p in leaves:
+        p.zero_grad()
+    states = ad.gru_sequence(X, h0, stack_gates(params), mask, reverse)
+    _sum(ad.reshape(mul(states, Tensor(upstream)), (T * B, H))).backward()
+    got = [p.grad.copy() for p in leaves]
+    for p in leaves:
+        p.zero_grad()
+    h, steps = h0, [None] * T
+    for t in range(T - 1, -1, -1) if reverse else range(T):
+        x_t = ad.embedding(X, t)
+        h = steps[t] = masked_step(h, gru_cell_six(x_t, h, params), mask[t])
+    total = [_sum(mul(steps[t], Tensor(upstream[t]))) for t in range(T)]
+    loss = total[0]
+    for part in total[1:]:
+        loss = ad.add(loss, part)
+    loss.backward()
+    np.testing.assert_allclose(states.data, np.stack([s.data for s in steps]), rtol=1e-12,
+                               atol=1e-12)
+    for p, got_grad in zip(leaves, got):
+        np.testing.assert_allclose(got_grad, p.grad, rtol=1e-12,
+                                   atol=1e-12 * np.abs(p.grad).max(), err_msg=p.name)
 
 
 def test_gru_cell_np_matches_tensor_path():

@@ -1,9 +1,9 @@
 """Batched greedy decoding equals the per-item decodes it replaced.
 
-The oracle below is the one-row inference path as it was before decoding
-was batched: each input is encoded alone at batch 1, decoded by its own
-stepper, and greedy_decode runs one row until EOS.  Batched decodes must be
-token-identical to it.
+The oracle (oracle_* in tests/oracles.py) is the one-row inference path as
+it was before decoding was batched: each input is encoded alone at batch 1,
+decoded by its own stepper, and greedy_decode runs one row until EOS.
+Batched decodes must be token-identical to it.
 """
 
 import dataclasses
@@ -14,7 +14,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from protorecon import autodiff as ad
 from protorecon import decode as dec
 from protorecon import models
 from protorecon.corpus import (
@@ -32,166 +31,13 @@ from protorecon.rerank import (
 )
 from protorecon.synthetic import generate_family
 from tests.conftest import REFLEX_CONDITIONING, tiny_recon_config, tiny_reflex_config
-from tests.oracles import GATE_NAMES
-
-# -- oracle: the per-item decode path -------------------------------------------
-
-
-def _gate_arrays(p, prefix):
-    """One GRU's stacked (W, U_zr, U_h, b) arrays, as ad.gru_cell_np takes them."""
-    g = {name: p[f"{prefix}.{name}"].data for name in GATE_NAMES}
-    return (np.concatenate([g["W_z"], g["W_r"], g["W_h"]], axis=1),
-            np.concatenate([g["U_z"], g["U_r"]], axis=1), g["U_h"],
-            np.concatenate([g["b_z"], g["b_r"], g["b_h"]]))
-
-
-def _classify(model, h, w1, b1, w2, b2):
-    """Logits of the MLP classifier, with the banned output ids masked."""
-    mask_row = np.zeros(model.vocab.size)
-    mask_row[list(model.banned_output_ids())] = models.NEG
-    return np.tanh(h @ w1.data + b1.data) @ w2.data + b2.data + mask_row
-
-
-class _OracleStepper:
-    def __init__(self, h0, dec_params, step_input_fn, classify_fn, model):
-        self._h0, self._dec = h0, dec_params
-        self._step_input, self._classify = step_input_fn, classify_fn
-        self.vocab_size = model.vocab.size
-        self.bos_id = model.vocab.bos_id
-        self.eos_id = model.vocab.eos_id
-        self.banned_ids = model.banned_output_ids()
-
-    def init_state(self, batch):
-        return np.repeat(self._h0, batch, axis=0)
-
-    def step(self, state, tokens):
-        h = ad.gru_cell_np(self._step_input(np.asarray(tokens)), state, self._dec)
-        return ad.log_softmax_rows(self._classify(h)), h
-
-    def select(self, state, idx):
-        return state[idx]
-
-
-def _oracle_greedy(stepper, max_len):
-    mask = np.zeros(stepper.vocab_size)
-    mask[list(stepper.banned_ids)] = -np.inf
-    state = stepper.init_state(1)
-    prev = np.array([stepper.bos_id])
-    out = []
-    for _ in range(max_len):
-        logp, state = stepper.step(state, prev)
-        tok = int(np.argmax(logp[0] + mask))
-        if tok == stepper.eos_id:
-            break
-        out.append(tok)
-        prev = np.array([tok])
-    return out
-
-
-def _oracle_recon_decoder(model, input_ids):
-    p = model.params
-    lidx = models.segment_language_indices(input_ids, model.vocab)
-    x = np.concatenate(
-        [p["tok_emb"].data[np.asarray(input_ids)], p["lang_emb"].data[np.asarray(lidx)]], axis=1
-    )
-    h = np.zeros((1, model.config.hidden_size))
-    enc = _gate_arrays(p, "enc")
-    for t in range(len(input_ids)):
-        h = ad.gru_cell_np(x[t : t + 1], h, enc)
-    return _OracleStepper(
-        h, _gate_arrays(p, "dec"),
-        lambda toks: p["tok_emb"].data[toks],
-        lambda hh: _classify(model, hh, p["clf.W1"], p["clf.b1"], p["clf.W2"], p["clf.b2"]),
-        model,
-    )
-
-
-def _oracle_reflex_encode(model, input_ids):
-    p, cfg = model.params, model.config
-    seq = p["tok_emb"].data[np.asarray(input_ids)][None, :, :]
-    dirs = ("f", "b") if cfg.bidirectional_encoder else ("f",)
-    T = seq.shape[1]
-    for layer in range(cfg.num_encoder_layers):
-        outs = {}
-        for d in dirs:
-            gates = _gate_arrays(p, f"enc{layer}{d}")
-            h = np.zeros((1, cfg.hidden_size))
-            states = []
-            for t in (range(T) if d == "f" else range(T - 1, -1, -1)):
-                h = ad.gru_cell_np(seq[:, t, :], h, gates)
-                states.append(h)
-            outs[d] = states if d == "f" else states[::-1]
-        if cfg.bidirectional_encoder:
-            seq = np.stack(
-                [np.concatenate([outs["f"][t], outs["b"][t]], axis=1) for t in range(T)], axis=1
-            )
-            final = np.concatenate([outs["f"][-1], outs["b"][0]], axis=1)
-        else:
-            seq = np.stack(outs["f"], axis=1)
-            final = outs["f"][-1]
-    return np.tanh(final @ p["bridge.W"].data + p["bridge.b"].data)
-
-
-def _oracle_reflex_decoder(model, tagged, language):
-    p, cfg = model.params, model.config
-    li = model.language_index(language)
-    w2, b2 = ((p[f"clf.W2.{li}"], p[f"clf.b2.{li}"]) if cfg.target_gated_classifier
-              else (p["clf.W2"], p["clf.b2"]))
-
-    def step_input(toks):
-        x = p["tok_emb"].data[toks]
-        if cfg.decode_with_language_embedding:
-            x = np.concatenate([x, p["lang_emb"].data[np.full(len(toks), li + 1)]], axis=1)
-        return x
-
-    def classify(h):
-        if cfg.one_hot_target_encoding:
-            one_hot = np.zeros((h.shape[0], len(model.vocab.languages)))
-            one_hot[:, li] = 1.0
-            h = np.concatenate([h, one_hot], axis=1)
-        return _classify(model, h, p["clf.W1"], p["clf.b1"], w2, b2)
-
-    return _OracleStepper(_oracle_reflex_encode(model, tagged),
-                          _gate_arrays(p, "dec"),
-                          step_input, classify, model)
-
-
-def _oracle_scores(reflex, candidates, cset, decode_row=None):
-    """r and predictions of each candidate, one decode per (candidate, language).
-
-    An empty candidate, or one with ids unknown to the reflex vocabulary, is
-    not decoded: r = 0 and empty predictions.  decode_row(tagged ids,
-    language) decodes one row; by default it is the oracle decoder of the
-    ReflexModel reflex.
-    """
-    vocab = reflex.vocab
-    if decode_row is None:
-        def decode_row(tagged, lang):
-            return _oracle_greedy(_oracle_reflex_decoder(reflex, tagged, lang),
-                                  reflex.max_decode_len)
-    r_values, predictions = [], []
-    for tokens in candidates:
-        preds, correct = {lang: () for lang in cset.reflexes}, 0
-        if tokens and all(0 <= t < vocab.size for t in tokens):
-            for lang in cset.reflexes:
-                tagged = assemble_reflex_input(vocab.decode(tokens), lang, vocab)
-                preds[lang] = tuple(decode_row(tagged, lang))
-                correct += preds[lang] == tuple(vocab.encode(cset.reflexes[lang]))
-        r_values.append(correct / len(cset.reflexes))
-        predictions.append(preds)
-    return r_values, predictions
-
-
-def _oracle_reconstruct_reranked(recon, reflex, cset, config):
-    input_ids = assemble_reconstruction_input(cset, recon.vocab)
-    beam = dec.beam_search(
-        _oracle_recon_decoder(recon, input_ids),
-        dec.BeamConfig(k=config.k, alpha=config.alpha, max_len=config.max_len),
-    )
-    r_values, predictions = _oracle_scores(reflex, [cand.tokens for cand in beam], cset)
-    reranked = rerank(beam, r_values, config.lam)
-    return reranked[0], reranked, beam, dict(enumerate(predictions))
-
+from tests.oracles import (
+    oracle_greedy,
+    oracle_recon_decoder,
+    oracle_reconstruct_reranked,
+    oracle_reflex_decoder,
+    oracle_scores,
+)
 
 # -- tiny random models -----------------------------------------------------------
 
@@ -234,7 +80,7 @@ def test_reflex_batch_matches_per_item_decodes(family, name):
         assert len({lang for _, lang in rows}) > 1
         max_len = 6
         got = model.greedy_decode_rows(rows, max_len)
-        want = [_oracle_greedy(_oracle_reflex_decoder(model, ids, lang), max_len)
+        want = [oracle_greedy(oracle_reflex_decoder(model, ids, lang), max_len)
                 for ids, lang in rows]
         assert got == want
         # the one-row decoder is the batch of one
@@ -253,7 +99,7 @@ def test_recon_batch_matches_per_item_decodes(family):
     for seed in range(3):
         model = _randomize(models.ReconModel(tiny_recon_config(seed=seed), vocab), 200 + seed)
         got = model.greedy_decode_rows(inputs, 8)
-        want = [_oracle_greedy(_oracle_recon_decoder(model, ids), 8) for ids in inputs]
+        want = [oracle_greedy(oracle_recon_decoder(model, ids), 8) for ids in inputs]
         assert got == want
         lengths_seen |= {len(w) for w in want}
     assert 8 in lengths_seen and min(lengths_seen) < 8
@@ -281,7 +127,7 @@ def test_reconstruct_reranked_matches_per_item_path(family, name):
     config = RerankConfig(lam=1.0, k=5, alpha=1.0, max_len=6)
     cache = ReflexCache()
     for cset in dataset.sets:
-        want = _oracle_reconstruct_reranked(recon, reflex, cset, config)
+        want = oracle_reconstruct_reranked(recon, reflex, cset, config)
         assert reconstruct_reranked(recon, reflex, cset, config) == want
         assert reconstruct_reranked(recon, reflex, cset, config, cache=cache) == want
 
@@ -300,7 +146,7 @@ def test_scored_beams_match_per_set_path(family, name, monkeypatch):
         tiny_reflex_config(seed=2, **REFLEX_CONDITIONING[name]), vocab), 301, scale=0.8)
     recon.max_decode_len = reflex.max_decode_len = 6
     config = RerankConfig(lam=1.0, k=5, alpha=1.0, max_len=6)
-    want = [_oracle_reconstruct_reranked(recon, reflex, cset, config) for cset in dataset.sets]
+    want = [oracle_reconstruct_reranked(recon, reflex, cset, config) for cset in dataset.sets]
     assert any(cand.tokens == () for _, _, beam, _ in want for cand in beam)
     monkeypatch.setattr(models, "DECODE_CHUNK", 16)  # 3 sets per batch, 6 batches
     cache = ReflexCache()
@@ -331,7 +177,7 @@ def test_score_candidates_across_sets_matches_oracle(family):
         candidates += [(), (vocab.size + 3,), tuple(vocab.encode(cset.protoform))]
         if i % 2:  # the first reflex becomes the last candidate's decode, so that r > 0
             lang = next(iter(cset.reflexes))
-            pred = _oracle_scores(reflex, candidates[-1:], cset)[1][0][lang]
+            pred = oracle_scores(reflex, candidates[-1:], cset)[1][0][lang]
             cset = dataclasses.replace(cset, reflexes={**cset.reflexes,
                                                        lang: tuple(vocab.decode(pred))})
         items.append((candidates, cset))
@@ -339,7 +185,7 @@ def test_score_candidates_across_sets_matches_oracle(family):
         warnings.simplefilter("always")
         got = score_candidates(reflex, items, cache=ReflexCache())
     assert len(caught) == len(items)
-    assert got == [_oracle_scores(reflex, candidates, cset) for candidates, cset in items]
+    assert got == [oracle_scores(reflex, candidates, cset) for candidates, cset in items]
     assert sum(r > 0 for r_values, _ in got for r in r_values) >= 3
 
 
@@ -369,7 +215,7 @@ def recon_beams(family):
                        eos_bias=0.0)
     recon.max_decode_len = 6
     config = dec.BeamConfig(k=5, alpha=1.0, max_len=6)
-    beams = [dec.beam_search(_oracle_recon_decoder(recon, assemble_reconstruction_input(cs, vocab)),
+    beams = [dec.beam_search(oracle_recon_decoder(recon, assemble_reconstruction_input(cs, vocab)),
                              config) for cs in dataset.sets]
     return recon, config, beams
 
@@ -400,7 +246,7 @@ def test_rerank_with_gold_reflexes_matches_oracle(family, recon_beams, chosen, l
     assert len(got) == len(beams)
     moved = False
     for cset, w_beam, (beam, r_values, preds) in zip(dataset.sets, beams, got):
-        w_r_values, w_preds = _oracle_scores(stub, [c.tokens for c in w_beam], cset,
+        w_r_values, w_preds = oracle_scores(stub, [c.tokens for c in w_beam], cset,
                                              stub.decode_row)
         assert [c.tokens for c in beam] == [c.tokens for c in w_beam]
         assert (r_values, preds) == (w_r_values, w_preds)

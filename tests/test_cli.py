@@ -108,6 +108,33 @@ def test_compare_and_correlate(tmp_path, capsys):
     assert float(out[1]) == pytest.approx(1.0)
 
 
+def _score_files(tmp_path):
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text("4\n5\n6\n")
+    b.write_text("1\n2\n3\n")
+    return ["compare", "--a", str(a), "--b", str(b), "--resamples", "1000"]
+
+
+@pytest.mark.parametrize("alpha_level, verdict", [(None, "False"), ("0.1", "True")])
+def test_compare_alpha_level_sets_the_verdict(tmp_path, capsys, alpha_level, verdict):
+    """p = 0.05 on these files: significant at 0.1, not at the default 0.01."""
+    extra = [] if alpha_level is None else ["--alpha-level", alpha_level]
+    assert main(_score_files(tmp_path) + extra) == 0
+    row = capsys.readouterr().out.splitlines()[1].split("\t")
+    assert float(row[0]) == pytest.approx(0.05) and row[3] == verdict
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--level", "1.5"), ("--level", "0"), ("--level", "nan"),
+    ("--alpha-level", "nan"), ("--alpha-level", "2"), ("--alpha-level", "0"),
+    ("--alpha-level", "inf"),
+])
+def test_compare_rejects_levels_outside_unit_interval(tmp_path, capsys, flag, value):
+    assert main(_score_files(tmp_path) + [flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error:") and captured.out == ""
+
+
 def test_analyze_writes_tables(workdir, tmp_path):
     out = tmp_path / "analysis"
     assert main(["analyze", "--dataset", str(workdir / "data.tsv"),

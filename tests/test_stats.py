@@ -99,6 +99,19 @@ def test_bootstrap_minimum_resamples():
         bootstrap_ci([1.0], [2.0], n_resamples=10)
 
 
+@pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.5, float("nan"), float("inf")])
+def test_bootstrap_rejects_level_outside_unit_interval(level):
+    with pytest.raises(ConfigError):
+        bootstrap_ci([1.0, 2.0], [2.0, 3.0], n_resamples=1000, level=level)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, -0.01, float("nan"), float("inf")])
+def test_significant_rejects_alpha_outside_unit_interval(alpha):
+    result = compare([4.0, 5.0, 6.0], [1.0, 2.0, 3.0], n_resamples=1000)
+    with pytest.raises(ConfigError):
+        significant(result, alpha=alpha)
+
+
 def test_compare_and_significance():
     rng = np.random.default_rng(3)
     x = rng.normal(2.0, 0.3, 30)
