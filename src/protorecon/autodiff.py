@@ -143,27 +143,28 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 
 def grouped_affine(x: Tensor, groups) -> Tensor:
-    """x[rows] @ w + b for each (rows, w, b) group, stacked in group order.
+    """x[rows] @ w + b for each (rows, w, b) group, written into those rows of the output.
 
-    rows holds distinct row indices of x, or is None for every row.  One
-    node for all groups, so that the backward writes each group's rows of
-    the input gradient in place: a gather per group would scatter an
-    input-sized gradient per group.
+    rows holds row indices of x, or is None for every row; the groups' rows
+    cover every row of x once.  One node for all groups, so that the
+    backward writes each group's rows of the input gradient in place: a
+    gather per group would scatter an input-sized gradient per group.
     """
-    xs = [x.data if rows is None else x.data[rows] for rows, _, _ in groups]
-    parts = [xg @ w.data + b.data for xg, (_, w, b) in zip(xs, groups)]
-    out = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    index = [slice(None) if rows is None else rows for rows, _, _ in groups]
+    xs = [x.data[i] for i in index]
+    out = np.empty((len(x.data), groups[0][1].data.shape[1]))
+    for i, xg, (_, w, b) in zip(index, xs, groups):
+        out[i] = xg @ w.data + b.data
     params = [t for _, w, b in groups for t in (w, b)]
     if not _tracked(x, *params):
         return Tensor(out)
-    ends = np.cumsum([len(xg) for xg in xs])
 
     def rule(g):
         gx, grads = np.zeros_like(x.data), []
-        for (rows, w, b), xg, end in zip(groups, xs, ends):
-            g_part = g[end - len(xg) : end]
+        for i, xg, (_, w, b) in zip(index, xs, groups):
+            g_part = g[i]
             grads += [(w, xg.T @ g_part), (b, g_part.sum(axis=0))]
-            gx[slice(None) if rows is None else rows] += g_part @ w.data.T
+            gx[i] += g_part @ w.data.T
         return grads + [(x, gx)]
 
     return Tensor(out, parents=(x, *params), backward_rule=rule)
@@ -269,16 +270,15 @@ def log_softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 
 def softmax_cross_entropy(logits: Tensor, targets, weights=None, normalizer=None,
-                          steps=None) -> Tensor:
+                          steps=1) -> Tensor:
     """Weighted-mean cross-entropy over rows of logits.
 
     targets: int array of row labels; weights: per-row nonnegative floats
     (default all ones).  Reduction is sum(w_i * nll_i) / normalizer, with
     normalizer defaulting to sum(w_i) -- the mean-over-tokens convention
-    once pad rows get weight 0.  steps, a (T, n) array of row indices, splits
-    the rows of a whole teacher-forced sequence into its decode steps: each
-    step's rows are reduced in the order given, and the step losses added in
-    step order, as a loop over steps would add them.
+    once pad rows get weight 0.  The rows form steps equal consecutive runs,
+    the decode steps of a teacher-forced batch: each run is reduced on its
+    own and the runs added in order, as a loop over steps adds them.
     """
     targets = np.asarray(targets, dtype=np.int64)
     if logits.data.ndim != 2 or targets.shape != (logits.data.shape[0],):
@@ -290,10 +290,7 @@ def softmax_cross_entropy(logits: Tensor, targets, weights=None, normalizer=None
     logp = log_softmax_rows(logits.data)
     rows = np.arange(len(targets))
     weighted = w * logp[rows, targets]
-    if steps is None:
-        out = -weighted.sum() / total
-    else:
-        out = np.array(sum(float(-weighted[step].sum() / total) for step in steps))
+    out = np.array(sum(float(-run.sum() / total) for run in weighted.reshape(steps, -1)))
     if not _tracked(logits):
         return Tensor(out)
 

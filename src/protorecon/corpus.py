@@ -77,11 +77,29 @@ class Dataset:
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Bijective token<->id map over structural, language-tag, and phoneme tokens."""
+    """Bijective token<->id map over structural, language-tag, and phoneme tokens.
+
+    token_to_id is derived from id_to_token.  A token that is not a string,
+    a duplicated token, or a structural token or language tag that
+    id_to_token lacks is a VocabularyError.
+    """
 
     id_to_token: tuple[str, ...]
-    token_to_id: dict[str, int] = field(compare=False)
     languages: tuple[str, ...]
+    token_to_id: dict[str, int] = field(init=False, compare=False)
+
+    def __post_init__(self):
+        if not all(isinstance(tok, str) for tok in self.id_to_token):
+            raise VocabularyError("vocabulary tokens must be strings")
+        token_to_id = {tok: i for i, tok in enumerate(self.id_to_token)}
+        if len(token_to_id) != len(self.id_to_token):
+            dups = sorted({t for t in self.id_to_token if self.id_to_token.count(t) > 1})
+            raise VocabularyError(f"duplicated vocabulary tokens: {dups}")
+        needed = STRUCTURAL_TOKENS + tuple(self.language_tag(lang) for lang in self.languages)
+        missing = [tok for tok in needed if tok not in token_to_id]
+        if missing:
+            raise VocabularyError(f"vocabulary lacks the tokens {missing}")
+        object.__setattr__(self, "token_to_id", token_to_id)
 
     @property
     def size(self) -> int:
@@ -212,12 +230,7 @@ def build_vocabulary(dataset: Dataset) -> Vocabulary:
         for seq in cs.reflexes.values():
             phonemes.update(seq)
     tags = tuple(f"<{lang}>" for lang in dataset.languages)
-    tokens = STRUCTURAL_TOKENS + tags + tuple(sorted(phonemes))
-    return Vocabulary(
-        id_to_token=tokens,
-        token_to_id={tok: i for i, tok in enumerate(tokens)},
-        languages=dataset.languages,
-    )
+    return Vocabulary(STRUCTURAL_TOKENS + tags + tuple(sorted(phonemes)), dataset.languages)
 
 
 def assemble_reconstruction_input(

@@ -180,7 +180,11 @@ def run_seed(config: ExperimentConfig, dataset: Dataset, seed: int, table: Featu
 
 
 def run_experiment(config: ExperimentConfig, log=None):
-    """Full pipeline over every seed plus a mean +- std aggregate report."""
+    """Full pipeline over every seed plus a mean +- std aggregate report.
+
+    A seed that fails with a ProtoreconError leaves the other seeds running,
+    and failures.tsv (seed, error) next to aggregate.tsv names it.
+    """
     from .corpus import apply_split_tags, parse_dataset, parse_split_file
 
     with open(config.dataset_path, encoding="utf-8") as f:
@@ -203,6 +207,12 @@ def run_experiment(config: ExperimentConfig, log=None):
             failures[seed] = str(exc)
             if log:
                 log(f"seed {seed} failed: {exc}")
+    failures_path = os.path.join(config.out_dir, "failures.tsv")
+    if failures:
+        rows = "".join(f"{seed}\t{' '.join(msg.split())}\n" for seed, msg in failures.items())
+        _write(failures_path, stamp, "seed\terror\n" + rows)
+    elif os.path.exists(failures_path):  # left by an earlier run into the same directory
+        os.remove(failures_path)
     if not results:
         raise ProtoreconError(f"all seeds failed: {failures}")
 

@@ -95,6 +95,9 @@ class FeatureTable:
                 raise SchemaError(f"feature table line {lineno}: {exc}") from exc
             if not np.all(np.isin(vec, (-1, 0, 1))):
                 raise SchemaError(f"feature table line {lineno}: values must be -1/0/+1")
+            if cells[1] not in ("0", "1"):
+                raise SchemaError(f"feature table line {lineno}: tone must be 0 or 1, "
+                                  f"not {cells[1]!r}")
             vectors[token] = vec
             tones[token] = cells[1] == "1"
         return cls(names, vectors, tones)

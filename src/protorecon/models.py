@@ -48,14 +48,16 @@ class ReconModelConfig:
     patience: int = 5
 
     def __post_init__(self):
-        for name in ("embedding_size", "hidden_size", "feedforward_size", "batch_size"):
+        for name in ("embedding_size", "hidden_size", "feedforward_size", "batch_size",
+                     "validate_every"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must be in [0, 1)")
         dec.BeamConfig(k=1, alpha=self.alpha)  # alpha is a beam setting: BeamConfig checks it
-        if self.max_epochs < 0:
-            raise ConfigError("max_epochs must be >= 0")
+        for name in ("max_epochs", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -159,7 +161,6 @@ class _Conditioning(NamedTuple):
     one_hot: Tensor | None  # rows appended to the classifier input
     lang_rows: Tensor | None  # lang_emb rows appended to the decoder input
     blocks: list  # classifier output blocks (rows or None, w2, masked b2), see _classifier
-    order: np.ndarray | None  # row order of the logits; None when they come in row order
 
 
 class _GruStepper:
@@ -189,8 +190,6 @@ class _GruStepper:
     def step(self, state, tokens):
         h, rows, cond = state
         h, logits = self._model._decode_step(self._p, self._dec, Tensor(h), tokens, cond)
-        if cond.order is not None:  # back from classifier-block order to row order
-            logits = ad.embedding(logits, np.argsort(cond.order))
         return ad.log_softmax_rows(logits.data), (h.data, rows, cond)
 
     def select(self, state, idx):
@@ -298,9 +297,9 @@ class _ModelBase:
         """Logits of the MLP classifier; the hidden layer is shared by all rows.
 
         blocks lists (rows, w2, b2) output blocks: rows is None for one block
-        over every row, else an index array, and the logits come out in the
-        order of the blocks' rows concatenated.  Each b2 already carries the
-        banned-output mask row (NEG at banned ids), added once per forward.
+        over every row, else the index array of its rows; the logits come out
+        in row order.  Each b2 already carries the banned-output mask row
+        (NEG at banned ids), added once per forward.
         """
         return ad.grouped_affine(ad.tanh(ad.add(ad.matmul(h, w1), b1)), blocks)
 
@@ -309,9 +308,9 @@ class _ModelBase:
         """The decoder after tokens prev_ids: (hidden states, logits).
 
         Off the tape prev_ids (B,) is one step (ad.gru_cell), as decoding
-        runs it.  On the tape prev_ids (T, B) is a whole teacher-forced batch
-        (one ad.gru_sequence); its logits rows are the T * B (step, row)
-        pairs, step-major, in the order cond's classifier blocks give them.
+        runs it, and the logits have one row per state row.  On the tape
+        prev_ids (T, B) is a whole teacher-forced batch (one ad.gru_sequence);
+        its logits rows are the T * B (step, row) pairs, step-major.
         keep holds the dropout keep masks of the inputs and of the states.
         """
         on_tape = _on_tape(p)
@@ -333,7 +332,7 @@ class _ModelBase:
         gives the _Conditioning of the batch rows at the positions of rows.
         The decoder runs once over the whole (T, B) batch.  Its dropout masks
         are drawn step by step, the input's before the state's, and the loss
-        adds the steps in order, as a step-by-step decoder does.
+        adds the steps (runs of B rows) in order, as a step-by-step decoder does.
         """
         p, cfg = self.params, self.config
         tgt_ids, tgt_mask, _ = _pad_batch([list(t) + [self.vocab.eos_id] for t in targets],
@@ -352,12 +351,8 @@ class _ModelBase:
                     k[t] = dropout_rng.random(k.shape[1:]) >= rate
         _, logits = self._decode_step(p, _stacked_gates(p, "dec"), h, prev_ids.T, cond,
                                       tgt_mask.T, rate, keep)
-        rows = np.arange(T * B) if cond.order is None else cond.order  # step * B + row, per logit
-        # a step's logits in the order a step's classifier blocks give them
-        steps = np.sort(np.argsort(rows).reshape(T, B), axis=1)
-        return ad.softmax_cross_entropy(logits, tgt_ids.T.reshape(-1)[rows],
-                                        tgt_mask.T.reshape(-1)[rows],
-                                        normalizer=tgt_mask.sum(), steps=steps)
+        return ad.softmax_cross_entropy(logits, tgt_ids.T.reshape(-1), tgt_mask.T.reshape(-1),
+                                        normalizer=tgt_mask.sum(), steps=T)
 
     def greedy_decode_rows(self, rows, max_len=None) -> list[list[int]]:
         """Greedy decodes of batch_decoder rows, DECODE_CHUNK rows per batch."""
@@ -391,7 +386,7 @@ def load_checkpoint(path, vocab: Vocabulary | None = None):
         languages, max_decode_len = tuple(header["languages"]), int(header["max_decode_len"])
     except KeyError as exc:
         raise CheckpointError(f"checkpoint header lacks {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: int(Infinity)
         raise CheckpointError(f"corrupt checkpoint header: {exc}") from None
     if kind not in ("recon", "reflex"):
         raise CheckpointError(f"unknown model kind {kind!r}")
@@ -400,12 +395,12 @@ def load_checkpoint(path, vocab: Vocabulary | None = None):
                                   config)
     except ConfigError as exc:
         raise CheckpointError(f"checkpoint config: {exc}") from None
+    header_vocab = Vocabulary(tokens, languages)
+    if header_vocab.content_hash() != vocab_hash:
+        raise CheckpointError("checkpoint vocabulary does not match its stored hash")
     if vocab is not None and vocab.content_hash() != vocab_hash:
         raise CheckpointError("vocabulary hash mismatch between checkpoint and dataset")
-    if vocab is None:
-        vocab = Vocabulary(id_to_token=tokens, token_to_id={t: i for i, t in enumerate(tokens)},
-                           languages=languages)
-    model = new_model(kind, config, vocab)
+    model = new_model(kind, config, header_vocab if vocab is None else vocab)
     model.load_param_arrays(arrays)
     model.max_decode_len = max_decode_len
     return model
@@ -465,7 +460,7 @@ class ReconModel(_ModelBase):
 
     def _conditioning(self, p):
         blocks = [(None, p["clf.W2"], ad.add(p["clf.b2"], self._output_mask))]
-        return _Conditioning(None, None, blocks, None)
+        return _Conditioning(None, None, blocks)
 
     # -- training forward -----------------------------------------------------
 
@@ -603,23 +598,22 @@ class ReflexModel(_ModelBase):
         return ad.tanh(ad.add(ad.matmul(final, p["bridge.W"]), p["bridge.b"]))
 
     def _conditioning(self, p, lang) -> _Conditioning:
-        """Decoder-step conditioning of rows whose language indices are lang.
+        """Decoder-step conditioning of rows whose language indices are lang (any shape).
 
         The target-gated classifier gets one output block per language
-        present, so its logits come in the order of those blocks' rows.
+        present, over the flat indices of that language's rows.
         """
         cfg = self.config
         one_hot = (Tensor(np.eye(len(self.vocab.languages))[lang])
                    if cfg.one_hot_target_encoding else None)
         lang_rows = (ad.embedding(p["lang_emb"], lang + 1)
                      if cfg.decode_with_language_embedding else None)
-        if not cfg.target_gated_classifier:
+        if cfg.target_gated_classifier:
+            blocks = [(np.flatnonzero(lang == l), p[f"clf.W2.{l}"],
+                       ad.add(p[f"clf.b2.{l}"], self._output_mask)) for l in np.unique(lang)]
+        else:
             blocks = [(None, p["clf.W2"], ad.add(p["clf.b2"], self._output_mask))]
-            return _Conditioning(one_hot, lang_rows, blocks, None)
-        blocks = [(np.flatnonzero(lang == l), p[f"clf.W2.{l}"],
-                   ad.add(p[f"clf.b2.{l}"], self._output_mask)) for l in np.unique(lang)]
-        order = np.concatenate([rows for rows, _, _ in blocks])
-        return _Conditioning(one_hot, lang_rows, blocks, order)
+        return _Conditioning(one_hot, lang_rows, blocks)
 
     # -- training forward -----------------------------------------------------
 

@@ -129,7 +129,7 @@ def bootstrap_ci(x, y, n_resamples=10_000, level=0.99, seed=0):
     return float(lo), float(hi)
 
 
-def compare(x, y, alternative="greater", alpha=0.01, n_resamples=10_000, level=0.99, seed=0):
+def compare(x, y, alternative="greater", n_resamples=10_000, level=0.99, seed=0):
     p = wilcoxon_rank_sum(x, y, alternative)
     lo, hi = bootstrap_ci(x, y, n_resamples=n_resamples, level=level, seed=seed)
     return ComparisonResult(

@@ -218,9 +218,6 @@ def _step_decoder_loss(model, h, targets, cond, rate, dropout_rng):
                                              vocab.pad_id)
     prev_ids = np.concatenate(
         [np.full((len(targets), 1), vocab.bos_id, dtype=np.int64), tgt_ids[:, :-1]], axis=1)
-    ce_ids, ce_mask = tgt_ids, tgt_mask  # rows in the order the logits come in
-    if cond.order is not None:
-        ce_ids, ce_mask = tgt_ids[cond.order], tgt_mask[cond.order]
     dec = gate_dict(p, "dec")
     step_losses = []
     for t in range(tgt_ids.shape[1]):
@@ -233,9 +230,12 @@ def _step_decoder_loss(model, h, targets, cond, rate, dropout_rng):
         hidden = ad.tanh(ad.add(ad.matmul(clf_in, p["clf.W1"]), p["clf.b1"]))
         parts = [ad.add(ad.matmul(hidden if rows is None else ad.embedding(hidden, rows), w2), b2)
                  for rows, w2, b2 in cond.blocks]  # one output block per language present
-        logits = parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)
+        logits = parts[0]
+        if len(parts) > 1:  # the blocks' rows concatenated, gathered back into row order
+            order = np.concatenate([rows for rows, _, _ in cond.blocks])
+            logits = ad.embedding(ad.concat(parts, axis=0), np.argsort(order))
         step_losses.append(ad.softmax_cross_entropy(
-            logits, ce_ids[:, t], ce_mask[:, t], normalizer=tgt_mask.sum()))
+            logits, tgt_ids[:, t], tgt_mask[:, t], normalizer=tgt_mask.sum()))
     return add_scalars(step_losses)
 
 

@@ -152,7 +152,7 @@ def test_embedding_and_reshape_gradients():
 
 @pytest.mark.parametrize("partition", [False, True])
 def test_grouped_affine_equals_gathered_affine_maps(partition):
-    """One node equals a gather, matmul and bias per group, concatenated; gradients checked."""
+    """One node equals a gather, matmul and bias per group, each in its rows; gradients checked."""
     rng = np.random.default_rng(19)
     x = ad.parameter(rng.normal(size=(7, 4)), "x")
     ws = [ad.parameter(rng.normal(size=(4, 3)), f"w{i}") for i in range(3)]
@@ -161,8 +161,10 @@ def test_grouped_affine_equals_gathered_affine_maps(partition):
     groups = list(zip(rows, ws, bs))
     got = ad.grouped_affine(x, groups)
     parts = [ad.add(ad.matmul(x if r is None else ad.embedding(x, r), w), b) for r, w, b in groups]
-    want = parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)
-    assert np.array_equal(got.data, want.data)
+    want = parts[0].data
+    if partition:  # the groups' rows concatenated, gathered back into row order
+        want = np.concatenate([part.data for part in parts])[np.argsort(np.concatenate(rows))]
+    assert np.array_equal(got.data, want)
     upstream = Tensor(rng.normal(size=(3, 1)))
     _check(lambda: _sum(ad.matmul(ad.tanh(ad.grouped_affine(x, groups)), upstream)),
            [x] + [t for _, w, b in groups for t in (w, b)])
@@ -194,22 +196,22 @@ def test_softmax_cross_entropy():
 
 
 def test_softmax_cross_entropy_steps_add_like_a_step_loop():
-    """Rows reduced step by step in the given order, steps added in order: bitwise the loop."""
+    """Runs of B rows reduced step by step, steps added in order: bitwise the loop."""
     rng = np.random.default_rng(16)
     T, B = 5, 7
     logits = ad.parameter(rng.normal(size=(T * B, 6)) * 3.0, "logits")
     targets = rng.integers(0, 6, T * B)
     weights = (rng.random(T * B) < 0.8).astype(float)
-    steps = np.stack([rng.permutation(np.arange(t * B, (t + 1) * B)) for t in range(T)])
+    steps = [slice(t * B, (t + 1) * B) for t in range(T)]
     total = weights.sum()
     loop = sum(float(ad.softmax_cross_entropy(Tensor(logits.data[s]), targets[s], weights[s],
                                               normalizer=total).data) for s in steps)
-    got = ad.softmax_cross_entropy(logits, targets, weights, normalizer=total, steps=steps)
+    got = ad.softmax_cross_entropy(logits, targets, weights, normalizer=total, steps=T)
     assert float(got.data) == loop
     want = ad.softmax_cross_entropy(logits, targets, weights, normalizer=total)
     assert float(got.data) == pytest.approx(float(want.data), rel=1e-13)
     _check(lambda: ad.softmax_cross_entropy(logits, targets, weights, normalizer=total,
-                                            steps=steps), [logits])
+                                            steps=T), [logits])
 
 
 def test_softmax_cross_entropy_normalizer():

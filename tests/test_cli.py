@@ -320,6 +320,10 @@ MALFORMED_CHECKPOINTS = {
         p, src, lambda h: h["config"].update(bogus=1)),
     "mistyped config value": lambda p, src: _model_checkpoint_with(
         p, src, lambda h: h["config"].update(hidden_size="10")),
+    "infinite max_decode_len": lambda p, src: _model_checkpoint_with(
+        p, src, lambda h: h.update(max_decode_len=float("inf"))),
+    "token not a string": lambda p, src: _model_checkpoint_with(
+        p, src, lambda h: h["vocab_tokens"].__setitem__(-1, 7)),
 }
 
 
@@ -404,3 +408,68 @@ def test_bad_settings_exit_2_before_any_work(workdir, tmp_path, capsys, argv):
     assert "Traceback" not in captured.err + captured.out
     assert captured.out == ""
     assert not list(tmp_path.iterdir())  # no seed*/recon.ckpt, no table, no split
+
+
+def _unk_renamed(header):
+    header["vocab_tokens"][header["vocab_tokens"].index("<unk>")] = "<unx>"
+
+
+def _token_duplicated(header):
+    header["vocab_tokens"][-1] = header["vocab_tokens"][-2]
+
+
+def _tokens_swapped(header):
+    tokens = header["vocab_tokens"]
+    tokens[-1], tokens[-2] = tokens[-2], tokens[-1]
+
+
+@pytest.mark.parametrize("edit, rehash, message", [
+    (_unk_renamed, False, "lacks the tokens ['<unk>']"),
+    (_token_duplicated, True, "duplicated vocabulary tokens"),
+    (_tokens_swapped, False, "does not match its stored hash"),
+], ids=["unk-renamed", "token-duplicated", "tokens-swapped"])
+def test_checkpoint_vocabulary_header_checked_exit_3(workdir, tmp_path, capsys, edit, rehash,
+                                                     message):
+    """A header vocabulary without <unk>, with a token twice, or whose tokens do not hash to
+    the stored vocab_hash is a data error.  rehash stores the edited tokens' own hash, so
+    that the vocabulary's check, not the hash check, must refuse the duplicate.
+    """
+    import hashlib
+    from pathlib import Path
+
+    from protorecon.checkpoint import read_checkpoint, write_checkpoint
+
+    fixtures = Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures"
+    arrays, header, vocab_hash, seed = read_checkpoint(fixtures / "reflex.ckpt")
+    edit(header)
+    if rehash:  # what Vocabulary.content_hash gives for the edited tokens
+        vocab_hash = hashlib.sha256("\x00".join(header["vocab_tokens"]).encode()).hexdigest()
+    bad = tmp_path / "reflex.ckpt"
+    write_checkpoint(bad, arrays, header, vocab_hash, seed)
+    data = ["--dataset", str(workdir / "data.tsv")]
+    assert main(["decode", *data, "--checkpoint", str(bad)]) == 3
+    assert main(["rerank", *data, "--recon-checkpoint", str(fixtures / "recon.ckpt"),
+                 "--reflex-checkpoint", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("data error") == 2 and err.count(message) == 2 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("tone", ["yes", "true", "2", ""])
+def test_feature_table_tone_other_than_0_or_1_exit_3(workdir, tmp_path, capsys, tone):
+    """A tone cell is 0 or 1; anything else is a data error naming its line, not 'no tone'."""
+    from importlib import resources
+
+    lines = (resources.files("protorecon") / "data" / "feature_table.tsv").read_text(
+        "utf-8").splitlines()
+    cells = lines[2].split("\t")
+    lines[2] = "\t".join([cells[0], tone, *cells[2:]])
+    table = tmp_path / "features.tsv"
+    table.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    ds = parse_dataset((workdir / "data.tsv").read_text())
+    preds = tmp_path / "preds.tsv"
+    preds.write_text("".join(f"{cs.id}\t{' '.join(cs.protoform)}\n" for cs in ds.sets),
+                     encoding="utf-8")
+    assert main(["eval", "--dataset", str(workdir / "data.tsv"), "--predictions", str(preds),
+                 "--feature-table", str(table)]) == 3
+    err = capsys.readouterr().err
+    assert "line 3" in err and "tone" in err and "Traceback" not in err

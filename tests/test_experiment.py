@@ -190,3 +190,36 @@ def test_analyze_writes_the_tables_of_run_seed(small_family, tmp_path):
         stamp, *run_lines = (seed_dir / name).read_text().splitlines()
         assert stamp.startswith("# config=")
         assert (tmp_path / "an" / name).read_text().splitlines() == run_lines, name
+
+
+def test_failed_seed_is_named_in_failures_tsv(small_family, tmp_path, monkeypatch):
+    """A seed that fails is left out of aggregate.tsv and named in failures.tsv next to it."""
+    from protorecon import experiment
+    from protorecon.errors import ProtoreconError, TrainingError
+
+    run_seed = experiment.run_seed
+
+    def failing_seed_1(config, dataset, seed, table, log=None):
+        if seed == 1:
+            raise TrainingError("non-finite loss\nat epoch 0")
+        return run_seed(config, dataset, seed, table, log=log)
+
+    monkeypatch.setattr(experiment, "run_seed", failing_seed_1)
+    out = tmp_path / "run"
+    results, failures = run_experiment(_small_config(small_family, out, seeds=(0, 1)))
+    assert set(results) == {0} and set(failures) == {1}
+    stamp, *rows = (out / "failures.tsv").read_text().splitlines()
+    assert stamp.startswith("# config=") and "seeds=0,1" in stamp
+    assert rows == ["seed\terror", "1\tnon-finite loss at epoch 0"]
+    assert [line.split("\t")[0] for line in (out / "aggregate.tsv").read_text().splitlines()[2:]
+            ] == ["0", "mean", "std"]
+
+    monkeypatch.setattr(experiment, "run_seed", lambda *a, **k: failing_seed_1(a[0], a[1], 1, a[3]))
+    with pytest.raises(ProtoreconError, match="all seeds failed"):
+        run_experiment(_small_config(small_family, out, seeds=(0, 1)))
+    assert (out / "failures.tsv").read_text().splitlines()[2:] == [
+        "0\tnon-finite loss at epoch 0", "1\tnon-finite loss at epoch 0"]
+
+    monkeypatch.setattr(experiment, "run_seed", run_seed)
+    run_experiment(_small_config(small_family, out, seeds=(0, 1)))
+    assert not (out / "failures.tsv").exists()  # no seed failed: no stale file is left

@@ -100,8 +100,8 @@ def test_training_graph_has_one_gru_node_per_sequence(monkeypatch):
 
 @pytest.mark.parametrize("name", ["gated", "all"])
 def test_loss_adds_each_step_in_the_per_step_row_order(name, monkeypatch):
-    """The gated classifier's logits come in language blocks over all steps; the loss
-    still reduces each step's rows in the order a step's blocks gave them."""
+    """The loss reduces each step's run of rows [tB, (t + 1)B) on its own, and those
+    rows are the logits, targets and weights of the per-step oracle's step t."""
     from protorecon import autodiff as ad
 
     model = _spread(models.ReflexModel(tiny_reflex_config(**REFLEX_CONDITIONING[name]), VOCAB), 3)
@@ -114,8 +114,10 @@ def test_loss_adds_each_step_in_the_per_step_row_order(name, monkeypatch):
     model.batch_loss(batch)
     oracles.step_reflex_loss(model, batch)
     ((logits, targets, weights), kwargs), *step_calls = calls
-    assert len(kwargs["steps"]) == len(step_calls)
-    for step, ((step_logits, step_targets, step_weights), _) in zip(kwargs["steps"], step_calls):
+    assert kwargs["steps"] == len(step_calls)
+    B = len(batch)
+    for t, ((step_logits, step_targets, step_weights), _) in enumerate(step_calls):
+        step = slice(t * B, (t + 1) * B)
         np.testing.assert_allclose(logits.data[step], step_logits.data, rtol=1e-12)
         assert np.array_equal(targets[step], step_targets)
         assert np.array_equal(weights[step], step_weights)
