@@ -136,8 +136,9 @@ def run_seed(config: ExperimentConfig, dataset: Dataset, seed: int, table: Featu
     reflex_cfg = dataclasses.replace(config.reflex_config, seed=seed)
     recon = models.train(models.ReconModel(recon_cfg, vocab), dataset, log=log)
     reflex = models.train(models.ReflexModel(reflex_cfg, vocab), dataset, log=log)
-    recon.save(os.path.join(seed_dir, "recon.ckpt"))
-    reflex.save(os.path.join(seed_dir, "reflex.ckpt"))
+    for model in (recon, reflex):
+        model.save(os.path.join(seed_dir, f"{model.kind}.ckpt"))
+        _write(os.path.join(seed_dir, f"{model.kind}_history.tsv"), stamp, model.history.as_tsv())
 
     lam = 0.0 if config.ablation_no_reranker else config.lam
     test = dataset.subset("test")

@@ -11,6 +11,9 @@ of the parameters, where the ops record nothing.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple
 
@@ -20,7 +23,7 @@ from . import autodiff as ad
 from . import checkpoint as ckpt
 from . import decode as dec
 from .autodiff import Tensor
-from .corpus import Dataset, Vocabulary
+from .corpus import Dataset, Vocabulary, assemble_reconstruction_input, assemble_reflex_input
 from .errors import CheckpointError, ConfigError, ProtoreconError, TrainingError
 from .metrics import token_edit_distance
 
@@ -58,6 +61,15 @@ class ReconModelConfig:
         for name in ("max_epochs", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
+        for name in ("lr", "eps"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and > 0")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1)")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ConfigError("weight_decay must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -110,6 +122,21 @@ class TrainingHistory:
     epoch_losses: list = field(default_factory=list)  # (epoch, mean train loss)
     validations: list = field(default_factory=list)  # (epoch, mean val edit distance)
     best_epoch: int = -1
+    stop_reason: str = ""  # why train() stopped: "patience" or "max_epochs"
+
+    def as_tsv(self) -> str:
+        """One row per epoch: its loss, its validation TED (empty when not validated),
+        "*" on the best epoch, and on the last row the stop reason."""
+        val_teds = dict(self.validations)
+        rows = ["epoch\tloss\tval_ted\tbest\tstop_reason"]
+        for epoch, loss in self.epoch_losses:
+            rows.append("\t".join([
+                str(epoch), repr(float(loss)),
+                repr(float(val_teds[epoch])) if epoch in val_teds else "",
+                "*" if epoch == self.best_epoch else "",
+                self.stop_reason if epoch == self.epoch_losses[-1][0] else "",
+            ]))
+        return "\n".join(rows) + "\n"
 
 
 def _glorot(rng, n_in, n_out):
@@ -400,6 +427,9 @@ def load_checkpoint(path, vocab: Vocabulary | None = None):
         raise CheckpointError("checkpoint vocabulary does not match its stored hash")
     if vocab is not None and vocab.content_hash() != vocab_hash:
         raise CheckpointError("vocabulary hash mismatch between checkpoint and dataset")
+    for name, array in arrays.items():
+        if not np.isfinite(array).all():
+            raise CheckpointError(f"array {name!r} holds a non-finite value")
     model = new_model(kind, config, header_vocab if vocab is None else vocab)
     model.load_param_arrays(arrays)
     model.max_decode_len = max_decode_len
@@ -505,8 +535,6 @@ class ReconModel(_ModelBase):
         at most DECODE_CHUNK rows, and runs one beam_search_batch.  Yields
         (the batch's sets, their candidate lists).
         """
-        from .corpus import assemble_reconstruction_input
-
         size = max(1, DECODE_CHUNK // config.k)
         for start in range(0, len(csets), size):
             batch = csets[start : start + size]
@@ -660,36 +688,47 @@ class ReflexModel(_ModelBase):
 # -- training loop ------------------------------------------------------------
 
 
-def _recon_examples(dataset: Dataset, vocab: Vocabulary):
-    from .corpus import assemble_reconstruction_input
+def _set_examples(kind, cs, languages, vocab: Vocabulary):
+    """The training examples of cognate set cs, in the order batches take them.
 
-    out = []
-    for cs in dataset.sets:
-        if cs.protoform is None:
-            continue
-        out.append(
-            (assemble_reconstruction_input(cs, vocab, dataset.languages), vocab.encode(cs.protoform))
-        )
-    return out
+    A set without a protoform has none.  The recon model takes one (input,
+    protoform ids); the reflex model one (tagged protoform, reflex ids,
+    language) per present reflex, in the order of languages.
+    """
+    if cs.protoform is None:
+        return []
+    if kind == "recon":
+        return [(assemble_reconstruction_input(cs, vocab, languages), vocab.encode(cs.protoform))]
+    return [(assemble_reflex_input(cs.protoform, lang, vocab), vocab.encode(cs.reflexes[lang]),
+             lang) for lang in languages if lang in cs.reflexes]
 
 
-def _reflex_examples(dataset: Dataset, vocab: Vocabulary):
-    from .corpus import assemble_reflex_input
+def _examples(kind, dataset: Dataset, vocab: Vocabulary):
+    """The training examples of every set of dataset, in set order."""
+    return [ex for cs in dataset.sets for ex in _set_examples(kind, cs, dataset.languages, vocab)]
 
-    out = []
-    for cs in dataset.sets:
-        if cs.protoform is None:
-            continue
-        for lang in dataset.languages:
-            if lang in cs.reflexes:
-                out.append(
-                    (
-                        assemble_reflex_input(cs.protoform, lang, vocab),
-                        vocab.encode(cs.reflexes[lang]),
-                        lang,
-                    )
-                )
-    return out
+
+@functools.cache
+def _keep_freed_memory():
+    """Keep memory that training frees in the process's heap, once per process (glibc only).
+
+    By default glibc serves blocks above a dynamic threshold with mmap and
+    returns freed heap tops to the kernel, so every batch's multi-MB
+    temporaries are faulted in afresh.  The mmap threshold (64 MiB) sits
+    above the largest per-batch array at the WikiHan presets, the
+    (T~45, B=128, 1018) float64 encoder input of about 47 MB; the trim
+    threshold (128 MiB) above two of them.  Setting either one turns off
+    the dynamic threshold, so both are set or neither.  Where the C library
+    has no mallopt, or it refuses a value, nothing changes.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt, or no C library handle
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc malloc.h
+    if mallopt(M_MMAP_THRESHOLD, 64 << 20):
+        mallopt(M_TRIM_THRESHOLD, 128 << 20)
 
 
 def _greedy_val_ted(model, examples):
@@ -706,27 +745,24 @@ def train(model, dataset: Dataset, log=None):
     """Mini-batch Adam training with periodic greedy validation and early stop.
 
     The dataset must be split-tagged.  Batches count cognate sets; for the
-    reflex model each set contributes one example per present reflex.
+    reflex model each set contributes one example per present reflex.  The
+    examples are encoded once; each batch concatenates those of its sets.
     Returns the model (trained in place, best-validation parameters kept).
     """
+    _keep_freed_memory()
     if dataset.split_tags is None:
         raise ConfigError("dataset must be split-tagged before training")
     cfg = model.config
     train_split = dataset.subset("train")
-    val_split = dataset.subset("val")
     if not train_split.sets:
         raise TrainingError("empty train split")
-    if model.kind == "recon":
-        make = _recon_examples
-    else:
-        make = _reflex_examples
-    train_sets = list(train_split.sets)
-    val_examples = make(val_split, model.vocab)
+    set_examples = [_set_examples(model.kind, cs, dataset.languages, model.vocab)
+                    for cs in train_split.sets]
+    val_examples = _examples(model.kind, dataset.subset("val"), model.vocab)
 
-    longest_target = max(
-        (len(ex[1]) for ex in make(train_split, model.vocab)), default=10
-    )
+    longest_target = max((len(ex[1]) for exs in set_examples for ex in exs), default=10)
     model.max_decode_len = 2 * longest_target + 5
+    model.history.stop_reason = "max_epochs"
 
     if cfg.max_epochs == 0:
         return model
@@ -742,14 +778,12 @@ def train(model, dataset: Dataset, log=None):
     best_val, best_params, bad_validations = np.inf, None, 0
     for epoch in range(cfg.max_epochs):
         rng = np.random.default_rng([cfg.seed, epoch])
-        order = rng.permutation(len(train_sets))
+        order = rng.permutation(len(set_examples))
         scale = ad.warmup_scale(epoch, cfg.warmup_epochs)
         epoch_loss, n_batches = 0.0, 0
         for b_start in range(0, len(order), cfg.batch_size):
-            batch_sets = [train_sets[i] for i in order[b_start : b_start + cfg.batch_size]]
-            batch = make(
-                Dataset(dataset.languages, tuple(batch_sets)), model.vocab
-            )
+            batch = [ex for i in order[b_start : b_start + cfg.batch_size]
+                     for ex in set_examples[i]]
             if not batch:
                 continue
             drop_rng = np.random.default_rng([cfg.seed, epoch, n_batches, 7919])
@@ -782,6 +816,7 @@ def train(model, dataset: Dataset, log=None):
             else:
                 bad_validations += 1
                 if bad_validations >= cfg.patience:
+                    model.history.stop_reason = "patience"
                     break
     if best_params is not None:
         model.load_param_arrays(best_params)

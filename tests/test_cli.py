@@ -198,11 +198,20 @@ def test_exit_code_data_error(tmp_path):
 
 
 def test_bundled_presets_load():
+    from importlib import resources
+
     from protorecon.cli import load_preset
+    from protorecon.models import ReconModelConfig, ReflexModelConfig, config_from_dict
 
     for name in ("recon_gru_bs_wikihan", "reflex_gru_wikihan"):
         preset = load_preset(name)
         assert "hidden_size" in preset and "lr" in preset
+    names = [p.name[:-5] for p in (resources.files("protorecon") / "presets").iterdir()
+             if p.name.endswith(".json")]
+    assert len(names) == 10
+    for name in names:  # every bundled preset passes the config checks
+        config_from_dict(ReflexModelConfig if name.startswith("reflex") else ReconModelConfig,
+                         load_preset(name))
 
 
 def test_eval_reads_rerank_summary(workdir, tmp_path, capsys):
@@ -309,6 +318,18 @@ def _model_checkpoint_with(path, source, edit):
     return path
 
 
+def _checkpoint_with_nan_parameter(path, source):
+    """source's checkpoint with one NaN in its first parameter array."""
+    from protorecon.checkpoint import read_checkpoint, write_checkpoint
+
+    arrays, header, vocab_hash, seed = read_checkpoint(source)
+    name = next(iter(arrays))
+    arrays[name] = arrays[name].copy()
+    arrays[name].flat[0] = float("nan")
+    write_checkpoint(path, arrays, header, vocab_hash, seed)
+    return path
+
+
 MALFORMED_CHECKPOINTS = {
     "no arrays": lambda p, src: _checkpoint_with(p, '{"config": {}, "vocab_hash": "h", "seed": 0}'),
     "unknown dtype": lambda p, src: _checkpoint_with(
@@ -324,6 +345,7 @@ MALFORMED_CHECKPOINTS = {
         p, src, lambda h: h.update(max_decode_len=float("inf"))),
     "token not a string": lambda p, src: _model_checkpoint_with(
         p, src, lambda h: h["vocab_tokens"].__setitem__(-1, 7)),
+    "NaN parameter": _checkpoint_with_nan_parameter,
 }
 
 
@@ -352,6 +374,26 @@ def test_mistyped_preset_value_exit_2(workdir, tmp_path, capsys, values):
                  "--out", str(tmp_path / "run")]) == 2
     assert capsys.readouterr().err.count(repr(next(iter(values.values())))) == 2
     assert not (tmp_path / "x.ckpt").exists()
+
+
+@pytest.mark.parametrize("values", [
+    {"lr": float("nan"), "max_epochs": 1, "batch_size": 32},
+    {**TINY_PRESET, "lr": -1},
+    {**TINY_PRESET, "beta1": 2.0},
+    {**TINY_PRESET, "beta2": 1.0},
+    {**TINY_PRESET, "eps": 0},
+    {**TINY_PRESET, "weight_decay": float("inf")},
+], ids=["lr NaN", "lr -1", "beta1 2", "beta2 1", "eps 0", "weight_decay inf"])
+def test_bad_optimizer_setting_exit_2(workdir, tmp_path, capsys, values):
+    """An optimizer setting Adam cannot use is refused before training, and no checkpoint
+    is written."""
+    preset = tmp_path / "optimizer.json"
+    preset.write_text(json.dumps(values), encoding="utf-8")
+    out = tmp_path / "x.ckpt"
+    assert main(["train-recon", "--dataset", str(workdir / "data.tsv"), "--preset", str(preset),
+                 "--out", str(out)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_from_dict_accepts_ints_for_float_fields():

@@ -130,6 +130,23 @@ def test_run_experiment_artifacts(small_family, tmp_path):
     assert stamp.startswith("# config=") and "seed=0" in stamp
 
 
+def test_run_seed_writes_each_models_training_history(small_family, tmp_path, monkeypatch):
+    """recon_history.tsv and reflex_history.tsv hold the TrainingHistory of the models
+    run_seed trained, behind the seed stamp."""
+    trained = []
+    train = models.train
+    monkeypatch.setattr(models, "train", lambda *a, **k: trained.append(train(*a, **k)) or
+                        trained[-1])
+    run_experiment(_small_config(small_family, tmp_path / "run"))
+    seed_dir = tmp_path / "run" / "seed0"
+    stamp = (seed_dir / "predictions.tsv").read_text().splitlines()[0] + "\n"
+    assert [m.kind for m in trained] == ["recon", "reflex"]
+    for model in trained:
+        text = (seed_dir / f"{model.kind}_history.tsv").read_text()
+        assert text == stamp + model.history.as_tsv()
+        assert len(text.splitlines()) == 2 + len(model.history.epoch_losses)
+
+
 def test_run_experiment_byte_identical_reruns(small_family, tmp_path):
     outs = []
     for name in ("a", "b"):
@@ -137,7 +154,8 @@ def test_run_experiment_byte_identical_reruns(small_family, tmp_path):
         run_experiment(_small_config(small_family, out))
         outs.append(out)
     for rel in ("aggregate.tsv", "seed0/predictions.tsv", "seed0/metrics.tsv",
-                "seed0/recon.ckpt", "seed0/reflex.ckpt", "seed0/behavior.tsv"):
+                "seed0/recon.ckpt", "seed0/reflex.ckpt", "seed0/behavior.tsv",
+                "seed0/recon_history.tsv", "seed0/reflex_history.tsv"):
         a = (outs[0] / rel).read_bytes()
         b = (outs[1] / rel).read_bytes()
         assert a == b, f"{rel} differs between identical runs"

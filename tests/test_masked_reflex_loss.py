@@ -73,7 +73,7 @@ def test_masked_loss_matches_grouped_oracle(name, batch, seed):
 def test_batch_is_one_graph(monkeypatch):
     """batch_loss makes exactly one group_loss call, whatever the rows' lengths and languages."""
     model = models.ReflexModel(tiny_reflex_config(target_gated_classifier=True), VOCAB)
-    batch = models._reflex_examples(FAMILY, VOCAB)
+    batch = models._examples("reflex", FAMILY, VOCAB)
     assert len({(ex[2], len(ex[0])) for ex in batch}) > 4
     calls = []
     original = models.ReflexModel.group_loss
@@ -88,7 +88,7 @@ def test_reflex_loss_gradient_with_dropout():
     model = _spread(models.ReflexModel(tiny_reflex_config(
         dropout=0.3, num_encoder_layers=2, target_gated_classifier=True,
         decode_with_language_embedding=True), VOCAB), 0)
-    batch = models._reflex_examples(FAMILY, VOCAB)[:10]
+    batch = models._examples("reflex", FAMILY, VOCAB)[:10]
     assert len({len(ex[0]) for ex in batch}) > 1
 
     def loss():

@@ -196,6 +196,85 @@ def test_training_reduces_loss(tiny_split):
     assert losses[-1] < losses[0]
 
 
+def test_training_records_why_it_stopped(tiny_split):
+    vocab = build_vocabulary(tiny_split)
+    model = models.train(models.ReconModel(tiny_recon_config(max_epochs=2), vocab), tiny_split)
+    assert model.history.stop_reason == "max_epochs"
+    model = models.train(models.ReconModel(
+        tiny_recon_config(max_epochs=40, validate_every=1, patience=1), vocab), tiny_split)
+    assert model.history.stop_reason == "patience"
+    assert len(model.history.epoch_losses) < 40
+
+
+def test_history_tsv_holds_the_training_history(tiny_split):
+    """Every epoch's loss and validation TED reads back exactly, with the best epoch and
+    the stop reason."""
+    vocab = build_vocabulary(tiny_split)
+    history = models.train(models.ReconModel(
+        tiny_recon_config(max_epochs=40, validate_every=2, patience=2), vocab), tiny_split).history
+    header, *rows = [line.split("\t") for line in history.as_tsv().splitlines()]
+    assert header == ["epoch", "loss", "val_ted", "best", "stop_reason"]
+    assert [(int(r[0]), float(r[1])) for r in rows] == history.epoch_losses
+    assert [(int(r[0]), float(r[2])) for r in rows if r[2]] == history.validations
+    assert [int(r[0]) for r in rows if r[3] == "*"] == [history.best_epoch]
+    assert [r[4] for r in rows] == [""] * (len(rows) - 1) + [history.stop_reason]
+
+
+def _has_mallopt():
+    import ctypes
+
+    try:
+        ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    return True
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+def test_repeated_training_reuses_freed_memory():
+    """Once train() has run, the temporaries of an identical call come from the heap.
+
+    At these criterion-6 recon shapes glibc's default thresholds make the
+    second call fault in 50-90 K pages; kept in the heap, it takes under a
+    hundred.
+    """
+    import resource
+
+    from protorecon.corpus import split_dataset
+    from protorecon.synthetic import generate_family
+
+    dataset = split_dataset(generate_family(2000, 4, seed=0)[0], (0.7, 0.1, 0.2), 0)
+    vocab = build_vocabulary(dataset)
+    config = models.ReconModelConfig(embedding_size=32, hidden_size=64, feedforward_size=64,
+                                     dropout=0.0, batch_size=16, lr=0.005, warmup_epochs=1,
+                                     max_epochs=1, validate_every=1)
+    models.train(models.ReconModel(config, vocab), dataset)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    models.train(models.ReconModel(config, vocab), dataset)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 5000
+
+
+def test_keep_freed_memory_changes_nothing_without_a_working_mallopt(monkeypatch):
+    """No mallopt: the helper returns without raising.  A refused mmap threshold: the
+    trim threshold is left alone too, since setting it alone disables glibc's dynamic
+    threshold."""
+    import ctypes
+    import types
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace())
+    models._keep_freed_memory.__wrapped__()
+    calls = []
+
+    def refusing_mallopt(param, value):
+        calls.append(param)
+        return 0
+
+    monkeypatch.setattr(ctypes, "CDLL",
+                        lambda name: types.SimpleNamespace(mallopt=refusing_mallopt))
+    models._keep_freed_memory.__wrapped__()
+    assert calls == [-3]  # M_MMAP_THRESHOLD only
+
+
 # -- reflex grouping ----------------------------------------------------------
 
 

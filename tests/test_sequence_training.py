@@ -90,7 +90,7 @@ def test_training_graph_has_one_gru_node_per_sequence(monkeypatch):
     monkeypatch.setattr(ad, "gru_sequence", lambda *a, **k: calls.append(a[0].shape) or
                         original(*a, **k))
     monkeypatch.setattr(ad, "gru_cell", lambda *a, **k: pytest.fail("per-step GRU on the tape"))
-    batch = models._reflex_examples(FAMILY, VOCAB)[:9]
+    batch = models._examples("reflex", FAMILY, VOCAB)[:9]
     model.batch_loss(batch, dropout_rng=np.random.default_rng(0)).backward()
     longest_input = max(len(ex[0]) for ex in batch)
     longest_target = max(len(ex[1]) for ex in batch) + 1
@@ -105,7 +105,7 @@ def test_loss_adds_each_step_in_the_per_step_row_order(name, monkeypatch):
     from protorecon import autodiff as ad
 
     model = _spread(models.ReflexModel(tiny_reflex_config(**REFLEX_CONDITIONING[name]), VOCAB), 3)
-    batch = models._reflex_examples(FAMILY, VOCAB)[:12]
+    batch = models._examples("reflex", FAMILY, VOCAB)[:12]
     assert len({ex[2] for ex in batch}) > 2
     calls = []
     original = ad.softmax_cross_entropy
