@@ -9,8 +9,9 @@ import numpy as np
 
 from protorecon import models
 from protorecon.corpus import build_vocabulary, split_dataset
+from protorecon.decode import BeamConfig
 from protorecon.metrics import evaluate
-from protorecon.rerank import ReflexCache, RerankConfig, reconstruct_reranked
+from protorecon.rerank import ReflexCache, reconstruct_reranked
 from protorecon.synthetic import generate_family
 
 dataset, rules = generate_family(n_sets=600, n_daughters=3, seed=0)
@@ -36,11 +37,11 @@ print("training reflex model ...")
 reflex = models.train(models.ReflexModel(reflex_cfg, vocab), dataset)
 
 test = dataset.subset("test")
-cfg = RerankConfig(lam=1.0, k=5, alpha=1.0, max_len=recon.max_decode_len)
+cfg = BeamConfig(k=5, alpha=1.0, max_len=recon.max_decode_len)
 cache = ReflexCache()
 beam_preds, rerank_preds, golds = [], [], []
 for cs in test.sets:
-    top, reranked, beam, _ = reconstruct_reranked(recon, reflex, cs, cfg, cache=cache)
+    top, reranked, beam, _ = reconstruct_reranked(recon, reflex, cs, cfg, lam=1.0, cache=cache)
     beam_preds.append(vocab.decode(beam[0].tokens))
     rerank_preds.append(vocab.decode(top.tokens))
     golds.append(tuple(cs.protoform))

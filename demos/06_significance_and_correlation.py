@@ -9,7 +9,6 @@ import numpy as np
 
 from protorecon.stats import (
     compare,
-    exact_rank_sum_distribution,
     pearson_correlation,
     significant,
     wilcoxon_rank_sum,
@@ -17,9 +16,6 @@ from protorecon.stats import (
 
 # the textbook example: completely separated samples of three
 print("p({4,5,6} > {1,2,3}) =", wilcoxon_rank_sum([4, 5, 6], [1, 2, 3], "greater"))
-dist = exact_rank_sum_distribution(3, 3)
-print("exact rank-sum distribution, n=3+3:",
-      {w: round(p, 3) for w, p in dist.items()})
 
 # per-seed accuracies of two hypothetical systems
 rng = np.random.default_rng(0)

@@ -37,7 +37,7 @@ from .models import (
     new_model,
     train,
 )
-from .rerank import RerankConfig, RerankedCandidate, reconstruct_reranked, rerank
+from .rerank import RerankedCandidate, reconstruct_reranked, rerank, rerank_sets
 from .stats import bootstrap_ci, compare, pearson_correlation, significant, wilcoxon_rank_sum
 
 __version__ = "0.1.0"
@@ -56,7 +56,6 @@ __all__ = [
     "ReconModelConfig",
     "ReflexModel",
     "ReflexModelConfig",
-    "RerankConfig",
     "RerankedCandidate",
     "SchemaError",
     "TrainingError",
@@ -77,6 +76,7 @@ __all__ = [
     "pearson_correlation",
     "reconstruct_reranked",
     "rerank",
+    "rerank_sets",
     "serialize_dataset",
     "significant",
     "split_dataset",

@@ -6,7 +6,7 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 
-from .corpus import CognateSet, assemble_reflex_input
+from .corpus import CognateSet, assemble_reflex_input, write_text
 from .errors import ProtoreconError
 from .metrics import FeatureTable, feature_edit_distance, token_edit_distance
 
@@ -166,14 +166,14 @@ def behavior_distribution(records) -> dict:
 def write_analysis_tables(out_dir, reflex_model, results, languages, table=None, stamp=""):
     """Write behavior.tsv, similarity.tsv (with a feature table) and error_rates.tsv.
 
-    results: (cognate set with a gold protoform, its reranked list, its beam
-    candidates) per set, read once.  error_rates.tsv lists the languages of
-    languages that some set has.  Every file starts with stamp.  Returns
-    each set's BehaviorRecord.
+    results: (cognate set with a gold protoform, its beam candidates, its
+    reranked list, predictions) per set, as rerank_sets yields them, read
+    once.  error_rates.tsv lists the languages of languages that some set
+    has.  Every file starts with stamp.  Returns each set's BehaviorRecord.
     """
     vocab = reflex_model.vocab
     records, error_items, rate_items = [], [], []
-    for cset, reranked, beam in results:
+    for cset, beam, reranked, _ in results:
         gold_ids = tuple(vocab.encode(cset.protoform))
         record = categorize(beam, reranked, gold_ids)
         records.append(record)
@@ -183,11 +183,9 @@ def write_analysis_tables(out_dir, reflex_model, results, languages, table=None,
                                          gold=tuple(cset.protoform), behavior=record.behavior))
     if not records:
         raise ProtoreconError("no cognate set with a gold protoform to analyze")
-    os.makedirs(out_dir, exist_ok=True)
 
     def write(name, lines):
-        with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="\n") as f:
-            f.write(stamp + "\n".join(lines) + "\n")
+        write_text(os.path.join(out_dir, name), stamp + "\n".join(lines) + "\n")
 
     dist = behavior_distribution(records)
     lines = ["category\tcount\tpercent"]

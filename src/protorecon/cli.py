@@ -7,19 +7,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from importlib import resources
 
 from . import models
 from .corpus import (
-    apply_split_tags,
     build_vocabulary,
-    parse_dataset,
-    parse_split_file,
+    read_dataset,
+    read_text,
     serialize_dataset,
     serialize_split_tags,
-    split_dataset,
+    write_text,
 )
 from .errors import (
     CheckpointError,
@@ -36,41 +36,18 @@ from .experiment import (
     run_experiment,
 )
 from .metrics import evaluate, load_feature_table
-from .rerank import check_lambda, check_model_pair, format_rerank_tsv, rerank, scored_beams
+from .rerank import check_lambda, check_model_pair, format_rerank_tsv, rerank_sets
 from .stats import compare, pearson_correlation, significant
 from .analysis import write_analysis_tables
 
 DATA_ERRORS = (SchemaError, VocabularyError, CheckpointError, OSError)
 
 
-def _read(path):
-    with open(path, encoding="utf-8") as f:
-        return f.read()
-
-
-def _write(path, text):
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(text)
-
-
 def _emit(text, out=None):
     if out:
-        _write(out, text)
+        write_text(out, text)
     else:
         sys.stdout.write(text)
-
-
-def _load_dataset(args, require_split=False):
-    ds = parse_dataset(_read(args.dataset), tokenize=args.tokenize)
-    split = getattr(args, "split", None)
-    if split:
-        ds = apply_split_tags(ds, parse_split_file(_read(split)))
-    elif require_split:
-        ds = split_dataset(ds, (0.7, 0.1, 0.2), getattr(args, "split_seed", 0))
-    return ds
 
 
 def load_preset(name: str) -> dict:
@@ -80,7 +57,7 @@ def load_preset(name: str) -> dict:
     """
     try:
         if os.path.exists(name):
-            text = _read(name)
+            text = read_text(name)
         else:
             text = (resources.files("protorecon") / "presets" / f"{name}.json").read_text("utf-8")
         preset = json.loads(text)
@@ -105,11 +82,6 @@ def _model_config(preset_name, kind: str, seed=None):
         values["seed"] = seed
     cls = models.ReconModelConfig if kind == "recon" else models.ReflexModelConfig
     return models.config_from_dict(cls, values)
-
-
-def _feature_table(args):
-    path = getattr(args, "feature_table", None)
-    return None if path is None else load_feature_table(path)
 
 
 def _load_model(path, expect=None):
@@ -137,6 +109,7 @@ def _parse_predictions(text):
 
     The summary.tsv that rerank writes is accepted too: its header
     RERANK_SUMMARY_HEADER on the first row, then the tokens in column 2 of 3.
+    An id given twice is a SchemaError.
     """
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     width = 2
@@ -147,6 +120,8 @@ def _parse_predictions(text):
         parts = line.split("\t")
         if len(parts) != width:
             raise SchemaError(f"prediction rows need {width} tab-separated columns: {line!r}")
+        if parts[0] in preds:
+            raise SchemaError(f"duplicate prediction id {parts[0]!r}")
         preds[parts[0]] = tuple(parts[1].split())
     return preds
 
@@ -163,20 +138,18 @@ def _int_range(text):
 
 
 def cmd_ingest(args):
-    ds = _load_dataset(args)
+    ds = read_dataset(args.dataset, args.tokenize)
     _emit(serialize_dataset(ds), args.out)
     print(f"{len(ds.sets)} cognate sets, {len(ds.languages)} languages", file=sys.stderr)
 
 
 def cmd_split(args):
-    ds = parse_dataset(_read(args.dataset), tokenize=args.tokenize)
-    ratios = tuple(args.ratios)
-    ds = split_dataset(ds, ratios, args.seed)
+    ds = read_dataset(args.dataset, args.tokenize, split_seed=args.seed, ratios=tuple(args.ratios))
     _emit(serialize_split_tags(ds.split_tags), args.out)
 
 
 def _cmd_train(args, kind):
-    ds = _load_dataset(args, require_split=True)
+    ds = read_dataset(args.dataset, args.tokenize, args.split, args.split_seed)
     vocab = build_vocabulary(ds)
     config = _model_config(args.preset, kind, args.seed)
     model = models.new_model(kind, config, vocab)
@@ -196,7 +169,7 @@ def cmd_train_reflex(args):
 
 def cmd_decode(args):
     model = _load_model(args.checkpoint, models.ReconModel)
-    ds = parse_dataset(_read(args.dataset), tokenize=args.tokenize)
+    ds = read_dataset(args.dataset, args.tokenize)
     cfg = model.beam_config(args.beam_size, args.alpha, args.max_len)
     lines = ["id\trank\tcandidate\tm"]
     for batch, beams in model.beam_search_sets(ds.sets, cfg):
@@ -211,27 +184,21 @@ def cmd_rerank(args):
     beam_config = recon.beam_config(args.beam_size, args.alpha, args.max_len)
     check_lambda(args.lam)
     lam = 0.0 if args.ablation == "no-reranker" else args.lam
-    ds = parse_dataset(_read(args.dataset), tokenize=args.tokenize)
+    ds = read_dataset(args.dataset, args.tokenize)
     summary = ["\t".join(RERANK_SUMMARY_HEADER)]
-    for cset, (beam, r_values, preds) in zip(ds.sets, scored_beams(recon, reflex, ds.sets,
-                                                                   beam_config)):
-        reranked = rerank(beam, r_values, lam)
+    for cset, _, reranked, preds in rerank_sets(recon, reflex, ds.sets, beam_config, lam):
         top = reranked[0]
         if args.out:
-            _write(os.path.join(args.out, f"{cset.id}.tsv"),
-                   format_rerank_tsv(cset, reranked, dict(enumerate(preds)), recon.vocab))
+            write_text(os.path.join(args.out, f"{cset.id}.tsv"),
+                       format_rerank_tsv(cset, reranked, dict(enumerate(preds)), recon.vocab))
         summary.append(f"{cset.id}\t{' '.join(recon.vocab.decode(top.tokens))}\t{top.s:.6f}")
-    text = "\n".join(summary) + "\n"
-    if args.out:
-        _write(os.path.join(args.out, "summary.tsv"), text)
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(summary) + "\n", args.out and os.path.join(args.out, "summary.tsv"))
 
 
 def cmd_eval(args):
-    ds = parse_dataset(_read(args.dataset), tokenize=args.tokenize)
-    preds = _parse_predictions(_read(args.predictions))
-    table = _feature_table(args)
+    ds = read_dataset(args.dataset, args.tokenize)
+    preds = _parse_predictions(read_text(args.predictions))
+    table = load_feature_table(args.feature_table)
     predicted, golds = [], []
     for cset in ds.sets:
         if cset.protoform is None:
@@ -246,7 +213,7 @@ def cmd_eval(args):
 
 def cmd_gridsearch(args):
     recon, reflex = _load_model_pair(args)
-    ds = _load_dataset(args, require_split=True)
+    ds = read_dataset(args.dataset, args.tokenize, args.split, args.split_seed)
     result = grid_search(
         recon, reflex, ds.subset("val"),
         k_range=args.k_range, lambda_range=args.lambda_range,
@@ -261,11 +228,18 @@ def cmd_gridsearch(args):
 
 
 def _read_column(path):
+    """The last tab-separated cell of each non-comment line of path, as finite numbers."""
     values = []
-    for line in _read(path).splitlines():
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         line = line.strip()
         if line and not line.startswith("#"):
-            values.append(float(line.split("\t")[-1]))
+            try:
+                value = float(line.split("\t")[-1])
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise SchemaError(f"{path} line {lineno}: not a finite number: {line!r}")
+            values.append(value)
     return values
 
 
@@ -291,11 +265,10 @@ def cmd_analyze(args):
     recon, reflex = _load_model_pair(args)
     beam_config = recon.beam_config(args.beam_size, args.alpha, args.max_len)
     check_lambda(args.lam)
-    ds = parse_dataset(_read(args.dataset), tokenize=args.tokenize)
-    table = _feature_table(args)
+    ds = read_dataset(args.dataset, args.tokenize)
+    table = load_feature_table(args.feature_table)
     csets = [cset for cset in ds.sets if cset.protoform is not None]
-    results = ((cset, rerank(beam, r_values, args.lam), beam) for cset, (beam, r_values, _)
-               in zip(csets, scored_beams(recon, reflex, csets, beam_config)))
+    results = rerank_sets(recon, reflex, csets, beam_config, args.lam)
     write_analysis_tables(args.out, reflex, results, ds.languages, table)
     print(f"analysis written to {args.out}", file=sys.stderr)
 

@@ -1,4 +1,5 @@
-"""Cognate-set datasets: TSV ingestion, vocabularies, and model-input assembly.
+"""Cognate-set datasets: TSV ingestion, vocabularies, model-input assembly, and
+the one text-file reader and writer of the package.
 
 A dataset is a UTF-8 TSV whose header row names the protoform column first
 and one daughter language per remaining column.  An optional leading ``id``
@@ -9,6 +10,7 @@ the reflex is missing in that language.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -233,41 +235,28 @@ def build_vocabulary(dataset: Dataset) -> Vocabulary:
     return Vocabulary(STRUCTURAL_TOKENS + tags + tuple(sorted(phonemes)), dataset.languages)
 
 
-def assemble_reconstruction_input(
-    cset: CognateSet,
-    vocab: Vocabulary,
-    language_order: tuple[str, ...] | None = None,
-    allow_unk: bool = False,
-) -> list[int]:
+def assemble_reconstruction_input(cset: CognateSet, vocab: Vocabulary) -> list[int]:
     """Concatenate present reflexes into one id sequence.
 
     Layout: SEP tag(D1) DELIM d1... SEP tag(D2) DELIM d2... SEP, with
-    languages in canonical order and missing reflexes skipped entirely.
+    languages in vocabulary order and missing reflexes skipped entirely.
     """
-    order = language_order if language_order is not None else vocab.languages
     out = [vocab.sep_id]
-    for lang in order:
+    for lang in vocab.languages:
         if lang not in cset.reflexes:
             continue
         out.append(vocab.language_tag_id(lang))
         out.append(vocab.delim_id)
-        out.extend(vocab.encode(cset.reflexes[lang], allow_unk=allow_unk))
+        out.extend(vocab.encode(cset.reflexes[lang]))
         out.append(vocab.sep_id)
     if len(out) == 1:
         raise SchemaError(f"cognate set {cset.id!r} has no present reflexes")
     return out
 
 
-def assemble_reflex_input(
-    protoform,
-    target_language: str,
-    vocab: Vocabulary,
-    allow_unk: bool = False,
-) -> list[int]:
+def assemble_reflex_input(protoform, target_language: str, vocab: Vocabulary) -> list[int]:
     """Prepend the target daughter's language tag to the protoform ids."""
-    return [vocab.language_tag_id(target_language)] + vocab.encode(
-        protoform, allow_unk=allow_unk
-    )
+    return [vocab.language_tag_id(target_language)] + vocab.encode(protoform)
 
 
 def split_dataset(
@@ -324,3 +313,29 @@ def apply_split_tags(dataset: Dataset, tags: dict[str, str]) -> Dataset:
 
 def serialize_split_tags(tags: dict[str, str]) -> str:
     return "".join(f"{k}\t{v}\n" for k, v in tags.items())
+
+
+def read_text(path) -> str:
+    """The text of the UTF-8 file at path."""
+    with open(path, encoding="utf-8") as f:
+        return f.read()
+
+
+def write_text(path, text: str):
+    """Write text to path as UTF-8 with LF line ends, making its parent directory."""
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(text)
+
+
+def read_dataset(path, tokenize, split_path=None, split_seed=None, ratios=(0.7, 0.1, 0.2)):
+    """The dataset file at path, split-tagged by the split file at split_path or,
+    without one, by split_dataset(ratios, split_seed); untagged if neither is given."""
+    dataset = parse_dataset(read_text(path), tokenize)
+    if split_path:
+        return apply_split_tags(dataset, parse_split_file(read_text(split_path)))
+    if split_seed is not None:
+        return split_dataset(dataset, ratios, split_seed)
+    return dataset

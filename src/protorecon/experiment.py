@@ -12,10 +12,10 @@ import numpy as np
 
 from . import decode as dec
 from . import models
-from .corpus import Dataset, build_vocabulary, split_dataset
+from .corpus import Dataset, build_vocabulary, read_dataset, write_text
 from .errors import ConfigError, ProtoreconError
 from .metrics import FeatureTable, evaluate, load_feature_table
-from .rerank import check_lambda, rerank, scored_beams
+from .rerank import check_lambda, rerank, rerank_sets, scored_beams
 from .analysis import write_analysis_tables
 
 DEFAULT_K_RANGE = (2, 4, 6, 8, 10)
@@ -53,8 +53,8 @@ def grid_search(
     if not csets:
         raise ProtoreconError("empty validation split")
     correct = dict.fromkeys(((k, lam) for k in sorted(k_range) for lam in sorted(lambda_range)), 0)
-    for cset, (beam, r_values, _) in zip(csets, scored_beams(recon_model, reflex_model, csets,
-                                                             configs[max(k_range)])):
+    for cset, beam, r_values, _ in scored_beams(recon_model, reflex_model, csets,
+                                                configs[max(k_range)]):
         gold = tuple(recon_model.vocab.encode(cset.protoform))
         for k, lam in correct:
             correct[(k, lam)] += rerank(beam[:k], r_values[:k], lam)[0].tokens == gold
@@ -115,12 +115,6 @@ class ExperimentConfig:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-def _write(path, header_line, body):
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(header_line)
-        f.write(body)
-
-
 def run_seed(config: ExperimentConfig, dataset: Dataset, seed: int, table: FeatureTable | None,
              log=None):
     """Train, decode, rerank, and evaluate one seed; writes per-seed artifacts.
@@ -138,37 +132,32 @@ def run_seed(config: ExperimentConfig, dataset: Dataset, seed: int, table: Featu
     reflex = models.train(models.ReflexModel(reflex_cfg, vocab), dataset, log=log)
     for model in (recon, reflex):
         model.save(os.path.join(seed_dir, f"{model.kind}.ckpt"))
-        _write(os.path.join(seed_dir, f"{model.kind}_history.tsv"), stamp, model.history.as_tsv())
+        write_text(os.path.join(seed_dir, f"{model.kind}_history.tsv"),
+                   stamp + model.history.as_tsv())
 
     lam = 0.0 if config.ablation_no_reranker else config.lam
     test = dataset.subset("test")
     csets = [cs for cs in test.sets if cs.protoform is not None]
-    beam_config = recon.beam_config(config.beam_size, config.alpha)
-    tops = []  # (beam top, reranked top) per set
-
-    def results():
-        for cset, (beam, r_values, _) in zip(csets, scored_beams(recon, reflex, csets,
-                                                                 beam_config)):
-            reranked = rerank(beam, r_values, lam)
-            tops.append((beam[0], reranked[0]))
-            yield cset, reranked, beam
-
-    records = write_analysis_tables(seed_dir, reflex, results(), dataset.languages, table, stamp)
+    results = list(rerank_sets(recon, reflex, csets,
+                               recon.beam_config(config.beam_size, config.alpha), lam))
+    records = write_analysis_tables(seed_dir, reflex, results, dataset.languages, table, stamp)
     gold_strs = [tuple(cs.protoform) for cs in csets]
-    report = evaluate([vocab.decode(top.tokens) for _, top in tops], gold_strs, table)
-    beam_report = evaluate([vocab.decode(beam_top.tokens) for beam_top, _ in tops], gold_strs,
-                           table)
+    report = evaluate([vocab.decode(reranked[0].tokens) for _, _, reranked, _ in results],
+                      gold_strs, table)
+    beam_report = evaluate([vocab.decode(beam[0].tokens) for _, beam, _, _ in results],
+                           gold_strs, table)
 
     rows = ["id\tgold\tbeam_top\treranked_top\tm\tr\ts\tbehavior"]
-    for cset, (beam_top, top), record in zip(csets, tops, records):
+    for (cset, beam, reranked, _), record in zip(results, records):
+        top = reranked[0]
         rows.append("\t".join([
-            cset.id, " ".join(cset.protoform), " ".join(vocab.decode(beam_top.tokens)),
+            cset.id, " ".join(cset.protoform), " ".join(vocab.decode(beam[0].tokens)),
             " ".join(vocab.decode(top.tokens)), f"{top.m:.6f}", f"{top.r:.4f}", f"{top.s:.6f}",
             record.behavior.value,
         ]))
-    _write(os.path.join(seed_dir, "predictions.tsv"), stamp, "\n".join(rows) + "\n")
-    _write(os.path.join(seed_dir, "metrics.tsv"), stamp, report.as_tsv_row())
-    _write(os.path.join(seed_dir, "metrics_beam_only.tsv"), stamp, beam_report.as_tsv_row())
+    write_text(os.path.join(seed_dir, "predictions.tsv"), stamp + "\n".join(rows) + "\n")
+    write_text(os.path.join(seed_dir, "metrics.tsv"), stamp + report.as_tsv_row())
+    write_text(os.path.join(seed_dir, "metrics_beam_only.tsv"), stamp + beam_report.as_tsv_row())
 
     return {
         "ACC": report.acc,
@@ -186,17 +175,9 @@ def run_experiment(config: ExperimentConfig, log=None):
     A seed that fails with a ProtoreconError leaves the other seeds running,
     and failures.tsv (seed, error) next to aggregate.tsv names it.
     """
-    from .corpus import apply_split_tags, parse_dataset, parse_split_file
-
-    with open(config.dataset_path, encoding="utf-8") as f:
-        dataset = parse_dataset(f.read(), tokenize=config.tokenize)
-    if config.split_path:
-        with open(config.split_path, encoding="utf-8") as f:
-            dataset = apply_split_tags(dataset, parse_split_file(f.read()))
-    else:
-        dataset = split_dataset(dataset, config.split_ratios, config.split_seed)
-    table = load_feature_table(config.feature_table_path) if config.feature_table_path else None
-    os.makedirs(config.out_dir, exist_ok=True)
+    dataset = read_dataset(config.dataset_path, config.tokenize, config.split_path,
+                           config.split_seed, config.split_ratios)
+    table = load_feature_table(config.feature_table_path)
     stamp = f"# config={config.config_hash()} seeds={','.join(map(str, config.seeds))}\n"
 
     results = {}
@@ -211,7 +192,7 @@ def run_experiment(config: ExperimentConfig, log=None):
     failures_path = os.path.join(config.out_dir, "failures.tsv")
     if failures:
         rows = "".join(f"{seed}\t{' '.join(msg.split())}\n" for seed, msg in failures.items())
-        _write(failures_path, stamp, "seed\terror\n" + rows)
+        write_text(failures_path, stamp + "seed\terror\n" + rows)
     elif os.path.exists(failures_path):  # left by an earlier run into the same directory
         os.remove(failures_path)
     if not results:
@@ -232,5 +213,5 @@ def run_experiment(config: ExperimentConfig, log=None):
             vals = [results[s][m] for s in results if results[s][m] is not None]
             cells.append(f"{fn(vals):.4f}" if vals else "-")
         lines.append(stat_name + "\t" + "\t".join(cells))
-    _write(os.path.join(config.out_dir, "aggregate.tsv"), stamp, "\n".join(lines) + "\n")
+    write_text(os.path.join(config.out_dir, "aggregate.tsv"), stamp + "\n".join(lines) + "\n")
     return results, failures

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import read_text
 from .errors import ProtoreconError, SchemaError
 
 
@@ -111,12 +112,13 @@ def bundled_feature_table() -> FeatureTable:
     return FeatureTable.from_tsv(text)
 
 
-def load_feature_table(path: str) -> FeatureTable:
-    """The feature table TSV at path; the name "bundled" is the packaged table."""
+def load_feature_table(path: str | None) -> FeatureTable | None:
+    """The feature table TSV at path; the name "bundled" is the packaged table, None is none."""
+    if path is None:
+        return None
     if path == "bundled":
         return bundled_feature_table()
-    with open(path, encoding="utf-8") as f:
-        return FeatureTable.from_tsv(f.read())
+    return FeatureTable.from_tsv(read_text(path))
 
 
 def feature_edit_distance(a, b, table: FeatureTable) -> float:

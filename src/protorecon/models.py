@@ -24,7 +24,7 @@ from . import checkpoint as ckpt
 from . import decode as dec
 from .autodiff import Tensor
 from .corpus import Dataset, Vocabulary, assemble_reconstruction_input, assemble_reflex_input
-from .errors import CheckpointError, ConfigError, ProtoreconError, TrainingError
+from .errors import CheckpointError, ConfigError, ProtoreconError, TrainingError, VocabularyError
 from .metrics import token_edit_distance
 
 NEG = -1e30  # additive logit mask for ids the decoder must never emit
@@ -688,24 +688,24 @@ class ReflexModel(_ModelBase):
 # -- training loop ------------------------------------------------------------
 
 
-def _set_examples(kind, cs, languages, vocab: Vocabulary):
+def _set_examples(kind, cs, vocab: Vocabulary):
     """The training examples of cognate set cs, in the order batches take them.
 
     A set without a protoform has none.  The recon model takes one (input,
     protoform ids); the reflex model one (tagged protoform, reflex ids,
-    language) per present reflex, in the order of languages.
+    language) per present reflex, in the vocabulary's language order.
     """
     if cs.protoform is None:
         return []
     if kind == "recon":
-        return [(assemble_reconstruction_input(cs, vocab, languages), vocab.encode(cs.protoform))]
+        return [(assemble_reconstruction_input(cs, vocab), vocab.encode(cs.protoform))]
     return [(assemble_reflex_input(cs.protoform, lang, vocab), vocab.encode(cs.reflexes[lang]),
-             lang) for lang in languages if lang in cs.reflexes]
+             lang) for lang in vocab.languages if lang in cs.reflexes]
 
 
 def _examples(kind, dataset: Dataset, vocab: Vocabulary):
     """The training examples of every set of dataset, in set order."""
-    return [ex for cs in dataset.sets for ex in _set_examples(kind, cs, dataset.languages, vocab)]
+    return [ex for cs in dataset.sets for ex in _set_examples(kind, cs, vocab)]
 
 
 @functools.cache
@@ -752,12 +752,14 @@ def train(model, dataset: Dataset, log=None):
     _keep_freed_memory()
     if dataset.split_tags is None:
         raise ConfigError("dataset must be split-tagged before training")
+    unknown = sorted(set(dataset.languages) - set(model.vocab.languages))
+    if unknown:
+        raise VocabularyError(f"the model's vocabulary lacks the languages {unknown}")
     cfg = model.config
     train_split = dataset.subset("train")
     if not train_split.sets:
         raise TrainingError("empty train split")
-    set_examples = [_set_examples(model.kind, cs, dataset.languages, model.vocab)
-                    for cs in train_split.sets]
+    set_examples = [_set_examples(model.kind, cs, model.vocab) for cs in train_split.sets]
     val_examples = _examples(model.kind, dataset.subset("val"), model.vocab)
 
     longest_target = max((len(ex[1]) for exs in set_examples for ex in exs), default=10)

@@ -23,22 +23,6 @@ def check_lambda(lam):
 
 
 @dataclass(frozen=True)
-class RerankConfig:
-    lam: float  # score adjustment weight
-    k: int = 10
-    alpha: float = 1.0
-    max_len: int = 64
-
-    def __post_init__(self):
-        check_lambda(self.lam)
-        self.beam  # BeamConfig checks k, alpha and max_len
-
-    @property
-    def beam(self) -> dec.BeamConfig:
-        return dec.BeamConfig(k=self.k, alpha=self.alpha, max_len=self.max_len)
-
-
-@dataclass(frozen=True)
 class RerankedCandidate:
     tokens: tuple[int, ...]
     m: float
@@ -145,9 +129,9 @@ def scored_beams(recon_model, reflex_model, csets, config: dec.BeamConfig, cache
 
     Sets go through recon_model.beam_search_sets a batch at a time, and
     every uncached (candidate, language) pair of a batch through one
-    score_candidates call.  Yields (beam candidates, r values, predictions)
-    per set, in input order.  The two models must share one vocabulary.
-    Without a cache, one is made for this call.
+    score_candidates call.  Yields (cognate set, beam candidates, r values,
+    predictions) per set, in input order.  The two models must share one
+    vocabulary.  Without a cache, one is made for this call.
     """
     check_model_pair(recon_model, reflex_model)
     cache = ReflexCache() if cache is None else cache
@@ -155,8 +139,22 @@ def scored_beams(recon_model, reflex_model, csets, config: dec.BeamConfig, cache
         scores = score_candidates(reflex_model,
                                   [([c.tokens for c in beam], cset)
                                    for cset, beam in zip(batch, beams)], cache=cache)
-        for beam, (r_values, predictions) in zip(beams, scores):
-            yield beam, r_values, predictions
+        for cset, beam, (r_values, predictions) in zip(batch, beams, scores):
+            yield cset, beam, r_values, predictions
+
+
+def rerank_sets(recon_model, reflex_model, csets, config: dec.BeamConfig, lam, cache=None):
+    """The paper's composition for a sequence of cognate sets: beam search,
+    reflex scores, rerank at lam.
+
+    Returns an iterator over (cognate set, beam candidates, reranked list,
+    predictions) per set, in input order; see scored_beams.  lam is checked
+    at the call, the model pair at the first item.
+    """
+    check_lambda(lam)
+    return ((cset, beam, rerank(beam, r_values, lam), predictions)
+            for cset, beam, r_values, predictions
+            in scored_beams(recon_model, reflex_model, csets, config, cache))
 
 
 def rerank(candidates, r_values, lam: float) -> list[RerankedCandidate]:
@@ -181,16 +179,15 @@ def rerank(candidates, r_values, lam: float) -> list[RerankedCandidate]:
     ]
 
 
-def reconstruct_reranked(recon_model, reflex_model, cset: CognateSet, config: RerankConfig,
-                         cache=None):
-    """Full composition for one set: beam search, score reflexes, rerank.
+def reconstruct_reranked(recon_model, reflex_model, cset: CognateSet, config: dec.BeamConfig,
+                         lam, cache=None):
+    """rerank_sets for one set.
 
     Returns (top RerankedCandidate, full reranked list, beam candidates,
     per-candidate reflex predictions keyed by beam rank).
     """
-    [(beam, r_values, predictions)] = scored_beams(recon_model, reflex_model, [cset],
-                                                   config.beam, cache)
-    reranked = rerank(beam, r_values, config.lam)
+    [(_, beam, reranked, predictions)] = rerank_sets(recon_model, reflex_model, [cset], config,
+                                                     lam, cache)
     return reranked[0], reranked, beam, dict(enumerate(predictions))
 
 

@@ -96,17 +96,6 @@ def wilcoxon_rank_sum(x, y, alternative="greater"):
     return min(1.0, 2.0 * min(p_less, p_greater))
 
 
-def exact_rank_sum_distribution(nx, ny):
-    """P(W = w) over the rank-sum support, by enumeration (test aid, small n)."""
-    counts = {}
-    total = 0
-    for combo in combinations(range(1, nx + ny + 1), nx):
-        s = sum(combo)
-        counts[s] = counts.get(s, 0) + 1
-        total += 1
-    return {w: c / total for w, c in sorted(counts.items())}
-
-
 def _check_fraction(name, value):
     """A ConfigError unless value is in (0, 1); NaN and infinities fail the comparison."""
     if not 0.0 < value < 1.0:

@@ -19,7 +19,11 @@ decoded by its own greedy loop.  ``beam_search_reference`` is a scalar beam
 search that expands one hypothesis and one token at a time, where
 decode.beam_search ranks the whole frontier at once.  The library's
 outputs and gradients must match these within rounding.
+``exact_rank_sum_distribution`` enumerates the rank-sum distribution that
+stats.wilcoxon_rank_sum counts for its exact p-values.
 """
+
+from itertools import combinations
 
 import numpy as np
 
@@ -430,14 +434,11 @@ def oracle_scores(reflex, candidates, cset, decode_row=None):
     return r_values, predictions
 
 
-def oracle_reconstruct_reranked(recon, reflex, cset, config):
+def oracle_reconstruct_reranked(recon, reflex, cset, config, lam):
     input_ids = assemble_reconstruction_input(cset, recon.vocab)
-    beam = dec.beam_search(
-        oracle_recon_decoder(recon, input_ids),
-        dec.BeamConfig(k=config.k, alpha=config.alpha, max_len=config.max_len),
-    )
+    beam = dec.beam_search(oracle_recon_decoder(recon, input_ids), config)
     r_values, predictions = oracle_scores(reflex, [cand.tokens for cand in beam], cset)
-    reranked = rerank(beam, r_values, config.lam)
+    reranked = rerank(beam, r_values, lam)
     return reranked[0], reranked, beam, dict(enumerate(predictions))
 
 
@@ -481,3 +482,14 @@ def beam_search_reference(stepper, config: BeamConfig) -> list[Candidate]:
 
     ranked = sorted(range(len(completed)), key=lambda i: (-completed[i].m, i))
     return [completed[i] for i in ranked[: config.k]]
+
+
+def exact_rank_sum_distribution(nx, ny):
+    """P(W = w) over the rank-sum support, by enumeration (small n)."""
+    counts = {}
+    total = 0
+    for combo in combinations(range(1, nx + ny + 1), nx):
+        s = sum(combo)
+        counts[s] = counts.get(s, 0) + 1
+        total += 1
+    return {w: c / total for w, c in sorted(counts.items())}

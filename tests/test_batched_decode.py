@@ -23,7 +23,6 @@ from protorecon.corpus import (
 )
 from protorecon.rerank import (
     ReflexCache,
-    RerankConfig,
     reconstruct_reranked,
     rerank,
     score_candidates,
@@ -92,8 +91,10 @@ def test_reflex_batch_matches_per_item_decodes(family, name):
 def test_recon_batch_matches_per_item_decodes(family):
     dataset, vocab = family
     inputs = [assemble_reconstruction_input(cs, vocab) for cs in dataset.sets]
-    inputs += [assemble_reconstruction_input(cs, vocab, dataset.languages[:2])
-               for cs in dataset.sets[:4]]
+    first_two = dataset.languages[:2]  # shorter inputs: the other reflexes left out
+    inputs += [assemble_reconstruction_input(dataclasses.replace(
+        cs, reflexes={lang: cs.reflexes[lang] for lang in first_two if lang in cs.reflexes}), vocab)
+        for cs in dataset.sets[:4]]
     assert len({len(ids) for ids in inputs}) > 1
     lengths_seen = set()
     for seed in range(3):
@@ -124,12 +125,12 @@ def test_reconstruct_reranked_matches_per_item_path(family, name):
     reflex = _randomize(models.ReflexModel(
         tiny_reflex_config(seed=2, **REFLEX_CONDITIONING[name]), vocab), 301, scale=0.8)
     recon.max_decode_len = reflex.max_decode_len = 6
-    config = RerankConfig(lam=1.0, k=5, alpha=1.0, max_len=6)
+    config = dec.BeamConfig(k=5, alpha=1.0, max_len=6)
     cache = ReflexCache()
     for cset in dataset.sets:
-        want = oracle_reconstruct_reranked(recon, reflex, cset, config)
-        assert reconstruct_reranked(recon, reflex, cset, config) == want
-        assert reconstruct_reranked(recon, reflex, cset, config, cache=cache) == want
+        want = oracle_reconstruct_reranked(recon, reflex, cset, config, 1.0)
+        assert reconstruct_reranked(recon, reflex, cset, config, 1.0) == want
+        assert reconstruct_reranked(recon, reflex, cset, config, 1.0, cache=cache) == want
 
 
 @pytest.mark.parametrize("name", sorted(REFLEX_CONDITIONING))
@@ -145,19 +146,20 @@ def test_scored_beams_match_per_set_path(family, name, monkeypatch):
     reflex = _randomize(models.ReflexModel(
         tiny_reflex_config(seed=2, **REFLEX_CONDITIONING[name]), vocab), 301, scale=0.8)
     recon.max_decode_len = reflex.max_decode_len = 6
-    config = RerankConfig(lam=1.0, k=5, alpha=1.0, max_len=6)
-    want = [oracle_reconstruct_reranked(recon, reflex, cset, config) for cset in dataset.sets]
+    config = dec.BeamConfig(k=5, alpha=1.0, max_len=6)
+    want = [oracle_reconstruct_reranked(recon, reflex, cset, config, 1.0)
+            for cset in dataset.sets]
     assert any(cand.tokens == () for _, _, beam, _ in want for cand in beam)
     monkeypatch.setattr(models, "DECODE_CHUNK", 16)  # 3 sets per batch, 6 batches
     cache = ReflexCache()
     for run_cache in (None, cache, cache):  # the last run reads every decode from the cache
-        got = list(scored_beams(recon, reflex, dataset.sets, config.beam, run_cache))
-        assert len(got) == len(want)
-        for (beam, r_values, preds), (_, w_reranked, w_beam, w_preds) in zip(got, want):
+        got = list(scored_beams(recon, reflex, dataset.sets, config, run_cache))
+        assert [cset for cset, _, _, _ in got] == list(dataset.sets)
+        for (_, beam, r_values, preds), (_, w_reranked, w_beam, w_preds) in zip(got, want):
             assert [(c.tokens, c.length) for c in beam] == [(c.tokens, c.length) for c in w_beam]
             assert [c.m for c in beam] == pytest.approx([c.m for c in w_beam], abs=1e-9)
             assert dict(enumerate(preds)) == w_preds
-            reranked = rerank(beam, r_values, config.lam)
+            reranked = rerank(beam, r_values, 1.0)
             assert ([(c.tokens, c.r, c.beam_rank, c.rerank_rank) for c in reranked]
                     == [(c.tokens, c.r, c.beam_rank, c.rerank_rank) for c in w_reranked])
             assert [c.s for c in reranked] == pytest.approx([c.s for c in w_reranked], abs=1e-9)
@@ -245,7 +247,8 @@ def test_rerank_with_gold_reflexes_matches_oracle(family, recon_beams, chosen, l
     got = list(scored_beams(recon, stub, dataset.sets, config))
     assert len(got) == len(beams)
     moved = False
-    for cset, w_beam, (beam, r_values, preds) in zip(dataset.sets, beams, got):
+    for cset, w_beam, (got_cset, beam, r_values, preds) in zip(dataset.sets, beams, got):
+        assert got_cset is cset
         w_r_values, w_preds = oracle_scores(stub, [c.tokens for c in w_beam], cset,
                                              stub.decode_row)
         assert [c.tokens for c in beam] == [c.tokens for c in w_beam]
@@ -255,7 +258,7 @@ def test_rerank_with_gold_reflexes_matches_oracle(family, recon_beams, chosen, l
                 == [(c.tokens, c.r, c.beam_rank, c.rerank_rank) for c in w_reranked])
         assert [c.s for c in reranked] == pytest.approx([c.s for c in w_reranked], abs=1e-9)
         moved |= reranked[0].beam_rank != 0
-    some_r = any(r > 0 for _, r_values, _ in got for r in r_values)
+    some_r = any(r > 0 for _, _, r_values, _ in got for r in r_values)
     assert some_r == any(tokens for tokens, _ in gold)
     if chosen == LAST_EVERYWHERE:  # the last candidate of every beam has r = 1
         assert moved

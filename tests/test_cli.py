@@ -242,6 +242,33 @@ def test_eval_rejects_malformed_predictions(workdir, tmp_path):
                  "--predictions", str(bad)]) == 3
 
 
+def test_eval_rejects_a_repeated_prediction_id_exit_3(workdir, tmp_path, capsys):
+    """Two predictions for one set are refused, not resolved by keeping the last."""
+    golds = [(cs.id, " ".join(cs.protoform))
+             for cs in parse_dataset((workdir / "data.tsv").read_text()).sets]
+    preds = tmp_path / "preds.tsv"
+    preds.write_text("".join(f"{i}\t{p}\n" for i, p in golds) + f"{golds[0][0]}\tx\n",
+                     encoding="utf-8")
+    assert main(["eval", "--dataset", str(workdir / "data.tsv"),
+                 "--predictions", str(preds)]) == 3
+    captured = capsys.readouterr()
+    assert "duplicate prediction id" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("bad", ["six", "nan", "-inf"])
+@pytest.mark.parametrize("command", ["compare", "correlate"])
+def test_non_numeric_score_line_exit_3(tmp_path, capsys, command, bad):
+    """A score line that is not a finite number names its file and line, with no traceback
+    and no NaN result."""
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text(f"4\n# comment\n5\n{bad}\n")
+    b.write_text("1\n2\n3\n")
+    assert main([command, "--a", str(a), "--b", str(b)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("data error:") and captured.out == ""
+    assert f"{a} line 4" in captured.err
+
+
 def test_mismatched_checkpoint_vocabularies_exit_3(workdir, tmp_path, capsys):
     """A recon/reflex pair trained on different vocabularies is a data error."""
     from protorecon import models

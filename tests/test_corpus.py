@@ -1,7 +1,11 @@
-"""Dataset parsing, vocabulary construction, input assembly, and splits."""
+"""Dataset parsing, vocabulary construction, input assembly, splits, and file plumbing."""
+
+import ast
+from pathlib import Path
 
 import pytest
 
+import protorecon
 from protorecon.corpus import (
     STRUCTURAL_TOKENS,
     CognateSet,
@@ -12,9 +16,12 @@ from protorecon.corpus import (
     build_vocabulary,
     parse_dataset,
     parse_split_file,
+    read_dataset,
+    read_text,
     serialize_dataset,
     serialize_split_tags,
     split_dataset,
+    write_text,
 )
 from protorecon.errors import ConfigError, SchemaError, VocabularyError
 
@@ -124,9 +131,10 @@ def test_assemble_skips_missing_reflexes(tiny_dataset, tiny_vocab):
     assert toks[0] == "*" and toks[-1] == "*"
 
 
-def test_assemble_no_present_reflexes_raises(tiny_dataset, tiny_vocab):
-    with pytest.raises(SchemaError):
-        assemble_reconstruction_input(tiny_dataset.sets[0], tiny_vocab, language_order=())
+def test_assemble_no_present_reflexes_raises(tiny_vocab):
+    """A set whose only reflex is in a language outside the vocabulary has none to lay out."""
+    with pytest.raises(SchemaError, match="no present reflexes"):
+        assemble_reconstruction_input(CognateSet("w0", ("p",), {"LangZ": ("p",)}), tiny_vocab)
 
 
 def test_assemble_reflex_input(tiny_vocab):
@@ -180,3 +188,60 @@ def test_subset(tiny_split):
     train = tiny_split.subset("train")
     assert {cs.id for cs in train.sets} == {"w1", "w2", "w3", "w4"}
     assert tiny_split.subset("test").sets[0].id == "w6"
+
+
+def test_write_text_makes_the_parent_and_writes_lf(tmp_path):
+    path = tmp_path / "a" / "b.tsv"
+    write_text(str(path), "x\ty\nz\n")
+    assert path.read_bytes() == b"x\ty\nz\n"
+    assert read_text(path) == "x\ty\nz\n"
+
+
+def test_read_dataset_tags_by_split_file_or_seed(tmp_path, tiny_dataset):
+    data, split = tmp_path / "data.tsv", tmp_path / "split.tsv"
+    write_text(str(data), serialize_dataset(tiny_dataset))
+    assert read_dataset(data, "whitespace") == tiny_dataset
+    seeded = split_dataset(tiny_dataset, (0.5, 0.0, 0.5), 3)
+    assert read_dataset(data, "whitespace", split_seed=3, ratios=(0.5, 0.0, 0.5)) == seeded
+    write_text(str(split), serialize_split_tags(seeded.split_tags))
+    assert read_dataset(data, "whitespace", split, split_seed=9) == seeded
+
+
+ALLOWED_WRITERS = {("corpus.py", "write_text"), ("checkpoint.py", "write_checkpoint")}
+
+
+class _FileWrites(ast.NodeVisitor):
+    """(innermost function, line) of each open() in a writing mode and each Path write."""
+
+    def __init__(self):
+        self.functions, self.found = [None], []
+
+    def visit_FunctionDef(self, node):
+        self.functions.append(node.name)
+        self.generic_visit(node)
+        self.functions.pop()
+
+    def visit_Call(self, node):
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "open":
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "mode"), None)
+            reads = mode is None or (isinstance(mode, ast.Constant)
+                                     and set(mode.value).isdisjoint("wax+"))
+            if not reads:
+                self.found.append((self.functions[-1], node.lineno))
+        elif isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes"):
+            if not (isinstance(func.value, ast.Name) and func.value.id == "corpus"):
+                self.found.append((self.functions[-1], node.lineno))
+        self.generic_visit(node)
+
+
+def test_the_library_writes_files_only_through_its_two_writers():
+    """Text goes through corpus.write_text, checkpoints through checkpoint.write_checkpoint."""
+    stray = []
+    for path in sorted(Path(protorecon.__file__).parent.glob("*.py")):
+        visitor = _FileWrites()
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        stray += [(path.name, function, line) for function, line in visitor.found
+                  if (path.name, function) not in ALLOWED_WRITERS]
+    assert stray == []

@@ -184,7 +184,8 @@ def test_run_experiment_multiple_seeds_aggregate(small_family, tmp_path):
 
 
 def test_analyze_writes_the_tables_of_run_seed(small_family, tmp_path):
-    """One writer: for the same model pair and test sets, analyze writes what run_seed does."""
+    """One rerank path: for the same model pair and test sets, analyze writes the tables
+    run_seed does, and rerank picks the tops that run_seed's predictions.tsv names."""
     from importlib import resources
 
     from protorecon.cli import main
@@ -208,6 +209,22 @@ def test_analyze_writes_the_tables_of_run_seed(small_family, tmp_path):
         stamp, *run_lines = (seed_dir / name).read_text().splitlines()
         assert stamp.startswith("# config=")
         assert (tmp_path / "an" / name).read_text().splitlines() == run_lines, name
+
+    assert main(["rerank", "--dataset", str(test_sets),
+                 "--recon-checkpoint", str(seed_dir / "recon.ckpt"),
+                 "--reflex-checkpoint", str(seed_dir / "reflex.ckpt"),
+                 "--beam-size", str(config.beam_size), "--lambda", str(config.lam),
+                 "--out", str(tmp_path / "rr")]) == 0
+    _, header, *rows = (seed_dir / "predictions.tsv").read_text().splitlines()
+    predictions = [dict(zip(header.split("\t"), row.split("\t"))) for row in rows]
+    _, *summary = (tmp_path / "rr" / "summary.tsv").read_text().splitlines()
+    assert [line.split("\t") for line in summary] == [
+        [p["id"], p["reranked_top"], p["s"]] for p in predictions]
+    for p in predictions:
+        header, *rows = (tmp_path / "rr" / f"{p['id']}.tsv").read_text().splitlines()
+        table = [dict(zip(header.split("\t"), row.split("\t"))) for row in rows]
+        [top] = [row for row in table if row["rerank_rank"] == "0"]
+        assert (top["candidate"], top["r"]) == (p["reranked_top"], p["r"]), p["id"]
 
 
 def test_failed_seed_is_named_in_failures_tsv(small_family, tmp_path, monkeypatch):

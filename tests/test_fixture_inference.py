@@ -59,7 +59,8 @@ def test_fixture_rerank_matches_oracle(fixture_models):
     got = list(scored_beams(recon, reflex, sets, config))
     assert len(got) == N_SETS
     r_seen = []
-    for cset, (beam, r_values, predictions) in zip(sets, got):
+    for cset, (got_cset, beam, r_values, predictions) in zip(sets, got):
+        assert got_cset is cset
         want_beam = beam_search_reference(
             oracle_recon_decoder(recon, assemble_reconstruction_input(cset, recon.vocab)), config)
         assert [c.tokens for c in beam] == [c.tokens for c in want_beam]

@@ -8,11 +8,17 @@ from protorecon import decode as dec
 from protorecon import models
 from protorecon.checkpoint import read_checkpoint, write_checkpoint
 from protorecon.corpus import (
+    Vocabulary,
+    apply_split_tags,
     assemble_reconstruction_input,
     assemble_reflex_input,
     build_vocabulary,
+    parse_dataset,
+    serialize_dataset,
+    split_dataset,
 )
-from protorecon.errors import CheckpointError, ConfigError, ProtoreconError
+from protorecon.errors import CheckpointError, ConfigError, ProtoreconError, VocabularyError
+from protorecon.synthetic import generate_family
 from tests.conftest import REFLEX_CONDITIONING, tiny_recon_config, tiny_reflex_config
 
 
@@ -176,6 +182,37 @@ def test_train_requires_split(tiny_dataset, tiny_vocab):
     model = models.ReconModel(tiny_recon_config(), tiny_vocab)
     with pytest.raises(ConfigError):
         models.train(model, tiny_dataset)
+
+
+def _tiny_config(kind, **overrides):
+    return (tiny_recon_config if kind == "recon" else tiny_reflex_config)(**overrides)
+
+
+@pytest.mark.parametrize("kind", ["recon", "reflex"])
+def test_training_ignores_the_datasets_column_order(tmp_path, kind):
+    """One vocabulary trained on a family and on its column-reversed copy writes equal bytes:
+    examples follow the vocabulary's language order, as decoding does."""
+    family, _rules = generate_family(n_sets=60, n_daughters=3, seed=2)
+    family = split_dataset(family, seed=2)
+    rows = [line.split("\t") for line in serialize_dataset(family).splitlines()]
+    reversed_tsv = "".join("\t".join(cells[:2] + cells[:1:-1]) + "\n" for cells in rows)
+    reversed_family = apply_split_tags(parse_dataset(reversed_tsv), family.split_tags)
+    assert reversed_family.languages == family.languages[::-1]
+    vocab = build_vocabulary(family)
+    blobs = []
+    for i, dataset in enumerate((family, reversed_family)):
+        model = models.train(models.new_model(kind, _tiny_config(kind), vocab), dataset)
+        model.save(tmp_path / f"{i}.ckpt")
+        blobs.append((tmp_path / f"{i}.ckpt").read_bytes())
+    assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("kind", ["recon", "reflex"])
+def test_train_refuses_a_language_the_vocabulary_lacks(tiny_split, tiny_vocab, kind):
+    """A dataset language outside the model's vocabulary is refused, not silently skipped."""
+    vocab = Vocabulary(tiny_vocab.id_to_token, ("LangA",))
+    with pytest.raises(VocabularyError, match="LangB"):
+        models.train(models.new_model(kind, _tiny_config(kind), vocab), tiny_split)
 
 
 def test_train_zero_epochs_returns_unchanged(tiny_split):

@@ -5,12 +5,11 @@ import pytest
 
 from protorecon import models
 from protorecon.corpus import build_vocabulary
-from protorecon.decode import Candidate
+from protorecon.decode import BeamConfig, Candidate
 from protorecon.errors import CheckpointError, ConfigError, ProtoreconError
 from protorecon.experiment import grid_search
 from protorecon.rerank import (
     ReflexCache,
-    RerankConfig,
     reconstruct_reranked,
     reflex_accuracy,
     format_rerank_tsv,
@@ -68,12 +67,15 @@ def test_rerank_validates_lengths():
         rerank(_candidates([-0.1]), [0.5, 0.5], 1.0)
 
 
-def test_rerank_config_validation():
-    for bad in (dict(lam=-0.5), dict(lam=float("nan")), dict(lam=float("inf")),
-                dict(lam=1.0, k=0), dict(lam=1.0, alpha=float("nan")), dict(lam=1.0, max_len=0)):
+def test_rerank_config_validation(tiny_dataset, tiny_vocab):
+    """A lambda that is negative or not finite is refused before any decode."""
+    recon = models.ReconModel(tiny_recon_config(), tiny_vocab)
+    reflex = models.ReflexModel(tiny_reflex_config(), tiny_vocab)
+    cs, cfg = tiny_dataset.sets[0], BeamConfig(k=2, alpha=1.0, max_len=4)
+    for bad in (-0.5, float("nan"), float("inf")):
         with pytest.raises(ConfigError):
-            RerankConfig(**bad)
-    RerankConfig(lam=0.0)  # boundary allowed
+            reconstruct_reranked(recon, reflex, cs, cfg, bad)
+    reconstruct_reranked(recon, reflex, cs, cfg, 0.0)  # boundary allowed
 
 
 def test_reflex_accuracy_counts_exact_matches(tiny_dataset, tiny_vocab):
@@ -110,9 +112,9 @@ def test_reconstruct_reranked_scores_empty_beam_candidate(tiny_dataset, tiny_voc
     recon = models.ReconModel(tiny_recon_config(), tiny_vocab)
     recon.params["clf.b2"].data[tiny_vocab.eos_id] += 5.0
     reflex = models.ReflexModel(tiny_reflex_config(), tiny_vocab)
-    cfg = RerankConfig(lam=1.0, k=3, alpha=1.0, max_len=6)
+    cfg = BeamConfig(k=3, alpha=1.0, max_len=6)
     for cs in tiny_dataset.sets:
-        top, reranked, beam, preds = reconstruct_reranked(recon, reflex, cs, cfg)
+        top, reranked, beam, preds = reconstruct_reranked(recon, reflex, cs, cfg, 1.0)
         assert beam[0].tokens == ()
         empty = next(rc for rc in reranked if rc.beam_rank == 0)
         assert empty.r == 0.0 and empty.s == empty.m
@@ -140,8 +142,8 @@ def test_reconstruct_reranked_pipeline(tiny_split):
     recon = models.train(models.ReconModel(tiny_recon_config(), vocab), tiny_split)
     reflex = models.train(models.ReflexModel(tiny_reflex_config(), vocab), tiny_split)
     cs = tiny_split.sets[0]
-    cfg = RerankConfig(lam=1.0, k=4, alpha=1.0, max_len=8)
-    top, reranked, beam, preds = reconstruct_reranked(recon, reflex, cs, cfg)
+    cfg = BeamConfig(k=4, alpha=1.0, max_len=8)
+    top, reranked, beam, preds = reconstruct_reranked(recon, reflex, cs, cfg, 1.0)
     assert 1 <= len(beam) <= 4
     assert len(reranked) == len(beam)
     assert top == reranked[0]
@@ -173,11 +175,11 @@ def test_library_rejects_models_of_different_vocabularies(tiny_split, tiny_vocab
     recon = models.ReconModel(tiny_recon_config(), tiny_vocab)
     other, _ = generate_family(n_sets=10, n_daughters=2, seed=1)
     reflex = models.ReflexModel(tiny_reflex_config(), build_vocabulary(other))
-    cfg = RerankConfig(lam=1.0, k=3, alpha=1.0, max_len=6)
+    cfg = BeamConfig(k=3, alpha=1.0, max_len=6)
     cs = tiny_split.sets[0]
     with pytest.raises(CheckpointError, match="different vocabularies"):
-        next(scored_beams(recon, reflex, [cs], cfg.beam))
+        next(scored_beams(recon, reflex, [cs], cfg))
     with pytest.raises(CheckpointError, match="different vocabularies"):
-        reconstruct_reranked(recon, reflex, cs, cfg)
+        reconstruct_reranked(recon, reflex, cs, cfg, 1.0)
     with pytest.raises(CheckpointError, match="different vocabularies"):
         grid_search(recon, reflex, tiny_split, k_range=(2,), lambda_range=(1.0,))

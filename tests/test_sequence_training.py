@@ -39,7 +39,7 @@ def recon_batches(draw):
         kept = draw(st.lists(st.sampled_from(FAMILY.languages), min_size=1, unique=True))
         reflexes = {lang: cs.reflexes[lang] for lang in kept if lang in cs.reflexes}
         inputs.append(assemble_reconstruction_input(
-            CognateSet(cs.id, cs.protoform, reflexes), VOCAB, FAMILY.languages))
+            CognateSet(cs.id, cs.protoform, reflexes), VOCAB))
         targets.append(draw(st.lists(st.sampled_from(PROTO_IDS + REFLEX_IDS), max_size=7)))
     return inputs, targets
 
@@ -127,7 +127,7 @@ def test_off_tape_decoder_step_takes_a_token_list():
     """Whether the parameters are tracked picks the path, not the type or shape of the tokens."""
     model = models.ReconModel(tiny_recon_config(), VOCAB)
     stepper = model.batch_decoder(
-        [assemble_reconstruction_input(cs, VOCAB, FAMILY.languages) for cs in FAMILY.sets[:2]])
+        [assemble_reconstruction_input(cs, VOCAB) for cs in FAMILY.sets[:2]])
     state = stepper.init_state(2)
     from_list, _ = stepper.step(state, [VOCAB.bos_id] * 2)
     from_array, _ = stepper.step(state, np.full(2, VOCAB.bos_id))

@@ -8,11 +8,11 @@ from protorecon.stats import (
     ComparisonResult,
     bootstrap_ci,
     compare,
-    exact_rank_sum_distribution,
     pearson_correlation,
     significant,
     wilcoxon_rank_sum,
 )
+from tests.oracles import exact_rank_sum_distribution
 
 
 def test_exact_p_value_canonical_case():
