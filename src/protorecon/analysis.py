@@ -6,9 +6,10 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 
-from .corpus import CognateSet, assemble_reflex_input, write_text
+from .corpus import CognateSet, write_text
 from .errors import ProtoreconError
 from .metrics import FeatureTable, feature_edit_distance, token_edit_distance
+from .rerank import score_candidates
 
 
 class RerankBehavior(Enum):
@@ -124,29 +125,27 @@ def similarity_comparison_table(error_items, table: FeatureTable):
     return out
 
 
-def per_language_error_rates(reflex_model, items, max_len=None):
+def per_language_error_rates(reflex_model, items, max_len=None, cache=None):
     """Reflex error rates per daughter language, per behavior group and overall.
 
-    items: iterable of (CognateSet, RerankBehavior) with gold protoforms;
-    reflexes are decoded from the gold protoform, all items in one batch.
+    items: iterable of (CognateSet, RerankBehavior); a set without a gold
+    protoform is skipped.  The reflexes are predicted from the gold
+    protoform by rerank.score_candidates, so a (protoform, language) pair
+    that the cache holds, as rerank_sets leaves it, is not decoded again.
     Languages absent from every item are omitted.
     """
     vocab = reflex_model.vocab
-    rows, labels = [], []  # decode rows; (behavior, language, gold ids) of each
-    for cset, behavior in items:
-        if cset.protoform is None:
-            continue
-        for language, reflex in cset.reflexes.items():
-            rows.append((assemble_reflex_input(cset.protoform, language, vocab), language))
-            labels.append((behavior, language, tuple(vocab.encode(reflex))))
+    items = [(cset, behavior) for cset, behavior in items if cset.protoform is not None]
+    scores = score_candidates(reflex_model, [([vocab.encode(cset.protoform)], cset)
+                                             for cset, _ in items], max_len, cache)
     counts = {}  # (group, language) -> [errors, total]
-    for pred, (behavior, language, gold) in zip(reflex_model.greedy_decode_rows(rows, max_len),
-                                                labels):
-        wrong = tuple(pred) != gold
-        for group in (behavior, "overall"):
-            c = counts.setdefault((group, language), [0, 0])
-            c[0] += wrong
-            c[1] += 1
+    for (cset, behavior), (_, [preds]) in zip(items, scores):
+        for language, reflex in cset.reflexes.items():
+            wrong = preds[language] != tuple(vocab.encode(reflex))
+            for group in (behavior, "overall"):
+                c = counts.setdefault((group, language), [0, 0])
+                c[0] += wrong
+                c[1] += 1
     out = {}
     for (group, language), (errors, total) in counts.items():
         out.setdefault(group, {})[language] = errors / total
@@ -163,13 +162,16 @@ def behavior_distribution(records) -> dict:
     return {"counts": counts, "total": sum(counts.values()), "improved_over_changed": ratio}
 
 
-def write_analysis_tables(out_dir, reflex_model, results, languages, table=None, stamp=""):
+def write_analysis_tables(out_dir, reflex_model, results, languages, table=None, stamp="",
+                          cache=None):
     """Write behavior.tsv, similarity.tsv (with a feature table) and error_rates.tsv.
 
     results: (cognate set with a gold protoform, its beam candidates, its
     reranked list, predictions) per set, as rerank_sets yields them, read
-    once.  error_rates.tsv lists the languages of languages that some set
-    has.  Every file starts with stamp.  Returns each set's BehaviorRecord.
+    once.  cache is the ReflexCache that rerank_sets filled, if any, which
+    per_language_error_rates reads.  error_rates.tsv lists the languages of
+    languages that some set has.  Every file starts with stamp.  Returns
+    each set's BehaviorRecord.
     """
     vocab = reflex_model.vocab
     records, error_items, rate_items = [], [], []
@@ -205,7 +207,7 @@ def write_analysis_tables(out_dir, reflex_model, results, languages, table=None,
             lines.append("\t".join([b.value, str(row["count"]), *cells]))
         write("similarity.tsv", lines)
 
-    rates = per_language_error_rates(reflex_model, rate_items)
+    rates = per_language_error_rates(reflex_model, rate_items, cache=cache)
     langs = [lang for lang in languages if any(lang in group for group in rates.values())]
     lines = ["category\t" + "\t".join(langs)]
     for group in list(RerankBehavior) + ["overall"]:

@@ -308,13 +308,14 @@ def _gate_z(z, mask):
     return z if mask is None else z * mask[..., None]
 
 
-def _gru_forward(x, h, W, U_zr, U_h, b, mask):
+def _gru_forward(x, h, W, U_zr, U_h, b, mask, out=None):
     """Raw-array GRU step over stacked gates: (h_next, (z|r, h_tilde)).
 
     With W None, x is already the step's input projection x @ W, which
-    gru_sequence computes for all steps at once.  Gates are finished in
-    place, and a projection made here is freed early, so that a step holds
-    little more than its outputs.
+    gru_sequence computes for all steps at once on the tape.  Gates are
+    finished in place, and a projection made here is freed early, so that a
+    step holds little more than its outputs.  h_next is written into out
+    when it is given.
     """
     H = h.shape[1]
     a = x if W is None else x @ W
@@ -331,37 +332,43 @@ def _gru_forward(x, h, W, U_zr, U_h, b, mask):
     h_tilde += b[2 * H :]
     np.tanh(h_tilde, out=h_tilde)
     zm = _gate_z(zr[:, :H], mask)
-    out = 1.0 - zm
+    out = np.subtract(1.0, zm, out=out)
     out *= h
     out += zm * h_tilde
     return out, (zr, h_tilde)
 
 
 def gru_sequence(X: Tensor, h0: Tensor, gates, mask=None, reverse=False) -> Tensor:
-    """A GRU over a whole batch of sequences as one tape node: states (T, B, H) of X (T, B, D).
+    """A GRU over a whole batch of sequences: states (T, B, H) of X (T, B, D).
 
-    states[t] is the state after step t, which is gru_cell's step
-    (_gru_forward); reverse runs the steps from T - 1 down to 0, as the
-    backward direction of an encoder does.  A row whose mask (T, B) is 0 at
-    a step keeps its state there.  The input projection X @ W is one GEMM
-    over all steps (Appleyard, Kocisky & Blunsom 2016, arXiv:1604.01946).
-    The backward is a BPTT loop over the steps; after it dW, dU_zr, dU_h
-    and dX are one GEMM each over the stacked steps.
+    states[t] is the state after step t (_gru_forward); reverse runs the
+    steps from T - 1 down to 0, as the backward direction of an encoder
+    does.  A row whose mask (T, B) is 0 at a step keeps its state there.
+    Off the tape the steps run one at a time through gru_cell_np, each with
+    its own x @ W, writing into states[t]; nothing is kept for a backward.
+    On the tape it is one node: the input projection X @ W is one GEMM over
+    all steps (Appleyard, Kocisky & Blunsom 2016, arXiv:1604.01946), and the
+    backward is a BPTT loop over the steps, after which dW, dU_zr, dU_h and
+    dX are one GEMM each over the stacked steps.
     """
     W, U_zr, U_h, b = gates
     T, B, D = X.data.shape
     H = h0.data.shape[1]
-    A = (X.data.reshape(T * B, D) @ W.data).reshape(T, B, 3 * H)
-    states, z, r, h_tilde = (np.empty((T, B, H)) for _ in range(4))
     order = range(T - 1, -1, -1) if reverse else range(T)
+    states = np.empty((T, B, H))
     h = h0.data
+    if not _tracked(X, h0, *gates):
+        raw = (W.data, U_zr.data, U_h.data, b.data)
+        for t in order:
+            h = gru_cell_np(X.data[t], h, raw, None if mask is None else mask[t], states[t])
+        return Tensor(states)
+    A = (X.data.reshape(T * B, D) @ W.data).reshape(T, B, 3 * H)
+    z, r, h_tilde = (np.empty((T, B, H)) for _ in range(3))
     for t in order:
         h, (zr, h_tilde[t]) = _gru_forward(A[t], h, None, U_zr.data, U_h.data, b.data,
-                                           None if mask is None else mask[t])
-        states[t], z[t], r[t] = h, zr[:, :H], zr[:, H:]
+                                           None if mask is None else mask[t], states[t])
+        z[t], r[t] = zr[:, :H], zr[:, H:]
     del A
-    if not _tracked(X, h0, *gates):
-        return Tensor(states)
 
     def rule(g):
         ends = (states[1:], h0.data[None]) if reverse else (h0.data[None], states[:-1])
@@ -410,25 +417,21 @@ def gru_sequence(X: Tensor, h0: Tensor, gates, mask=None, reverse=False) -> Tens
 
 
 def gru_cell(x: Tensor, h_prev: Tensor, gates, mask=None) -> Tensor:
-    """One GRU step, h_next = (1 - z) * h_prev + z * h_tilde.
+    """One GRU step, h_next = (1 - z) * h_prev + z * h_tilde: a one-step gru_sequence.
 
     gates = (W, U_zr, U_h, b) with the gates stacked z|r|h: W = [W_z W_r W_h]
     of shape (input, 3 * hidden), U_zr = [U_z U_r] of shape (hidden,
     2 * hidden), U_h (hidden, hidden) and b = [b_z b_r b_h].  Rows whose mask
-    entry is 0 (a padded step) keep h_prev.  Off the tape this is
-    gru_cell_np; on it, a one-step gru_sequence.
+    entry is 0 (a padded step) keep h_prev.
     """
-    W, U_zr, U_h, b = gates
-    if not _tracked(x, h_prev, W, U_zr, U_h, b):
-        return Tensor(gru_cell_np(x.data, h_prev.data, (W.data, U_zr.data, U_h.data, b.data), mask))
     states = gru_sequence(reshape(x, (1, *x.data.shape)), h_prev, gates,
                           None if mask is None else mask[None])
     return reshape(states, h_prev.data.shape)
 
 
-def gru_cell_np(x: np.ndarray, h_prev: np.ndarray, gates, mask=None) -> np.ndarray:
-    """gru_cell's forward on raw arrays, which gru_cell runs when nothing is tracked."""
-    return _gru_forward(x, h_prev, *gates, mask)[0]
+def gru_cell_np(x: np.ndarray, h_prev: np.ndarray, gates, mask=None, out=None) -> np.ndarray:
+    """gru_cell's forward on raw arrays, written into out when it is given."""
+    return _gru_forward(x, h_prev, *gates, mask, out)[0]
 
 
 class Adam:

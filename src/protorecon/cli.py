@@ -36,7 +36,7 @@ from .experiment import (
     run_experiment,
 )
 from .metrics import evaluate, load_feature_table
-from .rerank import check_lambda, check_model_pair, format_rerank_tsv, rerank_sets
+from .rerank import ReflexCache, check_lambda, check_model_pair, format_rerank_tsv, rerank_sets
 from .stats import compare, pearson_correlation, significant
 from .analysis import write_analysis_tables
 
@@ -199,6 +199,9 @@ def cmd_eval(args):
     ds = read_dataset(args.dataset, args.tokenize)
     preds = _parse_predictions(read_text(args.predictions))
     table = load_feature_table(args.feature_table)
+    unknown = sorted(set(preds) - {cset.id for cset in ds.sets})
+    if unknown:
+        raise SchemaError(f"predictions for ids that name no cognate set: {unknown[:5]}")
     predicted, golds = [], []
     for cset in ds.sets:
         if cset.protoform is None:
@@ -268,8 +271,9 @@ def cmd_analyze(args):
     ds = read_dataset(args.dataset, args.tokenize)
     table = load_feature_table(args.feature_table)
     csets = [cset for cset in ds.sets if cset.protoform is not None]
-    results = rerank_sets(recon, reflex, csets, beam_config, args.lam)
-    write_analysis_tables(args.out, reflex, results, ds.languages, table)
+    cache = ReflexCache()
+    results = rerank_sets(recon, reflex, csets, beam_config, args.lam, cache)
+    write_analysis_tables(args.out, reflex, results, ds.languages, table, cache=cache)
     print(f"analysis written to {args.out}", file=sys.stderr)
 
 

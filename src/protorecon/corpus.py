@@ -140,15 +140,12 @@ class Vocabulary:
             raise VocabularyError(f"unknown language {language!r}")
         return self.token_to_id[tag]
 
-    def encode(self, tokens, allow_unk: bool = False) -> list[int]:
+    def encode(self, tokens) -> list[int]:
         out = []
         for tok in tokens:
-            if tok in self.token_to_id:
-                out.append(self.token_to_id[tok])
-            elif allow_unk:
-                out.append(self.unk_id)
-            else:
+            if tok not in self.token_to_id:
                 raise VocabularyError(f"unknown token {tok!r}")
+            out.append(self.token_to_id[tok])
         return out
 
     def decode(self, ids) -> tuple[str, ...]:

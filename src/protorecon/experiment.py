@@ -15,7 +15,7 @@ from . import models
 from .corpus import Dataset, build_vocabulary, read_dataset, write_text
 from .errors import ConfigError, ProtoreconError
 from .metrics import FeatureTable, evaluate, load_feature_table
-from .rerank import check_lambda, rerank, rerank_sets, scored_beams
+from .rerank import ReflexCache, check_lambda, rerank, rerank_sets, scored_beams
 from .analysis import write_analysis_tables
 
 DEFAULT_K_RANGE = (2, 4, 6, 8, 10)
@@ -67,14 +67,6 @@ def grid_search(
         if best is None or acc > best[0]:
             best = (acc, k, lam)
     return GridResult(k=best[1], lam=best[2], grid=grid)
-
-
-def average_grid_results(results) -> tuple[int, float]:
-    """Average (k, lambda) across model pairs; k rounds half-up to an integer."""
-    ks = [r.k for r in results]
-    lams = [r.lam for r in results]
-    k_avg = int(np.floor(np.mean(ks) + 0.5))
-    return k_avg, float(np.mean(lams))
 
 
 @dataclass
@@ -138,9 +130,11 @@ def run_seed(config: ExperimentConfig, dataset: Dataset, seed: int, table: Featu
     lam = 0.0 if config.ablation_no_reranker else config.lam
     test = dataset.subset("test")
     csets = [cs for cs in test.sets if cs.protoform is not None]
+    cache = ReflexCache()
     results = list(rerank_sets(recon, reflex, csets,
-                               recon.beam_config(config.beam_size, config.alpha), lam))
-    records = write_analysis_tables(seed_dir, reflex, results, dataset.languages, table, stamp)
+                               recon.beam_config(config.beam_size, config.alpha), lam, cache))
+    records = write_analysis_tables(seed_dir, reflex, results, dataset.languages, table, stamp,
+                                    cache)
     gold_strs = [tuple(cs.protoform) for cs in csets]
     report = evaluate([vocab.decode(reranked[0].tokens) for _, _, reranked, _ in results],
                       gold_strs, table)

@@ -11,6 +11,7 @@ Conventions fixed here (the literature leaves them open):
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,16 +20,23 @@ from .corpus import read_text
 from .errors import ProtoreconError, SchemaError
 
 
+def _edit_table(a, b, sub_cost):
+    """The Levenshtein DP table of a against b: rows[i][j] is the distance of a[:i] to b[:j].
+
+    Insertions and deletions cost 1; substituting x by y costs sub_cost(x, y).
+    """
+    rows = [list(range(len(b) + 1))]
+    for i, x in enumerate(a, start=1):
+        prev, cur = rows[-1], [i]
+        for j, y in enumerate(b, start=1):
+            cur.append(min(cur[j - 1] + 1, prev[j] + 1, prev[j - 1] + sub_cost(x, y)))
+        rows.append(cur)
+    return rows
+
+
 def token_edit_distance(a, b) -> int:
     """Levenshtein distance with unit costs."""
-    a, b = list(a), list(b)
-    prev = list(range(len(b) + 1))
-    for i, ta in enumerate(a, start=1):
-        cur = [i] + [0] * len(b)
-        for j, tb in enumerate(b, start=1):
-            cur[j] = min(cur[j - 1] + 1, prev[j] + 1, prev[j - 1] + (ta != tb))
-        prev = cur
-    return prev[-1]
+    return _edit_table(a, list(b), operator.ne)[-1][-1]
 
 
 def ter(pred, gold) -> float:
@@ -127,17 +135,7 @@ def feature_edit_distance(a, b, table: FeatureTable) -> float:
     missing = sorted({t for t in a + b if t not in table})
     if missing:
         raise ProtoreconError(f"tokens missing from feature table: {missing}")
-    prev = [float(j) for j in range(len(b) + 1)]
-    for i, ta in enumerate(a, start=1):
-        cur = [float(i)] + [0.0] * len(b)
-        for j, tb in enumerate(b, start=1):
-            cur[j] = min(
-                cur[j - 1] + 1.0,
-                prev[j] + 1.0,
-                prev[j - 1] + table.substitution_cost(ta, tb),
-            )
-        prev = cur
-    return prev[-1]
+    return float(_edit_table(a, b, table.substitution_cost)[-1][-1])
 
 
 def fer(pred, gold, table: FeatureTable) -> float:
@@ -157,24 +155,14 @@ def align(pred, gold):
     symbol against a gap) preferred over insertion (gap against gold symbol).
     """
     pred, gold = list(pred), list(gold)
-    n, m = len(pred), len(gold)
-    dp = np.zeros((n + 1, m + 1), dtype=np.int64)
-    dp[:, 0] = np.arange(n + 1)
-    dp[0, :] = np.arange(m + 1)
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            dp[i, j] = min(
-                dp[i - 1, j - 1] + (pred[i - 1] != gold[j - 1]),
-                dp[i - 1, j] + 1,
-                dp[i, j - 1] + 1,
-            )
+    dp = _edit_table(pred, gold, operator.ne)
     cols = []
-    i, j = n, m
+    i, j = len(pred), len(gold)
     while i > 0 or j > 0:
-        if i > 0 and j > 0 and dp[i, j] == dp[i - 1, j - 1] + (pred[i - 1] != gold[j - 1]):
+        if i > 0 and j > 0 and dp[i][j] == dp[i - 1][j - 1] + (pred[i - 1] != gold[j - 1]):
             cols.append((pred[i - 1], gold[j - 1]))
             i, j = i - 1, j - 1
-        elif i > 0 and dp[i, j] == dp[i - 1, j] + 1:
+        elif i > 0 and dp[i][j] == dp[i - 1][j] + 1:
             cols.append((pred[i - 1], GAP))
             i -= 1
         else:

@@ -3,10 +3,11 @@
 The reconstruction model consumes a concatenated cognate-set sequence and
 emits a protoform; the reflex model consumes a language-tagged protoform
 and emits the reflex in that daughter language.  Each model's encoder and
-decoder step are written once with autodiff ops: training runs them on the
-parameters and builds a tape, and decoding (encode_np, and batch_decoder
-through the stepper interface in decode.py) runs them on an untracked view
-of the parameters, where the ops record nothing.
+decoder step are written once with autodiff ops over whole (T, B) batches:
+training runs them on the parameters and builds a tape, and decoding
+(encode_np, and batch_decoder through the stepper interface in decode.py)
+runs them on an untracked view of the parameters, where the ops record
+nothing and ad.gru_sequence steps one position at a time.
 """
 
 from __future__ import annotations
@@ -154,7 +155,7 @@ def _gru_params(rng, n_in, n_hid, prefix):
 
 
 def _stacked_gates(params, prefix):
-    """The (W, U_zr, U_h, b) that ad.gru_cell takes, from the nine per-gate parameters.
+    """The (W, U_zr, U_h, b) that ad.gru_sequence takes, from the nine per-gate parameters.
 
     Stacked with ad.concat once per forward pass, so gradients land on the
     named parameters and the checkpoint layout stays per gate.
@@ -166,20 +167,24 @@ def _stacked_gates(params, prefix):
             cat(("b_z", "b_r", "b_h"), axis=0))
 
 
-def segment_language_indices(ids, vocab: Vocabulary) -> list[int]:
-    """Per-position language index (0 = structural) for a concatenated input."""
-    tag_to_index = {vocab.language_tag_id(lang): i + 1 for i, lang in enumerate(vocab.languages)}
-    out, cur = [], 0
-    for i in ids:
-        if i == vocab.sep_id or i == vocab.delim_id:
-            cur = 0 if i == vocab.sep_id else cur
-            out.append(0)
-        elif i in tag_to_index:
-            cur = tag_to_index[i]
-            out.append(cur)
-        else:
-            out.append(cur)
-    return out
+def segment_language_indices(ids, vocab: Vocabulary) -> np.ndarray:
+    """Per-position language index (0 = structural) of concatenated inputs.
+
+    ids holds positions along axis 0: one input, or a time-major padded
+    (T, B) batch.  A position takes the index of the last language tag at
+    or before it, unless a SEP came after that tag; SEP and DELIM positions
+    are 0.  Pads after a closing SEP are 0.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    tag_index = np.zeros(vocab.size, dtype=np.int64)
+    for i, lang in enumerate(vocab.languages):
+        tag_index[vocab.language_tag_id(lang)] = i + 1
+    sep, tags = ids == vocab.sep_id, tag_index[ids]
+    steps = np.arange(len(ids)).reshape((-1,) + (1,) * (ids.ndim - 1))
+    last = np.maximum.accumulate(np.where(sep | (tags > 0), steps, 0), axis=0)  # SEP or tag
+    current = np.take_along_axis(tags, last, axis=0)
+    current[sep | (ids == vocab.delim_id)] = 0
+    return current
 
 
 class _Conditioning(NamedTuple):
@@ -198,7 +203,8 @@ class _GruStepper:
     (batched greedy decoding, batch = n).  The state is (hidden matrix,
     input index of each row, their _Conditioning), so per-input
     conditioning (the reflex model's target language) follows select(),
-    the only place where the rows change.
+    the only place where the rows change.  A step is a one-step (1, B)
+    batch of _decode_step, so the conditioning is of rows[None].
     """
 
     def __init__(self, model, params, h0, conditioning):
@@ -212,50 +218,25 @@ class _GruStepper:
 
     def init_state(self, batch):
         rows = np.arange(batch) % len(self._h0)
-        return self._h0[rows], rows, self._conditioning(rows)
+        return self._h0[rows], rows, self._conditioning(rows[None])
 
     def step(self, state, tokens):
         h, rows, cond = state
-        h, logits = self._model._decode_step(self._p, self._dec, Tensor(h), tokens, cond)
-        return ad.log_softmax_rows(logits.data), (h.data, rows, cond)
+        states, logits = self._model._decode_step(self._p, self._dec, Tensor(h), [tokens], cond)
+        return ad.log_softmax_rows(logits.data), (states.data[0], rows, cond)
 
     def select(self, state, idx):
         rows = state[1][idx]
-        return state[0][idx], rows, self._conditioning(rows)
+        return state[0][idx], rows, self._conditioning(rows[None])
 
 
 def _concat(parts):
     return ad.concat(parts, axis=-1) if len(parts) > 1 else parts[0]
 
 
-def _on_tape(p):
-    """Whether p is a model's parameter dict (a training forward) or an untracked view of it.
-
-    This one test picks between whole sequences on the tape and one step at
-    a time off it, in the encoders and the decoder alike.
-    """
-    return p["tok_emb"].requires_grad
-
-
-def _gru_run(on_tape, seq, h0, gates, mask, reverse=False, keep_states=True):
-    """(states, final state) of a GRU over the inputs of T steps, mask (T, B).
-
-    On the tape seq is a (T, B, D) Tensor, and states the (T, B, H) Tensor
-    of one ad.gru_sequence.  Off it (inference) seq is a function of a step
-    index, the steps run one at a time through ad.gru_cell, so that only one
-    step's inputs are gathered at once, and states is a list of per-step
-    states (None unless keep_states).
-    """
-    T = len(mask)
-    if on_tape:
-        states = ad.gru_sequence(seq, h0, gates, mask, reverse)
-        return states, ad.embedding(states, 0 if reverse else T - 1)
-    states, h = [None] * T, h0
-    for t in range(T - 1, -1, -1) if reverse else range(T):
-        h = ad.gru_cell(seq(t), h, gates, mask[t])
-        if keep_states:
-            states[t] = h
-    return states, h
+def _final_state(states, reverse=False):
+    """The state of a (T, B, H) GRU run after its last step: row T - 1, or 0 in reverse."""
+    return ad.embedding(states, 0 if reverse else len(states.data) - 1)
 
 
 def _pad_batch(seqs, pad_id):
@@ -276,12 +257,14 @@ class _ModelBase:
     Each model writes its forward once, with autodiff ops on a parameter
     dict p: training passes self.params and builds a tape; inference
     (encode_np, batch_decoder) passes _untracked_params() with dropout rate
-    0, on which the same ops record nothing.
+    0, on which the same ops record nothing.  Making a model sets the
+    process's heap policy (_keep_freed_memory).
     """
 
     kind = ""
 
     def __init__(self, config, vocab: Vocabulary):
+        _keep_freed_memory()
         self.config = config
         self.vocab = vocab
         self.params: dict[str, Tensor] = {}
@@ -332,24 +315,20 @@ class _ModelBase:
 
     def _decode_step(self, p, dec_gates, h, prev_ids, cond: _Conditioning, mask=None, rate=0.0,
                      keep=(None, None)):
-        """The decoder after tokens prev_ids: (hidden states, logits).
+        """The decoder from states h after tokens prev_ids (T, B): (states (T, B, H), logits).
 
-        Off the tape prev_ids (B,) is one step (ad.gru_cell), as decoding
-        runs it, and the logits have one row per state row.  On the tape
-        prev_ids (T, B) is a whole teacher-forced batch (one ad.gru_sequence);
-        its logits rows are the T * B (step, row) pairs, step-major.
+        Training passes a whole teacher-forced batch, and decoding one step
+        (T = 1).  The logits rows are the T * B (step, row) pairs, step-major.
         keep holds the dropout keep masks of the inputs and of the states.
         """
-        on_tape = _on_tape(p)
         x = ad.dropout(ad.embedding(p["tok_emb"], prev_ids), rate, keep=keep[0])
         if cond.lang_rows is not None:
             x = ad.concat([x, cond.lang_rows], axis=-1)
-        h = (ad.gru_sequence if on_tape else ad.gru_cell)(x, h, dec_gates, mask)
-        h_in = ad.dropout(h, rate, keep=keep[1])
+        states = ad.gru_sequence(x, h, dec_gates, mask)
+        h_in = ad.dropout(states, rate, keep=keep[1])
         clf_in = ad.concat([h_in, cond.one_hot], axis=-1) if cond.one_hot is not None else h_in
-        if on_tape:
-            clf_in = ad.reshape(clf_in, (-1, clf_in.data.shape[2]))
-        return h, self._classifier(clf_in, p["clf.W1"], p["clf.b1"], cond.blocks)
+        clf_in = ad.reshape(clf_in, (-1, clf_in.data.shape[2]))
+        return states, self._classifier(clf_in, p["clf.W1"], p["clf.b1"], cond.blocks)
 
     def _decoder_loss(self, h, targets, conditioning, rate, dropout_rng):
         """Teacher-forced mean token loss of decoding targets from encoder states h.
@@ -471,22 +450,19 @@ class ReconModel(_ModelBase):
     def _encode(self, p, inputs, rate=0.0, dropout_rng=None):
         """Final encoder states (len(inputs), H) of SEP-framed id sequences.
 
-        On the tape the batch is one (T, B) gather per table and one GRU
-        node; off it the embeddings are gathered step by step (see _gru_run).
+        The batch is one (T, B) gather per table and one ad.gru_sequence.
         """
         for seq in inputs:
             self._check_framing(seq)
         in_ids, in_mask, _ = _pad_batch(inputs, self.vocab.pad_id)
-        li_ids, _, _ = _pad_batch([segment_language_indices(s, self.vocab) for s in inputs], 0)
-        ids, lang_ids = in_ids.T, li_ids.T  # time-major
-
-        def x(t):  # the inputs of step t, or of every step for t = slice(None)
-            return ad.embeddings([(p["tok_emb"], ids[t]), (p["lang_emb"], lang_ids[t])])
-
-        on_tape = _on_tape(p)
-        seq = ad.dropout(x(slice(None)), rate, dropout_rng) if on_tape else x
+        ids = in_ids.T  # time-major
+        lang_ids = segment_language_indices(ids, self.vocab)
         h0 = Tensor(np.zeros((len(inputs), self.config.hidden_size)))
-        return _gru_run(on_tape, seq, h0, _stacked_gates(p, "enc"), in_mask.T, keep_states=False)[1]
+        states = ad.gru_sequence(
+            ad.dropout(ad.embeddings([(p["tok_emb"], ids), (p["lang_emb"], lang_ids)]), rate,
+                       dropout_rng),
+            h0, _stacked_gates(p, "enc"), in_mask.T)
+        return _final_state(states)
 
     def _conditioning(self, p):
         blocks = [(None, p["clf.W2"], ad.add(p["clf.b2"], self._output_mask))]
@@ -595,34 +571,21 @@ class ReflexModel(_ModelBase):
 
         Inputs are right-padded.  A padded step keeps the row's state, so the
         backward direction, which meets a row's pads first, stays at zero
-        until its last real token.  On the tape each layer and direction is
-        one GRU node over the whole batch; off it the steps run one at a time
-        (see _gru_run), and per-step states are kept only for a layer that a
-        next layer reads.
+        until its last real token.  Each layer and direction is one
+        ad.gru_sequence over the whole batch.
         """
         cfg = self.config
         in_ids, in_mask, _ = _pad_batch(inputs, self.vocab.pad_id)
         ids, mask = in_ids.T, in_mask.T  # time-major
         h0 = Tensor(np.zeros((len(inputs), cfg.hidden_size)))
         dirs = ("f", "b") if cfg.bidirectional_encoder else ("f",)
-        on_tape = _on_tape(p)
-        if on_tape:
-            seq = ad.dropout(ad.embedding(p["tok_emb"], ids), rate, dropout_rng)
-        else:
-            def seq(t):  # each direction gathers again: cheaper than keeping the gathers
-                return ad.embedding(p["tok_emb"], ids[t])
+        seq = ad.dropout(ad.embedding(p["tok_emb"], ids), rate, dropout_rng)
         for layer in range(cfg.num_encoder_layers):
-            last = layer == cfg.num_encoder_layers - 1
-            runs = [_gru_run(on_tape, seq, h0, _stacked_gates(p, f"enc{layer}{d}"), mask, d == "b",
-                             keep_states=not last) for d in dirs]
-            if last:
-                break
-            if on_tape:
-                seq = ad.dropout(_concat([states for states, _ in runs]), rate, dropout_rng)
-            else:
-                steps = [_concat([states[t] for states, _ in runs]) for t in range(len(ids))]
-                seq = steps.__getitem__
-        final = _concat([h for _, h in runs])  # forward: state at the last token; backward: first
+            if layer:
+                seq = ad.dropout(_concat(runs), rate, dropout_rng)
+            runs = [ad.gru_sequence(seq, h0, _stacked_gates(p, f"enc{layer}{d}"), mask, d == "b")
+                    for d in dirs]
+        final = _concat([_final_state(states, d == "b") for states, d in zip(runs, dirs)])
         return ad.tanh(ad.add(ad.matmul(final, p["bridge.W"]), p["bridge.b"]))
 
     def _conditioning(self, p, lang) -> _Conditioning:
@@ -710,16 +673,17 @@ def _examples(kind, dataset: Dataset, vocab: Vocabulary):
 
 @functools.cache
 def _keep_freed_memory():
-    """Keep memory that training frees in the process's heap, once per process (glibc only).
+    """Keep memory that the models free in the process's heap, once per process (glibc only).
 
-    By default glibc serves blocks above a dynamic threshold with mmap and
-    returns freed heap tops to the kernel, so every batch's multi-MB
-    temporaries are faulted in afresh.  The mmap threshold (64 MiB) sits
-    above the largest per-batch array at the WikiHan presets, the
-    (T~45, B=128, 1018) float64 encoder input of about 47 MB; the trim
-    threshold (128 MiB) above two of them.  Setting either one turns off
-    the dynamic threshold, so both are set or neither.  Where the C library
-    has no mallopt, or it refuses a value, nothing changes.
+    Called when a model is made, so that training and inference alike keep
+    it.  By default glibc serves blocks above a dynamic threshold with mmap
+    and returns freed heap tops to the kernel, so every batch's (and every
+    decode chunk's) multi-MB temporaries are faulted in afresh.  The mmap
+    threshold (64 MiB) sits above the largest per-batch array at the WikiHan
+    presets, the (T~45, B=128, 1018) float64 encoder input of about 47 MB;
+    the trim threshold (128 MiB) above two of them.  Setting either one
+    turns off the dynamic threshold, so both are set or neither.  Where the
+    C library has no mallopt, or it refuses a value, nothing changes.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -749,7 +713,6 @@ def train(model, dataset: Dataset, log=None):
     examples are encoded once; each batch concatenates those of its sets.
     Returns the model (trained in place, best-validation parameters kept).
     """
-    _keep_freed_memory()
     if dataset.split_tags is None:
         raise ConfigError("dataset must be split-tagged before training")
     unknown = sorted(set(dataset.languages) - set(model.vocab.languages))

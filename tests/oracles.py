@@ -21,6 +21,9 @@ decode.beam_search ranks the whole frontier at once.  The library's
 outputs and gradients must match these within rounding.
 ``exact_rank_sum_distribution`` enumerates the rank-sum distribution that
 stats.wilcoxon_rank_sum counts for its exact p-values.
+``segment_language_indices_loop`` is models.segment_language_indices as it
+was before it ran over a padded id matrix: one input, one position at a
+time.
 """
 
 from itertools import combinations
@@ -119,6 +122,22 @@ def gru_cell_six(x, h_prev, params):
                                     ad.matmul(mul(r, h_prev), params["U_h"])),
                              params["b_h"]))
     return ad.add(mul(affine(z, -1.0, 1.0), h_prev), mul(z, h_tilde))
+
+
+def segment_language_indices_loop(ids, vocab) -> list[int]:
+    """Per-position language index (0 = structural) for one concatenated input."""
+    tag_to_index = {vocab.language_tag_id(lang): i + 1 for i, lang in enumerate(vocab.languages)}
+    out, cur = [], 0
+    for i in ids:
+        if i == vocab.sep_id or i == vocab.delim_id:
+            cur = 0 if i == vocab.sep_id else cur
+            out.append(0)
+        elif i in tag_to_index:
+            cur = tag_to_index[i]
+            out.append(cur)
+        else:
+            out.append(cur)
+    return out
 
 
 def masked_step(h_prev, h_new, mask_col):
@@ -249,7 +268,7 @@ def step_recon_loss(model, inputs, targets, dropout_rng=None):
     rate = model.config.dropout if dropout_rng is not None else 0.0
     in_ids, in_mask, _ = models._pad_batch(inputs, vocab.pad_id)
     li_ids, _, _ = models._pad_batch(
-        [models.segment_language_indices(s, vocab) for s in inputs], 0)
+        [segment_language_indices_loop(s, vocab) for s in inputs], 0)
     h = Tensor(np.zeros((len(inputs), model.config.hidden_size)))
     enc = gate_dict(p, "enc")
     for t in range(in_ids.shape[1]):
@@ -342,7 +361,7 @@ def oracle_greedy(stepper, max_len):
 
 def oracle_recon_decoder(model, input_ids):
     p = model.params
-    lidx = models.segment_language_indices(input_ids, model.vocab)
+    lidx = segment_language_indices_loop(input_ids, model.vocab)
     x = np.concatenate(
         [p["tok_emb"].data[np.asarray(input_ids)], p["lang_emb"].data[np.asarray(lidx)]], axis=1
     )

@@ -377,6 +377,24 @@ def test_gru_cell_builds_no_node_off_the_tape():
     assert not h.parents and h.backward_rule is None
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 5), st.booleans(), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_untracked_gru_sequence_is_a_gru_cell_np_loop_bitwise(T, B, reverse, masked, seed):
+    """Off the tape gru_sequence is the per-step loop that inference ran before it, bit for
+    bit: each step's own x @ W, in either direction, a masked row keeping its state."""
+    rng = np.random.default_rng(seed)
+    gates = tuple(g.data for g in stack_gates(_gru_params(rng, 3, 4)))
+    X, h0 = rng.normal(size=(T, B, 3)), rng.normal(size=(B, 4))
+    mask = (rng.random((T, B)) < 0.7).astype(float) if masked else None
+    got = ad.gru_sequence(Tensor(X), Tensor(h0), tuple(map(Tensor, gates)), mask, reverse)
+    want, h = np.empty((T, B, 4)), h0
+    for t in range(T - 1, -1, -1) if reverse else range(T):
+        h = want[t] = ad.gru_cell_np(X[t].copy(), h, gates, None if mask is None else mask[t])
+    assert np.array_equal(got.data, want)
+    assert not got.parents and got.backward_rule is None
+
+
 def test_backward_requires_scalar():
     x = ad.parameter(np.zeros((2, 2)))
     with pytest.raises(DimensionError):

@@ -255,6 +255,19 @@ def test_eval_rejects_a_repeated_prediction_id_exit_3(workdir, tmp_path, capsys)
     assert "duplicate prediction id" in captured.err and captured.out == ""
 
 
+def test_eval_rejects_a_prediction_for_an_unknown_id_exit_3(workdir, tmp_path, capsys):
+    """A prediction row whose id names no set of the dataset is refused, not dropped."""
+    golds = [(cs.id, " ".join(cs.protoform))
+             for cs in parse_dataset((workdir / "data.tsv").read_text()).sets]
+    preds = tmp_path / "preds.tsv"
+    preds.write_text("".join(f"{i}\t{p}\n" for i, p in golds) + "nosuchid\tp a\n",
+                     encoding="utf-8")
+    assert main(["eval", "--dataset", str(workdir / "data.tsv"),
+                 "--predictions", str(preds)]) == 3
+    captured = capsys.readouterr()
+    assert "nosuchid" in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("bad", ["six", "nan", "-inf"])
 @pytest.mark.parametrize("command", ["compare", "correlate"])
 def test_non_numeric_score_line_exit_3(tmp_path, capsys, command, bad):

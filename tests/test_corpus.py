@@ -111,7 +111,6 @@ def test_vocabulary_bijection(tiny_vocab):
 def test_vocabulary_unknown_token(tiny_vocab):
     with pytest.raises(VocabularyError):
         tiny_vocab.encode(["zz"])
-    assert tiny_vocab.encode(["zz"], allow_unk=True) == [tiny_vocab.unk_id]
 
 
 def test_vocabulary_hash_stability(tiny_dataset, tiny_vocab):

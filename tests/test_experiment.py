@@ -1,4 +1,4 @@
-"""Grid search, result averaging, and the seeded experiment runner."""
+"""Grid search and the seeded experiment runner."""
 
 import dataclasses
 import os
@@ -12,8 +12,6 @@ from protorecon.experiment import (
     DEFAULT_K_RANGE,
     DEFAULT_LAMBDA_RANGE,
     ExperimentConfig,
-    GridResult,
-    average_grid_results,
     grid_search,
     run_experiment,
 )
@@ -28,18 +26,6 @@ def test_default_grid_ranges():
     assert DEFAULT_LAMBDA_RANGE[-1] == pytest.approx(4.2)
     steps = [b - a for a, b in zip(DEFAULT_LAMBDA_RANGE, DEFAULT_LAMBDA_RANGE[1:])]
     assert all(s == pytest.approx(0.3) for s in steps)
-
-
-def test_average_grid_results_rounds_k_half_up():
-    results = [GridResult(k=6, lam=1.2, grid={}), GridResult(k=7, lam=1.4, grid={})]
-    k, lam = average_grid_results(results)
-    assert k == 7  # 6.5 rounds up, not to even
-    assert lam == pytest.approx(1.3)
-
-
-def test_average_grid_results_plain_mean():
-    results = [GridResult(k=2, lam=0.3, grid={}), GridResult(k=4, lam=0.9, grid={})]
-    assert average_grid_results(results) == (3, pytest.approx(0.6))
 
 
 def test_grid_search_tie_break_and_coverage(tiny_split):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from protorecon import autodiff as ad
 from protorecon import decode as dec
@@ -20,6 +22,7 @@ from protorecon.corpus import (
 from protorecon.errors import CheckpointError, ConfigError, ProtoreconError, VocabularyError
 from protorecon.synthetic import generate_family
 from tests.conftest import REFLEX_CONDITIONING, tiny_recon_config, tiny_reflex_config
+from tests.oracles import segment_language_indices_loop
 
 
 def _recon_batch(dataset, vocab):
@@ -330,7 +333,21 @@ def test_reflex_group_loss_matches_single_examples(tiny_dataset, tiny_vocab):
 def test_segment_language_indices(tiny_vocab):
     seq = ["*", "<LangA>", ":", "p", "o", "*", "<LangB>", ":", "b", "*"]
     idx = models.segment_language_indices(tiny_vocab.encode(seq), tiny_vocab)
-    assert idx == [0, 1, 0, 1, 1, 0, 2, 0, 2, 0]
+    assert idx.tolist() == [0, 1, 0, 1, 1, 0, 2, 0, 2, 0]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])  # tiny_vocab is read-only
+@given(st.lists(st.lists(st.integers(0, 16), min_size=1, max_size=12), min_size=1, max_size=6))
+def test_segment_language_indices_of_a_padded_batch_match_the_loop(tiny_vocab, seqs):
+    """Over a time-major padded matrix, each column equals the per-input loop, with 0 on its
+    pads when the input ends in SEP; any id sequence is drawn, framed or not."""
+    seqs = [s + [tiny_vocab.sep_id] for s in seqs]
+    ids, _, lengths = models._pad_batch(seqs, tiny_vocab.pad_id)
+    got = models.segment_language_indices(ids.T, tiny_vocab)
+    for col, s in enumerate(seqs):
+        assert got[: len(s), col].tolist() == segment_language_indices_loop(s, tiny_vocab)
+        assert not got[len(s) :, col].any()
 
 
 # -- steppers and greedy/beam consistency -------------------------------------
