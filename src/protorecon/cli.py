@@ -80,13 +80,12 @@ def _model_config(preset_name, kind: str, seed=None):
     values = load_preset(preset_name) if preset_name else {}
     if seed is not None:
         values["seed"] = seed
-    cls = models.ReconModelConfig if kind == "recon" else models.ReflexModelConfig
-    return models.config_from_dict(cls, values)
+    return models.config_from_dict(models.MODELS[kind].config_class, values)
 
 
-def _load_model(path, expect=None):
+def _load_model(path, expect):
     model = models.load_checkpoint(path)
-    if expect is not None and not isinstance(model, expect):
+    if not isinstance(model, expect):
         raise ConfigError(f"checkpoint {path} holds a {type(model).__name__}, "
                           f"expected {expect.__name__}")
     return model
@@ -99,6 +98,13 @@ def _load_model_pair(args):
     check_model_pair(recon, reflex,
                      f"checkpoints {args.recon_checkpoint} and {args.reflex_checkpoint}")
     return recon, reflex
+
+
+def _read_model_dataset(args, vocab, *split):
+    """The dataset of args, refused before any decoding if vocab lacks one of its languages."""
+    ds = read_dataset(args.dataset, args.tokenize, *split)
+    vocab.check_languages(ds.languages)
+    return ds
 
 
 RERANK_SUMMARY_HEADER = ["id", "reranked_top", "s"]
@@ -148,28 +154,19 @@ def cmd_split(args):
     _emit(serialize_split_tags(ds.split_tags), args.out)
 
 
-def _cmd_train(args, kind):
+def cmd_train(args):
     ds = read_dataset(args.dataset, args.tokenize, args.split, args.split_seed)
-    vocab = build_vocabulary(ds)
-    config = _model_config(args.preset, kind, args.seed)
-    model = models.new_model(kind, config, vocab)
+    config = _model_config(args.preset, args.kind, args.seed)
+    model = models.new_model(args.kind, config, build_vocabulary(ds))
     log = (lambda msg: print(msg, file=sys.stderr)) if args.verbose else None
     model = models.train(model, ds, log=log)
     model.save(args.out)
-    print(f"saved {kind} checkpoint to {args.out}", file=sys.stderr)
-
-
-def cmd_train_recon(args):
-    _cmd_train(args, "recon")
-
-
-def cmd_train_reflex(args):
-    _cmd_train(args, "reflex")
+    print(f"saved {args.kind} checkpoint to {args.out}", file=sys.stderr)
 
 
 def cmd_decode(args):
     model = _load_model(args.checkpoint, models.ReconModel)
-    ds = read_dataset(args.dataset, args.tokenize)
+    ds = _read_model_dataset(args, model.vocab)
     cfg = model.beam_config(args.beam_size, args.alpha, args.max_len)
     lines = ["id\trank\tcandidate\tm"]
     for batch, beams in model.beam_search_sets(ds.sets, cfg):
@@ -183,10 +180,9 @@ def cmd_rerank(args):
     recon, reflex = _load_model_pair(args)
     beam_config = recon.beam_config(args.beam_size, args.alpha, args.max_len)
     check_lambda(args.lam)
-    lam = 0.0 if args.ablation == "no-reranker" else args.lam
-    ds = read_dataset(args.dataset, args.tokenize)
+    ds = _read_model_dataset(args, recon.vocab)
     summary = ["\t".join(RERANK_SUMMARY_HEADER)]
-    for cset, _, reranked, preds in rerank_sets(recon, reflex, ds.sets, beam_config, lam):
+    for cset, _, reranked, preds in rerank_sets(recon, reflex, ds.sets, beam_config, args.lam):
         top = reranked[0]
         if args.out:
             write_text(os.path.join(args.out, f"{cset.id}.tsv"),
@@ -216,7 +212,7 @@ def cmd_eval(args):
 
 def cmd_gridsearch(args):
     recon, reflex = _load_model_pair(args)
-    ds = read_dataset(args.dataset, args.tokenize, args.split, args.split_seed)
+    ds = _read_model_dataset(args, recon.vocab, args.split, args.split_seed)
     result = grid_search(
         recon, reflex, ds.subset("val"),
         k_range=args.k_range, lambda_range=args.lambda_range,
@@ -268,7 +264,7 @@ def cmd_analyze(args):
     recon, reflex = _load_model_pair(args)
     beam_config = recon.beam_config(args.beam_size, args.alpha, args.max_len)
     check_lambda(args.lam)
-    ds = read_dataset(args.dataset, args.tokenize)
+    ds = _read_model_dataset(args, recon.vocab)
     table = load_feature_table(args.feature_table)
     csets = [cset for cset in ds.sets if cset.protoform is not None]
     cache = ReflexCache()
@@ -291,7 +287,6 @@ def cmd_run(args):
         split_path=args.split,
         tokenize=args.tokenize,
         feature_table_path=args.feature_table,
-        ablation_no_reranker=args.ablation == "no-reranker",
     )
     log = (lambda msg: print(msg, file=sys.stderr)) if args.verbose else None
     results, failures = run_experiment(config, log=log)
@@ -309,10 +304,11 @@ def _add_common(p, out_required=False):
     p.add_argument("--dataset", required=True, help="cognate-set TSV")
     p.add_argument("--tokenize", choices=("whitespace", "codepoint"),
                    default="whitespace", help="token segmentation of cells")
-    p.add_argument("--out", required=out_required, default=None, help="output path")
+    p.add_argument("--out", required=out_required, **SETTING_FLAGS["--out"])
 
 
-# the beam and rerank settings; ReconModel.beam_config and check_lambda check them
+# the flags that several subcommands share, each defined once;
+# ReconModel.beam_config and check_lambda check the beam and rerank settings
 SETTING_FLAGS = {
     "--beam-size": dict(type=int, default=10, help="beam size k, >= 1"),
     "--alpha": dict(type=float, default=None,
@@ -321,6 +317,16 @@ SETTING_FLAGS = {
                      help="weight of r in s = m + lambda * r, finite and >= 0"),
     "--max-len": dict(type=int, default=None,
                       help="longest candidate, >= 1 (default: the recon model's)"),
+    "--recon-checkpoint": dict(required=True, help="reconstruction-model checkpoint"),
+    "--reflex-checkpoint": dict(required=True, help="reflex-model checkpoint"),
+    "--feature-table": dict(default=None, help="feature TSV path, or 'bundled' (enables FER)"),
+    "--split": dict(default=None, help="split-tag TSV (default: seeded 70/10/20)"),
+    "--split-seed": dict(type=int, default=0, help="seed of the default split"),
+    "--preset": dict(default=None, help="bundled preset name or JSON path (run: recon model's)"),
+    "--verbose": dict(action="store_true", help="log training progress to stderr"),
+    "--a": dict(required=True, help="scores of system A (one value per line)"),
+    "--b": dict(required=True, help="scores of system B (one value per line)"),
+    "--out": dict(default=None, help="output path"),
 }
 
 
@@ -347,18 +353,14 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_split)
 
-    for name, fn, help_text in (
-        ("train-recon", cmd_train_recon, "train the reconstruction model"),
-        ("train-reflex", cmd_train_reflex, "train the reflex-prediction model"),
-    ):
-        p = sub.add_parser(name, help=help_text)
+    for kind, help_text in (("recon", "train the reconstruction model"),
+                            ("reflex", "train the reflex-prediction model")):
+        p = sub.add_parser(f"train-{kind}", help=help_text)
         _add_common(p, out_required=True)
-        p.add_argument("--split", default=None, help="split-tag TSV (default: seeded 70/10/20)")
-        p.add_argument("--split-seed", type=int, default=0)
-        p.add_argument("--preset", default=None, help="bundled preset name or JSON path")
+        _add_settings(p, "--split", "--split-seed", "--preset")
         p.add_argument("--seed", type=int, default=None, help="override the preset seed")
-        p.add_argument("--verbose", action="store_true")
-        p.set_defaults(func=fn)
+        _add_settings(p, "--verbose")
+        p.set_defaults(func=cmd_train, kind=kind)
 
     p = sub.add_parser("decode", help="beam-search protoform candidates")
     _add_common(p)
@@ -368,25 +370,19 @@ def build_parser():
 
     p = sub.add_parser("rerank", help="beam search plus reflex-prediction reranking")
     _add_common(p)
-    p.add_argument("--recon-checkpoint", required=True)
-    p.add_argument("--reflex-checkpoint", required=True)
-    _add_settings(p, "--beam-size", "--alpha", "--lambda", "--max-len")
-    p.add_argument("--ablation", choices=("no-reranker",), default=None)
+    _add_settings(p, "--recon-checkpoint", "--reflex-checkpoint",
+                  "--beam-size", "--alpha", "--lambda", "--max-len")
     p.set_defaults(func=cmd_rerank)
 
     p = sub.add_parser("eval", help="score predictions against gold protoforms")
     _add_common(p)
     p.add_argument("--predictions", required=True, help="TSV of id, predicted tokens")
-    p.add_argument("--feature-table", default=None,
-                   help="feature TSV path, or 'bundled' (enables FER)")
+    _add_settings(p, "--feature-table")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gridsearch", help="search beam size and lambda on the val split")
     _add_common(p)
-    p.add_argument("--recon-checkpoint", required=True)
-    p.add_argument("--reflex-checkpoint", required=True)
-    p.add_argument("--split", default=None)
-    p.add_argument("--split-seed", type=int, default=0)
+    _add_settings(p, "--recon-checkpoint", "--reflex-checkpoint", "--split", "--split-seed")
     p.add_argument("--k-range", type=_int_range, default=DEFAULT_K_RANGE,
                    help="comma-separated beam sizes")
     p.add_argument("--lambda-range", type=_float_range, default=DEFAULT_LAMBDA_RANGE,
@@ -395,44 +391,34 @@ def build_parser():
     p.set_defaults(func=cmd_gridsearch)
 
     p = sub.add_parser("compare", help="rank-sum test plus bootstrap CI on two score files")
-    p.add_argument("--a", required=True, help="scores of system A (one value per line)")
-    p.add_argument("--b", required=True, help="scores of system B")
+    _add_settings(p, "--a", "--b")
     p.add_argument("--alternative", choices=("greater", "less", "two-sided"),
                    default="greater")
     p.add_argument("--alpha-level", type=float, default=0.01)
     p.add_argument("--level", type=float, default=0.99, help="CI level")
     p.add_argument("--resamples", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
+    _add_settings(p, "--out")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("correlate", help="Pearson correlation between two score files")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--out", default=None)
+    _add_settings(p, "--a", "--b", "--out")
     p.set_defaults(func=cmd_correlate)
 
     p = sub.add_parser("analyze", help="categorize reranking behavior and error patterns")
     _add_common(p, out_required=True)
-    p.add_argument("--recon-checkpoint", required=True)
-    p.add_argument("--reflex-checkpoint", required=True)
-    _add_settings(p, "--beam-size", "--alpha", "--lambda", "--max-len")
-    p.add_argument("--feature-table", default=None,
-                   help="feature TSV path, or 'bundled' (enables FER)")
+    _add_settings(p, "--recon-checkpoint", "--reflex-checkpoint",
+                  "--beam-size", "--alpha", "--lambda", "--max-len", "--feature-table")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("run", help="train, decode, rerank, evaluate across seeds")
     _add_common(p, out_required=True)
-    p.add_argument("--preset", default=None, help="reconstruction-model preset")
+    _add_settings(p, "--preset")
     p.add_argument("--reflex-preset", default=None, help="reflex-model preset")
-    p.add_argument("--split", default=None)
+    _add_settings(p, "--split")
     p.add_argument("--seed", type=int, default=None, help="run one specific seed")
     p.add_argument("--seeds", type=int, default=1, help="run seeds 0..N-1")
-    _add_settings(p, "--beam-size", "--alpha", "--lambda")
-    p.add_argument("--feature-table", default=None,
-                   help="feature TSV path, or 'bundled' (enables FER)")
-    p.add_argument("--ablation", choices=("no-reranker",), default=None)
-    p.add_argument("--verbose", action="store_true")
+    _add_settings(p, "--beam-size", "--alpha", "--lambda", "--feature-table", "--verbose")
     p.set_defaults(func=cmd_run)
 
     return parser

@@ -131,7 +131,8 @@ class Vocabulary:
     def unk_id(self) -> int:
         return self.token_to_id[UNK]
 
-    def language_tag(self, language: str) -> str:
+    @staticmethod
+    def language_tag(language: str) -> str:
         return f"<{language}>"
 
     def language_tag_id(self, language: str) -> int:
@@ -139,6 +140,12 @@ class Vocabulary:
         if tag not in self.token_to_id:
             raise VocabularyError(f"unknown language {language!r}")
         return self.token_to_id[tag]
+
+    def check_languages(self, languages):
+        """Raise VocabularyError naming the languages that this vocabulary lacks."""
+        unknown = sorted(set(languages) - set(self.languages))
+        if unknown:
+            raise VocabularyError(f"the vocabulary lacks the languages {unknown}")
 
     def encode(self, tokens) -> list[int]:
         out = []
@@ -228,7 +235,7 @@ def build_vocabulary(dataset: Dataset) -> Vocabulary:
             phonemes.update(cs.protoform)
         for seq in cs.reflexes.values():
             phonemes.update(seq)
-    tags = tuple(f"<{lang}>" for lang in dataset.languages)
+    tags = tuple(Vocabulary.language_tag(lang) for lang in dataset.languages)
     return Vocabulary(STRUCTURAL_TOKENS + tags + tuple(sorted(phonemes)), dataset.languages)
 
 

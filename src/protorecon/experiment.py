@@ -59,14 +59,9 @@ def grid_search(
         for k, lam in correct:
             correct[(k, lam)] += rerank(beam[:k], r_values[:k], lam)[0].tokens == gold
 
-    grid = {}
-    best = None
-    for (k, lam), n_correct in correct.items():
-        acc = n_correct / len(csets)
-        grid[(k, lam)] = acc
-        if best is None or acc > best[0]:
-            best = (acc, k, lam)
-    return GridResult(k=best[1], lam=best[2], grid=grid)
+    grid = {key: n_correct / len(csets) for key, n_correct in correct.items()}
+    k, lam = max(grid, key=grid.get)  # the first best, in (k, lambda) order
+    return GridResult(k=k, lam=lam, grid=grid)
 
 
 @dataclass
@@ -79,12 +74,9 @@ class ExperimentConfig:
     beam_size: int = 5
     lam: float = 1.0
     alpha: float | None = None  # default: recon config's alpha
-    split_seed: int = 0
-    split_ratios: tuple[float, float, float] = (0.7, 0.1, 0.2)
-    split_path: str | None = None
+    split_path: str | None = None  # default: split_dataset's 70/10/20 split at seed 0
     tokenize: str = "whitespace"
     feature_table_path: str | None = None
-    ablation_no_reranker: bool = False
 
     def __post_init__(self):
         if not self.seeds:
@@ -96,14 +88,9 @@ class ExperimentConfig:
         check_lambda(self.lam)
 
     def config_hash(self) -> str:
-        def enc(obj):
-            if dataclasses.is_dataclass(obj):
-                return dataclasses.asdict(obj)
-            raise TypeError(str(type(obj)))
-
         fields = dataclasses.asdict(self)
         fields.pop("out_dir")  # where results land does not identify the run
-        payload = json.dumps(fields, sort_keys=True, default=enc)
+        payload = json.dumps(fields, sort_keys=True)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
@@ -127,12 +114,12 @@ def run_seed(config: ExperimentConfig, dataset: Dataset, seed: int, table: Featu
         write_text(os.path.join(seed_dir, f"{model.kind}_history.tsv"),
                    stamp + model.history.as_tsv())
 
-    lam = 0.0 if config.ablation_no_reranker else config.lam
     test = dataset.subset("test")
     csets = [cs for cs in test.sets if cs.protoform is not None]
     cache = ReflexCache()
     results = list(rerank_sets(recon, reflex, csets,
-                               recon.beam_config(config.beam_size, config.alpha), lam, cache))
+                               recon.beam_config(config.beam_size, config.alpha), config.lam,
+                               cache))
     records = write_analysis_tables(seed_dir, reflex, results, dataset.languages, table, stamp,
                                     cache)
     gold_strs = [tuple(cs.protoform) for cs in csets]
@@ -169,8 +156,7 @@ def run_experiment(config: ExperimentConfig, log=None):
     A seed that fails with a ProtoreconError leaves the other seeds running,
     and failures.tsv (seed, error) next to aggregate.tsv names it.
     """
-    dataset = read_dataset(config.dataset_path, config.tokenize, config.split_path,
-                           config.split_seed, config.split_ratios)
+    dataset = read_dataset(config.dataset_path, config.tokenize, config.split_path, split_seed=0)
     table = load_feature_table(config.feature_table_path)
     stamp = f"# config={config.config_hash()} seeds={','.join(map(str, config.seeds))}\n"
 

@@ -207,17 +207,13 @@ def bcubed_f(pred, gold) -> float:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Aggregate metrics over a prediction set (pooled TER/FER by default)."""
+    """Aggregate metrics over a prediction set; TER and FER are pooled."""
 
     acc: float
     ted: float
     ter: float
     fer: float | None
     bcfs: float
-    n_items: int
-    per_item: tuple = ()
-    ter_item_mean: float = 0.0
-    fer_item_mean: float | None = None
 
     def as_tsv_row(self) -> str:
         """Single-row TSV: ACC%, TED, TER, FER, BCFS at 4 decimals."""
@@ -234,36 +230,21 @@ def evaluate(preds, golds, table: FeatureTable | None = None) -> MetricsReport:
         raise ProtoreconError("prediction/gold list length mismatch")
     if not preds:
         raise ProtoreconError("cannot evaluate an empty prediction set")
-    per_item = []
     ted_sum = gold_len_sum = fed_sum = 0.0
+    exact, bcfs = 0, []
     for p, g in zip(preds, golds):
-        d = token_edit_distance(p, g)
-        fd = feature_edit_distance(p, g, table) if table is not None else None
-        per_item.append(
-            {
-                "ted": d,
-                "ter": d / len(g) if len(g) else None,
-                "fer": (fd / len(g) if len(g) else None) if fd is not None else None,
-                "bcfs": bcubed_f(p, g),
-                "exact": tuple(p) == tuple(g),
-            }
-        )
-        ted_sum += d
+        ted_sum += token_edit_distance(p, g)
         gold_len_sum += len(g)
-        if fd is not None:
-            fed_sum += fd
+        if table is not None:
+            fed_sum += feature_edit_distance(p, g, table)
+        bcfs.append(bcubed_f(p, g))
+        exact += tuple(p) == tuple(g)
     if gold_len_sum == 0:
         raise ProtoreconError("TER undefined: all gold sequences empty")
-    item_ters = [r["ter"] for r in per_item if r["ter"] is not None]
-    item_fers = [r["fer"] for r in per_item if r["fer"] is not None]
     return MetricsReport(
-        acc=sum(r["exact"] for r in per_item) / len(per_item),
-        ted=ted_sum / len(per_item),
+        acc=exact / len(preds),
+        ted=ted_sum / len(preds),
         ter=ted_sum / gold_len_sum,
         fer=(fed_sum / gold_len_sum) if table is not None else None,
-        bcfs=float(np.mean([r["bcfs"] for r in per_item])),
-        n_items=len(per_item),
-        per_item=tuple(per_item),
-        ter_item_mean=float(np.mean(item_ters)) if item_ters else 0.0,
-        fer_item_mean=float(np.mean(item_fers)) if item_fers else None,
+        bcfs=float(np.mean(bcfs)),
     )

@@ -25,7 +25,7 @@ from . import checkpoint as ckpt
 from . import decode as dec
 from .autodiff import Tensor
 from .corpus import Dataset, Vocabulary, assemble_reconstruction_input, assemble_reflex_input
-from .errors import CheckpointError, ConfigError, ProtoreconError, TrainingError, VocabularyError
+from .errors import CheckpointError, ConfigError, ProtoreconError, TrainingError
 from .metrics import token_edit_distance
 
 NEG = -1e30  # additive logit mask for ids the decoder must never emit
@@ -192,7 +192,7 @@ class _Conditioning(NamedTuple):
 
     one_hot: Tensor | None  # rows appended to the classifier input
     lang_rows: Tensor | None  # lang_emb rows appended to the decoder input
-    blocks: list  # classifier output blocks (rows or None, w2, masked b2), see _classifier
+    blocks: list  # classifier output blocks (rows or None, w2, masked b2), see _decode_step
 
 
 class _GruStepper:
@@ -279,9 +279,6 @@ class _ModelBase:
     def parameters(self):
         return list(self.params.values())
 
-    def param_arrays(self):
-        return {k: v.data for k, v in self.params.items()}
-
     def load_param_arrays(self, arrays):
         for k, p in self.params.items():
             if k not in arrays or arrays[k].shape != p.data.shape:
@@ -303,16 +300,6 @@ class _ModelBase:
 
     # -- decoder --------------------------------------------------------------
 
-    def _classifier(self, h: Tensor, w1, b1, blocks) -> Tensor:
-        """Logits of the MLP classifier; the hidden layer is shared by all rows.
-
-        blocks lists (rows, w2, b2) output blocks: rows is None for one block
-        over every row, else the index array of its rows; the logits come out
-        in row order.  Each b2 already carries the banned-output mask row
-        (NEG at banned ids), added once per forward.
-        """
-        return ad.grouped_affine(ad.tanh(ad.add(ad.matmul(h, w1), b1)), blocks)
-
     def _decode_step(self, p, dec_gates, h, prev_ids, cond: _Conditioning, mask=None, rate=0.0,
                      keep=(None, None)):
         """The decoder from states h after tokens prev_ids (T, B): (states (T, B, H), logits).
@@ -320,6 +307,11 @@ class _ModelBase:
         Training passes a whole teacher-forced batch, and decoding one step
         (T = 1).  The logits rows are the T * B (step, row) pairs, step-major.
         keep holds the dropout keep masks of the inputs and of the states.
+        The MLP classifier's hidden layer is shared by all rows; cond.blocks
+        lists its (rows, w2, b2) output blocks: rows is None for one block
+        over every row, else the index array of its rows, and the logits come
+        out in row order.  Each b2 already carries the banned-output mask row
+        (NEG at banned ids), added once per forward.
         """
         x = ad.dropout(ad.embedding(p["tok_emb"], prev_ids), rate, keep=keep[0])
         if cond.lang_rows is not None:
@@ -328,7 +320,8 @@ class _ModelBase:
         h_in = ad.dropout(states, rate, keep=keep[1])
         clf_in = ad.concat([h_in, cond.one_hot], axis=-1) if cond.one_hot is not None else h_in
         clf_in = ad.reshape(clf_in, (-1, clf_in.data.shape[2]))
-        return states, self._classifier(clf_in, p["clf.W1"], p["clf.b1"], cond.blocks)
+        hidden = ad.tanh(ad.add(ad.matmul(clf_in, p["clf.W1"]), p["clf.b1"]))
+        return states, ad.grouped_affine(hidden, cond.blocks)
 
     def _decoder_loss(self, h, targets, conditioning, rate, dropout_rng):
         """Teacher-forced mean token loss of decoding targets from encoder states h.
@@ -379,9 +372,8 @@ class _ModelBase:
             "languages": list(self.vocab.languages),
             "max_decode_len": self.max_decode_len,
         }
-        ckpt.write_checkpoint(
-            path, self.param_arrays(), header, self.vocab.content_hash(), self.config.seed
-        )
+        arrays = {k: v.data for k, v in self.params.items()}
+        ckpt.write_checkpoint(path, arrays, header, self.vocab.content_hash(), self.config.seed)
 
 
 def load_checkpoint(path, vocab: Vocabulary | None = None):
@@ -394,11 +386,11 @@ def load_checkpoint(path, vocab: Vocabulary | None = None):
         raise CheckpointError(f"checkpoint header lacks {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: int(Infinity)
         raise CheckpointError(f"corrupt checkpoint header: {exc}") from None
-    if kind not in ("recon", "reflex"):
+    cls = MODELS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
         raise CheckpointError(f"unknown model kind {kind!r}")
     try:
-        config = config_from_dict(ReconModelConfig if kind == "recon" else ReflexModelConfig,
-                                  config)
+        config = config_from_dict(cls.config_class, config)
     except ConfigError as exc:
         raise CheckpointError(f"checkpoint config: {exc}") from None
     header_vocab = Vocabulary(tokens, languages)
@@ -409,7 +401,7 @@ def load_checkpoint(path, vocab: Vocabulary | None = None):
     for name, array in arrays.items():
         if not np.isfinite(array).all():
             raise CheckpointError(f"array {name!r} holds a non-finite value")
-    model = new_model(kind, config, header_vocab if vocab is None else vocab)
+    model = cls(config, header_vocab if vocab is None else vocab)
     model.load_param_arrays(arrays)
     model.max_decode_len = max_decode_len
     return model
@@ -426,6 +418,7 @@ class ReconModel(_ModelBase):
     """
 
     kind = "recon"
+    config_class = ReconModelConfig
 
     def __init__(self, config: ReconModelConfig, vocab: Vocabulary):
         super().__init__(config, vocab)
@@ -529,6 +522,7 @@ class ReflexModel(_ModelBase):
     """
 
     kind = "reflex"
+    config_class = ReflexModelConfig
 
     def __init__(self, config: ReflexModelConfig, vocab: Vocabulary):
         super().__init__(config, vocab)
@@ -715,9 +709,7 @@ def train(model, dataset: Dataset, log=None):
     """
     if dataset.split_tags is None:
         raise ConfigError("dataset must be split-tagged before training")
-    unknown = sorted(set(dataset.languages) - set(model.vocab.languages))
-    if unknown:
-        raise VocabularyError(f"the model's vocabulary lacks the languages {unknown}")
+    model.vocab.check_languages(dataset.languages)
     cfg = model.config
     train_split = dataset.subset("train")
     if not train_split.sets:
@@ -788,9 +780,9 @@ def train(model, dataset: Dataset, log=None):
     return model
 
 
+MODELS = {cls.kind: cls for cls in (ReconModel, ReflexModel)}  # kind -> model class
+
+
 def new_model(kind: str, config, vocab: Vocabulary):
-    if kind == "recon":
-        return ReconModel(config, vocab)
-    if kind == "reflex":
-        return ReflexModel(config, vocab)
-    raise ConfigError(f"unknown model kind {kind!r}")
+    """A fresh model of kind, a key of MODELS."""
+    return MODELS[kind](config, vocab)

@@ -66,8 +66,6 @@ def score_candidates(reflex_model, items, max_len=None, cache=None):
     items = [([tuple(tokens) for tokens in candidates], cset) for candidates, cset in items]
     decodable = []
     for candidates, cset in items:
-        if not cset.reflexes:
-            raise ProtoreconError(f"cognate set {cset.id!r} has no reflexes")
         oks = []
         for tokens in candidates:
             unknown = [t for t in tokens if not 0 <= t < vocab.size]

@@ -79,7 +79,6 @@ def wilcoxon_rank_sum(x, y, alternative="greater"):
         p_less, p_greater = le / total, ge / total
     else:
         mean = nx * (nx + ny + 1) / 2.0
-        tie_term = 0.0
         _, counts = np.unique(pooled, return_counts=True)
         n = nx + ny
         tie_term = float(((counts**3 - counts).sum())) / (n * (n - 1))

@@ -358,16 +358,20 @@ def _model_checkpoint_with(path, source, edit):
     return path
 
 
-def _checkpoint_with_nan_parameter(path, source):
-    """source's checkpoint with one NaN in its first parameter array."""
+def _checkpoint_with_arrays(path, source, edit):
+    """source's checkpoint with its parameter arrays (a name -> array dict) changed by edit."""
     from protorecon.checkpoint import read_checkpoint, write_checkpoint
 
     arrays, header, vocab_hash, seed = read_checkpoint(source)
+    edit(arrays)
+    write_checkpoint(path, arrays, header, vocab_hash, seed)
+    return path
+
+
+def _nan_in_first_array(arrays):
     name = next(iter(arrays))
     arrays[name] = arrays[name].copy()
     arrays[name].flat[0] = float("nan")
-    write_checkpoint(path, arrays, header, vocab_hash, seed)
-    return path
 
 
 MALFORMED_CHECKPOINTS = {
@@ -385,7 +389,13 @@ MALFORMED_CHECKPOINTS = {
         p, src, lambda h: h.update(max_decode_len=float("inf"))),
     "token not a string": lambda p, src: _model_checkpoint_with(
         p, src, lambda h: h["vocab_tokens"].__setitem__(-1, 7)),
-    "NaN parameter": _checkpoint_with_nan_parameter,
+    "NaN parameter": lambda p, src: _checkpoint_with_arrays(p, src, _nan_in_first_array),
+    "missing parameter array": lambda p, src: _checkpoint_with_arrays(
+        p, src, lambda a: a.pop("clf.b1")),
+    "misshapen parameter array": lambda p, src: _checkpoint_with_arrays(
+        p, src, lambda a: a.update({"clf.b1": a["clf.b1"][:-1]})),
+    "unknown kind": lambda p, src: _model_checkpoint_with(
+        p, src, lambda h: h.update(kind="proto")),
 }
 
 
@@ -555,3 +565,128 @@ def test_feature_table_tone_other_than_0_or_1_exit_3(workdir, tmp_path, capsys, 
                  "--feature-table", str(table)]) == 3
     err = capsys.readouterr().err
     assert "line 3" in err and "tone" in err and "Traceback" not in err
+
+
+def _with_extra_language(path, source):
+    """source's dataset with one more daughter column, X9, that every set fills."""
+    lines = source.read_text(encoding="utf-8").splitlines()
+    path.write_text("".join(f"{line}\t{'X9' if i == 0 else 'a'}\n" for i, line in enumerate(lines)),
+                    encoding="utf-8")
+    return path
+
+
+def test_dataset_language_unknown_to_the_checkpoints_exit_3_before_decoding(
+        workdir, tmp_path, capsys, monkeypatch):
+    """decode, rerank, analyze and gridsearch refuse a dataset language that the checkpoint
+    vocabulary lacks, naming it, before any beam search; decode used to drop the column."""
+    from protorecon import models
+
+    def no_decoding(*_args, **_kwargs):
+        raise AssertionError("decoded a dataset with a language unknown to the checkpoint")
+
+    monkeypatch.setattr(models.ReconModel, "beam_search_sets", no_decoding)
+    data = ["--dataset", str(_with_extra_language(tmp_path / "x9.tsv", workdir / "data.tsv"))]
+    pair = ["--recon-checkpoint", str(workdir / "recon.ckpt"),
+            "--reflex-checkpoint", str(workdir / "reflex.ckpt")]
+    for argv in (["decode", *data, "--checkpoint", str(workdir / "recon.ckpt")],
+                 ["rerank", *data, *pair],
+                 ["analyze", *data, *pair, "--out", str(tmp_path / "an")],
+                 ["gridsearch", *data, *pair, "--split", str(workdir / "split.tsv")]):
+        assert main(argv) == 3, argv[0]
+        captured = capsys.readouterr()
+        assert "lacks the languages ['X9']" in captured.err and captured.out == "", argv[0]
+    assert not (tmp_path / "an").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("id\tproto\tA\tB\nw1\tp a\t\t\n", "has no reflexes"),
+    ("id\tproto\tA\nw1\tp  a\tb\n", "empty token"),
+], ids=["no reflex", "empty token"])
+def test_malformed_dataset_row_exit_3(tmp_path, capsys, text, message):
+    data = tmp_path / "bad.tsv"
+    data.write_text(text, encoding="utf-8")
+    assert main(["ingest", "--dataset", str(data)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("data error:") and message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda rows: rows[1:], "misses ids"),
+    (lambda rows: rows + rows[:1], "duplicate id"),
+], ids=["id missing", "id twice"])
+def test_malformed_split_file_exit_3(workdir, tmp_path, capsys, edit, message):
+    """A split file must tag every set of the dataset once; training is refused otherwise."""
+    split = tmp_path / "split.tsv"
+    rows = (workdir / "split.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+    split.write_text("".join(edit(rows)), encoding="utf-8")
+    out = tmp_path / "x.ckpt"
+    assert main(["train-recon", "--dataset", str(workdir / "data.tsv"), "--split", str(split),
+                 "--preset", str(workdir / "preset.json"), "--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rerank_refuses_a_reflex_checkpoint_as_recon_exit_2(workdir, capsys):
+    assert main(["rerank", "--dataset", str(workdir / "data.tsv"),
+                 "--recon-checkpoint", str(workdir / "reflex.ckpt"),
+                 "--reflex-checkpoint", str(workdir / "reflex.ckpt")]) == 2
+    captured = capsys.readouterr()
+    assert "holds a ReflexModel, expected ReconModel" in captured.err and captured.out == ""
+
+
+def test_eval_refuses_a_gold_set_without_prediction_exit_3(workdir, tmp_path, capsys):
+    """Every set with a gold protoform needs a prediction; a missing one is not skipped."""
+    golds = [(cs.id, " ".join(cs.protoform))
+             for cs in parse_dataset((workdir / "data.tsv").read_text()).sets]
+    preds = tmp_path / "preds.tsv"
+    preds.write_text("".join(f"{i}\t{p}\n" for i, p in golds[1:]), encoding="utf-8")
+    assert main(["eval", "--dataset", str(workdir / "data.tsv"),
+                 "--predictions", str(preds)]) == 3
+    captured = capsys.readouterr()
+    assert f"no prediction for cognate set {golds[0][0]!r}" in captured.err
+    assert captured.out == ""
+
+
+def _subparsers():
+    from protorecon.cli import build_parser
+
+    [action] = [a for a in build_parser()._actions if a.choices and a.dest == "command"]
+    return action.choices
+
+
+@pytest.mark.parametrize("command", sorted(_subparsers()))
+def test_every_subcommand_help_exits_0(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: protorecon {command}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["rerank", "--recon-checkpoint", "r.ckpt", "--reflex-checkpoint", "f.ckpt"],
+    ["run", "--out", "o"],
+], ids=lambda argv: argv[0])
+def test_the_ablation_flag_is_gone_exit_2(argv, capsys):
+    """The no-reranker ablation is --lambda 0; --ablation is an unknown flag."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--dataset", "d.tsv", "--ablation", "no-reranker"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --ablation" in capsys.readouterr().err
+
+
+def test_shared_flags_have_one_help_text_and_default():
+    """A flag that several subcommands take means the same in each: one help text, one
+    default.  --seed is the exception: it seeds the split in split, the model in train-*,
+    picks the one seed that run runs, and seeds the bootstrap in compare."""
+    seen = {}
+    for command, parser in _subparsers().items():
+        for action in parser._actions:
+            for flag in action.option_strings:
+                seen.setdefault(flag, {})[command] = (action.help, action.default)
+    shared = {flag: by_command for flag, by_command in seen.items()
+              if len(by_command) > 1 and flag != "--seed"}
+    assert {"--recon-checkpoint", "--feature-table", "--split", "--split-seed",
+            "--preset", "--out"} <= set(shared)
+    for flag, by_command in shared.items():
+        assert len(set(by_command.values())) == 1, (flag, by_command)

@@ -148,9 +148,9 @@ def test_run_experiment_byte_identical_reruns(small_family, tmp_path):
 
 
 def test_run_experiment_no_reranker_matches_beam(small_family, tmp_path):
-    """The no-reranker ablation reports the beam top-1 as the reranked output."""
+    """The no-reranker ablation (lambda = 0) reports the beam top-1 as the reranked output."""
     out = tmp_path / "abl"
-    config = _small_config(small_family, out, ablation_no_reranker=True)
+    config = _small_config(small_family, out, lam=0.0)
     results, _ = run_experiment(config)
     assert results[0]["ACC"] == results[0]["beam_ACC"]
     for line in (out / "seed0" / "predictions.tsv").read_text().splitlines()[2:]:
@@ -181,8 +181,7 @@ def test_analyze_writes_the_tables_of_run_seed(small_family, tmp_path):
     config = _small_config(small_family, tmp_path / "run", feature_table_path=table)
     _, failures = run_experiment(config)
     assert failures == {}
-    dataset = split_dataset(parse_dataset(small_family.read_text()), config.split_ratios,
-                            config.split_seed)
+    dataset = split_dataset(parse_dataset(small_family.read_text()))  # run's default split
     test_sets = tmp_path / "test.tsv"
     test_sets.write_text(serialize_dataset(dataset.subset("test")), encoding="utf-8")
     seed_dir = tmp_path / "run" / "seed0"

@@ -283,8 +283,6 @@ def test_evaluate_pooled_vs_item_mean(table):
     assert rep.acc == pytest.approx(0.5)
     assert rep.ted == pytest.approx(1.0)  # (0 + 2) / 2 items
     assert rep.ter == pytest.approx(2.0 / 4.0)  # pooled over gold tokens
-    assert rep.ter_item_mean == pytest.approx((0.0 + 1.0) / 2)
-    assert rep.n_items == 2
     assert rep.fer is not None and 0 <= rep.fer <= rep.ter + 1e-12
     assert 0.0 <= rep.bcfs <= 1.0
 
