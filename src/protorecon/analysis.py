@@ -125,7 +125,7 @@ def similarity_comparison_table(error_items, table: FeatureTable):
     return out
 
 
-def per_language_error_rates(reflex_model, items, max_len=None, cache=None):
+def per_language_error_rates(reflex_model, items, cache=None):
     """Reflex error rates per daughter language, per behavior group and overall.
 
     items: iterable of (CognateSet, RerankBehavior); a set without a gold
@@ -137,7 +137,7 @@ def per_language_error_rates(reflex_model, items, max_len=None, cache=None):
     vocab = reflex_model.vocab
     items = [(cset, behavior) for cset, behavior in items if cset.protoform is not None]
     scores = score_candidates(reflex_model, [([vocab.encode(cset.protoform)], cset)
-                                             for cset, _ in items], max_len, cache)
+                                             for cset, _ in items], cache)
     counts = {}  # (group, language) -> [errors, total]
     for (cset, behavior), (_, [preds]) in zip(items, scores):
         for language, reflex in cset.reflexes.items():

@@ -150,7 +150,8 @@ def cmd_ingest(args):
 
 
 def cmd_split(args):
-    ds = read_dataset(args.dataset, args.tokenize, split_seed=args.seed, ratios=tuple(args.ratios))
+    ds = read_dataset(args.dataset, args.tokenize, split_seed=args.split_seed,
+                      ratios=tuple(args.ratios))
     _emit(serialize_split_tags(ds.split_tags), args.out)
 
 
@@ -245,7 +246,7 @@ def _read_column(path):
 def cmd_compare(args):
     x, y = _read_column(args.a), _read_column(args.b)
     result = compare(x, y, alternative=args.alternative, n_resamples=args.resamples,
-                     level=args.level, seed=args.seed or 0)
+                     level=args.level, seed=args.seed)
     verdict = significant(result, alpha=args.alpha_level)
     _emit(
         "p_value\tci_low\tci_high\tsignificant\n"
@@ -321,7 +322,7 @@ SETTING_FLAGS = {
     "--reflex-checkpoint": dict(required=True, help="reflex-model checkpoint"),
     "--feature-table": dict(default=None, help="feature TSV path, or 'bundled' (enables FER)"),
     "--split": dict(default=None, help="split-tag TSV (default: seeded 70/10/20)"),
-    "--split-seed": dict(type=int, default=0, help="seed of the default split"),
+    "--split-seed": dict(type=int, default=0, help="seed of the seeded split"),
     "--preset": dict(default=None, help="bundled preset name or JSON path (run: recon model's)"),
     "--verbose": dict(action="store_true", help="log training progress to stderr"),
     "--a": dict(required=True, help="scores of system A (one value per line)"),
@@ -350,7 +351,7 @@ def build_parser():
     _add_common(p)
     p.add_argument("--ratios", type=float, nargs=3, default=(0.7, 0.1, 0.2),
                    metavar=("TRAIN", "VAL", "TEST"))
-    p.add_argument("--seed", type=int, default=0)
+    _add_settings(p, "--split-seed")
     p.set_defaults(func=cmd_split)
 
     for kind, help_text in (("recon", "train the reconstruction model"),

@@ -141,6 +141,13 @@ class Vocabulary:
             raise VocabularyError(f"unknown language {language!r}")
         return self.token_to_id[tag]
 
+    def tag_languages(self) -> np.ndarray:
+        """Per id, the index in languages of the language it tags; -1 for every other id."""
+        out = np.full(self.size, -1, dtype=np.int64)
+        for i, lang in enumerate(self.languages):
+            out[self.language_tag_id(lang)] = i
+        return out
+
     def check_languages(self, languages):
         """Raise VocabularyError naming the languages that this vocabulary lacks."""
         unknown = sorted(set(languages) - set(self.languages))
@@ -212,12 +219,11 @@ def parse_dataset(tsv_text: str, tokenize: str = "whitespace") -> Dataset:
     return Dataset(languages, tuple(sets))
 
 
-def serialize_dataset(dataset: Dataset, tokenize: str = "whitespace") -> str:
-    """Inverse of parse_dataset (always writes an explicit id column)."""
-    joiner = " " if tokenize == "whitespace" else ""
+def serialize_dataset(dataset: Dataset) -> str:
+    """Inverse of parse_dataset with whitespace tokens (always writes an explicit id column)."""
 
     def cell(seq):
-        return joiner.join(seq) if seq is not None else ""
+        return " ".join(seq) if seq is not None else ""
 
     rows = ["\t".join(["id", "protoform", *dataset.languages])]
     for cs in dataset.sets:

@@ -8,9 +8,10 @@ models and toy test models share one code path:
     stepper.step(state, tokens) -> (logprobs[batch, vocab], new_state)
     stepper.select(state, idx) -> state reindexed along the batch axis
 
-A model's batch_decoder(rows) is a stepper over many inputs: row i of
-init_state(len(rows)) decodes rows[i], which greedy_decode_batch and
-beam_search_batch use.
+A model's batch_decoder(inputs) is a stepper over many inputs, each an id
+list (a reflex model's input starts with the tag of its target language):
+row i of init_state(len(inputs)) decodes inputs[i], which
+greedy_decode_batch and beam_search_batch use.
 
 Scoring convention: a hypothesis's length counts emitted tokens including
 the terminating EOS (BOS excluded); its normalized score is

@@ -36,7 +36,6 @@ def grid_search(
     k_range=DEFAULT_K_RANGE,
     lambda_range=DEFAULT_LAMBDA_RANGE,
     alpha=None,
-    max_len=None,
 ):
     """Reranked validation accuracy over the (k, lambda) grid.
 
@@ -46,7 +45,7 @@ def grid_search(
     """
     if not (k_range and lambda_range):
         raise ConfigError("the k and lambda ranges must not be empty")
-    configs = {k: recon_model.beam_config(k, alpha, max_len) for k in k_range}
+    configs = {k: recon_model.beam_config(k, alpha) for k in k_range}
     for lam in lambda_range:
         check_lambda(lam)
     csets = [cs for cs in val_dataset.sets if cs.protoform is not None]

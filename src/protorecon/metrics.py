@@ -39,22 +39,6 @@ def token_edit_distance(a, b) -> int:
     return _edit_table(a, list(b), operator.ne)[-1][-1]
 
 
-def ter(pred, gold) -> float:
-    """Token error rate: edit distance normalized by gold length."""
-    if len(gold) == 0:
-        raise ProtoreconError("TER undefined for empty gold sequence")
-    return token_edit_distance(pred, gold) / len(gold)
-
-
-def accuracy(preds, golds) -> float:
-    """Fraction of exact token-sequence matches."""
-    if len(preds) != len(golds):
-        raise ProtoreconError("prediction/gold list length mismatch")
-    if not preds:
-        return 0.0
-    return sum(tuple(p) == tuple(g) for p, g in zip(preds, golds)) / len(preds)
-
-
 @dataclass(frozen=True)
 class FeatureTable:
     """token -> articulatory feature vector in {-1, 0, +1}, plus a tone flag."""
@@ -136,13 +120,6 @@ def feature_edit_distance(a, b, table: FeatureTable) -> float:
     if missing:
         raise ProtoreconError(f"tokens missing from feature table: {missing}")
     return float(_edit_table(a, b, table.substitution_cost)[-1][-1])
-
-
-def fer(pred, gold, table: FeatureTable) -> float:
-    """Feature error rate: feature edit distance normalized by gold length."""
-    if len(gold) == 0:
-        raise ProtoreconError("FER undefined for empty gold sequence")
-    return feature_edit_distance(pred, gold, table) / len(gold)
 
 
 GAP = object()  # alignment gap marker; never equal to any token

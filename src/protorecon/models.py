@@ -2,12 +2,13 @@
 
 The reconstruction model consumes a concatenated cognate-set sequence and
 emits a protoform; the reflex model consumes a language-tagged protoform
-and emits the reflex in that daughter language.  Each model's encoder and
-decoder step are written once with autodiff ops over whole (T, B) batches:
-training runs them on the parameters and builds a tape, and decoding
-(encode_np, and batch_decoder through the stepper interface in decode.py)
-runs them on an untracked view of the parameters, where the ops record
-nothing and ad.gru_sequence steps one position at a time.
+and emits the reflex in the daughter language that its leading tag names;
+either input is one id list.  Each model's encoder and decoder step are
+written once with autodiff ops over whole (T, B) batches: training runs
+them on the parameters and builds a tape, and decoding (encode_np, and
+batch_decoder through the stepper interface in decode.py) runs them on an
+untracked view of the parameters, where the ops record nothing and
+ad.gru_sequence steps one position at a time.
 """
 
 from __future__ import annotations
@@ -176,10 +177,7 @@ def segment_language_indices(ids, vocab: Vocabulary) -> np.ndarray:
     are 0.  Pads after a closing SEP are 0.
     """
     ids = np.asarray(ids, dtype=np.int64)
-    tag_index = np.zeros(vocab.size, dtype=np.int64)
-    for i, lang in enumerate(vocab.languages):
-        tag_index[vocab.language_tag_id(lang)] = i + 1
-    sep, tags = ids == vocab.sep_id, tag_index[ids]
+    sep, tags = ids == vocab.sep_id, (vocab.tag_languages() + 1)[ids]
     steps = np.arange(len(ids)).reshape((-1,) + (1,) * (ids.ndim - 1))
     last = np.maximum.accumulate(np.where(sep | (tags > 0), steps, 0), axis=0)  # SEP or tag
     current = np.take_along_axis(tags, last, axis=0)
@@ -353,13 +351,13 @@ class _ModelBase:
         return ad.softmax_cross_entropy(logits, tgt_ids.T.reshape(-1), tgt_mask.T.reshape(-1),
                                         normalizer=tgt_mask.sum(), steps=T)
 
-    def greedy_decode_rows(self, rows, max_len=None) -> list[list[int]]:
-        """Greedy decodes of batch_decoder rows, DECODE_CHUNK rows per batch."""
-        max_len = self.max_decode_len if max_len is None else max_len
+    def greedy_decode_rows(self, rows) -> list[list[int]]:
+        """Greedy decodes of input id lists to max_decode_len, DECODE_CHUNK rows per batch."""
         out = []
         for start in range(0, len(rows), DECODE_CHUNK):
             chunk = rows[start : start + DECODE_CHUNK]
-            out += dec.greedy_decode_batch(self.batch_decoder(chunk), len(chunk), max_len)
+            out += dec.greedy_decode_batch(self.batch_decoder(chunk), len(chunk),
+                                           self.max_decode_len)
         return out
 
     # -- checkpointing --------------------------------------------------------
@@ -376,7 +374,7 @@ class _ModelBase:
         ckpt.write_checkpoint(path, arrays, header, self.vocab.content_hash(), self.config.seed)
 
 
-def load_checkpoint(path, vocab: Vocabulary | None = None):
+def load_checkpoint(path):
     """Rebuild a trained model from a checkpoint container."""
     arrays, header, vocab_hash, _seed = ckpt.read_checkpoint(path)
     try:
@@ -396,12 +394,10 @@ def load_checkpoint(path, vocab: Vocabulary | None = None):
     header_vocab = Vocabulary(tokens, languages)
     if header_vocab.content_hash() != vocab_hash:
         raise CheckpointError("checkpoint vocabulary does not match its stored hash")
-    if vocab is not None and vocab.content_hash() != vocab_hash:
-        raise CheckpointError("vocabulary hash mismatch between checkpoint and dataset")
     for name, array in arrays.items():
         if not np.isfinite(array).all():
             raise CheckpointError(f"array {name!r} holds a non-finite value")
-    model = cls(config, header_vocab if vocab is None else vocab)
+    model = cls(config, header_vocab)
     model.load_param_arrays(arrays)
     model.max_decode_len = max_decode_len
     return model
@@ -554,11 +550,14 @@ class ReflexModel(_ModelBase):
             p["clf.W2"] = ad.parameter(_glorot(rng, F, V), "clf.W2")
             p["clf.b2"] = ad.parameter(np.zeros(V), "clf.b2")
 
-    def language_index(self, language: str) -> int:
-        try:
-            return self.vocab.languages.index(language)
-        except ValueError:
-            raise ProtoreconError(f"language {language!r} outside inventory") from None
+    def _target_languages(self, inputs) -> np.ndarray:
+        """Each tagged protoform's language index, read from its leading tag."""
+        tags = self.vocab.tag_languages()
+        lang = [tags[seq[0]] if len(seq) and 0 <= seq[0] < len(tags) else -1 for seq in inputs]
+        if -1 in lang:
+            raise ProtoreconError(f"reflex input {list(inputs[lang.index(-1)])} does not start "
+                                  "with a language tag")
+        return np.array(lang, dtype=np.int64)
 
     def _encode(self, p, inputs, rate=0.0, dropout_rng=None):
         """Bridged final encoder states (len(inputs), H) of tagged protoforms.
@@ -602,28 +601,28 @@ class ReflexModel(_ModelBase):
 
     # -- training forward -----------------------------------------------------
 
-    def group_loss(self, inputs, targets, lang_indices, dropout_rng=None):
+    def group_loss(self, inputs, targets, dropout_rng=None):
         """Mean token loss of rows of any input length and target language.
 
-        inputs: tagged protoform id lists; targets: reflex id lists (EOS
-        appended here); lang_indices: each row's language index.  Rows are
+        inputs: tagged protoform id lists, whose tags name the target
+        languages; targets: reflex id lists (EOS appended here).  Rows are
         right-padded and masked into one graph; every row's loss divides by
         the total target token count.
         """
+        lang = self._target_languages(inputs)
         rate = self.config.dropout if dropout_rng is not None else 0.0
         h = self._encode(self.params, inputs, rate, dropout_rng)
-        lang = np.asarray(lang_indices, dtype=np.int64)
         return self._decoder_loss(
             h, targets, lambda rows: self._conditioning(self.params, lang[rows]), rate, dropout_rng)
 
     def batch_loss(self, examples, dropout_rng=None):
-        """Mean token loss over (input_ids, target_ids, language) examples, in one graph."""
-        return self.group_loss(
-            [ex[0] for ex in examples],
-            [ex[1] for ex in examples],
-            [self.language_index(ex[2]) for ex in examples],
-            dropout_rng=dropout_rng,
-        )
+        """Mean token loss over (tagged input ids, target ids) examples, in one graph.
+
+        Only the first two elements of an example are read, so (input,
+        target, language) triples are accepted too.
+        """
+        return self.group_loss([ex[0] for ex in examples], [ex[1] for ex in examples],
+                               dropout_rng=dropout_rng)
 
     # -- inference ------------------------------------------------------------
 
@@ -632,13 +631,19 @@ class ReflexModel(_ModelBase):
         return self._encode(self._untracked_params(), inputs).data
 
     def decoder(self, tagged_input_ids, language: str) -> _GruStepper:
-        return self.batch_decoder([(tagged_input_ids, language)])
+        """batch_decoder of one input; language must be the one its tag names."""
+        [index] = self._target_languages([tagged_input_ids])
+        if self.vocab.languages[index] != language:
+            raise ProtoreconError(f"decoder asked for {language!r}, but the input is tagged "
+                                  f"for {self.vocab.languages[index]!r}")
+        return self.batch_decoder([tagged_input_ids])
 
-    def batch_decoder(self, rows) -> _GruStepper:
-        """Stepper over (tagged protoform ids, language) rows; see _GruStepper."""
+    def batch_decoder(self, inputs) -> _GruStepper:
+        """Stepper whose init_state(len(inputs)) row i decodes the tagged protoform inputs[i]
+        into the language of its tag; see _GruStepper."""
         p = self._untracked_params()
-        lang = np.array([self.language_index(row[1]) for row in rows], dtype=np.int64)
-        return _GruStepper(self, p, self.encode_np([row[0] for row in rows]),
+        lang = self._target_languages(inputs)
+        return _GruStepper(self, p, self.encode_np(inputs),
                            lambda idx: self._conditioning(p, lang[idx]))
 
 
@@ -648,16 +653,17 @@ class ReflexModel(_ModelBase):
 def _set_examples(kind, cs, vocab: Vocabulary):
     """The training examples of cognate set cs, in the order batches take them.
 
-    A set without a protoform has none.  The recon model takes one (input,
-    protoform ids); the reflex model one (tagged protoform, reflex ids,
-    language) per present reflex, in the vocabulary's language order.
+    An example is an (input ids, target ids) pair, and a set without a
+    protoform has none.  The recon model takes one (input, protoform); the
+    reflex model one (tagged protoform, reflex) per present reflex, in the
+    vocabulary's language order.
     """
     if cs.protoform is None:
         return []
     if kind == "recon":
         return [(assemble_reconstruction_input(cs, vocab), vocab.encode(cs.protoform))]
-    return [(assemble_reflex_input(cs.protoform, lang, vocab), vocab.encode(cs.reflexes[lang]),
-             lang) for lang in vocab.languages if lang in cs.reflexes]
+    return [(assemble_reflex_input(cs.protoform, lang, vocab), vocab.encode(cs.reflexes[lang]))
+            for lang in vocab.languages if lang in cs.reflexes]
 
 
 def _examples(kind, dataset: Dataset, vocab: Vocabulary):
@@ -693,8 +699,7 @@ def _greedy_val_ted(model, examples):
     """Mean token edit distance of greedy decodes against gold targets."""
     if not examples:
         return 0.0
-    rows = [ex[0] if model.kind == "recon" else (ex[0], ex[2]) for ex in examples]
-    preds = model.greedy_decode_rows(rows)
+    preds = model.greedy_decode_rows([ex[0] for ex in examples])
     total = sum(token_edit_distance(pred, ex[1]) for pred, ex in zip(preds, examples))
     return total / len(examples)
 

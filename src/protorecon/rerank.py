@@ -49,17 +49,17 @@ class ReflexCache:
         self._memo[key] = value
 
 
-def score_candidates(reflex_model, items, max_len=None, cache=None):
+def score_candidates(reflex_model, items, cache=None):
     """Reflex accuracy r of every candidate protoform of some cognate sets.
 
     items lists (candidate token lists, cognate set) pairs.  Every
     (candidate, present language) pair of all items that is missing from the
-    cache is decoded in one greedy_decode_rows call.  Returns one (r values,
-    predictions) pair per item, with one entry per candidate; a prediction
-    maps language -> predicted id tuple.  An empty candidate (beam search
-    ranked EOS first) and one with ids unknown to the reflex model's
-    vocabulary (with a warning) are not decoded: they get r = 0 and empty
-    predictions.
+    cache is decoded in one greedy_decode_rows call, as the row [language
+    tag, *candidate].  Returns one (r values, predictions) pair per item,
+    with one entry per candidate; a prediction maps language -> predicted id
+    tuple.  An empty candidate (beam search ranked EOS first) and one with
+    ids unknown to the reflex model's vocabulary (with a warning) are not
+    decoded: they get r = 0 and empty predictions.
     """
     vocab = reflex_model.vocab
     found, pending = {}, {}  # (candidate, language) -> prediction; keys still to decode
@@ -88,8 +88,8 @@ def score_candidates(reflex_model, items, max_len=None, cache=None):
                 else:
                     found[key] = hit
         decodable.append(oks)
-    rows = [([vocab.language_tag_id(language), *tokens], language) for tokens, language in pending]
-    for key, pred in zip(pending, reflex_model.greedy_decode_rows(rows, max_len)):
+    rows = [[vocab.language_tag_id(language), *tokens] for tokens, language in pending]
+    for key, pred in zip(pending, reflex_model.greedy_decode_rows(rows)):
         found[key] = tuple(pred)
         if cache is not None:
             cache.put(key, found[key])
@@ -109,10 +109,9 @@ def score_candidates(reflex_model, items, max_len=None, cache=None):
     return out
 
 
-def reflex_accuracy(reflex_model, candidate_tokens, cset: CognateSet, max_len=None, cache=None):
+def reflex_accuracy(reflex_model, candidate_tokens, cset: CognateSet, cache=None):
     """score_candidates for one candidate: (r, predictions dict)."""
-    r_values, predictions = score_candidates(reflex_model, [([candidate_tokens], cset)], max_len,
-                                             cache)[0]
+    r_values, predictions = score_candidates(reflex_model, [([candidate_tokens], cset)], cache)[0]
     return r_values[0], predictions[0]
 
 

@@ -26,9 +26,6 @@ class ComparisonResult:
     p_value: float
     ci_low: float
     ci_high: float
-    n_resamples: int
-    level: float
-    seed: int
     alternative: str = "greater"
 
 
@@ -120,10 +117,7 @@ def bootstrap_ci(x, y, n_resamples=10_000, level=0.99, seed=0):
 def compare(x, y, alternative="greater", n_resamples=10_000, level=0.99, seed=0):
     p = wilcoxon_rank_sum(x, y, alternative)
     lo, hi = bootstrap_ci(x, y, n_resamples=n_resamples, level=level, seed=seed)
-    return ComparisonResult(
-        p_value=p, ci_low=lo, ci_high=hi, n_resamples=n_resamples,
-        level=level, seed=seed, alternative=alternative,
-    )
+    return ComparisonResult(p_value=p, ci_low=lo, ci_high=hi, alternative=alternative)
 
 
 def significant(comparison: ComparisonResult, alpha=0.01) -> bool:

@@ -23,7 +23,8 @@ outputs and gradients must match these within rounding.
 stats.wilcoxon_rank_sum counts for its exact p-values.
 ``segment_language_indices_loop`` is models.segment_language_indices as it
 was before it ran over a padded id matrix: one input, one position at a
-time.
+time.  ``tag_language`` names the language whose tag leads a reflex input,
+by a search over the vocabulary's languages.
 """
 
 from itertools import combinations
@@ -140,6 +141,11 @@ def segment_language_indices_loop(ids, vocab) -> list[int]:
     return out
 
 
+def tag_language(vocab, tagged) -> str:
+    """The language whose tag is the first id of the reflex input tagged."""
+    return next(lang for lang in vocab.languages if vocab.language_tag_id(lang) == tagged[0])
+
+
 def masked_step(h_prev, h_new, mask_col):
     """Keep h_prev on rows whose sequence already ended (mask 0)."""
     m = Tensor(mask_col[:, None])
@@ -220,15 +226,15 @@ def grouped_group_loss(model, inputs, targets, lang_index, normalizer, dropout_r
 
 
 def grouped_batch_loss(model, examples, dropout_rng=None):
-    """Mean token loss over (input_ids, target_ids, language) examples, one graph per group."""
+    """Mean token loss over (tagged input ids, target ids) examples, one graph per group."""
     groups = {}
     for ex in examples:
-        groups.setdefault((ex[2], len(ex[0])), []).append(ex)
+        groups.setdefault((tag_language(model.vocab, ex[0]), len(ex[0])), []).append(ex)
     total_tokens = float(sum(len(ex[1]) + 1 for ex in examples))
     losses = []
     for (lang, _), exs in sorted(groups.items()):
         losses.append(grouped_group_loss(
-            model, [ex[0] for ex in exs], [ex[1] for ex in exs], model.language_index(lang),
+            model, [ex[0] for ex in exs], [ex[1] for ex in exs], model.vocab.languages.index(lang),
             normalizer=total_tokens, dropout_rng=dropout_rng,
         ))
     return add_scalars(losses)
@@ -303,7 +309,8 @@ def step_reflex_loss(model, examples, dropout_rng=None):
                    for t in range(T)]
     final = ad.concat(finals) if len(finals) > 1 else finals[0]
     h = ad.tanh(ad.add(ad.matmul(final, p["bridge.W"]), p["bridge.b"]))
-    lang = np.array([model.language_index(ex[2]) for ex in examples], dtype=np.int64)
+    lang = np.array([model.vocab.languages.index(tag_language(model.vocab, ex[0]))
+                     for ex in examples], dtype=np.int64)
     return _step_decoder_loss(model, h, [ex[1] for ex in examples], model._conditioning(p, lang),
                               rate, dropout_rng)
 
@@ -405,7 +412,7 @@ def _oracle_reflex_encode(model, input_ids):
 
 def oracle_reflex_decoder(model, tagged, language):
     p, cfg = model.params, model.config
-    li = model.language_index(language)
+    li = model.vocab.languages.index(language)
     w2, b2 = ((p[f"clf.W2.{li}"], p[f"clf.b2.{li}"]) if cfg.target_gated_classifier
               else (p["clf.W2"], p["clf.b2"]))
 

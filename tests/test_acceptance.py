@@ -310,7 +310,7 @@ def test_criterion_8_determinism(tmp_path):
     for run in ("a", "b"):
         d = tmp_path / run
         d.mkdir()
-        assert main(["split", "--dataset", str(data), "--seed", "3",
+        assert main(["split", "--dataset", str(data), "--split-seed", "3",
                      "--out", str(d / "split.tsv")]) == 0
         assert main(["train-recon", "--dataset", str(data),
                      "--split", str(d / "split.tsv"), "--preset", str(preset),

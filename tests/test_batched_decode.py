@@ -36,6 +36,7 @@ from tests.oracles import (
     oracle_reconstruct_reranked,
     oracle_reflex_decoder,
     oracle_scores,
+    tag_language,
 )
 
 # -- tiny random models -----------------------------------------------------------
@@ -77,8 +78,8 @@ def test_reflex_batch_matches_per_item_decodes(family, name):
         rows = _reflex_rows(dataset, vocab, 30, seed)
         assert len({len(ids) for ids, _ in rows}) > 1
         assert len({lang for _, lang in rows}) > 1
-        max_len = 6
-        got = model.greedy_decode_rows(rows, max_len)
+        max_len = model.max_decode_len = 6
+        got = model.greedy_decode_rows([ids for ids, _ in rows])
         want = [oracle_greedy(oracle_reflex_decoder(model, ids, lang), max_len)
                 for ids, lang in rows]
         assert got == want
@@ -99,7 +100,8 @@ def test_recon_batch_matches_per_item_decodes(family):
     lengths_seen = set()
     for seed in range(3):
         model = _randomize(models.ReconModel(tiny_recon_config(seed=seed), vocab), 200 + seed)
-        got = model.greedy_decode_rows(inputs, 8)
+        model.max_decode_len = 8
+        got = model.greedy_decode_rows(inputs)
         want = [oracle_greedy(oracle_recon_decoder(model, ids), 8) for ids in inputs]
         assert got == want
         lengths_seen |= {len(w) for w in want}
@@ -109,11 +111,12 @@ def test_recon_batch_matches_per_item_decodes(family):
 def test_decode_rows_split_into_chunks(family, monkeypatch):
     dataset, vocab = family
     model = _randomize(models.ReflexModel(tiny_reflex_config(), vocab), 7)
-    rows = _reflex_rows(dataset, vocab, 11, 5)
-    whole = model.greedy_decode_rows(rows, 6)
+    rows = [ids for ids, _ in _reflex_rows(dataset, vocab, 11, 5)]
+    model.max_decode_len = 6
+    whole = model.greedy_decode_rows(rows)
     monkeypatch.setattr(models, "DECODE_CHUNK", 4)
-    assert model.greedy_decode_rows(rows, 6) == whole
-    assert model.greedy_decode_rows([], 6) == []
+    assert model.greedy_decode_rows(rows) == whole
+    assert model.greedy_decode_rows([]) == []
 
 
 @pytest.mark.parametrize("name", ["one-hot", "all"])
@@ -205,8 +208,8 @@ class _GoldReflexStub:
         assert tagged[0] == self.vocab.language_tag_id(language)
         return list(self.gold.get((tuple(tagged[1:]), language), ()))
 
-    def greedy_decode_rows(self, rows, max_len=None):
-        return [self.decode_row(tagged, language) for tagged, language in rows]
+    def greedy_decode_rows(self, rows):
+        return [self.decode_row(tagged, tag_language(self.vocab, tagged)) for tagged in rows]
 
 
 @pytest.fixture(scope="module")

@@ -1,16 +1,41 @@
-"""The benchmark's traced run wraps program functions by name: each one must still exist."""
+"""The benchmark's traced run wraps program functions by name: each one must still exist,
+and each counter hook must still read the argument it counts."""
 
 import importlib.util
 from pathlib import Path
 
-LAYERS = Path(__file__).resolve().parents[1] / "benchmarks" / "layers.py"
+from protorecon import models
+from protorecon.corpus import build_vocabulary
+from tests.conftest import tiny_reflex_config
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+def _load(name):
+    """The benchmark module benchmarks/<name>.py, under a name that shadows nothing."""
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}", BENCHMARKS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_benchmark_span_target_resolves():
-    spec = importlib.util.spec_from_file_location("benchmark_layers", LAYERS)
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
+    layers = _load("layers")
     missing = [name for name, owner, attr, _leaf, _tail in layers.SPANS
                if not callable(getattr(owner, attr, None))]
     assert not missing
     assert callable(layers.rerank_mod.ReflexCache.get)  # the cache-lookup counter's target
+
+
+def test_reflex_row_counter_counts_every_training_example(tiny_split):
+    """Over one traced epoch, the group_loss hook counts each reflex training example once."""
+    layers, trace = _load("layers"), _load("trace")
+    original = models.ReflexModel.group_loss
+    model = models.ReflexModel(tiny_reflex_config(max_epochs=1), build_vocabulary(tiny_split))
+    with trace.Tracer() as tracer:
+        layers.install(tracer)
+        models.train(model, tiny_split)
+    assert models.ReflexModel.group_loss is original  # the tracer put the original back
+    examples = models._examples("reflex", tiny_split.subset("train"), model.vocab)
+    assert tracer.counters["models.reflex_rows"] == len(examples) > 0
+    assert tracer.stats["models.ReflexModel.group_loss"].calls == 1  # four sets, one batch

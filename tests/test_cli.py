@@ -7,7 +7,7 @@ import struct
 import pytest
 
 from protorecon.cli import main
-from protorecon.corpus import parse_dataset, serialize_dataset
+from protorecon.corpus import parse_dataset, serialize_dataset, serialize_split_tags, split_dataset
 from protorecon.synthetic import generate_family
 
 TINY_PRESET = {
@@ -23,7 +23,7 @@ def workdir(tmp_path_factory):
     ds, _ = generate_family(n_sets=30, n_daughters=3, seed=8)
     (root / "data.tsv").write_text(serialize_dataset(ds), encoding="utf-8")
     (root / "preset.json").write_text(json.dumps(TINY_PRESET), encoding="utf-8")
-    assert main(["split", "--dataset", str(root / "data.tsv"), "--seed", "0",
+    assert main(["split", "--dataset", str(root / "data.tsv"), "--split-seed", "0",
                  "--out", str(root / "split.tsv")]) == 0
     common = ["--dataset", str(root / "data.tsv"), "--split", str(root / "split.tsv"),
               "--preset", str(root / "preset.json")]
@@ -675,10 +675,25 @@ def test_the_ablation_flag_is_gone_exit_2(argv, capsys):
     assert "unrecognized arguments: --ablation" in capsys.readouterr().err
 
 
+def test_split_seeds_its_split_with_the_shared_split_seed(workdir, tmp_path, capsys):
+    """split takes --split-seed, as train-* and gridsearch do, and writes split_dataset's tags
+    at that seed; its old --seed is an unknown flag."""
+    data = workdir / "data.tsv"
+    out = tmp_path / "split.tsv"
+    assert main(["split", "--dataset", str(data), "--split-seed", "3", "--out", str(out)]) == 0
+    want = split_dataset(parse_dataset(data.read_text(encoding="utf-8")), seed=3)
+    assert out.read_text(encoding="utf-8") == serialize_split_tags(want.split_tags)
+    assert out.read_text(encoding="utf-8") != (workdir / "split.tsv").read_text(encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["split", "--dataset", str(data), "--seed", "3", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
 def test_shared_flags_have_one_help_text_and_default():
     """A flag that several subcommands take means the same in each: one help text, one
-    default.  --seed is the exception: it seeds the split in split, the model in train-*,
-    picks the one seed that run runs, and seeds the bootstrap in compare."""
+    default.  --seed is the exception: it seeds the model in train-*, picks the one seed
+    that run runs, and seeds the bootstrap in compare; --split-seed seeds the split."""
     seen = {}
     for command, parser in _subparsers().items():
         for action in parser._actions:

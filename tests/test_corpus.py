@@ -141,6 +141,14 @@ def test_assemble_reflex_input(tiny_vocab):
     assert tiny_vocab.decode(ids) == ("<LangB>", "p", "a")
 
 
+def test_tag_languages_inverts_language_tag_id(tiny_vocab):
+    """Each language's tag maps back to its index; every other id maps to -1."""
+    table = tiny_vocab.tag_languages()
+    assert table.shape == (tiny_vocab.size,)
+    tags = {tiny_vocab.language_tag_id(lang): i for i, lang in enumerate(tiny_vocab.languages)}
+    assert table.tolist() == [tags.get(i, -1) for i in range(tiny_vocab.size)]
+
+
 def test_split_sizes(tiny_dataset):
     ds = split_dataset(tiny_dataset, (0.7, 0.1, 0.2), seed=0)
     tags = list(ds.split_tags.values())

@@ -9,14 +9,11 @@ from protorecon.errors import ProtoreconError, SchemaError
 from protorecon.metrics import (
     GAP,
     FeatureTable,
-    accuracy,
     align,
     bcubed_f,
     bundled_feature_table,
     evaluate,
     feature_edit_distance,
-    fer,
-    ter,
     token_edit_distance,
 )
 
@@ -85,15 +82,15 @@ def test_ted_known_values():
 
 
 def test_ter():
-    assert ter(["p", "a"], ["p", "i"]) == pytest.approx(0.5)
+    assert evaluate([["p", "a"]], [["p", "i"]]).ter == pytest.approx(0.5)
     with pytest.raises(ProtoreconError):
-        ter(["p"], [])
+        evaluate([["p"]], [[]])
 
 
 def test_accuracy():
-    assert accuracy([("a",), ("b",)], [("a",), ("c",)]) == pytest.approx(0.5)
+    assert evaluate([("a",), ("b",)], [("a",), ("c",)]).acc == pytest.approx(0.5)
     with pytest.raises(ProtoreconError):
-        accuracy([("a",)], [])
+        evaluate([("a",)], [])
 
 
 # -- feature table ------------------------------------------------------------
@@ -177,9 +174,9 @@ def test_fed_bounded_by_ted(table):
 
 
 def test_fer(table):
-    assert fer(["p"], ["t"], table) == pytest.approx(1 / 3)
+    assert evaluate([["p"]], [["t"]], table).fer == pytest.approx(1 / 3)
     with pytest.raises(ProtoreconError):
-        fer(["p"], [], table)
+        evaluate([["p"]], [[]], table)
 
 
 def test_fed_unknown_token(table):

@@ -37,10 +37,7 @@ def _reflex_batch(dataset, vocab):
     out = []
     for cs in dataset.sets[:3]:
         for lang, reflex in cs.reflexes.items():
-            out.append(
-                (assemble_reflex_input(cs.protoform, lang, vocab),
-                 vocab.encode(reflex), lang)
-            )
+            out.append((assemble_reflex_input(cs.protoform, lang, vocab), vocab.encode(reflex)))
     return out
 
 
@@ -393,8 +390,9 @@ def test_inference_builds_no_tape(tiny_dataset, tiny_vocab, monkeypatch, conditi
     reflex_rows = [(assemble_reflex_input(cs.protoform, lang, tiny_vocab), lang)
                    for cs in sets for lang in cs.reflexes]
     beam = dec.BeamConfig(k=3, max_len=5)
-    recon.greedy_decode_rows(recon_inputs, 5)
-    reflex.greedy_decode_rows(reflex_rows, 5)
+    recon.max_decode_len = reflex.max_decode_len = 5
+    recon.greedy_decode_rows(recon_inputs)
+    reflex.greedy_decode_rows([ids for ids, _ in reflex_rows])
     dec.beam_search(recon.decoder(recon_inputs[0]), beam)
     dec.beam_search(reflex.decoder(*reflex_rows[0]), beam)
     monkeypatch.undo()
@@ -418,6 +416,45 @@ def test_reflex_decoder_language_sensitivity(tiny_dataset, tiny_vocab):
         logp, _ = stepper.step(stepper.init_state(1), np.array([stepper.bos_id]))
         rows.append(logp[0])
     assert not np.allclose(rows[0], rows[1])
+
+
+def test_reflex_decoder_refuses_another_language_than_the_tag(tiny_dataset, tiny_vocab):
+    """The one-row decoder's language must be the one the input's tag names."""
+    model = models.ReflexModel(tiny_reflex_config(), tiny_vocab)
+    tagged = assemble_reflex_input(tiny_dataset.sets[0].protoform, "LangA", tiny_vocab)
+    with pytest.raises(ProtoreconError, match="tagged for 'LangA'"):
+        model.decoder(tagged, "LangB")
+    with pytest.raises(ProtoreconError):
+        model.decoder(tagged, "LangZ")
+    model.max_decode_len = 5
+    assert dec.greedy_decode(model.decoder(tagged, "LangA"), 5) == \
+        model.greedy_decode_rows([tagged])[0]
+
+
+@pytest.mark.parametrize("untagged", [
+    "protoform", "empty", "unknown id", "SEP first", "tag second"])
+def test_reflex_rows_without_a_leading_tag_are_refused(tiny_dataset, tiny_vocab, untagged):
+    """A reflex row names its target language by its first id; a row without one is refused
+    by decoding and by the loss alike."""
+    model = models.ReflexModel(tiny_reflex_config(), tiny_vocab)
+    proto = tiny_vocab.encode(tiny_dataset.sets[0].protoform)
+    tag = tiny_vocab.language_tag_id("LangB")
+    row = {"protoform": proto, "empty": [], "unknown id": [tiny_vocab.size + 2, *proto],
+           "SEP first": [tiny_vocab.sep_id, *proto], "tag second": [proto[0], tag, *proto[1:]]
+           }[untagged]
+    good = [tag, *proto]
+    with pytest.raises(ProtoreconError, match="does not start with a language tag"):
+        model.greedy_decode_rows([good, row])
+    with pytest.raises(ProtoreconError, match="does not start with a language tag"):
+        model.batch_loss([(good, proto), (row, proto)])
+
+
+def test_reflex_batch_loss_reads_only_input_and_target(tiny_dataset, tiny_vocab):
+    """A third element of an example, such as a language name, is not read: the tag is."""
+    model = models.ReflexModel(tiny_reflex_config(target_gated_classifier=True), tiny_vocab)
+    batch = _reflex_batch(tiny_dataset, tiny_vocab)
+    pairs = float(model.batch_loss(batch).data)
+    assert float(model.batch_loss([(*ex, "LangZ") for ex in batch]).data) == pairs
 
 
 # -- checkpointing ------------------------------------------------------------
@@ -484,21 +521,6 @@ def test_model_checkpoint_decode_equivalence(tmp_path, tiny_split):
         bb = dec.beam_search(loaded.decoder(ids), dec.BeamConfig(k=3, max_len=10))
         assert [c.tokens for c in ba] == [c.tokens for c in bb]
         assert all(abs(x.m - y.m) < 1e-12 for x, y in zip(ba, bb))
-
-
-def test_model_checkpoint_vocab_hash_guard(tmp_path, tiny_split):
-    from protorecon.corpus import parse_dataset
-
-    vocab = build_vocabulary(tiny_split)
-    model = models.ReconModel(tiny_recon_config(), vocab)
-    path = tmp_path / "m.ckpt"
-    model.save(path)
-    other = parse_dataset("proto\tLangA\nx y\tz q\n")
-    other_vocab = build_vocabulary(other)
-    with pytest.raises(CheckpointError):
-        models.load_checkpoint(path, vocab=other_vocab)
-    # matching vocabulary loads fine
-    assert models.load_checkpoint(path, vocab=vocab).kind == "recon"
 
 
 def test_reflex_checkpoint_roundtrip(tmp_path, tiny_split):

@@ -106,7 +106,7 @@ def test_loss_adds_each_step_in_the_per_step_row_order(name, monkeypatch):
 
     model = _spread(models.ReflexModel(tiny_reflex_config(**REFLEX_CONDITIONING[name]), VOCAB), 3)
     batch = models._examples("reflex", FAMILY, VOCAB)[:12]
-    assert len({ex[2] for ex in batch}) > 2
+    assert len({ex[0][0] for ex in batch}) > 2  # language tags
     calls = []
     original = ad.softmax_cross_entropy
     monkeypatch.setattr(ad, "softmax_cross_entropy",

@@ -125,11 +125,9 @@ def test_compare_and_significance():
 
 
 def test_significant_respects_direction():
-    r = ComparisonResult(p_value=0.001, ci_low=-2.0, ci_high=-0.5, n_resamples=1000,
-                         level=0.99, seed=0, alternative="less")
+    r = ComparisonResult(p_value=0.001, ci_low=-2.0, ci_high=-0.5, alternative="less")
     assert significant(r)
-    r2 = ComparisonResult(p_value=0.001, ci_low=-2.0, ci_high=0.5, n_resamples=1000,
-                          level=0.99, seed=0, alternative="less")
+    r2 = ComparisonResult(p_value=0.001, ci_low=-2.0, ci_high=0.5, alternative="less")
     assert not significant(r2)
 
 
