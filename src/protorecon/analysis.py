@@ -20,13 +20,6 @@ class RerankBehavior(Enum):
 
 
 @dataclass(frozen=True)
-class BehaviorRecord:
-    behavior: RerankBehavior
-    beam_rank_of_gold: int | None
-    rerank_rank_of_gold: int | None
-
-
-@dataclass(frozen=True)
 class SimilarityRecord:
     """Mean tone-stripped distances from one form to a set of reflexes."""
 
@@ -34,24 +27,18 @@ class SimilarityRecord:
     d_f: float  # normalized feature edit distance
 
 
-def categorize(beam_candidates, reranked, gold_tokens) -> BehaviorRecord:
+def categorize(beam_candidates, reranked, gold_tokens) -> RerankBehavior:
     """Locate the gold protoform in the beam list and compare its two ranks."""
     gold = tuple(gold_tokens)
-    beam_rank = next(
-        (i for i, c in enumerate(beam_candidates) if tuple(c.tokens) == gold), None
-    )
+    beam_rank = next((i for i, c in enumerate(beam_candidates) if tuple(c.tokens) == gold), None)
     if beam_rank is None:
-        return BehaviorRecord(RerankBehavior.NOT_IN, None, None)
-    rerank_rank = next(
-        rc.rerank_rank for rc in reranked if rc.beam_rank == beam_rank
-    )
+        return RerankBehavior.NOT_IN
+    rerank_rank = next(rc.rerank_rank for rc in reranked if rc.beam_rank == beam_rank)
     if rerank_rank < beam_rank:
-        behavior = RerankBehavior.IMPROVED
-    elif rerank_rank > beam_rank:
-        behavior = RerankBehavior.WORSENED
-    else:
-        behavior = RerankBehavior.UNCHANGED
-    return BehaviorRecord(behavior, beam_rank, rerank_rank)
+        return RerankBehavior.IMPROVED
+    if rerank_rank > beam_rank:
+        return RerankBehavior.WORSENED
+    return RerankBehavior.UNCHANGED
 
 
 def _strip_tones(tokens, table: FeatureTable):
@@ -152,11 +139,11 @@ def per_language_error_rates(reflex_model, items, cache=None):
     return out
 
 
-def behavior_distribution(records) -> dict:
+def behavior_distribution(behaviors) -> dict:
     """Counts per category plus the Improved/(Improved+Worsened) ratio."""
     counts = {b: 0 for b in RerankBehavior}
-    for rec in records:
-        counts[rec.behavior] += 1
+    for behavior in behaviors:
+        counts[behavior] += 1
     changed = counts[RerankBehavior.IMPROVED] + counts[RerankBehavior.WORSENED]
     ratio = counts[RerankBehavior.IMPROVED] / changed if changed else None
     return {"counts": counts, "total": sum(counts.values()), "improved_over_changed": ratio}
@@ -171,25 +158,25 @@ def write_analysis_tables(out_dir, reflex_model, results, languages, table=None,
     once.  cache is the ReflexCache that rerank_sets filled, if any, which
     per_language_error_rates reads.  error_rates.tsv lists the languages of
     languages that some set has.  Every file starts with stamp.  Returns
-    each set's BehaviorRecord.
+    each set's RerankBehavior.
     """
     vocab = reflex_model.vocab
-    records, error_items, rate_items = [], [], []
+    behaviors, error_items, rate_items = [], [], []
     for cset, beam, reranked, _ in results:
         gold_ids = tuple(vocab.encode(cset.protoform))
-        record = categorize(beam, reranked, gold_ids)
-        records.append(record)
-        rate_items.append((cset, record.behavior))
+        behavior = categorize(beam, reranked, gold_ids)
+        behaviors.append(behavior)
+        rate_items.append((cset, behavior))
         if reranked[0].tokens != gold_ids:
             error_items.append(ErrorItem(cset=cset, predicted=vocab.decode(reranked[0].tokens),
-                                         gold=tuple(cset.protoform), behavior=record.behavior))
-    if not records:
+                                         gold=tuple(cset.protoform), behavior=behavior))
+    if not behaviors:
         raise ProtoreconError("no cognate set with a gold protoform to analyze")
 
     def write(name, lines):
         write_text(os.path.join(out_dir, name), stamp + "\n".join(lines) + "\n")
 
-    dist = behavior_distribution(records)
+    dist = behavior_distribution(behaviors)
     lines = ["category\tcount\tpercent"]
     for b in RerankBehavior:
         c = dist["counts"][b]
@@ -216,4 +203,4 @@ def write_analysis_tables(out_dir, reflex_model, results, languages, table=None,
                      for lang in langs]
             lines.append("\t".join([group if group == "overall" else group.value, *cells]))
     write("error_rates.tsv", lines)
-    return records
+    return behaviors

@@ -279,6 +279,8 @@ def split_dataset(
         raise ConfigError(f"split ratios must be finite and >= 0, got {tuple(ratios)}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError(f"split ratios must sum to 1, got {sum(ratios)}")
+    if seed < 0:
+        raise ConfigError(f"split seed must be >= 0, not {seed}")
     n = len(dataset.sets)
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
@@ -326,8 +328,8 @@ def serialize_split_tags(tags: dict[str, str]) -> str:
 
 
 def read_text(path) -> str:
-    """The text of the UTF-8 file at path."""
-    with open(path, encoding="utf-8") as f:
+    """The text of the UTF-8 file at path, without a leading byte-order mark."""
+    with open(path, encoding="utf-8-sig") as f:
         return f.read()
 
 

@@ -82,6 +82,8 @@ class ExperimentConfig:
             raise ConfigError("no seeds to run")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be distinct")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be >= 0, not {min(self.seeds)}")
         # checked before any training; alpha None means the recon config's, checked there
         dec.BeamConfig(k=self.beam_size, alpha=0.0 if self.alpha is None else self.alpha)
         check_lambda(self.lam)
@@ -119,8 +121,8 @@ def run_seed(config: ExperimentConfig, dataset: Dataset, seed: int, table: Featu
     results = list(rerank_sets(recon, reflex, csets,
                                recon.beam_config(config.beam_size, config.alpha), config.lam,
                                cache))
-    records = write_analysis_tables(seed_dir, reflex, results, dataset.languages, table, stamp,
-                                    cache)
+    behaviors = write_analysis_tables(seed_dir, reflex, results, dataset.languages, table,
+                                      stamp, cache)
     gold_strs = [tuple(cs.protoform) for cs in csets]
     report = evaluate([vocab.decode(reranked[0].tokens) for _, _, reranked, _ in results],
                       gold_strs, table)
@@ -128,12 +130,12 @@ def run_seed(config: ExperimentConfig, dataset: Dataset, seed: int, table: Featu
                            gold_strs, table)
 
     rows = ["id\tgold\tbeam_top\treranked_top\tm\tr\ts\tbehavior"]
-    for (cset, beam, reranked, _), record in zip(results, records):
+    for (cset, beam, reranked, _), behavior in zip(results, behaviors):
         top = reranked[0]
         rows.append("\t".join([
             cset.id, " ".join(cset.protoform), " ".join(vocab.decode(beam[0].tokens)),
             " ".join(vocab.decode(top.tokens)), f"{top.m:.6f}", f"{top.r:.4f}", f"{top.s:.6f}",
-            record.behavior.value,
+            behavior.value,
         ]))
     write_text(os.path.join(seed_dir, "predictions.tsv"), stamp + "\n".join(rows) + "\n")
     write_text(os.path.join(seed_dir, "metrics.tsv"), stamp + report.as_tsv_row())

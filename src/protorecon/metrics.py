@@ -12,6 +12,7 @@ Conventions fixed here (the literature leaves them open):
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,28 +156,18 @@ def bcubed_f(pred, gold) -> float:
     symbol; gap columns are singletons) and a gold-side cluster defined
     analogously; per-column precision/recall is the normalized overlap of
     the two clusters, and the item score is the harmonic mean of the mean
-    precision and mean recall.
+    precision and mean recall.  Cluster sizes and overlaps are counted by
+    column key, a gap keyed by its column index.
     """
     cols = align(pred, gold)
     if not cols:
         return 1.0
-    n = len(cols)
-    pred_cluster = [
-        frozenset([c]) if cols[c][0] is GAP
-        else frozenset(d for d in range(n) if cols[d][0] == cols[c][0])
-        for c in range(n)
-    ]
-    gold_cluster = [
-        frozenset([c]) if cols[c][1] is GAP
-        else frozenset(d for d in range(n) if cols[d][1] == cols[c][1])
-        for c in range(n)
-    ]
-    precision = np.mean(
-        [len(pred_cluster[c] & gold_cluster[c]) / len(pred_cluster[c]) for c in range(n)]
-    )
-    recall = np.mean(
-        [len(pred_cluster[c] & gold_cluster[c]) / len(gold_cluster[c]) for c in range(n)]
-    )
+    keys = [((GAP, c) if p is GAP else p, (GAP, c) if g is GAP else g)
+            for c, (p, g) in enumerate(cols)]
+    pred_size, gold_size = Counter(p for p, _ in keys), Counter(g for _, g in keys)
+    overlap = Counter(keys)
+    precision = np.mean([overlap[k] / pred_size[k[0]] for k in keys])
+    recall = np.mean([overlap[k] / gold_size[k[1]] for k in keys])
     if precision + recall == 0:
         return 0.0
     return float(2 * precision * recall / (precision + recall))

@@ -158,20 +158,11 @@ def rerank(candidates, r_values, lam: float) -> list[RerankedCandidate]:
     """Stable sort by adjusted score s = m + lambda * r, descending."""
     if len(candidates) != len(r_values):
         raise ProtoreconError("candidate / reranker-score count mismatch")
-    scored = [
-        (cand.m + lam * r, beam_rank, cand, r)
-        for beam_rank, (cand, r) in enumerate(zip(candidates, r_values))
-    ]
-    order = sorted(range(len(scored)), key=lambda i: (-scored[i][0], i))
+    s_values = [cand.m + lam * r for cand, r in zip(candidates, r_values)]
+    order = sorted(range(len(s_values)), key=lambda i: (-s_values[i], i))
     return [
-        RerankedCandidate(
-            tokens=tuple(scored[i][2].tokens),
-            m=scored[i][2].m,
-            r=scored[i][3],
-            s=scored[i][0],
-            beam_rank=i,
-            rerank_rank=rank,
-        )
+        RerankedCandidate(tokens=tuple(candidates[i].tokens), m=candidates[i].m, r=r_values[i],
+                          s=s_values[i], beam_rank=i, rerank_rank=rank)
         for rank, i in enumerate(order)
     ]
 

@@ -30,17 +30,11 @@ class ComparisonResult:
 
 
 def _midranks(values):
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    i = 0
-    sorted_vals = np.asarray(values)[order]
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2 + 1
-        i = j + 1
-    return ranks
+    """1-based ranks of values; tied values share the mean of their sorted positions."""
+    values = np.asarray(values)
+    ordered = np.sort(values)
+    return (np.searchsorted(ordered, values, "left")
+            + np.searchsorted(ordered, values, "right") + 1) / 2
 
 
 def _norm_cdf(z):
@@ -52,7 +46,8 @@ def wilcoxon_rank_sum(x, y, alternative="greater"):
 
     alternative='greater' tests whether x tends to exceed y ('less' the
     reverse).  Exact when len(x)+len(y) <= 12 with no ties; otherwise a
-    normal approximation with tie and continuity corrections.
+    normal approximation with tie and continuity corrections.  A NaN or
+    infinite value is refused.
     """
     if alternative not in ALTERNATIVES:
         raise ConfigError(f"alternative must be one of {ALTERNATIVES}")
@@ -61,6 +56,8 @@ def wilcoxon_rank_sum(x, y, alternative="greater"):
         raise ProtoreconError("empty sample")
     nx, ny = len(x), len(y)
     pooled = x + y
+    if not all(map(math.isfinite, pooled)):
+        raise ProtoreconError("samples must be finite")
     ranks = _midranks(pooled)
     w = float(ranks[:nx].sum())
     no_ties = len(set(pooled)) == len(pooled)
@@ -103,6 +100,8 @@ def bootstrap_ci(x, y, n_resamples=10_000, level=0.99, seed=0):
     _check_fraction("level", level)
     if n_resamples < 1000:
         raise ConfigError("n_resamples must be >= 1000")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, not {seed}")
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.size == 0 or y.size == 0:
         raise ProtoreconError("empty sample")

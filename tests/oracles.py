@@ -20,7 +20,9 @@ search that expands one hypothesis and one token at a time, where
 decode.beam_search ranks the whole frontier at once.  The library's
 outputs and gradients must match these within rounding.
 ``exact_rank_sum_distribution`` enumerates the rank-sum distribution that
-stats.wilcoxon_rank_sum counts for its exact p-values.
+stats.wilcoxon_rank_sum counts for its exact p-values, and ``midranks_loop``
+is stats._midranks as it was before it ranked by sorted positions: a walk
+over each run of tied values in stable sort order.
 ``segment_language_indices_loop`` is models.segment_language_indices as it
 was before it ran over a padded id matrix: one input, one position at a
 time.  ``tag_language`` names the language whose tag leads a reflex input,
@@ -519,3 +521,18 @@ def exact_rank_sum_distribution(nx, ny):
         counts[s] = counts.get(s, 0) + 1
         total += 1
     return {w: c / total for w, c in sorted(counts.items())}
+
+
+def midranks_loop(values):
+    """1-based ranks of values; each run of ties gets the mean of its positions."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values))
+    i = 0
+    sorted_vals = np.asarray(values)[order]
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2 + 1
+        i = j + 1
+    return ranks

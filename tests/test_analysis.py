@@ -44,32 +44,25 @@ def _beam(token_lists, ms):
 def test_categorize_improved():
     beam = _beam([(1,), (2,), (3,)], [-0.1, -0.2, -0.3])
     reranked = rerank(beam, [0.0, 1.0, 0.0], 1.0)  # beam rank 1 moves to top
-    rec = categorize(beam, reranked, (2,))
-    assert rec.behavior is RerankBehavior.IMPROVED
-    assert rec.beam_rank_of_gold == 1
-    assert rec.rerank_rank_of_gold == 0
+    assert categorize(beam, reranked, (2,)) is RerankBehavior.IMPROVED
 
 
 def test_categorize_worsened():
     beam = _beam([(1,), (2,)], [-0.1, -0.2])
     reranked = rerank(beam, [0.0, 1.0], 1.0)
-    rec = categorize(beam, reranked, (1,))
-    assert rec.behavior is RerankBehavior.WORSENED
+    assert categorize(beam, reranked, (1,)) is RerankBehavior.WORSENED
 
 
 def test_categorize_unchanged():
     beam = _beam([(1,), (2,)], [-0.1, -0.2])
     reranked = rerank(beam, [0.5, 0.5], 1.0)
-    rec = categorize(beam, reranked, (1,))
-    assert rec.behavior is RerankBehavior.UNCHANGED
+    assert categorize(beam, reranked, (1,)) is RerankBehavior.UNCHANGED
 
 
 def test_categorize_not_in():
     beam = _beam([(1,), (2,)], [-0.1, -0.2])
     reranked = rerank(beam, [0.5, 0.5], 1.0)
-    rec = categorize(beam, reranked, (9,))
-    assert rec.behavior is RerankBehavior.NOT_IN
-    assert rec.beam_rank_of_gold is None
+    assert categorize(beam, reranked, (9,)) is RerankBehavior.NOT_IN
 
 
 def test_similarity_strips_tones(table):
@@ -111,11 +104,11 @@ def test_similarity_comparison_table(table):
 
 
 def test_behavior_distribution():
-    recs = [
+    behaviors = [
         categorize(_beam([(1,)], [-0.1]), rerank(_beam([(1,)], [-0.1]), [0.5], 1.0), g)
         for g in [(1,), (1,), (9,)]
     ]
-    dist = behavior_distribution(recs)
+    dist = behavior_distribution(behaviors)
     assert dist["total"] == 3
     assert dist["counts"][RerankBehavior.UNCHANGED] == 2
     assert dist["counts"][RerankBehavior.NOT_IN] == 1

@@ -135,6 +135,29 @@ def test_compare_rejects_levels_outside_unit_interval(tmp_path, capsys, flag, va
     assert captured.err.startswith("configuration error:") and captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["split", "train-recon", "gridsearch", "compare", "run"])
+def test_a_negative_seed_exits_2_and_writes_nothing(workdir, tmp_path, capsys, command):
+    """A split, bootstrap or run seed below 0 is a configuration error, not numpy's
+    ValueError, and run leaves no --out directory behind."""
+    data = ["--dataset", str(workdir / "data.tsv")]
+    pair = ["--recon-checkpoint", str(workdir / "recon.ckpt"),
+            "--reflex-checkpoint", str(workdir / "reflex.ckpt")]
+    preset = str(workdir / "preset.json")
+    out = tmp_path / "out"
+    argv = {
+        "split": ["split", *data, "--split-seed", "-1"],
+        "train-recon": ["train-recon", *data, "--preset", preset, "--split-seed", "-1"],
+        "gridsearch": ["gridsearch", *data, *pair, "--split-seed", "-1"],
+        "compare": [*_score_files(tmp_path), "--seed", "-1"],
+        "run": ["run", *data, "--preset", preset, "--reflex-preset", preset, "--seed", "-1"],
+    }[command]
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error:") and "seed" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_analyze_writes_tables(workdir, tmp_path):
     out = tmp_path / "analysis"
     assert main(["analyze", "--dataset", str(workdir / "data.tsv"),

@@ -173,6 +173,11 @@ def test_split_bad_ratios(tiny_dataset):
             split_dataset(tiny_dataset, ratios)
 
 
+def test_split_refuses_a_negative_seed(tiny_dataset):
+    with pytest.raises(ConfigError, match="seed"):
+        split_dataset(tiny_dataset, seed=-1)
+
+
 def test_split_file_roundtrip(tiny_dataset):
     ds = split_dataset(tiny_dataset, (0.7, 0.1, 0.2), seed=1)
     text = serialize_split_tags(ds.split_tags)
@@ -212,6 +217,19 @@ def test_read_dataset_tags_by_split_file_or_seed(tmp_path, tiny_dataset):
     assert read_dataset(data, "whitespace", split_seed=3, ratios=(0.5, 0.0, 0.5)) == seeded
     write_text(str(split), serialize_split_tags(seeded.split_tags))
     assert read_dataset(data, "whitespace", split, split_seed=9) == seeded
+
+
+def test_a_leading_byte_order_mark_reads_as_absent(tmp_path, tiny_dataset):
+    """A dataset or split file saved with a UTF-8 BOM reads equal to the same file without:
+    the BOM does not hide the dataset's id column."""
+    split = serialize_split_tags(split_dataset(tiny_dataset, seed=1).split_tags)
+    for name, text in (("data", serialize_dataset(tiny_dataset)), ("split", split)):
+        (tmp_path / f"{name}.tsv").write_text(text, encoding="utf-8")
+        (tmp_path / f"{name}-bom.tsv").write_text("\ufeff" + text, encoding="utf-8")
+    plain = read_dataset(tmp_path / "data.tsv", "whitespace", tmp_path / "split.tsv")
+    assert read_dataset(tmp_path / "data-bom.tsv", "whitespace",
+                        tmp_path / "split-bom.tsv") == plain
+    assert read_text(tmp_path / "data-bom.tsv") == read_text(tmp_path / "data.tsv")
 
 
 ALLOWED_WRITERS = {("corpus.py", "write_text"), ("checkpoint.py", "write_checkpoint")}

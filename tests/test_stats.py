@@ -2,17 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from protorecon.errors import ConfigError, ProtoreconError
 from protorecon.stats import (
     ComparisonResult,
+    _midranks,
     bootstrap_ci,
     compare,
     pearson_correlation,
     significant,
     wilcoxon_rank_sum,
 )
-from tests.oracles import exact_rank_sum_distribution
+from tests.oracles import exact_rank_sum_distribution, midranks_loop
 
 
 def test_exact_p_value_canonical_case():
@@ -74,6 +77,26 @@ def test_invalid_inputs():
         wilcoxon_rank_sum([1], [2], "bogus")
     with pytest.raises(ProtoreconError):
         wilcoxon_rank_sum([], [1])
+
+
+@given(st.lists(st.integers(-3, 3).map(float) | st.floats(allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=40))
+def test_midranks_equal_the_tie_run_loop(values):
+    """Ranks by sorted positions equal the walk over runs of ties, bit for bit."""
+    assert _midranks(values).tobytes() == midranks_loop(values).tobytes()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_samples_refused(bad):
+    with pytest.raises(ProtoreconError, match="finite"):
+        wilcoxon_rank_sum([1.0, bad, bad] + [4.0] * 10, [2.0, 0.5, 3.0])
+    with pytest.raises(ProtoreconError, match="finite"):
+        compare([1.0, 2.0, 3.0], [2.0, bad], n_resamples=1000)
+
+
+def test_bootstrap_refuses_a_negative_seed():
+    with pytest.raises(ConfigError, match="seed"):
+        bootstrap_ci([1.0, 2.0], [2.0, 3.0], n_resamples=1000, seed=-1)
 
 
 def test_bootstrap_degenerate_point():
