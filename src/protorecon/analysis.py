@@ -59,13 +59,8 @@ def similarity_to_reflexes(form, cset: CognateSet, table: FeatureTable) -> Simil
 
     Tone-flagged tokens are stripped from the form and every reflex first.
     """
+    table.check_tokens([*form, *(t for seq in cset.reflexes.values() for t in seq)])
     form_s = _strip_tones(form, table)
-    missing = sorted(
-        {t for t in form_s if t not in table}
-        | {t for seq in cset.reflexes.values() for t in _strip_tones(seq, table) if t not in table}
-    )
-    if missing:
-        raise ProtoreconError(f"tokens missing from feature table: {missing}")
     d_t = d_f = 0.0
     for reflex in cset.reflexes.values():
         reflex_s = _strip_tones(reflex, table)

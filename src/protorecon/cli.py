@@ -182,6 +182,10 @@ def cmd_rerank(args):
     beam_config = recon.beam_config(args.beam_size, args.alpha, args.max_len)
     check_lambda(args.lam)
     ds = _read_model_dataset(args, recon.vocab)
+    bad = [cs.id for cs in ds.sets if cs.id in ("", ".", "..", "summary")
+           or any(c in cs.id for c in "/\\\0")]  # each names its TSV next to summary.tsv
+    if args.out and bad:
+        raise SchemaError(f"set ids that cannot name a file under --out: {bad[:5]}")
     summary = ["\t".join(RERANK_SUMMARY_HEADER)]
     for cset, _, reranked, preds in rerank_sets(recon, reflex, ds.sets, beam_config, args.lam):
         top = reranked[0]
@@ -207,6 +211,8 @@ def cmd_eval(args):
             raise SchemaError(f"no prediction for cognate set {cset.id!r}")
         predicted.append(preds[cset.id])
         golds.append(tuple(cset.protoform))
+    if table is not None:
+        table.check_tokens(t for seq in predicted + golds for t in seq)
     report = evaluate(predicted, golds, table)
     _emit(report.as_tsv_row(), args.out)
 
@@ -267,6 +273,8 @@ def cmd_analyze(args):
     check_lambda(args.lam)
     ds = _read_model_dataset(args, recon.vocab)
     table = load_feature_table(args.feature_table)
+    if table is not None:
+        table.check_tokens(ds.tokens() | set(recon.vocab.phonemes()))
     csets = [cset for cset in ds.sets if cset.protoform is not None]
     cache = ReflexCache()
     results = rerank_sets(recon, reflex, csets, beam_config, args.lam, cache)

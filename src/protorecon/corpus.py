@@ -69,6 +69,11 @@ class Dataset:
                     f"inventory: {sorted(extra)}"
                 )
 
+    def tokens(self) -> set[str]:
+        """Every token of the sets' protoforms and reflexes."""
+        return {tok for cs in self.sets for seq in (cs.protoform or (), *cs.reflexes.values())
+                for tok in seq}
+
     def subset(self, tag: str) -> "Dataset":
         if self.split_tags is None:
             raise ConfigError("dataset has no split tags")
@@ -140,6 +145,11 @@ class Vocabulary:
         if tag not in self.token_to_id:
             raise VocabularyError(f"unknown language {language!r}")
         return self.token_to_id[tag]
+
+    def phonemes(self) -> tuple[str, ...]:
+        """The tokens that are neither structural nor language tags."""
+        skip = set(STRUCTURAL_TOKENS) | {self.language_tag(lang) for lang in self.languages}
+        return tuple(tok for tok in self.id_to_token if tok not in skip)
 
     def tag_languages(self) -> np.ndarray:
         """Per id, the index in languages of the language it tags; -1 for every other id."""
@@ -235,14 +245,8 @@ def serialize_dataset(dataset: Dataset) -> str:
 
 def build_vocabulary(dataset: Dataset) -> Vocabulary:
     """Deterministic vocabulary: structural ids, language tags, sorted phonemes."""
-    phonemes = set()
-    for cs in dataset.sets:
-        if cs.protoform is not None:
-            phonemes.update(cs.protoform)
-        for seq in cs.reflexes.values():
-            phonemes.update(seq)
     tags = tuple(Vocabulary.language_tag(lang) for lang in dataset.languages)
-    return Vocabulary(STRUCTURAL_TOKENS + tags + tuple(sorted(phonemes)), dataset.languages)
+    return Vocabulary(STRUCTURAL_TOKENS + tags + tuple(sorted(dataset.tokens())), dataset.languages)
 
 
 def assemble_reconstruction_input(cset: CognateSet, vocab: Vocabulary) -> list[int]:
@@ -317,9 +321,12 @@ def parse_split_file(tsv_text: str) -> dict[str, str]:
 
 
 def apply_split_tags(dataset: Dataset, tags: dict[str, str]) -> Dataset:
-    missing = {cs.id for cs in dataset.sets} - set(tags)
+    ids = {cs.id for cs in dataset.sets}
+    missing, unknown = sorted(ids - set(tags)), sorted(set(tags) - ids)
     if missing:
-        raise SchemaError(f"split file misses ids: {sorted(missing)[:5]} ...")
+        raise SchemaError(f"split file misses ids: {missing[:5]} ...")
+    if unknown:
+        raise SchemaError(f"split file names ids the dataset lacks: {unknown[:5]}")
     return replace(dataset, split_tags={cs.id: tags[cs.id] for cs in dataset.sets})
 
 

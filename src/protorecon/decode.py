@@ -160,9 +160,7 @@ def beam_search_batch(stepper, n_rows: int, config: BeamConfig) -> list[list[Can
             s = live[i]
             if len(completed[s]) >= k:
                 kth = sorted(completed[s], key=lambda c: -c.m)[k - 1].m
-                bound = scores[i][keep[i]]
-                bound = bound / final_len_norm if config.alpha > 0 else bound
-                stays[i] = not np.all(bound <= kth)
+                stays[i] = not np.all(scores[i][keep[i]] / final_len_norm <= kth)
         keep &= stays[:, None]
         sel = rows[keep]
         prefixes = [prefixes[r] + (v,) for r, v in zip(sel.tolist(), toks[keep].tolist())]
@@ -171,9 +169,5 @@ def beam_search_batch(stepper, n_rows: int, config: BeamConfig) -> list[list[Can
             state = stepper.select(state, sel)
         prev, raw = toks[keep], scores[keep]
 
-    out = []
-    for pool in completed:
-        ranked = sorted(range(len(pool)), key=lambda i: (-pool[i].m, i))
-        out.append([pool[i] for i in ranked[:k]])
-    return out
+    return [sorted(pool, key=lambda c: -c.m)[:k] for pool in completed]  # stable: ties keep order
 

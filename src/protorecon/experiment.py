@@ -159,6 +159,8 @@ def run_experiment(config: ExperimentConfig, log=None):
     """
     dataset = read_dataset(config.dataset_path, config.tokenize, config.split_path, split_seed=0)
     table = load_feature_table(config.feature_table_path)
+    if table is not None:  # refused before any seed trains
+        table.check_tokens(dataset.tokens())
     stamp = f"# config={config.config_hash()} seeds={','.join(map(str, config.seeds))}\n"
 
     results = {}

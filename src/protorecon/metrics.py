@@ -58,11 +58,15 @@ class FeatureTable:
     def is_tone(self, token: str) -> bool:
         return self.tone_flags.get(token, False)
 
+    def check_tokens(self, tokens):
+        """Raise SchemaError naming the tokens (any iterable of them) that the table lacks."""
+        missing = sorted({t for t in tokens if t not in self.vectors})
+        if missing:
+            raise SchemaError(f"tokens missing from feature table: {missing}")
+
     def substitution_cost(self, a: str, b: str) -> float:
         """Hamming distance between feature vectors, divided by F."""
-        missing = [t for t in (a, b) if t not in self.vectors]
-        if missing:
-            raise ProtoreconError(f"tokens missing from feature table: {missing}")
+        self.check_tokens((a, b))
         return float(np.count_nonzero(self.vectors[a] != self.vectors[b])) / self.n_features
 
     @classmethod
@@ -117,9 +121,7 @@ def load_feature_table(path: str | None) -> FeatureTable | None:
 def feature_edit_distance(a, b, table: FeatureTable) -> float:
     """Weighted Levenshtein: substitution = feature Hamming / F, indel = 1."""
     a, b = list(a), list(b)
-    missing = sorted({t for t in a + b if t not in table})
-    if missing:
-        raise ProtoreconError(f"tokens missing from feature table: {missing}")
+    table.check_tokens(a + b)
     return float(_edit_table(a, b, table.substitution_cost)[-1][-1])
 
 

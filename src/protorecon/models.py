@@ -196,36 +196,35 @@ class _Conditioning(NamedTuple):
 class _GruStepper:
     """decode.py stepper running a model's _decode_step on untracked parameters.
 
-    h0 holds one encoded row per input.  init_state(batch) repeats a
-    one-row encoding (beam search) or takes an n-row encoding whole
-    (batched greedy decoding, batch = n).  The state is (hidden matrix,
-    input index of each row, their _Conditioning), so per-input
-    conditioning (the reflex model's target language) follows select(),
-    the only place where the rows change.  A step is a one-step (1, B)
-    batch of _decode_step, so the conditioning is of rows[None].
+    h0 holds one encoded row per input and lang each row's target language
+    index (all 0 for the recon model); init_state(len(h0)) takes them whole.
+    The state is (hidden matrix, languages of the rows, their
+    _Conditioning), so the conditioning follows select(), the only place
+    where the rows change.  A step is a one-step (1, B) batch of
+    _decode_step, so the conditioning is of lang[None].
     """
 
-    def __init__(self, model, params, h0, conditioning):
-        self._model, self._p, self._h0 = model, params, h0
+    def __init__(self, model, params, h0, lang):
+        self._model, self._p, self._h0, self._lang = model, params, h0, lang
         self._dec = _stacked_gates(params, "dec")
-        self._conditioning = conditioning  # input indices of rows -> _Conditioning
         self.vocab_size = model.vocab.size
         self.bos_id = model.vocab.bos_id
         self.eos_id = model.vocab.eos_id
         self.banned_ids = model.banned_output_ids()
 
     def init_state(self, batch):
-        rows = np.arange(batch) % len(self._h0)
-        return self._h0[rows], rows, self._conditioning(rows[None])
+        if batch != len(self._h0):
+            raise ProtoreconError(f"stepper of {len(self._h0)} rows asked for {batch}")
+        return self._h0, self._lang, self._model._conditioning(self._p, self._lang[None])
 
     def step(self, state, tokens):
-        h, rows, cond = state
+        h, lang, cond = state
         states, logits = self._model._decode_step(self._p, self._dec, Tensor(h), [tokens], cond)
-        return ad.log_softmax_rows(logits.data), (states.data[0], rows, cond)
+        return ad.log_softmax_rows(logits.data), (states.data[0], lang, cond)
 
     def select(self, state, idx):
-        rows = state[1][idx]
-        return state[0][idx], rows, self._conditioning(rows[None])
+        lang = state[1][idx]
+        return state[0][idx], lang, self._model._conditioning(self._p, lang[None])
 
 
 def _concat(parts):
@@ -255,8 +254,9 @@ class _ModelBase:
     Each model writes its forward once, with autodiff ops on a parameter
     dict p: training passes self.params and builds a tape; inference
     (encode_np, batch_decoder) passes _untracked_params() with dropout rate
-    0, on which the same ops record nothing.  Making a model sets the
-    process's heap policy (_keep_freed_memory).
+    0, on which the same ops record nothing.  A model supplies _encode,
+    _target_languages and _conditioning; the rest is written here once.
+    Making a model sets the process's heap policy (_keep_freed_memory).
     """
 
     kind = ""
@@ -321,24 +321,27 @@ class _ModelBase:
         hidden = ad.tanh(ad.add(ad.matmul(clf_in, p["clf.W1"]), p["clf.b1"]))
         return states, ad.grouped_affine(hidden, cond.blocks)
 
-    def _decoder_loss(self, h, targets, conditioning, rate, dropout_rng):
-        """Teacher-forced mean token loss of decoding targets from encoder states h.
+    def _loss(self, inputs, targets, dropout_rng):
+        """Teacher-forced mean token loss of decoding targets from input id lists.
 
         targets are id lists without EOS; EOS is appended here.  Every row's
-        loss divides by the total target token count.  conditioning(rows)
-        gives the _Conditioning of the batch rows at the positions of rows.
-        The decoder runs once over the whole (T, B) batch.  Its dropout masks
-        are drawn step by step, the input's before the state's, and the loss
-        adds the steps (runs of B rows) in order, as a step-by-step decoder does.
+        loss divides by the total target token count.  With a dropout_rng, the
+        encoder draws its dropout masks, then the decoder step by step, the
+        input's before the state's.  The decoder runs once over the whole
+        (T, B) batch, and the loss adds the steps (runs of B rows) in order,
+        as a step-by-step decoder does.
         """
         p, cfg = self.params, self.config
+        lang = self._target_languages(inputs)
+        rate = cfg.dropout if dropout_rng is not None else 0.0
+        h = self._encode(p, inputs, rate, dropout_rng)
         tgt_ids, tgt_mask, _ = _pad_batch([list(t) + [self.vocab.eos_id] for t in targets],
                                           self.vocab.pad_id)
         B, T = tgt_ids.shape
         prev_ids = np.concatenate(
             [np.full((B, 1), self.vocab.bos_id, dtype=np.int64), tgt_ids[:, :-1]], axis=1
         )
-        cond = conditioning(np.broadcast_to(np.arange(B), (T, B)))
+        cond = self._conditioning(p, np.broadcast_to(lang, (T, B)))
         keep = (None, None)
         if rate:
             keep = (np.empty((T, B, cfg.embedding_size), dtype=bool),
@@ -350,6 +353,12 @@ class _ModelBase:
                                       tgt_mask.T, rate, keep)
         return ad.softmax_cross_entropy(logits, tgt_ids.T.reshape(-1), tgt_mask.T.reshape(-1),
                                         normalizer=tgt_mask.sum(), steps=T)
+
+    def batch_decoder(self, inputs) -> _GruStepper:
+        """Stepper whose init_state(len(inputs)) row i decodes the input id list inputs[i]
+        (a reflex input into the language of its leading tag); see _GruStepper."""
+        lang = self._target_languages(inputs)
+        return _GruStepper(self, self._untracked_params(), self.encode_np(inputs), lang)
 
     def greedy_decode_rows(self, rows) -> list[list[int]]:
         """Greedy decodes of input id lists to max_decode_len, DECODE_CHUNK rows per batch."""
@@ -453,7 +462,12 @@ class ReconModel(_ModelBase):
             h0, _stacked_gates(p, "enc"), in_mask.T)
         return _final_state(states)
 
-    def _conditioning(self, p):
+    def _target_languages(self, inputs) -> np.ndarray:
+        """0 for every input: the recon model has no target language."""
+        return np.zeros(len(inputs), dtype=np.int64)
+
+    def _conditioning(self, p, lang) -> _Conditioning:
+        """The one output block over every row; lang is not read."""
         blocks = [(None, p["clf.W2"], ad.add(p["clf.b2"], self._output_mask))]
         return _Conditioning(None, None, blocks)
 
@@ -465,10 +479,7 @@ class ReconModel(_ModelBase):
         targets are protoform id lists without EOS; EOS is appended here.
         Returns (loss Tensor, None).
         """
-        rate = self.config.dropout if dropout_rng is not None else 0.0
-        h = self._encode(self.params, inputs, rate, dropout_rng)
-        cond = self._conditioning(self.params)
-        return self._decoder_loss(h, targets, lambda rows: cond, rate, dropout_rng), None
+        return self._loss(inputs, targets, dropout_rng), None
 
     # -- inference ------------------------------------------------------------
 
@@ -478,12 +489,6 @@ class ReconModel(_ModelBase):
 
     def decoder(self, input_ids) -> _GruStepper:
         return self.batch_decoder([input_ids])
-
-    def batch_decoder(self, inputs) -> _GruStepper:
-        """Stepper whose init_state(len(inputs)) row i decodes inputs[i]."""
-        p = self._untracked_params()
-        cond = self._conditioning(p)
-        return _GruStepper(self, p, self.encode_np(inputs), lambda rows: cond)
 
     def beam_config(self, k, alpha=None, max_len=None) -> dec.BeamConfig:
         """The checked beam settings of k, alpha and max_len for this model.
@@ -609,11 +614,7 @@ class ReflexModel(_ModelBase):
         right-padded and masked into one graph; every row's loss divides by
         the total target token count.
         """
-        lang = self._target_languages(inputs)
-        rate = self.config.dropout if dropout_rng is not None else 0.0
-        h = self._encode(self.params, inputs, rate, dropout_rng)
-        return self._decoder_loss(
-            h, targets, lambda rows: self._conditioning(self.params, lang[rows]), rate, dropout_rng)
+        return self._loss(inputs, targets, dropout_rng)
 
     def batch_loss(self, examples, dropout_rng=None):
         """Mean token loss over (tagged input ids, target ids) examples, in one graph.
@@ -637,14 +638,6 @@ class ReflexModel(_ModelBase):
             raise ProtoreconError(f"decoder asked for {language!r}, but the input is tagged "
                                   f"for {self.vocab.languages[index]!r}")
         return self.batch_decoder([tagged_input_ids])
-
-    def batch_decoder(self, inputs) -> _GruStepper:
-        """Stepper whose init_state(len(inputs)) row i decodes the tagged protoform inputs[i]
-        into the language of its tag; see _GruStepper."""
-        p = self._untracked_params()
-        lang = self._target_languages(inputs)
-        return _GruStepper(self, p, self.encode_np(inputs),
-                           lambda idx: self._conditioning(p, lang[idx]))
 
 
 # -- training loop ------------------------------------------------------------

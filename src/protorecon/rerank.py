@@ -62,32 +62,22 @@ def score_candidates(reflex_model, items, cache=None):
     decoded: they get r = 0 and empty predictions.
     """
     vocab = reflex_model.vocab
-    found, pending = {}, {}  # (candidate, language) -> prediction; keys still to decode
+    found, pending = {}, []  # (candidate, language) -> prediction or None; keys to decode
     items = [([tuple(tokens) for tokens in candidates], cset) for candidates, cset in items]
-    decodable = []
     for candidates, cset in items:
-        oks = []
         for tokens in candidates:
             unknown = [t for t in tokens if not 0 <= t < vocab.size]
             if unknown:
-                warnings.warn(
-                    f"candidate contains ids unknown to the reflex vocabulary: {unknown}; "
-                    "its reflex decodes count as incorrect",
-                    stacklevel=2,
-                )
-            oks.append(bool(tokens) and not unknown)
-            if not oks[-1]:
+                warnings.warn(f"candidate contains ids unknown to the reflex vocabulary: "
+                              f"{unknown}; its reflex decodes count as incorrect", stacklevel=2)
+            if not tokens or unknown:
                 continue
             for language in cset.reflexes:
                 key = (tokens, language)
-                if key in found or key in pending:
-                    continue
-                hit = None if cache is None else cache.get(key)
-                if hit is None:
-                    pending[key] = None
-                else:
-                    found[key] = hit
-        decodable.append(oks)
+                if key not in found:
+                    found[key] = None if cache is None else cache.get(key)
+                    if found[key] is None:
+                        pending.append(key)
     rows = [[vocab.language_tag_id(language), *tokens] for tokens, language in pending]
     for key, pred in zip(pending, reflex_model.greedy_decode_rows(rows)):
         found[key] = tuple(pred)
@@ -95,16 +85,13 @@ def score_candidates(reflex_model, items, cache=None):
             cache.put(key, found[key])
 
     out = []
-    for (candidates, cset), oks in zip(items, decodable):
-        golds = {}
-        if any(oks):
-            golds = {lang: tuple(vocab.encode(reflex)) for lang, reflex in cset.reflexes.items()}
+    for candidates, cset in items:
+        golds = {lang: tuple(vocab.encode(reflex)) for lang, reflex in cset.reflexes.items()}
         r_values, predictions = [], []
-        for tokens, ok in zip(candidates, oks):
-            preds = {lang: found[(tokens, lang)] if ok else () for lang in cset.reflexes}
-            correct = sum(ok and preds[lang] == golds[lang] for lang in cset.reflexes)
-            r_values.append(correct / len(cset.reflexes))
-            predictions.append(preds)
+        for tokens in candidates:
+            preds = {lang: found.get((tokens, lang)) for lang in golds}  # None: not decodable
+            r_values.append(sum(preds[lang] == gold for lang, gold in golds.items()) / len(golds))
+            predictions.append({lang: pred or () for lang, pred in preds.items()})
         out.append((r_values, predictions))
     return out
 

@@ -283,7 +283,7 @@ def step_recon_loss(model, inputs, targets, dropout_rng=None):
         x = ad.concat([ad.embedding(p["tok_emb"], in_ids[:, t]),
                        ad.embedding(p["lang_emb"], li_ids[:, t])])
         h = masked_step(h, gru_cell_six(ad.dropout(x, rate, dropout_rng), h, enc), in_mask[:, t])
-    return _step_decoder_loss(model, h, targets, model._conditioning(p), rate, dropout_rng)
+    return _step_decoder_loss(model, h, targets, model._conditioning(p, None), rate, dropout_rng)
 
 
 def step_reflex_loss(model, examples, dropout_rng=None):

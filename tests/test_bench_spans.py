@@ -1,7 +1,11 @@
 """The benchmark's traced run wraps program functions by name: each one must still exist,
-and each counter hook must still read the argument it counts."""
+and each counter hook must still read the argument it counts.  A short infer run must
+check out correct."""
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 from protorecon import models
@@ -42,3 +46,15 @@ def test_reflex_row_counter_counts_every_training_example(tiny_split):
     examples = models._examples("reflex", tiny_split.subset("train"), model.vocab)
     assert tracer.counters["models.reflex_rows"] == len(examples) > 0
     assert tracer.stats["models.ReflexModel.group_loss"].calls == 1  # four sets, one batch
+
+
+def test_infer_benchmark_smoke_run_is_correct():
+    """A one-second untraced infer run checks every output it makes: its last line must say
+    correct with no failed operation, so a wrong output shows in these tests first."""
+    proc = subprocess.run(
+        [sys.executable, str(BENCHMARKS / "run.py"), "--workload", "infer", "--seed", "1",
+         "--seconds", "1", "--trace", "0"],
+        cwd=BENCHMARKS.parent, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, proc.stdout[-2000:]

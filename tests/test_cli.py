@@ -637,7 +637,8 @@ def test_malformed_dataset_row_exit_3(tmp_path, capsys, text, message):
 @pytest.mark.parametrize("edit, message", [
     (lambda rows: rows[1:], "misses ids"),
     (lambda rows: rows + rows[:1], "duplicate id"),
-], ids=["id missing", "id twice"])
+    (lambda rows: rows + ["nosuchid\ttest\n"], "names ids the dataset lacks: ['nosuchid']"),
+], ids=["id missing", "id twice", "id unknown"])
 def test_malformed_split_file_exit_3(workdir, tmp_path, capsys, edit, message):
     """A split file must tag every set of the dataset once; training is refused otherwise."""
     split = tmp_path / "split.tsv"
@@ -728,3 +729,72 @@ def test_shared_flags_have_one_help_text_and_default():
             "--preset", "--out"} <= set(shared)
     for flag, by_command in shared.items():
         assert len(set(by_command.values())) == 1, (flag, by_command)
+
+
+@pytest.mark.parametrize("bad_id", ["../escaped", "summary", "", ".", "..", "a/b", "a\\b", "a\0b"])
+def test_rerank_out_refuses_a_set_id_unfit_as_a_file_name_exit_3(
+        workdir, tmp_path, capsys, monkeypatch, bad_id):
+    """rerank --out names each set's TSV by its id: an id that would leave --out, overwrite
+    summary.tsv or name no file is refused before any decoding, and nothing is written."""
+    from protorecon import models
+
+    def no_decoding(*_args, **_kwargs):
+        raise AssertionError("decoded a dataset whose set ids cannot name files")
+
+    monkeypatch.setattr(models.ReconModel, "beam_search_sets", no_decoding)
+    lines = (workdir / "data.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+    data = tmp_path / "sets" / "data.tsv"
+    data.parent.mkdir()
+    data.write_text(lines[0] + bad_id + lines[1][lines[1].index("\t"):] + "".join(lines[2:]),
+                    encoding="utf-8")
+    out = tmp_path / "sets" / "out"
+    assert main(["rerank", "--dataset", str(data),
+                 "--recon-checkpoint", str(workdir / "recon.ckpt"),
+                 "--reflex-checkpoint", str(workdir / "reflex.ckpt"), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert "cannot name a file under --out" in captured.err and captured.out == ""
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["data.tsv", "sets"]
+
+
+def _table_without(path, token):
+    """The bundled feature table without token's row, written to path."""
+    from importlib import resources
+
+    lines = (resources.files("protorecon") / "data" / "feature_table.tsv").read_text(
+        "utf-8").splitlines(keepends=True)
+    kept = [line for line in lines if not line.startswith(f"{token}\t")]
+    assert len(kept) == len(lines) - 1
+    path.write_text("".join(kept), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("command", ["eval", "analyze", "run"])
+def test_a_feature_table_lacking_a_dataset_token_exit_3_before_any_work(
+        workdir, tmp_path, capsys, monkeypatch, command):
+    """eval, analyze and run refuse a feature table that lacks a token of the dataset, naming
+    it: analyze before any decoding, run before any seed trains or writes a checkpoint."""
+    from protorecon import models
+
+    def no_decoding(*_args, **_kwargs):
+        raise AssertionError("decoded a dataset that the feature table does not cover")
+
+    monkeypatch.setattr(models.ReconModel, "beam_search_sets", no_decoding)
+    ds = parse_dataset((workdir / "data.tsv").read_text())
+    token = ds.sets[0].protoform[0]
+    data = ["--dataset", str(workdir / "data.tsv"),
+            "--feature-table", str(_table_without(tmp_path / "features.tsv", token))]
+    preds = tmp_path / "preds.tsv"
+    preds.write_text("".join(f"{cs.id}\t{' '.join(cs.protoform)}\n" for cs in ds.sets),
+                     encoding="utf-8")
+    preset = str(workdir / "preset.json")
+    argv = {
+        "eval": ["--predictions", str(preds)],
+        "analyze": ["--recon-checkpoint", str(workdir / "recon.ckpt"),
+                    "--reflex-checkpoint", str(workdir / "reflex.ckpt")],
+        "run": ["--preset", preset, "--reflex-preset", preset, "--seeds", "2"],
+    }[command]
+    out = tmp_path / "out"
+    assert main([command, *data, *argv, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert f"tokens missing from feature table: [{token!r}]" in captured.err
+    assert captured.out == "" and not out.exists()

@@ -351,16 +351,42 @@ def test_segment_language_indices_of_a_padded_batch_match_the_loop(tiny_vocab, s
 
 
 def test_stepper_batch_consistency(tiny_dataset, tiny_vocab):
-    """Batched stepper rows agree with independent single-row steps."""
+    """A 3-row stepper's rows agree with one-row steppers of the same inputs."""
     model = models.ReconModel(tiny_recon_config(), tiny_vocab)
-    ids = assemble_reconstruction_input(tiny_dataset.sets[1], tiny_vocab)
-    stepper = model.decoder(ids)
-    state = stepper.init_state(3)
-    toks = np.array([stepper.bos_id] * 3)
-    logp, state = stepper.step(state, toks)
-    assert np.allclose(logp[0], logp[1]) and np.allclose(logp[1], logp[2])
-    hidden, rows, _cond = stepper.select(state, np.array([2, 0]))  # (hidden, input rows, ...)
-    assert hidden.shape[0] == 2 and rows.tolist() == [0, 0]
+    inputs = [assemble_reconstruction_input(cs, tiny_vocab) for cs in tiny_dataset.sets[:3]]
+    stepper = model.batch_decoder(inputs)
+    logp, state = stepper.step(stepper.init_state(3), np.full(3, stepper.bos_id))
+    for row, ids in enumerate(inputs):
+        one = model.decoder(ids)
+        want, _ = one.step(one.init_state(1), np.array([one.bos_id]))
+        np.testing.assert_allclose(logp[row], want[0], rtol=1e-10)
+    hidden, lang, _cond = stepper.select(state, np.array([2, 0]))  # (hidden, row languages, ...)
+    assert hidden.shape[0] == 2 and lang.tolist() == [0, 0]
+    with pytest.raises(ProtoreconError, match="3 rows"):
+        stepper.init_state(1)
+
+
+@pytest.mark.parametrize("conditioning", sorted(REFLEX_CONDITIONING))
+def test_reflex_stepper_select_follows_row_languages(tiny_dataset, tiny_vocab, conditioning):
+    """After select(), the state holds the selected rows' languages, and stepping it equals,
+    bitwise, stepping a fresh batch_decoder of those rows from the same hidden states."""
+    model = models.ReflexModel(tiny_reflex_config(**REFLEX_CONDITIONING[conditioning]),
+                               tiny_vocab)
+    rows = [assemble_reflex_input(cs.protoform, lang, tiny_vocab)
+            for cs in tiny_dataset.sets[:3] for lang in ("LangA", "LangB")]
+    stepper = model.batch_decoder(rows)
+    _, state = stepper.step(stepper.init_state(6), np.full(6, stepper.bos_id))
+    idx = np.array([5, 0, 3, 2])
+    selected = stepper.select(state, idx)
+    tags = tiny_vocab.tag_languages()
+    assert selected[1].tolist() == [tags[rows[i][0]] for i in idx] == [1, 0, 1, 0]
+    fresh = model.batch_decoder([rows[i] for i in idx])
+    fresh_state = (selected[0],) + fresh.init_state(4)[1:]
+    tokens = np.array(tiny_vocab.encode(["p", "a", "t", "k"]))
+    got_logp, got = stepper.step(selected, tokens)
+    want_logp, want = fresh.step(fresh_state, tokens)
+    assert np.array_equal(got_logp, want_logp) and np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
 
 
 @pytest.mark.parametrize("conditioning", ["one-hot", "all"])
