@@ -9,7 +9,6 @@ import numpy as np
 
 from protorecon import models
 from protorecon.corpus import build_vocabulary, split_dataset
-from protorecon.decode import BeamConfig
 from protorecon.metrics import evaluate
 from protorecon.rerank import ReflexCache, reconstruct_reranked
 from protorecon.synthetic import generate_family
@@ -37,7 +36,7 @@ print("training reflex model ...")
 reflex = models.train(models.ReflexModel(reflex_cfg, vocab), dataset)
 
 test = dataset.subset("test")
-cfg = BeamConfig(k=5, alpha=1.0, max_len=recon.max_decode_len)
+cfg = recon.beam_config(5)  # the config's alpha, capped at max_decode_len
 cache = ReflexCache()
 beam_preds, rerank_preds, golds = [], [], []
 for cs in test.sets:

@@ -70,33 +70,25 @@ def similarity_to_reflexes(form, cset: CognateSet, table: FeatureTable) -> Simil
     return SimilarityRecord(d_t=d_t / n, d_f=d_f / n)
 
 
-@dataclass(frozen=True)
-class ErrorItem:
-    """One reranked reconstruction error with its behavior category."""
-
-    cset: CognateSet
-    predicted: tuple[str, ...]  # token strings
-    gold: tuple[str, ...]
-    behavior: RerankBehavior
-
-
 def similarity_comparison_table(error_items, table: FeatureTable):
     """Per-category fraction of errors where the prediction is strictly closer
     to the reflexes than the gold protoform, by D_T and by D_F separately.
 
-    Returns {behavior: {"d_t": fraction or None, "d_f": ..., "count": n}};
-    empty categories report None fractions.
+    error_items: (cognate set with a gold protoform, predicted token strings,
+    RerankBehavior) per reranked reconstruction error.  Returns {behavior:
+    {"d_t": fraction or None, "d_f": ..., "count": n}}; empty categories
+    report None fractions.
     """
     out = {}
     for behavior in RerankBehavior:
-        items = [it for it in error_items if it.behavior == behavior]
+        items = [(cset, predicted) for cset, predicted, b in error_items if b == behavior]
         if not items:
             out[behavior] = {"d_t": None, "d_f": None, "count": 0}
             continue
         t_wins = f_wins = 0
-        for it in items:
-            pred_sim = similarity_to_reflexes(it.predicted, it.cset, table)
-            gold_sim = similarity_to_reflexes(it.gold, it.cset, table)
+        for cset, predicted in items:
+            pred_sim = similarity_to_reflexes(predicted, cset, table)
+            gold_sim = similarity_to_reflexes(cset.protoform, cset, table)
             t_wins += pred_sim.d_t < gold_sim.d_t
             f_wins += pred_sim.d_f < gold_sim.d_f
         out[behavior] = {
@@ -163,8 +155,7 @@ def write_analysis_tables(out_dir, reflex_model, results, languages, table=None,
         behaviors.append(behavior)
         rate_items.append((cset, behavior))
         if reranked[0].tokens != gold_ids:
-            error_items.append(ErrorItem(cset=cset, predicted=vocab.decode(reranked[0].tokens),
-                                         gold=tuple(cset.protoform), behavior=behavior))
+            error_items.append((cset, vocab.decode(reranked[0].tokens), behavior))
     if not behaviors:
         raise ProtoreconError("no cognate set with a gold protoform to analyze")
 

@@ -168,7 +168,7 @@ def cmd_train(args):
 def cmd_decode(args):
     model = _load_model(args.checkpoint, models.ReconModel)
     ds = _read_model_dataset(args, model.vocab)
-    cfg = model.beam_config(args.beam_size, args.alpha, args.max_len)
+    cfg = model.beam_config(args.beam_size)
     lines = ["id\trank\tcandidate\tm"]
     for batch, beams in model.beam_search_sets(ds.sets, cfg):
         for cset, beam in zip(batch, beams):
@@ -179,7 +179,7 @@ def cmd_decode(args):
 
 def cmd_rerank(args):
     recon, reflex = _load_model_pair(args)
-    beam_config = recon.beam_config(args.beam_size, args.alpha, args.max_len)
+    beam_config = recon.beam_config(args.beam_size)
     check_lambda(args.lam)
     ds = _read_model_dataset(args, recon.vocab)
     bad = [cs.id for cs in ds.sets if cs.id in ("", ".", "..", "summary")
@@ -220,11 +220,8 @@ def cmd_eval(args):
 def cmd_gridsearch(args):
     recon, reflex = _load_model_pair(args)
     ds = _read_model_dataset(args, recon.vocab, args.split, args.split_seed)
-    result = grid_search(
-        recon, reflex, ds.subset("val"),
-        k_range=args.k_range, lambda_range=args.lambda_range,
-        alpha=args.alpha,
-    )
+    result = grid_search(recon, reflex, ds.subset("val"),
+                         k_range=args.k_range, lambda_range=args.lambda_range)
     lines = ["k\tlambda\taccuracy"]
     for (k, lam), acc in sorted(result.grid.items()):
         lines.append(f"{k}\t{lam:g}\t{acc:.4f}")
@@ -269,7 +266,7 @@ def cmd_correlate(args):
 
 def cmd_analyze(args):
     recon, reflex = _load_model_pair(args)
-    beam_config = recon.beam_config(args.beam_size, args.alpha, args.max_len)
+    beam_config = recon.beam_config(args.beam_size)
     check_lambda(args.lam)
     ds = _read_model_dataset(args, recon.vocab)
     table = load_feature_table(args.feature_table)
@@ -292,7 +289,6 @@ def cmd_run(args):
         seeds=seeds,
         beam_size=args.beam_size,
         lam=args.lam,
-        alpha=args.alpha,
         split_path=args.split,
         tokenize=args.tokenize,
         feature_table_path=args.feature_table,
@@ -320,12 +316,8 @@ def _add_common(p, out_required=False):
 # ReconModel.beam_config and check_lambda check the beam and rerank settings
 SETTING_FLAGS = {
     "--beam-size": dict(type=int, default=10, help="beam size k, >= 1"),
-    "--alpha": dict(type=float, default=None,
-                    help="length normalization, finite and >= 0 (default: the recon model's)"),
     "--lambda": dict(dest="lam", type=float, default=1.0,
                      help="weight of r in s = m + lambda * r, finite and >= 0"),
-    "--max-len": dict(type=int, default=None,
-                      help="longest candidate, >= 1 (default: the recon model's)"),
     "--recon-checkpoint": dict(required=True, help="reconstruction-model checkpoint"),
     "--reflex-checkpoint": dict(required=True, help="reflex-model checkpoint"),
     "--feature-table": dict(default=None, help="feature TSV path, or 'bundled' (enables FER)"),
@@ -374,13 +366,13 @@ def build_parser():
     p = sub.add_parser("decode", help="beam-search protoform candidates")
     _add_common(p)
     p.add_argument("--checkpoint", required=True)
-    _add_settings(p, "--beam-size", "--alpha", "--max-len")
+    _add_settings(p, "--beam-size")
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("rerank", help="beam search plus reflex-prediction reranking")
     _add_common(p)
     _add_settings(p, "--recon-checkpoint", "--reflex-checkpoint",
-                  "--beam-size", "--alpha", "--lambda", "--max-len")
+                  "--beam-size", "--lambda")
     p.set_defaults(func=cmd_rerank)
 
     p = sub.add_parser("eval", help="score predictions against gold protoforms")
@@ -396,7 +388,6 @@ def build_parser():
                    help="comma-separated beam sizes")
     p.add_argument("--lambda-range", type=_float_range, default=DEFAULT_LAMBDA_RANGE,
                    help="comma-separated lambda values")
-    _add_settings(p, "--alpha")
     p.set_defaults(func=cmd_gridsearch)
 
     p = sub.add_parser("compare", help="rank-sum test plus bootstrap CI on two score files")
@@ -417,7 +408,7 @@ def build_parser():
     p = sub.add_parser("analyze", help="categorize reranking behavior and error patterns")
     _add_common(p, out_required=True)
     _add_settings(p, "--recon-checkpoint", "--reflex-checkpoint",
-                  "--beam-size", "--alpha", "--lambda", "--max-len", "--feature-table")
+                  "--beam-size", "--lambda", "--feature-table")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("run", help="train, decode, rerank, evaluate across seeds")
@@ -427,7 +418,7 @@ def build_parser():
     _add_settings(p, "--split")
     p.add_argument("--seed", type=int, default=None, help="run one specific seed")
     p.add_argument("--seeds", type=int, default=1, help="run seeds 0..N-1")
-    _add_settings(p, "--beam-size", "--alpha", "--lambda", "--feature-table", "--verbose")
+    _add_settings(p, "--beam-size", "--lambda", "--feature-table", "--verbose")
     p.set_defaults(func=cmd_run)
 
     return parser

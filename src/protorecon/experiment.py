@@ -35,7 +35,6 @@ def grid_search(
     val_dataset: Dataset,
     k_range=DEFAULT_K_RANGE,
     lambda_range=DEFAULT_LAMBDA_RANGE,
-    alpha=None,
 ):
     """Reranked validation accuracy over the (k, lambda) grid.
 
@@ -45,7 +44,7 @@ def grid_search(
     """
     if not (k_range and lambda_range):
         raise ConfigError("the k and lambda ranges must not be empty")
-    configs = {k: recon_model.beam_config(k, alpha) for k in k_range}
+    configs = {k: recon_model.beam_config(k) for k in k_range}
     for lam in lambda_range:
         check_lambda(lam)
     csets = [cs for cs in val_dataset.sets if cs.protoform is not None]
@@ -70,9 +69,8 @@ class ExperimentConfig:
     recon_config: models.ReconModelConfig = field(default_factory=models.ReconModelConfig)
     reflex_config: models.ReflexModelConfig = field(default_factory=models.ReflexModelConfig)
     seeds: tuple[int, ...] = (0,)
-    beam_size: int = 5
+    beam_size: int = 10
     lam: float = 1.0
-    alpha: float | None = None  # default: recon config's alpha
     split_path: str | None = None  # default: split_dataset's 70/10/20 split at seed 0
     tokenize: str = "whitespace"
     feature_table_path: str | None = None
@@ -84,8 +82,7 @@ class ExperimentConfig:
             raise ConfigError("seeds must be distinct")
         if min(self.seeds) < 0:
             raise ConfigError(f"seeds must be >= 0, not {min(self.seeds)}")
-        # checked before any training; alpha None means the recon config's, checked there
-        dec.BeamConfig(k=self.beam_size, alpha=0.0 if self.alpha is None else self.alpha)
+        dec.BeamConfig(k=self.beam_size)  # checked before any training
         check_lambda(self.lam)
 
     def config_hash(self) -> str:
@@ -119,8 +116,7 @@ def run_seed(config: ExperimentConfig, dataset: Dataset, seed: int, table: Featu
     csets = [cs for cs in test.sets if cs.protoform is not None]
     cache = ReflexCache()
     results = list(rerank_sets(recon, reflex, csets,
-                               recon.beam_config(config.beam_size, config.alpha), config.lam,
-                               cache))
+                               recon.beam_config(config.beam_size), config.lam, cache))
     behaviors = write_analysis_tables(seed_dir, reflex, results, dataset.languages, table,
                                       stamp, cache)
     gold_strs = [tuple(cs.protoform) for cs in csets]

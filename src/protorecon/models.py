@@ -388,11 +388,15 @@ def load_checkpoint(path):
     arrays, header, vocab_hash, _seed = ckpt.read_checkpoint(path)
     try:
         kind, config, tokens = header["kind"], header["config"], tuple(header["vocab_tokens"])
-        languages, max_decode_len = tuple(header["languages"]), int(header["max_decode_len"])
+        languages, max_decode_len = tuple(header["languages"]), header["max_decode_len"]
     except KeyError as exc:
         raise CheckpointError(f"checkpoint header lacks {exc}") from None
-    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: int(Infinity)
+    except TypeError as exc:
         raise CheckpointError(f"corrupt checkpoint header: {exc}") from None
+    # every decode's cap: refused, not coerced (int() floors 2.7, and bool is an int)
+    if type(max_decode_len) is not int or max_decode_len < 1:
+        raise CheckpointError(f"checkpoint max_decode_len must be an int >= 1, "
+                              f"not {max_decode_len!r}")
     cls = MODELS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise CheckpointError(f"unknown model kind {kind!r}")
@@ -403,6 +407,10 @@ def load_checkpoint(path):
     header_vocab = Vocabulary(tokens, languages)
     if header_vocab.content_hash() != vocab_hash:
         raise CheckpointError("checkpoint vocabulary does not match its stored hash")
+    # vocab_hash covers the tokens only; a language's index is its place in languages
+    tag_ids = [header_vocab.language_tag_id(lang) for lang in languages]
+    if tag_ids != sorted(set(tag_ids)):
+        raise CheckpointError("checkpoint languages are not in the order of their tags")
     for name, array in arrays.items():
         if not np.isfinite(array).all():
             raise CheckpointError(f"array {name!r} holds a non-finite value")
@@ -490,13 +498,10 @@ class ReconModel(_ModelBase):
     def decoder(self, input_ids) -> _GruStepper:
         return self.batch_decoder([input_ids])
 
-    def beam_config(self, k, alpha=None, max_len=None) -> dec.BeamConfig:
-        """The checked beam settings of k, alpha and max_len for this model.
-
-        alpha defaults to the config's alpha and max_len to max_decode_len.
-        """
-        return dec.BeamConfig(k=k, alpha=self.config.alpha if alpha is None else alpha,
-                              max_len=self.max_decode_len if max_len is None else max_len)
+    def beam_config(self, k) -> dec.BeamConfig:
+        """The checked beam settings of beam size k for this model: the config's alpha,
+        and max_decode_len as the longest candidate."""
+        return dec.BeamConfig(k=k, alpha=self.config.alpha, max_len=self.max_decode_len)
 
     def beam_search_sets(self, csets, config: dec.BeamConfig):
         """Beam candidates of a sequence of cognate sets, one batch of sets at a time.

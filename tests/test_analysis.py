@@ -4,7 +4,6 @@ import pytest
 
 from protorecon import models
 from protorecon.analysis import (
-    ErrorItem,
     RerankBehavior,
     behavior_distribution,
     categorize,
@@ -90,10 +89,7 @@ def test_similarity_unknown_token(table):
 
 def test_similarity_comparison_table(table):
     cs = CognateSet("x", ("i", "i"), {"L1": ("p", "a"), "L2": ("p", "a")})
-    items = [
-        ErrorItem(cset=cs, predicted=("p", "a"), gold=("i", "i"),
-                  behavior=RerankBehavior.WORSENED),
-    ]
+    items = [(cs, ("p", "a"), RerankBehavior.WORSENED)]
     out = similarity_comparison_table(items, table)
     row = out[RerankBehavior.WORSENED]
     assert row["count"] == 1

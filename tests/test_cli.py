@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import struct
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,7 @@ from protorecon.cli import main
 from protorecon.corpus import parse_dataset, serialize_dataset, serialize_split_tags, split_dataset
 from protorecon.synthetic import generate_family
 
+FIXTURES = Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures"
 TINY_PRESET = {
     "embedding_size": 8, "hidden_size": 10, "feedforward_size": 10, "dropout": 0.0,
     "batch_size": 8, "lr": 0.01, "max_epochs": 2, "warmup_epochs": 0, "seed": 0,
@@ -410,6 +412,14 @@ MALFORMED_CHECKPOINTS = {
         p, src, lambda h: h["config"].update(hidden_size="10")),
     "infinite max_decode_len": lambda p, src: _model_checkpoint_with(
         p, src, lambda h: h.update(max_decode_len=float("inf"))),
+    "max_decode_len 0": lambda p, src: _model_checkpoint_with(
+        p, src, lambda h: h.update(max_decode_len=0)),
+    "negative max_decode_len": lambda p, src: _model_checkpoint_with(
+        p, src, lambda h: h.update(max_decode_len=-3)),
+    "fractional max_decode_len": lambda p, src: _model_checkpoint_with(
+        p, src, lambda h: h.update(max_decode_len=2.7)),
+    "boolean max_decode_len": lambda p, src: _model_checkpoint_with(
+        p, src, lambda h: h.update(max_decode_len=True)),
     "token not a string": lambda p, src: _model_checkpoint_with(
         p, src, lambda h: h["vocab_tokens"].__setitem__(-1, 7)),
     "NaN parameter": lambda p, src: _checkpoint_with_arrays(p, src, _nan_in_first_array),
@@ -491,14 +501,11 @@ def test_analyze_without_gold_protoforms_fails_typed(workdir, tmp_path, capsys):
     ["run", "--lambda", "-1"],
     ["run", "--beam-size", "0"],
     ["run", "--seeds", "0"],
-    ["run", "--alpha", "nan"],
     ["gridsearch", "--k-range", "0,2"],
     ["gridsearch", "--lambda-range=-1,0.3"],
     ["rerank", "--lambda", "nan"],
     ["rerank", "--lambda", "inf"],
-    ["rerank", "--alpha", "nan"],
     ["analyze", "--lambda", "-1"],
-    ["decode", "--max-len", "0"],
     ["split", "--ratios", "1.2", "-0.1", "-0.1"],
     ["split", "--ratios", "nan", "0.5", "0.5"],
 ], ids=" ".join)
@@ -538,24 +545,29 @@ def _tokens_swapped(header):
     tokens[-1], tokens[-2] = tokens[-2], tokens[-1]
 
 
+def _languages_reversed(header):
+    header["languages"].reverse()
+
+
 @pytest.mark.parametrize("edit, rehash, message", [
     (_unk_renamed, False, "lacks the tokens ['<unk>']"),
     (_token_duplicated, True, "duplicated vocabulary tokens"),
     (_tokens_swapped, False, "does not match its stored hash"),
-], ids=["unk-renamed", "token-duplicated", "tokens-swapped"])
+    (_languages_reversed, False, "languages are not in the order of their tags"),
+], ids=["unk-renamed", "token-duplicated", "tokens-swapped", "languages-reversed"])
 def test_checkpoint_vocabulary_header_checked_exit_3(workdir, tmp_path, capsys, edit, rehash,
                                                      message):
-    """A header vocabulary without <unk>, with a token twice, or whose tokens do not hash to
-    the stored vocab_hash is a data error.  rehash stores the edited tokens' own hash, so
-    that the vocabulary's check, not the hash check, must refuse the duplicate.
+    """A header vocabulary without <unk>, with a token twice, whose tokens do not hash to
+    the stored vocab_hash, or whose languages are out of their tags' order is a data error.
+    rehash stores the edited tokens' own hash, so that the vocabulary's check, not the hash
+    check, must refuse the duplicate.  The hash covers the tokens only: reversed languages
+    would decode each row under another language's index.
     """
     import hashlib
-    from pathlib import Path
 
     from protorecon.checkpoint import read_checkpoint, write_checkpoint
 
-    fixtures = Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures"
-    arrays, header, vocab_hash, seed = read_checkpoint(fixtures / "reflex.ckpt")
+    arrays, header, vocab_hash, seed = read_checkpoint(FIXTURES / "reflex.ckpt")
     edit(header)
     if rehash:  # what Vocabulary.content_hash gives for the edited tokens
         vocab_hash = hashlib.sha256("\x00".join(header["vocab_tokens"]).encode()).hexdigest()
@@ -563,10 +575,48 @@ def test_checkpoint_vocabulary_header_checked_exit_3(workdir, tmp_path, capsys, 
     write_checkpoint(bad, arrays, header, vocab_hash, seed)
     data = ["--dataset", str(workdir / "data.tsv")]
     assert main(["decode", *data, "--checkpoint", str(bad)]) == 3
-    assert main(["rerank", *data, "--recon-checkpoint", str(fixtures / "recon.ckpt"),
+    assert main(["rerank", *data, "--recon-checkpoint", str(FIXTURES / "recon.ckpt"),
                  "--reflex-checkpoint", str(bad)]) == 3
     err = capsys.readouterr().err
     assert err.count("data error") == 2 and err.count(message) == 2 and "Traceback" not in err
+
+
+def test_reflex_checkpoint_decode_cap_0_exit_3(workdir, tmp_path, capsys):
+    """max_decode_len is the one source of every decode's cap: a reflex checkpoint that says
+    0 would predict every reflex as empty, and rerank would exit 0 with every r at 0."""
+    bad = _model_checkpoint_with(tmp_path / "reflex.ckpt", FIXTURES / "reflex.ckpt",
+                                 lambda h: h.update(max_decode_len=0))
+    assert main(["rerank", "--dataset", str(workdir / "data.tsv"),
+                 "--recon-checkpoint", str(FIXTURES / "recon.ckpt"),
+                 "--reflex-checkpoint", str(bad)]) == 3
+    captured = capsys.readouterr()
+    assert "max_decode_len must be an int >= 1, not 0" in captured.err
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command, flag", [
+    *((command, "--alpha") for command in ("decode", "rerank", "analyze", "gridsearch", "run")),
+    *((command, "--max-len") for command in ("decode", "rerank", "analyze")),
+])
+def test_decode_overrides_are_unknown_flags_exit_2(workdir, tmp_path, capsys, command, flag):
+    """A beam's alpha is the recon checkpoint's and its cap the checkpoint's max_decode_len:
+    --alpha and --max-len are unknown flags, and nothing is written."""
+    pair = ["--recon-checkpoint", str(workdir / "recon.ckpt"),
+            "--reflex-checkpoint", str(workdir / "reflex.ckpt")]
+    extra = {
+        "decode": ["--checkpoint", str(workdir / "recon.ckpt")],
+        "rerank": [*pair, "--out", str(tmp_path / "rr")],
+        "analyze": [*pair, "--out", str(tmp_path / "an")],
+        "gridsearch": [*pair, "--out", str(tmp_path / "grid.tsv")],
+        "run": ["--out", str(tmp_path / "run")],
+    }[command]
+    value = {"--alpha": "0.5", "--max-len": "4"}[flag]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--dataset", str(workdir / "data.tsv"), *extra, flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"unrecognized arguments: {flag} {value}" in captured.err and captured.out == ""
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("tone", ["yes", "true", "2", ""])
@@ -729,6 +779,15 @@ def test_shared_flags_have_one_help_text_and_default():
             "--preset", "--out"} <= set(shared)
     for flag, by_command in shared.items():
         assert len(set(by_command.values())) == 1, (flag, by_command)
+
+
+def test_run_defaults_are_the_experiment_config_defaults():
+    """run and a library ExperimentConfig rerank at one k and one lambda when none is given."""
+    from protorecon.experiment import ExperimentConfig
+
+    defaults = {action.dest: action.default for action in _subparsers()["run"]._actions}
+    config = ExperimentConfig(dataset_path="d.tsv", out_dir="o")
+    assert (config.beam_size, config.lam) == (defaults["beam_size"], defaults["lam"])
 
 
 @pytest.mark.parametrize("bad_id", ["../escaped", "summary", "", ".", "..", "a/b", "a\\b", "a\0b"])

@@ -59,14 +59,12 @@ def test_config_validation():
 
 
 def test_beam_config_resolves_against_the_model(tiny_vocab):
-    """alpha and max_len default to the recon model's; every value is checked."""
+    """alpha and max_len are the recon model's; k is checked."""
     recon = models.ReconModel(tiny_recon_config(alpha=0.5), tiny_vocab)
     recon.max_decode_len = 7
     assert recon.beam_config(3) == dec.BeamConfig(k=3, alpha=0.5, max_len=7)
-    assert recon.beam_config(3, 0.0, 2) == dec.BeamConfig(k=3, alpha=0.0, max_len=2)
-    for bad in (dict(k=0), dict(k=3, alpha=float("nan")), dict(k=3, max_len=0)):
-        with pytest.raises(ConfigError):
-            recon.beam_config(**bad)
+    with pytest.raises(ConfigError):
+        recon.beam_config(0)
 
 
 # -- gradient checks ----------------------------------------------------------
