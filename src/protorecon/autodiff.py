@@ -338,18 +338,66 @@ def _gru_forward(x, h, W, U_zr, U_h, b, mask, out=None):
     return out, (zr, h_tilde)
 
 
-def gru_sequence(X: Tensor, h0: Tensor, gates, mask=None, reverse=False) -> Tensor:
+MIN_STEP_ROWS = 8  # no off-tape step with ids runs on fewer rows; see _gru_shared
+
+
+def _gru_shared(X, h0, raw, mask, ids, order, states):
+    """gru_sequence's off-tape states, written into states, each distinct one stepped once.
+
+    Rows share a state while they started from bitwise-equal h0 rows and
+    stepped the same ids; a masked step (mask 0) leaves a row's state as it
+    was.  So the rows are sorted by their h0 row and then by their ids in
+    step order, with -1 at masked steps: after each step, the rows that
+    share a state are a run of that order.  Each step runs one gru_cell_np
+    over the first row of each run that steps there, and each row takes its
+    run's result, or keeps its state where it does not step.  A step of
+    fewer than MIN_STEP_ROWS runs is padded with copies of its first, so
+    that on BLAS kernels whose row results do not depend on the other rows
+    from 8 rows up (at widths that are multiples of 8) each state has the
+    bits of the run that steps every row.
+    """
+    T, B = ids.shape
+    bits = np.ascontiguousarray(h0).view(np.int64)
+    start = (np.unique(bits, axis=0, return_inverse=True)[1].reshape(B)
+             if (bits != bits[:1]).any() else np.zeros(B, dtype=np.int64))
+    path = ids[order] if mask is None else np.where(mask[order] != 0, ids[order], -1)
+    keys = np.vstack([start[None], path])
+    perm = np.lexsort(keys[::-1])
+    keys = keys[:, perm]  # from here on, each row's place in the sorted order
+    new_run = np.ones((T, B), dtype=bool)  # a run starts at this place after step i
+    new_run[:, 1:] = np.logical_or.accumulate(keys[:, 1:] != keys[:, :-1], axis=0)[1:]
+    stepping = keys[1:] >= 0
+    firsts = new_run & stepping
+    reps_of = np.split(perm[np.nonzero(firsts)[1]], np.cumsum(firsts.sum(axis=1))[:-1])
+    # a row's state after step i: that of its run's first row, at B + its run's index
+    # among the step's firsts, or, where it does not step, its own state before
+    src = np.empty((T, B), dtype=np.int64)
+    src[:, perm] = np.where(stepping, B + np.cumsum(firsts, axis=1) - 1, perm)
+    h = h0
+    for i, t in enumerate(order):
+        reps = reps_of[i]
+        if len(reps) < MIN_STEP_ROWS:
+            reps = np.concatenate([reps, np.full(MIN_STEP_ROWS - len(reps), reps[0])])
+        new = gru_cell_np(X[t, reps], h[reps], raw)
+        h = np.take(np.concatenate([h, new]), src[i], axis=0, out=states[t])
+
+
+def gru_sequence(X: Tensor, h0: Tensor, gates, mask=None, reverse=False, ids=None) -> Tensor:
     """A GRU over a whole batch of sequences: states (T, B, H) of X (T, B, D).
 
     states[t] is the state after step t (_gru_forward); reverse runs the
     steps from T - 1 down to 0, as the backward direction of an encoder
-    does.  A row whose mask (T, B) is 0 at a step keeps its state there.
-    Off the tape the steps run one at a time through gru_cell_np, each with
-    its own x @ W, writing into states[t]; nothing is kept for a backward.
-    On the tape it is one node: the input projection X @ W is one GEMM over
-    all steps (Appleyard, Kocisky & Blunsom 2016, arXiv:1604.01946), and the
-    backward is a BPTT loop over the steps, after which dW, dU_zr, dU_h and
-    dX are one GEMM each over the stacked steps.
+    does.  A row whose mask (T, B) of 0s and 1s is 0 at a step keeps its
+    state there.  Off the tape nothing is kept for a backward, and the steps
+    run one at a time through gru_cell_np, each with its own x @ W.  Given
+    ids, the (T, B) non-negative ids that X embeds (rows equal in ids at a
+    step are equal in X), each distinct state is stepped once (_gru_shared),
+    and each step must step some row; without them, every row at every
+    step, writing into states[t].  On the
+    tape ids are not read, and it is one node: the input projection X @ W
+    is one GEMM over all steps (Appleyard, Kocisky & Blunsom 2016,
+    arXiv:1604.01946), and the backward is a BPTT loop over the steps, after
+    which dW, dU_zr, dU_h and dX are one GEMM each over the stacked steps.
     """
     W, U_zr, U_h, b = gates
     T, B, D = X.data.shape
@@ -359,6 +407,9 @@ def gru_sequence(X: Tensor, h0: Tensor, gates, mask=None, reverse=False) -> Tens
     h = h0.data
     if not _tracked(X, h0, *gates):
         raw = (W.data, U_zr.data, U_h.data, b.data)
+        if ids is not None:
+            _gru_shared(X.data, h, raw, mask, np.asarray(ids), order, states)
+            return Tensor(states)
         for t in order:
             h = gru_cell_np(X.data[t], h, raw, None if mask is None else mask[t], states[t])
         return Tensor(states)

@@ -76,8 +76,11 @@ def greedy_decode_batch(stepper, n_rows: int, max_len: int) -> list[list[int]]:
     """greedy_decode of n_rows stepper rows at once.
 
     Every row steps together from stepper.init_state(n_rows); a row that
-    emits EOS retires (stepper.select drops it), so each row's tokens are
-    exactly its own greedy decode.
+    emits EOS retires (stepper.select drops it).  A model's stepper can
+    change a row's log-probs in their last bits with the other rows of its
+    batch, so a row's tokens are its own greedy decode's as far as
+    tests/test_batched_decode.py checks them: for drawn rows of every
+    reflex conditioning and of the recon model.
     """
     mask = _banned_mask(stepper)
     state = stepper.init_state(n_rows)
@@ -116,7 +119,10 @@ def beam_search_batch(stepper, n_rows: int, config: BeamConfig) -> list[list[Can
     Row i of stepper.init_state(n_rows) starts search i.  Each search keeps
     its own top-k selection, completed pool and stop rule; its frontier rows
     form one contiguous block of the state, and it leaves the frontier when
-    it stops, so each result is exactly that row's own beam_search.
+    it stops.  With a model's stepper, which can change a row's log-probs
+    in their last bits with the other rows of its batch, each result has
+    the tokens and lengths of that row's own beam_search, and m values that
+    agree to within 1e-9, as far as tests/test_batched_decode.py checks.
     """
     mask = _banned_mask(stepper)
     eos, k = stepper.eos_id, config.k

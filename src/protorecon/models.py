@@ -8,7 +8,8 @@ written once with autodiff ops over whole (T, B) batches: training runs
 them on the parameters and builds a tape, and decoding (encode_np, and
 batch_decoder through the stepper interface in decode.py) runs them on an
 untracked view of the parameters, where the ops record nothing and
-ad.gru_sequence steps one position at a time.
+ad.gru_sequence steps one position at a time, in the reflex encoder's first
+layer each distinct state once.
 """
 
 from __future__ import annotations
@@ -575,7 +576,10 @@ class ReflexModel(_ModelBase):
         Inputs are right-padded.  A padded step keeps the row's state, so the
         backward direction, which meets a row's pads first, stays at zero
         until its last real token.  Each layer and direction is one
-        ad.gru_sequence over the whole batch.
+        ad.gru_sequence over the whole batch.  Layer 0 reads the ids that it
+        embeds, so off the tape it steps each distinct state once: forward,
+        each distinct (tag, prefix); backward, each distinct suffix of the
+        same length, then each row's tag.
         """
         cfg = self.config
         in_ids, in_mask, _ = _pad_batch(inputs, self.vocab.pad_id)
@@ -586,8 +590,8 @@ class ReflexModel(_ModelBase):
         for layer in range(cfg.num_encoder_layers):
             if layer:
                 seq = ad.dropout(_concat(runs), rate, dropout_rng)
-            runs = [ad.gru_sequence(seq, h0, _stacked_gates(p, f"enc{layer}{d}"), mask, d == "b")
-                    for d in dirs]
+            runs = [ad.gru_sequence(seq, h0, _stacked_gates(p, f"enc{layer}{d}"), mask, d == "b",
+                                    None if layer else ids) for d in dirs]
         final = _concat([_final_state(states, d == "b") for states, d in zip(runs, dirs)])
         return ad.tanh(ad.add(ad.matmul(final, p["bridge.W"]), p["bridge.b"]))
 

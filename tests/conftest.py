@@ -1,4 +1,5 @@
-"""Shared fixtures: tiny datasets, toy decode steppers, small trained models."""
+"""Shared fixtures: tiny datasets, toy decode steppers, small trained models, and a reflex
+model stub that decodes chosen gold reflexes."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import settings
 from protorecon import models
 from protorecon.autodiff import log_softmax_rows
 from protorecon.corpus import build_vocabulary, parse_dataset, split_dataset
+from tests.oracles import tag_language
 
 TINY_TSV = (
     "id\tprotoform\tLangA\tLangB\n"
@@ -70,6 +72,24 @@ REFLEX_CONDITIONING = {
     "all": dict(target_gated_classifier=True, decode_with_language_embedding=True,
                 num_encoder_layers=2),
 }
+
+
+class GoldReflexStub:
+    """A reflex model stand-in on the recon model's vocabulary.
+
+    A (candidate, language) pair in gold decodes to gold[pair]; every other
+    row decodes to nothing, which matches no reflex.
+    """
+
+    def __init__(self, vocab, gold):
+        self.vocab, self.gold = vocab, gold
+
+    def decode_row(self, tagged, language):
+        assert tagged[0] == self.vocab.language_tag_id(language)
+        return list(self.gold.get((tuple(tagged[1:]), language), ()))
+
+    def greedy_decode_rows(self, rows):
+        return [self.decode_row(tagged, tag_language(self.vocab, tagged)) for tagged in rows]
 
 
 class ToyStepper:

@@ -17,7 +17,11 @@ The ``oracle_*`` functions are the one-row inference path as it was before
 decoding was batched: each input encoded alone, each (candidate, language)
 decoded by its own greedy loop.  ``beam_search_reference`` is a scalar beam
 search that expands one hypothesis and one token at a time, where
-decode.beam_search ranks the whole frontier at once.  The library's
+decode.beam_search ranks the whole frontier at once, and
+``rerank_ranks_reference`` ranks candidates by s = m + lambda * r by
+counting, for each, the candidates that beat it, where rerank.rerank
+sorts.  ``padded_gru_sequence`` is ad.gru_sequence as it was before it
+stepped each distinct state once: every row at every step.  The library's
 outputs and gradients must match these within rounding.
 ``exact_rank_sum_distribution`` enumerates the rank-sum distribution that
 stats.wilcoxon_rank_sum counts for its exact p-values, and ``midranks_loop``
@@ -317,6 +321,14 @@ def step_reflex_loss(model, examples, dropout_rng=None):
                               rate, dropout_rng)
 
 
+GRU_SEQUENCE = ad.gru_sequence  # kept for padded_gru_sequence where a test replaces ad's
+
+
+def padded_gru_sequence(X, h0, gates, mask=None, reverse=False, ids=None):
+    """ad.gru_sequence as it was before it read ids: every row stepped at every step."""
+    return GRU_SEQUENCE(X, h0, gates, mask, reverse)
+
+
 def _gate_arrays(p, prefix):
     """One GRU's stacked (W, U_zr, U_h, b) arrays, as ad.gru_cell_np takes them."""
     g = {name: p[f"{prefix}.{name}"].data for name in GATE_NAMES}
@@ -510,6 +522,14 @@ def beam_search_reference(stepper, config: BeamConfig) -> list[Candidate]:
 
     ranked = sorted(range(len(completed)), key=lambda i: (-completed[i].m, i))
     return [completed[i] for i in ranked[: config.k]]
+
+
+def rerank_ranks_reference(m_values, r_values, lam):
+    """Each candidate's rank by s = m + lam * r, descending, from the number of candidates
+    with a higher s or an equal s and a lower beam rank."""
+    s = [m + lam * r for m, r in zip(m_values, r_values)]
+    return [sum(s[j] > s[i] or (s[j] == s[i] and j < i) for j in range(len(s)))
+            for i in range(len(s))]
 
 
 def exact_rank_sum_distribution(nx, ny):

@@ -29,14 +29,18 @@ from protorecon.rerank import (
     scored_beams,
 )
 from protorecon.synthetic import generate_family
-from tests.conftest import REFLEX_CONDITIONING, tiny_recon_config, tiny_reflex_config
+from tests.conftest import (
+    REFLEX_CONDITIONING,
+    GoldReflexStub,
+    tiny_recon_config,
+    tiny_reflex_config,
+)
 from tests.oracles import (
     oracle_greedy,
     oracle_recon_decoder,
     oracle_reconstruct_reranked,
     oracle_reflex_decoder,
     oracle_scores,
-    tag_language,
 )
 
 # -- tiny random models -----------------------------------------------------------
@@ -194,24 +198,6 @@ def test_score_candidates_across_sets_matches_oracle(family):
     assert sum(r > 0 for r_values, _ in got for r in r_values) >= 3
 
 
-class _GoldReflexStub:
-    """A reflex model stand-in on the recon model's vocabulary.
-
-    A (candidate, language) pair in gold decodes to gold[pair]; every other
-    row decodes to nothing, which matches no reflex.
-    """
-
-    def __init__(self, vocab, gold):
-        self.vocab, self.gold = vocab, gold
-
-    def decode_row(self, tagged, language):
-        assert tagged[0] == self.vocab.language_tag_id(language)
-        return list(self.gold.get((tuple(tagged[1:]), language), ()))
-
-    def greedy_decode_rows(self, rows):
-        return [self.decode_row(tagged, tag_language(self.vocab, tagged)) for tagged in rows]
-
-
 @pytest.fixture(scope="module")
 def recon_beams(family):
     """A random recon model, its beam config, and each family set's oracle beam."""
@@ -246,7 +232,7 @@ def test_rerank_with_gold_reflexes_matches_oracle(family, recon_beams, chosen, l
         cset, beam = dataset.sets[i], beams[i]
         language = sorted(cset.reflexes)[lang % len(cset.reflexes)]
         gold[(beam[rank % len(beam)].tokens, language)] = vocab.encode(cset.reflexes[language])
-    stub = _GoldReflexStub(vocab, gold)
+    stub = GoldReflexStub(vocab, gold)
     got = list(scored_beams(recon, stub, dataset.sets, config))
     assert len(got) == len(beams)
     moved = False

@@ -1,6 +1,6 @@
 """The benchmark's traced run wraps program functions by name: each one must still exist,
-and each counter hook must still read the argument it counts.  A short infer run must
-check out correct."""
+and each counter hook must still read the argument it counts.  Short infer and train-small
+runs must check out correct."""
 
 import importlib.util
 import json
@@ -48,13 +48,27 @@ def test_reflex_row_counter_counts_every_training_example(tiny_split):
     assert tracer.stats["models.ReflexModel.group_loss"].calls == 1  # four sets, one batch
 
 
-def test_infer_benchmark_smoke_run_is_correct():
-    """A one-second untraced infer run checks every output it makes: its last line must say
-    correct with no failed operation, so a wrong output shows in these tests first."""
+def _smoke_run(workload):
+    """A one-second untraced run of workload: its last line must say correct with no failed
+    operation."""
     proc = subprocess.run(
-        [sys.executable, str(BENCHMARKS / "run.py"), "--workload", "infer", "--seed", "1",
+        [sys.executable, str(BENCHMARKS / "run.py"), "--workload", workload, "--seed", "1",
          "--seconds", "1", "--trace", "0"],
         cwd=BENCHMARKS.parent, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, proc.stdout[-2000:]
+
+
+def test_infer_benchmark_smoke_run_is_correct():
+    """The infer run checks every output it makes, so a wrong output shows in these tests
+    first."""
+    _smoke_run("infer")
+
+
+def test_train_small_benchmark_smoke_run_is_correct():
+    """The train-small run checks that each model's epoch ends in a finite loss and a
+    finite validation TED and that a rerun saves the same checkpoint bytes.  The reflex
+    model's validation decodes go through the encoder that steps each distinct state
+    once, so an error or a run-dependent state there shows here."""
+    _smoke_run("train-small")
