@@ -344,9 +344,9 @@ MIN_STEP_ROWS = 8  # no off-tape step with ids runs on fewer rows; see _gru_shar
 def _gru_shared(X, h0, raw, mask, ids, order, states):
     """gru_sequence's off-tape states, written into states, each distinct one stepped once.
 
-    Rows share a state while they started from bitwise-equal h0 rows and
-    stepped the same ids; a masked step (mask 0) leaves a row's state as it
-    was.  So the rows are sorted by their h0 row and then by their ids in
+    Every row starts from the same h0 row (DimensionError otherwise), so rows
+    share a state while they stepped the same ids; a masked step (mask 0)
+    leaves a row's state as it was.  So the rows are sorted by their ids in
     step order, with -1 at masked steps: after each step, the rows that
     share a state are a run of that order.  Each step runs one gru_cell_np
     over the first row of each run that steps there, and each row takes its
@@ -357,16 +357,14 @@ def _gru_shared(X, h0, raw, mask, ids, order, states):
     bits of the run that steps every row.
     """
     T, B = ids.shape
-    bits = np.ascontiguousarray(h0).view(np.int64)
-    start = (np.unique(bits, axis=0, return_inverse=True)[1].reshape(B)
-             if (bits != bits[:1]).any() else np.zeros(B, dtype=np.int64))
-    path = ids[order] if mask is None else np.where(mask[order] != 0, ids[order], -1)
-    keys = np.vstack([start[None], path])
+    if (h0.view(np.int64) != h0[:1].view(np.int64)).any():  # bitwise, so -0.0 != 0.0
+        raise DimensionError("gru_sequence with ids needs one h0 row for every row")
+    keys = ids[order] if mask is None else np.where(mask[order] != 0, ids[order], -1)
     perm = np.lexsort(keys[::-1])
     keys = keys[:, perm]  # from here on, each row's place in the sorted order
     new_run = np.ones((T, B), dtype=bool)  # a run starts at this place after step i
-    new_run[:, 1:] = np.logical_or.accumulate(keys[:, 1:] != keys[:, :-1], axis=0)[1:]
-    stepping = keys[1:] >= 0
+    new_run[:, 1:] = np.logical_or.accumulate(keys[:, 1:] != keys[:, :-1], axis=0)
+    stepping = keys >= 0
     firsts = new_run & stepping
     reps_of = np.split(perm[np.nonzero(firsts)[1]], np.cumsum(firsts.sum(axis=1))[:-1])
     # a row's state after step i: that of its run's first row, at B + its run's index
@@ -391,10 +389,10 @@ def gru_sequence(X: Tensor, h0: Tensor, gates, mask=None, reverse=False, ids=Non
     state there.  Off the tape nothing is kept for a backward, and the steps
     run one at a time through gru_cell_np, each with its own x @ W.  Given
     ids, the (T, B) non-negative ids that X embeds (rows equal in ids at a
-    step are equal in X), each distinct state is stepped once (_gru_shared),
-    and each step must step some row; without them, every row at every
-    step, writing into states[t].  On the
-    tape ids are not read, and it is one node: the input projection X @ W
+    step are equal in X), and one h0 row for every row, each distinct state
+    is stepped once (_gru_shared), and each step must step some row; without
+    them, every row at every step, writing into states[t].  On the tape ids
+    are not read, and it is one node: the input projection X @ W
     is one GEMM over all steps (Appleyard, Kocisky & Blunsom 2016,
     arXiv:1604.01946), and the backward is a BPTT loop over the steps, after
     which dW, dU_zr, dU_h and dX are one GEMM each over the stacked steps.

@@ -1,6 +1,7 @@
 """Command-line interface: dataset plumbing, training, decoding, evaluation.
 
-Exit codes: 0 success, 2 configuration error, 3 data error.
+Exit codes: 0 success, 2 configuration error, 3 data error (DATA_ERRORS), 1 any
+other ProtoreconError, such as an empty train split.
 """
 
 from __future__ import annotations
@@ -101,9 +102,18 @@ def _load_model_pair(args):
 
 
 def _read_model_dataset(args, vocab, *split):
-    """The dataset of args, refused before any decoding if vocab lacks one of its languages."""
+    """The dataset of args, or its val split given split, refused before any decoding if
+    vocab lacks one of its languages or a token that the command encodes: the reflexes of
+    the sets it decodes, which for analyze and gridsearch are the sets with a gold
+    protoform, and those protoforms, which they score."""
     ds = read_dataset(args.dataset, args.tokenize, *split)
+    ds = ds.subset("val") if split else ds
     vocab.check_languages(ds.languages)
+    scored = args.command in ("analyze", "gridsearch")
+    decoded = [cs for cs in ds.sets if cs.protoform is not None or not scored]
+    vocab.check_tokens(tok for cs in decoded for seq in cs.reflexes.values() for tok in seq)
+    if scored:
+        vocab.check_tokens(tok for cs in decoded for tok in cs.protoform)
     return ds
 
 
@@ -219,8 +229,8 @@ def cmd_eval(args):
 
 def cmd_gridsearch(args):
     recon, reflex = _load_model_pair(args)
-    ds = _read_model_dataset(args, recon.vocab, args.split, args.split_seed)
-    result = grid_search(recon, reflex, ds.subset("val"),
+    val = _read_model_dataset(args, recon.vocab, args.split, args.split_seed)
+    result = grid_search(recon, reflex, val,
                          k_range=args.k_range, lambda_range=args.lambda_range)
     lines = ["k\tlambda\taccuracy"]
     for (k, lam), acc in sorted(result.grid.items()):

@@ -164,6 +164,12 @@ class Vocabulary:
         if unknown:
             raise VocabularyError(f"the vocabulary lacks the languages {unknown}")
 
+    def check_tokens(self, tokens):
+        """Raise VocabularyError naming the tokens that this vocabulary lacks."""
+        unknown = sorted(set(tokens) - self.token_to_id.keys())
+        if unknown:
+            raise VocabularyError(f"the vocabulary lacks the tokens {unknown}")
+
     def encode(self, tokens) -> list[int]:
         out = []
         for tok in tokens:

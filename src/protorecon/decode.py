@@ -61,9 +61,7 @@ class BeamConfig:
 
 def _banned_mask(stepper) -> np.ndarray:
     mask = np.zeros(stepper.vocab_size)
-    banned = list(getattr(stepper, "banned_ids", ()))
-    if banned:
-        mask[banned] = NEG_INF
+    mask[list(stepper.banned_ids)] = NEG_INF
     return mask
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import itertools
 import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple
@@ -238,15 +239,13 @@ def _final_state(states, reverse=False):
 
 
 def _pad_batch(seqs, pad_id):
-    """Right-pad id lists; returns (ids matrix, mask matrix, lengths)."""
+    """Right-padded, time-major (T, B) int64 ids and float64 mask (1 on real tokens) of id
+    lists, filled by one scatter of their concatenation."""
     lengths = np.array([len(s) for s in seqs])
-    T = int(lengths.max())
-    ids = np.full((len(seqs), T), pad_id, dtype=np.int64)
-    mask = np.zeros((len(seqs), T))
-    for i, s in enumerate(seqs):
-        ids[i, : len(s)] = s
-        mask[i, : len(s)] = 1.0
-    return ids, mask, lengths
+    real = np.arange(lengths.max())[:, None] < lengths
+    ids = np.full(real.shape, pad_id, dtype=np.int64)
+    ids.T[real.T] = np.fromiter(itertools.chain.from_iterable(seqs), np.int64, lengths.sum())
+    return ids, real.astype(np.float64)
 
 
 class _ModelBase:
@@ -336,12 +335,10 @@ class _ModelBase:
         lang = self._target_languages(inputs)
         rate = cfg.dropout if dropout_rng is not None else 0.0
         h = self._encode(p, inputs, rate, dropout_rng)
-        tgt_ids, tgt_mask, _ = _pad_batch([list(t) + [self.vocab.eos_id] for t in targets],
-                                          self.vocab.pad_id)
-        B, T = tgt_ids.shape
-        prev_ids = np.concatenate(
-            [np.full((B, 1), self.vocab.bos_id, dtype=np.int64), tgt_ids[:, :-1]], axis=1
-        )
+        tgt_ids, tgt_mask = _pad_batch([list(t) + [self.vocab.eos_id] for t in targets],
+                                       self.vocab.pad_id)
+        T, B = tgt_ids.shape
+        prev_ids = np.vstack([np.full(B, self.vocab.bos_id), tgt_ids[:-1]])
         cond = self._conditioning(p, np.broadcast_to(lang, (T, B)))
         keep = (None, None)
         if rate:
@@ -350,9 +347,9 @@ class _ModelBase:
             for t in range(T):
                 for k in keep:
                     k[t] = dropout_rng.random(k.shape[1:]) >= rate
-        _, logits = self._decode_step(p, _stacked_gates(p, "dec"), h, prev_ids.T, cond,
-                                      tgt_mask.T, rate, keep)
-        return ad.softmax_cross_entropy(logits, tgt_ids.T.reshape(-1), tgt_mask.T.reshape(-1),
+        _, logits = self._decode_step(p, _stacked_gates(p, "dec"), h, prev_ids, cond, tgt_mask,
+                                      rate, keep)
+        return ad.softmax_cross_entropy(logits, tgt_ids.reshape(-1), tgt_mask.reshape(-1),
                                         normalizer=tgt_mask.sum(), steps=T)
 
     def batch_decoder(self, inputs) -> _GruStepper:
@@ -461,14 +458,13 @@ class ReconModel(_ModelBase):
         """
         for seq in inputs:
             self._check_framing(seq)
-        in_ids, in_mask, _ = _pad_batch(inputs, self.vocab.pad_id)
-        ids = in_ids.T  # time-major
+        ids, mask = _pad_batch(inputs, self.vocab.pad_id)
         lang_ids = segment_language_indices(ids, self.vocab)
         h0 = Tensor(np.zeros((len(inputs), self.config.hidden_size)))
         states = ad.gru_sequence(
             ad.dropout(ad.embeddings([(p["tok_emb"], ids), (p["lang_emb"], lang_ids)]), rate,
                        dropout_rng),
-            h0, _stacked_gates(p, "enc"), in_mask.T)
+            h0, _stacked_gates(p, "enc"), mask)
         return _final_state(states)
 
     def _target_languages(self, inputs) -> np.ndarray:
@@ -582,8 +578,7 @@ class ReflexModel(_ModelBase):
         same length, then each row's tag.
         """
         cfg = self.config
-        in_ids, in_mask, _ = _pad_batch(inputs, self.vocab.pad_id)
-        ids, mask = in_ids.T, in_mask.T  # time-major
+        ids, mask = _pad_batch(inputs, self.vocab.pad_id)
         h0 = Tensor(np.zeros((len(inputs), cfg.hidden_size)))
         dirs = ("f", "b") if cfg.bidirectional_encoder else ("f",)
         seq = ad.dropout(ad.embedding(p["tok_emb"], ids), rate, dropout_rng)

@@ -27,6 +27,8 @@ outputs and gradients must match these within rounding.
 stats.wilcoxon_rank_sum counts for its exact p-values, and ``midranks_loop``
 is stats._midranks as it was before it ranked by sorted positions: a walk
 over each run of tied values in stable sort order.
+``pad_batch_loop`` is models._pad_batch as it was before it built a time-major
+batch by one scatter: a batch-major fill, one row at a time.
 ``segment_language_indices_loop`` is models.segment_language_indices as it
 was before it ran over a padded id matrix: one input, one position at a
 time.  ``tag_language`` names the language whose tag leads a reflex input,
@@ -131,6 +133,18 @@ def gru_cell_six(x, h_prev, params):
     return ad.add(mul(affine(z, -1.0, 1.0), h_prev), mul(z, h_tilde))
 
 
+def pad_batch_loop(seqs, pad_id):
+    """Right-pad id lists, one row at a time; returns batch-major (ids, mask, lengths)."""
+    lengths = np.array([len(s) for s in seqs])
+    T = int(lengths.max())
+    ids = np.full((len(seqs), T), pad_id, dtype=np.int64)
+    mask = np.zeros((len(seqs), T))
+    for i, s in enumerate(seqs):
+        ids[i, : len(s)] = s
+        mask[i, : len(s)] = 1.0
+    return ids, mask, lengths
+
+
 def segment_language_indices_loop(ids, vocab) -> list[int]:
     """Per-position language index (0 = structural) for one concatenated input."""
     tag_to_index = {vocab.language_tag_id(lang): i + 1 for i, lang in enumerate(vocab.languages)}
@@ -199,7 +213,7 @@ def grouped_group_loss(model, inputs, targets, lang_index, normalizer, dropout_r
     B = len(inputs)
     h = _encode_group(model, np.asarray(inputs, dtype=np.int64), rate, dropout_rng)
     tgt = [list(t) + [model.vocab.eos_id] for t in targets]
-    tgt_ids, tgt_mask, _ = models._pad_batch(tgt, model.vocab.pad_id)
+    tgt_ids, tgt_mask, _ = pad_batch_loop(tgt, model.vocab.pad_id)
     prev_ids = np.concatenate(
         [np.full((B, 1), model.vocab.bos_id, dtype=np.int64), tgt_ids[:, :-1]], axis=1
     )
@@ -249,8 +263,8 @@ def grouped_batch_loss(model, examples, dropout_rng=None):
 def _step_decoder_loss(model, h, targets, cond, rate, dropout_rng):
     """Teacher-forced decoder loss, one decoder step (and one loss node) at a time."""
     p, vocab = model.params, model.vocab
-    tgt_ids, tgt_mask, _ = models._pad_batch([list(t) + [vocab.eos_id] for t in targets],
-                                             vocab.pad_id)
+    tgt_ids, tgt_mask, _ = pad_batch_loop([list(t) + [vocab.eos_id] for t in targets],
+                                          vocab.pad_id)
     prev_ids = np.concatenate(
         [np.full((len(targets), 1), vocab.bos_id, dtype=np.int64), tgt_ids[:, :-1]], axis=1)
     dec = gate_dict(p, "dec")
@@ -278,8 +292,8 @@ def step_recon_loss(model, inputs, targets, dropout_rng=None):
     """ReconModel.batch_loss's loss with a primitive GRU step graph per encoder and decoder step."""
     p, vocab = model.params, model.vocab
     rate = model.config.dropout if dropout_rng is not None else 0.0
-    in_ids, in_mask, _ = models._pad_batch(inputs, vocab.pad_id)
-    li_ids, _, _ = models._pad_batch(
+    in_ids, in_mask, _ = pad_batch_loop(inputs, vocab.pad_id)
+    li_ids, _, _ = pad_batch_loop(
         [segment_language_indices_loop(s, vocab) for s in inputs], 0)
     h = Tensor(np.zeros((len(inputs), model.config.hidden_size)))
     enc = gate_dict(p, "enc")
@@ -294,7 +308,7 @@ def step_reflex_loss(model, examples, dropout_rng=None):
     """ReflexModel.batch_loss's loss with a primitive GRU step graph per encoder and decoder step."""
     p, cfg = model.params, model.config
     rate = cfg.dropout if dropout_rng is not None else 0.0
-    in_ids, in_mask, _ = models._pad_batch([ex[0] for ex in examples], model.vocab.pad_id)
+    in_ids, in_mask, _ = pad_batch_loop([ex[0] for ex in examples], model.vocab.pad_id)
     B, T = in_ids.shape
     seq = [ad.dropout(ad.embedding(p["tok_emb"], in_ids[:, t]), rate, dropout_rng)
            for t in range(T)]

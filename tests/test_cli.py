@@ -671,6 +671,82 @@ def test_dataset_language_unknown_to_the_checkpoints_exit_3_before_decoding(
     assert not (tmp_path / "an").exists()
 
 
+@pytest.mark.parametrize("command, cell", [
+    ("decode", "reflex"), ("rerank", "reflex"), ("analyze", "reflex"), ("gridsearch", "reflex"),
+    ("analyze", "protoform"), ("gridsearch", "protoform"),
+])
+def test_dataset_token_unknown_to_the_checkpoints_exit_3_before_decoding(
+        workdir, tmp_path, capsys, monkeypatch, command, cell):
+    """A token that the checkpoint vocabulary lacks, in a reflex of a set that the command
+    decodes or in a gold protoform that it scores, is refused, named, before any beam search
+    and before anything is written."""
+    from protorecon import models
+
+    def no_decoding(*_args, **_kwargs):
+        raise AssertionError("decoded a dataset with a token unknown to the checkpoint")
+
+    monkeypatch.setattr(models.ReconModel, "beam_search_sets", no_decoding)
+    val = {line.split("\t")[0] for line in (workdir / "split.tsv").read_text().splitlines()
+           if line.endswith("\tval")}
+    lines = (workdir / "data.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+    last = max(i for i, line in enumerate(lines) if line.split("\t")[0] in val)
+    cells = lines[last].split("\t")
+    at = 1 if cell == "protoform" else next(i for i in range(2, len(cells)) if cells[i].strip())
+    cells[at] = "zz " + cells[at]
+    data = tmp_path / "zz.tsv"
+    data.write_text("".join(lines[:last]) + "\t".join(cells) + "".join(lines[last + 1:]),
+                    encoding="utf-8")
+    pair = ["--recon-checkpoint", str(workdir / "recon.ckpt"),
+            "--reflex-checkpoint", str(workdir / "reflex.ckpt")]
+    argv = {"decode": ["--checkpoint", str(workdir / "recon.ckpt")], "rerank": pair,
+            "analyze": pair, "gridsearch": [*pair, "--split", str(workdir / "split.tsv")]}[command]
+    out = tmp_path / "out"
+    assert main([command, "--dataset", str(data), *argv, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("data error:") and "'zz'" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def _exit_1_case(workdir, tmp_path, command):
+    """argv of a command that fails with a ProtoreconError outside the typed ones, and the
+    output path that it must not write."""
+    out = tmp_path / "out"
+    ds = parse_dataset((workdir / "data.tsv").read_text())
+    if command == "eval":
+        no_gold = tmp_path / "no_gold.tsv"
+        no_gold.write_text(serialize_dataset(dataclasses.replace(
+            ds, sets=tuple(dataclasses.replace(cs, protoform=None) for cs in ds.sets))))
+        preds = tmp_path / "preds.tsv"
+        preds.write_text("".join(f"{cs.id}\ta\n" for cs in ds.sets), encoding="utf-8")
+        return ["eval", "--dataset", str(no_gold), "--predictions", str(preds)], out
+    if command in ("gridsearch", "train-recon"):  # a split without val, or without train
+        tags = ("train", "test") if command == "gridsearch" else ("val", "test")
+        split = tmp_path / "split.tsv"
+        split.write_text("".join(f"{cs.id}\t{tags[i % 2]}\n" for i, cs in enumerate(ds.sets)),
+                         encoding="utf-8")
+        data = ["--dataset", str(workdir / "data.tsv"), "--split", str(split)]
+        if command == "train-recon":
+            return ["train-recon", *data, "--preset", str(workdir / "preset.json")], out
+        return ["gridsearch", *data, "--recon-checkpoint", str(workdir / "recon.ckpt"),
+                "--reflex-checkpoint", str(workdir / "reflex.ckpt")], out
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text("" if command == "compare" else "0.5\n", encoding="utf-8")
+    b.write_text("0.5\n0.25\n" if command == "compare" else "0.25\n", encoding="utf-8")
+    return [command, "--a", str(a), "--b", str(b)], out
+
+
+@pytest.mark.parametrize("command", ["eval", "gridsearch", "compare", "correlate", "train-recon"])
+def test_other_errors_exit_1(workdir, tmp_path, capsys, command):
+    """eval without a gold protoform, gridsearch on an empty val split, compare on an empty
+    score file, correlate on one value and training on an empty train split fail with a
+    ProtoreconError that is neither a configuration nor a data error: exit 1, nothing written."""
+    argv, out = _exit_1_case(workdir, tmp_path, command)
+    assert main([*argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize("text, message", [
     ("id\tproto\tA\tB\nw1\tp a\t\t\n", "has no reflexes"),
     ("id\tproto\tA\nw1\tp  a\tb\n", "empty token"),

@@ -1,5 +1,7 @@
 """Model gradient checks, decoding consistency, training, and checkpoints."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -22,7 +24,8 @@ from protorecon.corpus import (
 from protorecon.errors import CheckpointError, ConfigError, ProtoreconError, VocabularyError
 from protorecon.synthetic import generate_family
 from tests.conftest import REFLEX_CONDITIONING, tiny_recon_config, tiny_reflex_config
-from tests.oracles import segment_language_indices_loop
+from tests import oracles
+from tests.oracles import pad_batch_loop, segment_language_indices_loop
 
 
 def _recon_batch(dataset, vocab):
@@ -325,6 +328,22 @@ def test_reflex_group_loss_matches_single_examples(tiny_dataset, tiny_vocab):
     assert whole == pytest.approx(acc / total_tokens, rel=1e-10)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 30), min_size=1, max_size=12), min_size=1, max_size=20),
+       st.integers(0, 30))
+def test_pad_batch_is_the_transposed_loop(seqs, pad_id):
+    """The time-major batch equals the transposed batch-major row loop, bitwise and in dtype."""
+    got, want = models._pad_batch(seqs, pad_id), pad_batch_loop(seqs, pad_id)[:2]
+    for g, w in zip(got, want):
+        assert g.shape == w.T.shape and g.dtype == w.dtype
+        assert g.tobytes() == np.ascontiguousarray(w.T).tobytes()
+
+
+def test_oracles_do_not_pad_with_the_library():
+    """The loss oracles pad with their own loop, not with the code under test."""
+    assert "_pad_batch(" not in inspect.getsource(oracles)
+
+
 def test_segment_language_indices(tiny_vocab):
     seq = ["*", "<LangA>", ":", "p", "o", "*", "<LangB>", ":", "b", "*"]
     idx = models.segment_language_indices(tiny_vocab.encode(seq), tiny_vocab)
@@ -338,8 +357,8 @@ def test_segment_language_indices_of_a_padded_batch_match_the_loop(tiny_vocab, s
     """Over a time-major padded matrix, each column equals the per-input loop, with 0 on its
     pads when the input ends in SEP; any id sequence is drawn, framed or not."""
     seqs = [s + [tiny_vocab.sep_id] for s in seqs]
-    ids, _, lengths = models._pad_batch(seqs, tiny_vocab.pad_id)
-    got = models.segment_language_indices(ids.T, tiny_vocab)
+    ids, _ = models._pad_batch(seqs, tiny_vocab.pad_id)
+    got = models.segment_language_indices(ids, tiny_vocab)
     for col, s in enumerate(seqs):
         assert got[: len(s), col].tolist() == segment_language_indices_loop(s, tiny_vocab)
         assert not got[len(s) :, col].any()

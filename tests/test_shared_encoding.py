@@ -1,6 +1,6 @@
 """Off-tape gru_sequence with ids steps each distinct state once and keeps every state.
 
-Rows that started from bitwise-equal h0 rows and stepped the same ids share a
+Every row starts from one h0 row, so rows that stepped the same ids share a
 state; a masked step leaves a row's state as it was.  Stepping one row per
 such class, at least 8 rows a step, must give the states that stepping every
 row gives.  On BLAS kernels whose row results do not depend on the other rows
@@ -9,6 +9,7 @@ at H a multiple of 8), they are bitwise equal.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from protorecon import models
 from protorecon.autodiff import Tensor
 from protorecon.cli import load_preset
 from protorecon.corpus import assemble_reflex_input, build_vocabulary
+from protorecon.errors import DimensionError
 from protorecon.synthetic import generate_family
 from tests.oracles import padded_gru_sequence
 
@@ -25,36 +27,36 @@ GRU_CELL_NP = ad.gru_cell_np
 
 @st.composite
 def shared_batches(draw):
-    """(ids (T, B), lengths, h0 row choice) of rows over few ids, so that rows share
-    prefixes and suffixes and a level often has 1 to 7 distinct states."""
+    """(ids (T, B), lengths) of rows over few ids, so that rows share prefixes and suffixes
+    and a level often has 1 to 7 distinct states."""
     stems = draw(st.lists(st.lists(st.integers(0, 2), min_size=0, max_size=3),
                           min_size=1, max_size=3))
     rows = draw(st.lists(st.tuples(st.sampled_from(stems), st.lists(st.integers(0, 2),
                                                                   max_size=3),
-                                   st.sampled_from(stems), st.integers(0, 2)),
+                                   st.sampled_from(stems)),
                          min_size=8, max_size=20))
-    seqs = [[*pre, *mid, *post] or [0] for pre, mid, post, _ in rows]
+    seqs = [[*pre, *mid, *post] or [0] for pre, mid, post in rows]
     lengths = np.array([len(s) for s in seqs])
     ids = np.zeros((lengths.max(), len(seqs)), dtype=np.int64)
     for b, s in enumerate(seqs):
         ids[: len(s), b] = s
-    return ids, lengths, np.array([start for *_, start in rows])
+    return ids, lengths
 
 
 @settings(max_examples=80)
 @given(batch=shared_batches(), H=st.sampled_from([8, 16, 48]), D=st.sampled_from([5, 16]),
-       reverse=st.booleans(), masked=st.booleans(), seed=st.integers(0, 2**16))
-def test_gru_sequence_with_ids_equals_it_without_bitwise(batch, H, D, reverse, masked, seed):
-    """Both directions, right-padding masks or none, and h0 rows of which some are equal:
-    unequal h0 rows (the third row differs from the second in one bit) are never shared."""
-    ids, lengths, start = batch
+       reverse=st.booleans(), masked=st.booleans(), zero_h0=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_gru_sequence_with_ids_equals_it_without_bitwise(batch, H, D, reverse, masked, zero_h0,
+                                                        seed):
+    """Both directions, right-padding masks or none, and one h0 row for every row, zero or
+    drawn."""
+    ids, lengths = batch
     T, B = ids.shape
     rng = np.random.default_rng(seed)
     table = rng.normal(size=(3, D))
-    starts = np.zeros((3, H))
-    starts[1:] = rng.normal(scale=0.5, size=H)
-    starts[2, 0] = np.nextafter(starts[1, 0], np.inf)
-    h0 = Tensor(starts[start])
+    start = np.zeros(H) if zero_h0 else rng.normal(scale=0.5, size=H)
+    h0 = Tensor(np.tile(start, (B, 1)))
     gates = (Tensor(rng.normal(size=(D, 3 * H))), Tensor(rng.normal(size=(H, 2 * H))),
              Tensor(rng.normal(size=(H, H))), Tensor(rng.normal(size=3 * H)))
     mask = (np.arange(T)[:, None] < lengths).astype(float) if masked else None
@@ -62,6 +64,18 @@ def test_gru_sequence_with_ids_equals_it_without_bitwise(batch, H, D, reverse, m
     want = ad.gru_sequence(X, h0, gates, mask, reverse).data
     got = ad.gru_sequence(X, h0, gates, mask, reverse, ids).data
     assert got.tobytes() == want.tobytes()
+
+
+def test_gru_sequence_with_ids_refuses_unequal_h0_rows():
+    """Rows share states only from one h0 row: two rows that differ in one bit are refused."""
+    rng = np.random.default_rng(0)
+    ids = np.zeros((2, 8), dtype=np.int64)
+    gates = (Tensor(rng.normal(size=(4, 24))), Tensor(rng.normal(size=(8, 16))),
+             Tensor(rng.normal(size=(8, 8))), Tensor(np.zeros(24)))
+    h0 = np.zeros((8, 8))
+    h0[3, 5] = np.nextafter(0.0, 1.0)
+    with pytest.raises(DimensionError):
+        ad.gru_sequence(Tensor(rng.normal(size=(2, 8, 4))), Tensor(h0), gates, ids=ids)
 
 
 def test_gru_sequence_steps_one_row_per_class_floored_at_8(monkeypatch):
