@@ -36,11 +36,11 @@ print("training reflex model ...")
 reflex = models.train(models.ReflexModel(reflex_cfg, vocab), dataset)
 
 test = dataset.subset("test")
-cfg = recon.beam_config(5)  # the config's alpha, capped at max_decode_len
 cache = ReflexCache()
 beam_preds, rerank_preds, golds = [], [], []
 for cs in test.sets:
-    top, reranked, beam, _ = reconstruct_reranked(recon, reflex, cs, cfg, lam=1.0, cache=cache)
+    # beam size 5; alpha and the longest candidate (max_decode_len) are the recon model's
+    top, reranked, beam, _ = reconstruct_reranked(recon, reflex, cs, 5, lam=1.0, cache=cache)
     beam_preds.append(vocab.decode(beam[0].tokens))
     rerank_preds.append(vocab.decode(top.tokens))
     golds.append(tuple(cs.protoform))

@@ -37,7 +37,7 @@ from .experiment import (
     run_experiment,
 )
 from .metrics import evaluate, load_feature_table
-from .rerank import ReflexCache, check_lambda, check_model_pair, format_rerank_tsv, rerank_sets
+from .rerank import ReflexCache, check_model_pair, format_rerank_tsv, rerank_sets
 from .stats import compare, pearson_correlation, significant
 from .analysis import write_analysis_tables
 
@@ -178,9 +178,8 @@ def cmd_train(args):
 def cmd_decode(args):
     model = _load_model(args.checkpoint, models.ReconModel)
     ds = _read_model_dataset(args, model.vocab)
-    cfg = model.beam_config(args.beam_size)
     lines = ["id\trank\tcandidate\tm"]
-    for batch, beams in model.beam_search_sets(ds.sets, cfg):
+    for batch, beams in model.beam_search_sets(ds.sets, args.beam_size):
         for cset, beam in zip(batch, beams):
             lines += [f"{cset.id}\t{rank}\t{' '.join(model.vocab.decode(cand.tokens))}\t"
                       f"{cand.m:.6f}" for rank, cand in enumerate(beam)]
@@ -189,15 +188,13 @@ def cmd_decode(args):
 
 def cmd_rerank(args):
     recon, reflex = _load_model_pair(args)
-    beam_config = recon.beam_config(args.beam_size)
-    check_lambda(args.lam)
     ds = _read_model_dataset(args, recon.vocab)
     bad = [cs.id for cs in ds.sets if cs.id in ("", ".", "..", "summary")
            or any(c in cs.id for c in "/\\\0")]  # each names its TSV next to summary.tsv
     if args.out and bad:
         raise SchemaError(f"set ids that cannot name a file under --out: {bad[:5]}")
     summary = ["\t".join(RERANK_SUMMARY_HEADER)]
-    for cset, _, reranked, preds in rerank_sets(recon, reflex, ds.sets, beam_config, args.lam):
+    for cset, _, reranked, preds in rerank_sets(recon, reflex, ds.sets, args.beam_size, args.lam):
         top = reranked[0]
         if args.out:
             write_text(os.path.join(args.out, f"{cset.id}.tsv"),
@@ -276,15 +273,13 @@ def cmd_correlate(args):
 
 def cmd_analyze(args):
     recon, reflex = _load_model_pair(args)
-    beam_config = recon.beam_config(args.beam_size)
-    check_lambda(args.lam)
     ds = _read_model_dataset(args, recon.vocab)
     table = load_feature_table(args.feature_table)
     if table is not None:
         table.check_tokens(ds.tokens() | set(recon.vocab.phonemes()))
     csets = [cset for cset in ds.sets if cset.protoform is not None]
     cache = ReflexCache()
-    results = rerank_sets(recon, reflex, csets, beam_config, args.lam, cache)
+    results = rerank_sets(recon, reflex, csets, args.beam_size, args.lam, cache)
     write_analysis_tables(args.out, reflex, results, ds.languages, table, cache=cache)
     print(f"analysis written to {args.out}", file=sys.stderr)
 

@@ -44,15 +44,15 @@ def grid_search(
     """
     if not (k_range and lambda_range):
         raise ConfigError("the k and lambda ranges must not be empty")
-    configs = {k: recon_model.beam_config(k) for k in k_range}
+    for k in k_range:
+        recon_model.beam_config(k)
     for lam in lambda_range:
         check_lambda(lam)
     csets = [cs for cs in val_dataset.sets if cs.protoform is not None]
     if not csets:
         raise ProtoreconError("empty validation split")
     correct = dict.fromkeys(((k, lam) for k in sorted(k_range) for lam in sorted(lambda_range)), 0)
-    for cset, beam, r_values, _ in scored_beams(recon_model, reflex_model, csets,
-                                                configs[max(k_range)]):
+    for cset, beam, r_values, _ in scored_beams(recon_model, reflex_model, csets, max(k_range)):
         gold = tuple(recon_model.vocab.encode(cset.protoform))
         for k, lam in correct:
             correct[(k, lam)] += rerank(beam[:k], r_values[:k], lam)[0].tokens == gold
@@ -115,8 +115,7 @@ def run_seed(config: ExperimentConfig, dataset: Dataset, seed: int, table: Featu
     test = dataset.subset("test")
     csets = [cs for cs in test.sets if cs.protoform is not None]
     cache = ReflexCache()
-    results = list(rerank_sets(recon, reflex, csets,
-                               recon.beam_config(config.beam_size), config.lam, cache))
+    results = list(rerank_sets(recon, reflex, csets, config.beam_size, config.lam, cache))
     behaviors = write_analysis_tables(seed_dir, reflex, results, dataset.languages, table,
                                       stamp, cache)
     gold_strs = [tuple(cs.protoform) for cs in csets]

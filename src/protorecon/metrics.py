@@ -170,8 +170,7 @@ def bcubed_f(pred, gold) -> float:
     overlap = Counter(keys)
     precision = np.mean([overlap[k] / pred_size[k[0]] for k in keys])
     recall = np.mean([overlap[k] / gold_size[k[1]] for k in keys])
-    if precision + recall == 0:
-        return 0.0
+    # each column overlaps its own two clusters, so both means are >= 1 / len(cols)
     return float(2 * precision * recall / (precision + recall))
 
 

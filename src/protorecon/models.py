@@ -56,13 +56,13 @@ class ReconModelConfig:
 
     def __post_init__(self):
         for name in ("embedding_size", "hidden_size", "feedforward_size", "batch_size",
-                     "validate_every"):
+                     "validate_every", "patience"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must be in [0, 1)")
         dec.BeamConfig(k=1, alpha=self.alpha)  # alpha is a beam setting: BeamConfig checks it
-        for name in ("max_epochs", "seed"):
+        for name in ("max_epochs", "warmup_epochs", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
         for name in ("lr", "eps"):
@@ -146,15 +146,6 @@ class TrainingHistory:
 def _glorot(rng, n_in, n_out):
     s = np.sqrt(6.0 / (n_in + n_out))
     return rng.uniform(-s, s, size=(n_in, n_out))
-
-
-def _gru_params(rng, n_in, n_hid, prefix):
-    params = {}
-    for gate in ("z", "r", "h"):
-        params[f"{prefix}.W_{gate}"] = ad.parameter(_glorot(rng, n_in, n_hid), f"{prefix}.W_{gate}")
-        params[f"{prefix}.U_{gate}"] = ad.parameter(_glorot(rng, n_hid, n_hid), f"{prefix}.U_{gate}")
-        params[f"{prefix}.b_{gate}"] = ad.parameter(np.zeros(n_hid), f"{prefix}.b_{gate}")
-    return params
 
 
 def _stacked_gates(params, prefix):
@@ -254,8 +245,8 @@ class _ModelBase:
     Each model writes its forward once, with autodiff ops on a parameter
     dict p: training passes self.params and builds a tape; inference
     (encode_np, batch_decoder) passes _untracked_params() with dropout rate
-    0, on which the same ops record nothing.  A model supplies _encode,
-    _target_languages and _conditioning; the rest is written here once.
+    0, on which the same ops record nothing.  A model supplies _init_encoder,
+    _encode, _target_languages and _conditioning; the rest is written here once.
     Making a model sets the process's heap policy (_keep_freed_memory).
     """
 
@@ -271,8 +262,28 @@ class _ModelBase:
         row = np.zeros(vocab.size)
         row[list(self.banned_output_ids())] = NEG
         self._output_mask = Tensor(row)  # added to every output bias b2
+        rng = np.random.default_rng(config.seed)
+        E, H, F, V = config.embedding_size, config.hidden_size, config.feedforward_size, vocab.size
+        self._draw("tok_emb", rng.uniform(-0.1, 0.1, (V, E)))
+        dec_in, clf_in, block_suffixes = self._init_encoder(rng)
+        self._draw_gru(rng, dec_in, "dec")
+        self._draw("clf.W1", _glorot(rng, clf_in, F))
+        self._draw("clf.b1", np.zeros(F))
+        for suffix in block_suffixes:
+            self._draw(f"clf.W2{suffix}", _glorot(rng, F, V))
+            self._draw(f"clf.b2{suffix}", np.zeros(V))
 
     # -- parameter bookkeeping ------------------------------------------------
+
+    def _draw(self, name, data):
+        self.params[name] = ad.parameter(data, name)
+
+    def _draw_gru(self, rng, n_in, prefix):
+        H = self.config.hidden_size
+        for gate in ("z", "r", "h"):
+            self._draw(f"{prefix}.W_{gate}", _glorot(rng, n_in, H))
+            self._draw(f"{prefix}.U_{gate}", _glorot(rng, H, H))
+            self._draw(f"{prefix}.b_{gate}", np.zeros(H))
 
     def parameters(self):
         return list(self.params.values())
@@ -431,20 +442,13 @@ class ReconModel(_ModelBase):
     kind = "recon"
     config_class = ReconModelConfig
 
-    def __init__(self, config: ReconModelConfig, vocab: Vocabulary):
-        super().__init__(config, vocab)
-        rng = np.random.default_rng(config.seed)
-        E, H, F = config.embedding_size, config.hidden_size, config.feedforward_size
-        V, L = vocab.size, len(vocab.languages)
-        p = self.params
-        p["tok_emb"] = ad.parameter(rng.uniform(-0.1, 0.1, (V, E)), "tok_emb")
-        p["lang_emb"] = ad.parameter(rng.uniform(-0.1, 0.1, (L + 1, E)), "lang_emb")
-        p.update(_gru_params(rng, 2 * E, H, "enc"))
-        p.update(_gru_params(rng, E, H, "dec"))
-        p["clf.W1"] = ad.parameter(_glorot(rng, H, F), "clf.W1")
-        p["clf.b1"] = ad.parameter(np.zeros(F), "clf.b1")
-        p["clf.W2"] = ad.parameter(_glorot(rng, F, V), "clf.W2")
-        p["clf.b2"] = ad.parameter(np.zeros(V), "clf.b2")
+    def _init_encoder(self, rng):
+        """Draws lang_emb and the encoder GRU.  Returns the decoder's and the classifier's
+        input widths, and the key suffixes of the output blocks: one, unsuffixed."""
+        E, H = self.config.embedding_size, self.config.hidden_size
+        self._draw("lang_emb", rng.uniform(-0.1, 0.1, (len(self.vocab.languages) + 1, E)))
+        self._draw_gru(rng, 2 * E, "enc")
+        return E, H, ("",)
 
     def _check_framing(self, input_ids):
         sep = self.vocab.sep_id
@@ -500,14 +504,17 @@ class ReconModel(_ModelBase):
         and max_decode_len as the longest candidate."""
         return dec.BeamConfig(k=k, alpha=self.config.alpha, max_len=self.max_decode_len)
 
-    def beam_search_sets(self, csets, config: dec.BeamConfig):
+    def beam_search_sets(self, csets, k):
         """Beam candidates of a sequence of cognate sets, one batch of sets at a time.
 
-        A batch holds max(1, DECODE_CHUNK // k) sets, so that its frontier has
-        at most DECODE_CHUNK rows, and runs one beam_search_batch.  Yields
-        (the batch's sets, their candidate lists).
+        The search runs under beam_config(k), which the first next resolves and
+        checks before any batch, with no sets too.  A batch holds max(1,
+        DECODE_CHUNK // k) sets, so that its frontier has at most DECODE_CHUNK
+        rows, and runs one beam_search_batch.  Yields (the batch's sets, their
+        candidate lists).
         """
-        size = max(1, DECODE_CHUNK // config.k)
+        config = self.beam_config(k)
+        size = max(1, DECODE_CHUNK // k)
         for start in range(0, len(csets), size):
             batch = csets[start : start + size]
             inputs = [assemble_reconstruction_input(cs, self.vocab) for cs in batch]
@@ -527,35 +534,22 @@ class ReflexModel(_ModelBase):
     kind = "reflex"
     config_class = ReflexModelConfig
 
-    def __init__(self, config: ReflexModelConfig, vocab: Vocabulary):
-        super().__init__(config, vocab)
-        rng = np.random.default_rng(config.seed)
-        E, H, F = config.embedding_size, config.hidden_size, config.feedforward_size
-        V, L = vocab.size, len(vocab.languages)
-        p = self.params
-        p["tok_emb"] = ad.parameter(rng.uniform(-0.1, 0.1, (V, E)), "tok_emb")
-        dirs = ("f", "b") if config.bidirectional_encoder else ("f",)
-        out_dim = H * len(dirs)
-        for layer in range(config.num_encoder_layers):
-            in_dim = E if layer == 0 else out_dim
-            for d in dirs:
-                p.update(_gru_params(rng, in_dim, H, f"enc{layer}{d}"))
-        p["bridge.W"] = ad.parameter(_glorot(rng, out_dim, H), "bridge.W")
-        p["bridge.b"] = ad.parameter(np.zeros(H), "bridge.b")
-        dec_in = E + (E if config.decode_with_language_embedding else 0)
-        if config.decode_with_language_embedding:
-            p["lang_emb"] = ad.parameter(rng.uniform(-0.1, 0.1, (L + 1, E)), "lang_emb")
-        p.update(_gru_params(rng, dec_in, H, "dec"))
-        clf_in = H + (L if config.one_hot_target_encoding else 0)
-        p["clf.W1"] = ad.parameter(_glorot(rng, clf_in, F), "clf.W1")
-        p["clf.b1"] = ad.parameter(np.zeros(F), "clf.b1")
-        if config.target_gated_classifier:
-            for i, lang in enumerate(vocab.languages):
-                p[f"clf.W2.{i}"] = ad.parameter(_glorot(rng, F, V), f"clf.W2.{lang}")
-                p[f"clf.b2.{i}"] = ad.parameter(np.zeros(V), f"clf.b2.{lang}")
-        else:
-            p["clf.W2"] = ad.parameter(_glorot(rng, F, V), "clf.W2")
-            p["clf.b2"] = ad.parameter(np.zeros(V), "clf.b2")
+    def _init_encoder(self, rng):
+        """Draws the encoder GRUs, the bridge, and lang_emb if the decoder reads it; returns
+        what ReconModel's does, with a block per language index if target-gated."""
+        cfg, L = self.config, len(self.vocab.languages)
+        E, H = cfg.embedding_size, cfg.hidden_size
+        out_dim = H * (2 if cfg.bidirectional_encoder else 1)
+        for layer in range(cfg.num_encoder_layers):
+            for d in ("f", "b") if cfg.bidirectional_encoder else ("f",):
+                self._draw_gru(rng, out_dim if layer else E, f"enc{layer}{d}")
+        self._draw("bridge.W", _glorot(rng, out_dim, H))
+        self._draw("bridge.b", np.zeros(H))
+        if cfg.decode_with_language_embedding:
+            self._draw("lang_emb", rng.uniform(-0.1, 0.1, (L + 1, E)))
+        return (E * (2 if cfg.decode_with_language_embedding else 1),
+                H + (L if cfg.one_hot_target_encoding else 0),
+                [f".{i}" for i in range(L)] if cfg.target_gated_classifier else [""])
 
     def _target_languages(self, inputs) -> np.ndarray:
         """Each tagged protoform's language index, read from its leading tag."""
@@ -693,9 +687,7 @@ def _keep_freed_memory():
 
 
 def _greedy_val_ted(model, examples):
-    """Mean token edit distance of greedy decodes against gold targets."""
-    if not examples:
-        return 0.0
+    """Mean token edit distance of greedy decodes of examples (at least one) against gold."""
     preds = model.greedy_decode_rows([ex[0] for ex in examples])
     total = sum(token_edit_distance(pred, ex[1]) for pred, ex in zip(preds, examples))
     return total / len(examples)
@@ -717,9 +709,11 @@ def train(model, dataset: Dataset, log=None):
     if not train_split.sets:
         raise TrainingError("empty train split")
     set_examples = [_set_examples(model.kind, cs, model.vocab) for cs in train_split.sets]
+    if not any(set_examples):
+        raise TrainingError("no set of the train split has a protoform to train on")
     val_examples = _examples(model.kind, dataset.subset("val"), model.vocab)
 
-    longest_target = max((len(ex[1]) for exs in set_examples for ex in exs), default=10)
+    longest_target = max(len(ex[1]) for exs in set_examples for ex in exs)
     model.max_decode_len = 2 * longest_target + 5
     model.history.stop_reason = "max_epochs"
 

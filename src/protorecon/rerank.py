@@ -11,7 +11,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from . import decode as dec
 from .corpus import CognateSet
 from .errors import CheckpointError, ConfigError, ProtoreconError
 
@@ -108,18 +107,18 @@ def check_model_pair(recon_model, reflex_model, names="the recon and reflex mode
         raise CheckpointError(f"{names} were trained on different vocabularies")
 
 
-def scored_beams(recon_model, reflex_model, csets, config: dec.BeamConfig, cache=None):
+def scored_beams(recon_model, reflex_model, csets, k, cache=None):
     """Beam candidates and their reflex scores for a sequence of cognate sets.
 
-    Sets go through recon_model.beam_search_sets a batch at a time, and
-    every uncached (candidate, language) pair of a batch through one
-    score_candidates call.  Yields (cognate set, beam candidates, r values,
+    Sets go through recon_model.beam_search_sets(csets, k) a batch at a
+    time, and every uncached (candidate, language) pair of a batch through
+    one score_candidates call.  Yields (cognate set, beam candidates, r values,
     predictions) per set, in input order.  The two models must share one
     vocabulary.  Without a cache, one is made for this call.
     """
     check_model_pair(recon_model, reflex_model)
     cache = ReflexCache() if cache is None else cache
-    for batch, beams in recon_model.beam_search_sets(csets, config):
+    for batch, beams in recon_model.beam_search_sets(csets, k):
         scores = score_candidates(reflex_model,
                                   [([c.tokens for c in beam], cset)
                                    for cset, beam in zip(batch, beams)], cache=cache)
@@ -127,18 +126,18 @@ def scored_beams(recon_model, reflex_model, csets, config: dec.BeamConfig, cache
             yield cset, beam, r_values, predictions
 
 
-def rerank_sets(recon_model, reflex_model, csets, config: dec.BeamConfig, lam, cache=None):
+def rerank_sets(recon_model, reflex_model, csets, k, lam, cache=None):
     """The paper's composition for a sequence of cognate sets: beam search,
     reflex scores, rerank at lam.
 
     Returns an iterator over (cognate set, beam candidates, reranked list,
     predictions) per set, in input order; see scored_beams.  lam is checked
-    at the call, the model pair at the first item.
+    at the call, k and the model pair at the first item.
     """
     check_lambda(lam)
     return ((cset, beam, rerank(beam, r_values, lam), predictions)
             for cset, beam, r_values, predictions
-            in scored_beams(recon_model, reflex_model, csets, config, cache))
+            in scored_beams(recon_model, reflex_model, csets, k, cache))
 
 
 def rerank(candidates, r_values, lam: float) -> list[RerankedCandidate]:
@@ -154,15 +153,14 @@ def rerank(candidates, r_values, lam: float) -> list[RerankedCandidate]:
     ]
 
 
-def reconstruct_reranked(recon_model, reflex_model, cset: CognateSet, config: dec.BeamConfig,
-                         lam, cache=None):
+def reconstruct_reranked(recon_model, reflex_model, cset: CognateSet, k, lam, cache=None):
     """rerank_sets for one set.
 
     Returns (top RerankedCandidate, full reranked list, beam candidates,
     per-candidate reflex predictions keyed by beam rank).
     """
-    [(_, beam, reranked, predictions)] = rerank_sets(recon_model, reflex_model, [cset], config,
-                                                     lam, cache)
+    [(_, beam, reranked, predictions)] = rerank_sets(recon_model, reflex_model, [cset], k, lam,
+                                                     cache)
     return reranked[0], reranked, beam, dict(enumerate(predictions))
 
 

@@ -132,12 +132,11 @@ def test_reconstruct_reranked_matches_per_item_path(family, name):
     reflex = _randomize(models.ReflexModel(
         tiny_reflex_config(seed=2, **REFLEX_CONDITIONING[name]), vocab), 301, scale=0.8)
     recon.max_decode_len = reflex.max_decode_len = 6
-    config = dec.BeamConfig(k=5, alpha=1.0, max_len=6)
     cache = ReflexCache()
     for cset in dataset.sets:
-        want = oracle_reconstruct_reranked(recon, reflex, cset, config, 1.0)
-        assert reconstruct_reranked(recon, reflex, cset, config, 1.0) == want
-        assert reconstruct_reranked(recon, reflex, cset, config, 1.0, cache=cache) == want
+        want = oracle_reconstruct_reranked(recon, reflex, cset, recon.beam_config(5), 1.0)
+        assert reconstruct_reranked(recon, reflex, cset, 5, 1.0) == want
+        assert reconstruct_reranked(recon, reflex, cset, 5, 1.0, cache=cache) == want
 
 
 @pytest.mark.parametrize("name", sorted(REFLEX_CONDITIONING))
@@ -153,14 +152,13 @@ def test_scored_beams_match_per_set_path(family, name, monkeypatch):
     reflex = _randomize(models.ReflexModel(
         tiny_reflex_config(seed=2, **REFLEX_CONDITIONING[name]), vocab), 301, scale=0.8)
     recon.max_decode_len = reflex.max_decode_len = 6
-    config = dec.BeamConfig(k=5, alpha=1.0, max_len=6)
-    want = [oracle_reconstruct_reranked(recon, reflex, cset, config, 1.0)
+    want = [oracle_reconstruct_reranked(recon, reflex, cset, recon.beam_config(5), 1.0)
             for cset in dataset.sets]
     assert any(cand.tokens == () for _, _, beam, _ in want for cand in beam)
     monkeypatch.setattr(models, "DECODE_CHUNK", 16)  # 3 sets per batch, 6 batches
     cache = ReflexCache()
     for run_cache in (None, cache, cache):  # the last run reads every decode from the cache
-        got = list(scored_beams(recon, reflex, dataset.sets, config, run_cache))
+        got = list(scored_beams(recon, reflex, dataset.sets, 5, run_cache))
         assert [cset for cset, _, _, _ in got] == list(dataset.sets)
         for (_, beam, r_values, preds), (_, w_reranked, w_beam, w_preds) in zip(got, want):
             assert [(c.tokens, c.length) for c in beam] == [(c.tokens, c.length) for c in w_beam]
@@ -200,15 +198,14 @@ def test_score_candidates_across_sets_matches_oracle(family):
 
 @pytest.fixture(scope="module")
 def recon_beams(family):
-    """A random recon model, its beam config, and each family set's oracle beam."""
+    """A random recon model, its beam size, and each family set's oracle beam."""
     dataset, vocab = family
     recon = _randomize(models.ReconModel(tiny_recon_config(seed=1), vocab), 300, scale=0.8,
                        eos_bias=0.0)
     recon.max_decode_len = 6
-    config = dec.BeamConfig(k=5, alpha=1.0, max_len=6)
     beams = [dec.beam_search(oracle_recon_decoder(recon, assemble_reconstruction_input(cs, vocab)),
-                             config) for cs in dataset.sets]
-    return recon, config, beams
+                             recon.beam_config(5)) for cs in dataset.sets]
+    return recon, 5, beams
 
 
 LAST_EVERYWHERE = frozenset((i, 4, lang) for i in range(16) for lang in range(4))
@@ -226,14 +223,14 @@ def test_rerank_with_gold_reflexes_matches_oracle(family, recon_beams, chosen, l
     candidates.
     """
     dataset, vocab = family
-    recon, config, beams = recon_beams
+    recon, k, beams = recon_beams
     gold = {}
     for i, rank, lang in sorted(chosen):
         cset, beam = dataset.sets[i], beams[i]
         language = sorted(cset.reflexes)[lang % len(cset.reflexes)]
         gold[(beam[rank % len(beam)].tokens, language)] = vocab.encode(cset.reflexes[language])
     stub = GoldReflexStub(vocab, gold)
-    got = list(scored_beams(recon, stub, dataset.sets, config))
+    got = list(scored_beams(recon, stub, dataset.sets, k))
     assert len(got) == len(beams)
     moved = False
     for cset, w_beam, (got_cset, beam, r_values, preds) in zip(dataset.sets, beams, got):

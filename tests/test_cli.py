@@ -197,13 +197,12 @@ def test_run_takes_the_bundled_feature_table(workdir, tmp_path):
 def test_reranking_loaded_models_allocates_no_gradients(workdir):
     """Inference on loaded checkpoints leaves every parameter without a gradient array."""
     from protorecon import models
-    from protorecon.decode import BeamConfig
     from protorecon.rerank import ReflexCache, scored_beams
 
     recon = models.load_checkpoint(workdir / "recon.ckpt")
     reflex = models.load_checkpoint(workdir / "reflex.ckpt")
     sets = parse_dataset((workdir / "data.tsv").read_text()).sets
-    assert len(list(scored_beams(recon, reflex, sets, BeamConfig(k=3), ReflexCache()))) == 30
+    assert len(list(scored_beams(recon, reflex, sets, 3, ReflexCache()))) == 30
     assert all(p.grad is None for model in (recon, reflex) for p in model.parameters())
 
 
@@ -410,6 +409,8 @@ MALFORMED_CHECKPOINTS = {
         p, src, lambda h: h["config"].update(bogus=1)),
     "mistyped config value": lambda p, src: _model_checkpoint_with(
         p, src, lambda h: h["config"].update(hidden_size="10")),
+    "config patience 0": lambda p, src: _model_checkpoint_with(
+        p, src, lambda h: h["config"].update(patience=0)),
     "infinite max_decode_len": lambda p, src: _model_checkpoint_with(
         p, src, lambda h: h.update(max_decode_len=float("inf"))),
     "max_decode_len 0": lambda p, src: _model_checkpoint_with(
@@ -466,10 +467,15 @@ def test_mistyped_preset_value_exit_2(workdir, tmp_path, capsys, values):
     {**TINY_PRESET, "beta2": 1.0},
     {**TINY_PRESET, "eps": 0},
     {**TINY_PRESET, "weight_decay": float("inf")},
-], ids=["lr NaN", "lr -1", "beta1 2", "beta2 1", "eps 0", "weight_decay inf"])
+    {**TINY_PRESET, "patience": -3},
+    {**TINY_PRESET, "patience": 0},
+    {**TINY_PRESET, "warmup_epochs": -5},
+], ids=["lr NaN", "lr -1", "beta1 2", "beta2 1", "eps 0", "weight_decay inf", "patience -3",
+        "patience 0", "warmup_epochs -5"])
 def test_bad_optimizer_setting_exit_2(workdir, tmp_path, capsys, values):
-    """An optimizer setting Adam cannot use is refused before training, and no checkpoint
-    is written."""
+    """An optimizer setting Adam cannot use, a patience below 1 or a negative warmup is
+    refused before training, and no checkpoint is written.  Patience 0 used to act as 1,
+    and a negative warmup as none."""
     preset = tmp_path / "optimizer.json"
     preset.write_text(json.dumps(values), encoding="utf-8")
     out = tmp_path / "x.ckpt"
@@ -477,6 +483,26 @@ def test_bad_optimizer_setting_exit_2(workdir, tmp_path, capsys, values):
                  "--out", str(out)]) == 2
     assert "configuration error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_train_split_without_a_protoform_exit_1(workdir, tmp_path, capsys):
+    """A train split none of whose sets has a protoform holds no training example: both
+    train commands exit 1 naming the missing protoforms, and write no checkpoint.  They used
+    to run every epoch with no batch and save the untrained model."""
+    ds, _ = generate_family(n_sets=5, n_daughters=3, seed=8)
+    tags = ("train", "train", "train", "val", "test")
+    data, split, out = tmp_path / "data.tsv", tmp_path / "split.tsv", tmp_path / "x.ckpt"
+    data.write_text(serialize_dataset(dataclasses.replace(ds, sets=tuple(
+        dataclasses.replace(cs, protoform=None) if tag == "train" else cs
+        for cs, tag in zip(ds.sets, tags)))), encoding="utf-8")
+    split.write_text("".join(f"{cs.id}\t{tag}\n" for cs, tag in zip(ds.sets, tags)),
+                     encoding="utf-8")
+    for kind in ("recon", "reflex"):
+        assert main([f"train-{kind}", "--dataset", str(data), "--split", str(split),
+                     "--preset", str(workdir / "preset.json"), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "has a protoform" in captured.err
+        assert captured.out == "" and not out.exists()
 
 
 def test_config_from_dict_accepts_ints_for_float_fields():
@@ -530,6 +556,30 @@ def test_bad_settings_exit_2_before_any_work(workdir, tmp_path, capsys, argv):
     assert "Traceback" not in captured.err + captured.out
     assert captured.out == ""
     assert not list(tmp_path.iterdir())  # no seed*/recon.ckpt, no table, no split
+
+
+@pytest.mark.parametrize("argv", [
+    ["decode", "--beam-size", "0"],
+    ["rerank", "--beam-size", "0"],
+    ["rerank", "--lambda", "nan"],
+    ["analyze", "--beam-size", "0"],
+    ["analyze", "--lambda", "-1"],
+], ids=" ".join)
+def test_bad_settings_exit_2_on_a_dataset_with_no_rows(workdir, tmp_path, capsys, argv):
+    """The library checks k before the first beam batch and lambda when rerank_sets is
+    called: with no set to decode, a bad one still exits 2 and nothing is written."""
+    command, *flags = argv
+    data = tmp_path / "header.tsv"
+    data.write_text((workdir / "data.tsv").read_text(encoding="utf-8").splitlines()[0] + "\n",
+                    encoding="utf-8")
+    checkpoints = (["--checkpoint", str(workdir / "recon.ckpt")] if command == "decode" else
+                   ["--recon-checkpoint", str(workdir / "recon.ckpt"),
+                    "--reflex-checkpoint", str(workdir / "reflex.ckpt")])
+    assert main([command, "--dataset", str(data), *checkpoints, *flags,
+                 "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error:") and captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["header.tsv"]
 
 
 def _unk_renamed(header):

@@ -74,7 +74,7 @@ def test_fixture_rerank_matches_oracle(fixture_models):
     recon, reflex = fixture_models
     config = recon.beam_config(BEAM_K)
     sets = _new_sets()
-    got = list(scored_beams(recon, reflex, sets, config))
+    got = list(scored_beams(recon, reflex, sets, BEAM_K))
     assert len(got) == N_SETS
     r_seen = []
     for cset, (got_cset, beam, r_values, predictions) in zip(sets, got):
@@ -110,7 +110,7 @@ def test_fixture_reflex_states_equal_stepping_every_row(fixture_models, monkeypa
     calls = []
     monkeypatch.setattr(models.ReflexModel, "greedy_decode_rows",
                         lambda self, rows: calls.append(rows) or [[] for _ in rows])
-    for _ in scored_beams(recon, reflex, _infer_sets(3).sets, recon.beam_config(BEAM_K)):
+    for _ in scored_beams(recon, reflex, _infer_sets(3).sets, BEAM_K):
         pass
     step = models.DECODE_CHUNK
     chunks = [rows[i : i + step] for rows in calls for i in range(0, len(rows), step)]
@@ -142,8 +142,7 @@ def test_reflex_encoder_steps_each_distinct_state_once(fixture_models, monkeypat
     score_candidates call equal the distinct-state count, under 35% of the padded cells."""
     recon, reflex = fixture_models
     items = [([c.tokens for c in beam], cset)
-             for batch, beams in recon.beam_search_sets(_infer_sets(3).sets[:36],
-                                                        recon.beam_config(BEAM_K))
+             for batch, beams in recon.beam_search_sets(_infer_sets(3).sets[:36], BEAM_K)
              for cset, beam in zip(batch, beams)]
     stepped, inside = [], []
     encode_np, gru_cell_np = models.ReflexModel.encode_np, ad.gru_cell_np

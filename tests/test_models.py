@@ -1,5 +1,6 @@
 """Model gradient checks, decoding consistency, training, and checkpoints."""
 
+import dataclasses
 import inspect
 
 import numpy as np
@@ -187,6 +188,24 @@ def test_train_requires_split(tiny_dataset, tiny_vocab):
 
 def _tiny_config(kind, **overrides):
     return (tiny_recon_config if kind == "recon" else tiny_reflex_config)(**overrides)
+
+
+@pytest.mark.parametrize("kind", ["recon", "reflex"])
+def test_train_skips_train_sets_without_a_protoform(tiny_split, monkeypatch, kind):
+    """A train set without a protoform has no example: at batch size 1 it is a whole batch
+    with none, which takes no step, and the sets that have one still train."""
+    dataset = dataclasses.replace(tiny_split, sets=tuple(
+        dataclasses.replace(cs, protoform=None) if cs.id in ("w1", "w3") else cs
+        for cs in tiny_split.sets))  # w2 and w4 are the train sets left with a protoform
+    steps, step = [], ad.Adam.step
+    monkeypatch.setattr(ad.Adam, "step", lambda opt, **kw: steps.append(kw) or step(opt, **kw))
+    model = models.new_model(kind, _tiny_config(kind, batch_size=1, max_epochs=3),
+                             build_vocabulary(tiny_split))
+    before = model.snapshot()
+    models.train(model, dataset)
+    assert len(steps) == 3 * 2
+    assert all(np.isfinite(loss) and loss > 0 for _, loss in model.history.epoch_losses)
+    assert any(not np.array_equal(before[k], p.data) for k, p in model.params.items())
 
 
 @pytest.mark.parametrize("kind", ["recon", "reflex"])

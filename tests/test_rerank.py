@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from protorecon import decode as dec
 from protorecon import models
 from protorecon.corpus import build_vocabulary
-from protorecon.decode import BeamConfig, Candidate
+from protorecon.decode import Candidate
 from protorecon.errors import CheckpointError, ConfigError, ProtoreconError
 from protorecon.experiment import grid_search
 from protorecon.rerank import (
@@ -14,6 +15,7 @@ from protorecon.rerank import (
     reflex_accuracy,
     format_rerank_tsv,
     rerank,
+    rerank_sets,
     scored_beams,
 )
 from protorecon.synthetic import generate_family
@@ -71,11 +73,44 @@ def test_rerank_config_validation(tiny_dataset, tiny_vocab):
     """A lambda that is negative or not finite is refused before any decode."""
     recon = models.ReconModel(tiny_recon_config(), tiny_vocab)
     reflex = models.ReflexModel(tiny_reflex_config(), tiny_vocab)
-    cs, cfg = tiny_dataset.sets[0], BeamConfig(k=2, alpha=1.0, max_len=4)
+    cs = tiny_dataset.sets[0]
+    recon.max_decode_len = 4
     for bad in (-0.5, float("nan"), float("inf")):
         with pytest.raises(ConfigError):
-            reconstruct_reranked(recon, reflex, cs, cfg, bad)
-    reconstruct_reranked(recon, reflex, cs, cfg, 0.0)  # boundary allowed
+            reconstruct_reranked(recon, reflex, cs, 2, bad)
+    reconstruct_reranked(recon, reflex, cs, 2, 0.0)  # boundary allowed
+
+
+def test_library_decodes_under_the_recon_models_own_settings(tiny_dataset, tiny_vocab,
+                                                            monkeypatch):
+    """The four library calls take the beam size k; alpha and the longest candidate are the
+    recon model's.  A bad k is refused before any beam search, with no sets too: at the
+    call, or at a generator's first next."""
+    recon = models.ReconModel(tiny_recon_config(alpha=0.5), tiny_vocab)
+    recon.params["clf.b2"].data[tiny_vocab.eos_id] -= 3.0  # long candidates, so the cap binds
+    recon.max_decode_len = 3
+    reflex = models.ReflexModel(tiny_reflex_config(), tiny_vocab)
+    csets = list(tiny_dataset.sets)
+    beams = [beam for _, batch_beams in recon.beam_search_sets(csets, 4) for beam in batch_beams]
+    beams += [beam for _, beam, _, _ in scored_beams(recon, reflex, csets, 4)]
+    beams += [beam for _, beam, _, _ in rerank_sets(recon, reflex, csets, 4, 1.0)]
+    beams += [reconstruct_reranked(recon, reflex, cs, 4, 1.0)[2] for cs in csets]
+    assert len(beams) == 4 * len(csets) and all(1 <= len(beam) <= 4 for beam in beams)
+    candidates = [cand for beam in beams for cand in beam]
+    assert all(c.length <= 4 and c.m == c.raw_logp / c.length ** 0.5 for c in candidates)
+    assert any(c.length == 4 for c in candidates)
+
+    def no_search(*_args, **_kwargs):
+        raise AssertionError("beam search ran at a bad beam size")
+
+    monkeypatch.setattr(dec, "beam_search_batch", no_search)
+    for sets in (csets, []):
+        for results in (recon.beam_search_sets(sets, 0), scored_beams(recon, reflex, sets, 0),
+                        rerank_sets(recon, reflex, sets, 0, 1.0)):
+            with pytest.raises(ConfigError, match="beam size"):
+                next(results)
+    with pytest.raises(ConfigError, match="beam size"):
+        reconstruct_reranked(recon, reflex, csets[0], 0, 1.0)
 
 
 def test_reflex_accuracy_counts_exact_matches(tiny_dataset, tiny_vocab):
@@ -112,9 +147,9 @@ def test_reconstruct_reranked_scores_empty_beam_candidate(tiny_dataset, tiny_voc
     recon = models.ReconModel(tiny_recon_config(), tiny_vocab)
     recon.params["clf.b2"].data[tiny_vocab.eos_id] += 5.0
     reflex = models.ReflexModel(tiny_reflex_config(), tiny_vocab)
-    cfg = BeamConfig(k=3, alpha=1.0, max_len=6)
+    recon.max_decode_len = 6
     for cs in tiny_dataset.sets:
-        top, reranked, beam, preds = reconstruct_reranked(recon, reflex, cs, cfg, 1.0)
+        top, reranked, beam, preds = reconstruct_reranked(recon, reflex, cs, 3, 1.0)
         assert beam[0].tokens == ()
         empty = next(rc for rc in reranked if rc.beam_rank == 0)
         assert empty.r == 0.0 and empty.s == empty.m
@@ -142,8 +177,8 @@ def test_reconstruct_reranked_pipeline(tiny_split):
     recon = models.train(models.ReconModel(tiny_recon_config(), vocab), tiny_split)
     reflex = models.train(models.ReflexModel(tiny_reflex_config(), vocab), tiny_split)
     cs = tiny_split.sets[0]
-    cfg = BeamConfig(k=4, alpha=1.0, max_len=8)
-    top, reranked, beam, preds = reconstruct_reranked(recon, reflex, cs, cfg, 1.0)
+    recon.max_decode_len = 8
+    top, reranked, beam, preds = reconstruct_reranked(recon, reflex, cs, 4, 1.0)
     assert 1 <= len(beam) <= 4
     assert len(reranked) == len(beam)
     assert top == reranked[0]
@@ -175,11 +210,11 @@ def test_library_rejects_models_of_different_vocabularies(tiny_split, tiny_vocab
     recon = models.ReconModel(tiny_recon_config(), tiny_vocab)
     other, _ = generate_family(n_sets=10, n_daughters=2, seed=1)
     reflex = models.ReflexModel(tiny_reflex_config(), build_vocabulary(other))
-    cfg = BeamConfig(k=3, alpha=1.0, max_len=6)
+    recon.max_decode_len = 6
     cs = tiny_split.sets[0]
     with pytest.raises(CheckpointError, match="different vocabularies"):
-        next(scored_beams(recon, reflex, [cs], cfg))
+        next(scored_beams(recon, reflex, [cs], 3))
     with pytest.raises(CheckpointError, match="different vocabularies"):
-        reconstruct_reranked(recon, reflex, cs, cfg, 1.0)
+        reconstruct_reranked(recon, reflex, cs, 3, 1.0)
     with pytest.raises(CheckpointError, match="different vocabularies"):
         grid_search(recon, reflex, tiny_split, k_range=(2,), lambda_range=(1.0,))
