@@ -341,8 +341,9 @@ def _gru_forward(x, h, W, U_zr, U_h, b, mask, out=None):
 MIN_STEP_ROWS = 8  # no off-tape step with ids runs on fewer rows; see _gru_shared
 
 
-def _gru_shared(X, h0, raw, mask, ids, order, states):
-    """gru_sequence's off-tape states, written into states, each distinct one stepped once.
+def _gru_shared(X, h0, raw, mask, ids, order, states=None):
+    """gru_sequence's off-tape states, each distinct one stepped once: the last step's returned,
+    and each step's written into states when it is given.
 
     Every row starts from the same h0 row (DimensionError otherwise), so rows
     share a state while they stepped the same ids; a masked step (mask 0)
@@ -377,40 +378,47 @@ def _gru_shared(X, h0, raw, mask, ids, order, states):
         if len(reps) < MIN_STEP_ROWS:
             reps = np.concatenate([reps, np.full(MIN_STEP_ROWS - len(reps), reps[0])])
         new = gru_cell_np(X[t, reps], h[reps], raw)
-        h = np.take(np.concatenate([h, new]), src[i], axis=0, out=states[t])
+        h = np.take(np.concatenate([h, new]), src[i], axis=0,
+                    out=None if states is None else states[t])
+    return h
 
 
-def gru_sequence(X: Tensor, h0: Tensor, gates, mask=None, reverse=False, ids=None) -> Tensor:
-    """A GRU over a whole batch of sequences: states (T, B, H) of X (T, B, D).
+def gru_sequence(X: Tensor, h0: Tensor, gates, mask=None, reverse=False, ids=None,
+                 final=False) -> Tensor:
+    """A GRU over a whole batch of sequences: states (T, B, H) of X (T, B, D), or with final
+    only the state after the last step, (B, H).
 
     states[t] is the state after step t (_gru_forward); reverse runs the
     steps from T - 1 down to 0, as the backward direction of an encoder
-    does.  A row whose mask (T, B) of 0s and 1s is 0 at a step keeps its
-    state there.  Off the tape nothing is kept for a backward, and the steps
-    run one at a time through gru_cell_np, each with its own x @ W.  Given
-    ids, the (T, B) non-negative ids that X embeds (rows equal in ids at a
-    step are equal in X), and one h0 row for every row, each distinct state
-    is stepped once (_gru_shared), and each step must step some row; without
-    them, every row at every step, writing into states[t].  On the tape ids
-    are not read, and it is one node: the input projection X @ W
-    is one GEMM over all steps (Appleyard, Kocisky & Blunsom 2016,
-    arXiv:1604.01946), and the backward is a BPTT loop over the steps, after
-    which dW, dU_zr, dU_h and dX are one GEMM each over the stacked steps.
+    does, so that its last step's state is states[0].  A row whose mask
+    (T, B) of 0s and 1s is 0 at a step keeps its state there.  Off the tape
+    nothing is kept for a backward (with final, only the running state), and
+    the steps run one at a time through gru_cell_np, each with its own x @ W.
+    Given ids, the (T, B) non-negative ids that X embeds (rows equal in ids
+    at a step are equal in X), and one h0 row for every row, each distinct
+    state is stepped once (_gru_shared), and each step must step some row;
+    without them, every row at every step.  On the tape ids are not read,
+    and it is one node (which final gathers the last step of): the input
+    projection X @ W is one GEMM over all steps (Appleyard, Kocisky & Blunsom
+    2016, arXiv:1604.01946), and the backward is a BPTT loop over the steps,
+    after which dW, dU_zr, dU_h and dX are one GEMM each over the stacked steps.
     """
     W, U_zr, U_h, b = gates
     T, B, D = X.data.shape
     H = h0.data.shape[1]
     order = range(T - 1, -1, -1) if reverse else range(T)
-    states = np.empty((T, B, H))
     h = h0.data
     if not _tracked(X, h0, *gates):
         raw = (W.data, U_zr.data, U_h.data, b.data)
+        states = None if final else np.empty((T, B, H))
         if ids is not None:
-            _gru_shared(X.data, h, raw, mask, np.asarray(ids), order, states)
-            return Tensor(states)
-        for t in order:
-            h = gru_cell_np(X.data[t], h, raw, None if mask is None else mask[t], states[t])
-        return Tensor(states)
+            h = _gru_shared(X.data, h, raw, mask, np.asarray(ids), order, states)
+        else:
+            for t in order:
+                h = gru_cell_np(X.data[t], h, raw, None if mask is None else mask[t],
+                                None if final else states[t])
+        return Tensor(h if final else states)
+    states = np.empty((T, B, H))
     A = (X.data.reshape(T * B, D) @ W.data).reshape(T, B, 3 * H)
     z, r, h_tilde = (np.empty((T, B, H)) for _ in range(3))
     for t in order:
@@ -462,7 +470,8 @@ def gru_sequence(X: Tensor, h0: Tensor, gates, mask=None, reverse=False, ids=Non
             grads.append((h0, dh))
         return grads
 
-    return Tensor(states, parents=(X, h0, *gates), backward_rule=rule)
+    out = Tensor(states, parents=(X, h0, *gates), backward_rule=rule)
+    return embedding(out, order[-1]) if final else out
 
 
 def gru_cell(x: Tensor, h_prev: Tensor, gates, mask=None) -> Tensor:

@@ -9,7 +9,9 @@ them on the parameters and builds a tape, and decoding (encode_np, and
 batch_decoder through the stepper interface in decode.py) runs them on an
 untracked view of the parameters, where the ops record nothing and
 ad.gru_sequence steps one position at a time, in the reflex encoder's first
-layer each distinct state once.
+layer each distinct state once, and keeps only the final state of each
+encoder's last layer.  A decode batch holds at most DECODE_CHUNK rows, and
+one encoder pass the inputs of one or more whole batches.
 """
 
 from __future__ import annotations
@@ -32,7 +34,9 @@ from .errors import CheckpointError, ConfigError, ProtoreconError, TrainingError
 from .metrics import token_edit_distance
 
 NEG = -1e30  # additive logit mask for ids the decoder must never emit
-DECODE_CHUNK = 128  # rows per decode batch (greedy rows, or beam sets times k); bounds peak memory
+# rows per decode batch (greedy rows, or beam sets times k), bounding its memory; an encoder pass
+# encodes the inputs of one or more whole batches (see encode_pass_chunks and beam_search_sets)
+DECODE_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -224,11 +228,6 @@ def _concat(parts):
     return ad.concat(parts, axis=-1) if len(parts) > 1 else parts[0]
 
 
-def _final_state(states, reverse=False):
-    """The state of a (T, B, H) GRU run after its last step: row T - 1, or 0 in reverse."""
-    return ad.embedding(states, 0 if reverse else len(states.data) - 1)
-
-
 def _pad_batch(seqs, pad_id):
     """Right-padded, time-major (T, B) int64 ids and float64 mask (1 on real tokens) of id
     lists, filled by one scatter of their concatenation."""
@@ -251,6 +250,8 @@ class _ModelBase:
     """
 
     kind = ""
+    # decode batches per greedy_decode_rows encoder pass: 1 where an input is a whole cognate set
+    encode_pass_chunks = 1
 
     def __init__(self, config, vocab: Vocabulary):
         _keep_freed_memory()
@@ -366,16 +367,27 @@ class _ModelBase:
     def batch_decoder(self, inputs) -> _GruStepper:
         """Stepper whose init_state(len(inputs)) row i decodes the input id list inputs[i]
         (a reflex input into the language of its leading tag); see _GruStepper."""
-        lang = self._target_languages(inputs)
-        return _GruStepper(self, self._untracked_params(), self.encode_np(inputs), lang)
+        lang, p = self._target_languages(inputs), self._untracked_params()
+        return _GruStepper(self, p, self.encode_np(inputs, p), lang)
+
+    def _pass_steppers(self, p, inputs, lang, batch):
+        """(stepper, rows) of each consecutive batch rows of inputs, whose target languages
+        are lang, after one encode_np pass over them all on the untracked parameters p."""
+        h = self.encode_np(inputs, p)
+        for start in range(0, len(h), batch):
+            h0 = h[start : start + batch]
+            yield _GruStepper(self, p, h0, lang[start : start + batch]), len(h0)
 
     def greedy_decode_rows(self, rows) -> list[list[int]]:
-        """Greedy decodes of input id lists to max_decode_len, DECODE_CHUNK rows per batch."""
-        out = []
-        for start in range(0, len(rows), DECODE_CHUNK):
-            chunk = rows[start : start + DECODE_CHUNK]
-            out += dec.greedy_decode_batch(self.batch_decoder(chunk), len(chunk),
-                                           self.max_decode_len)
+        """Greedy decodes of input id lists to max_decode_len, in batches of DECODE_CHUNK rows
+        that each decode their slice of one encode_np pass over encode_pass_chunks batches.
+        Every row's target language is read first: a row without one is refused unencoded."""
+        p, lang, out = self._untracked_params(), self._target_languages(rows), []
+        size = self.encode_pass_chunks * DECODE_CHUNK
+        for start in range(0, len(rows), size):
+            part = slice(start, start + size)
+            for stepper, n in self._pass_steppers(p, rows[part], lang[part], DECODE_CHUNK):
+                out += dec.greedy_decode_batch(stepper, n, self.max_decode_len)
         return out
 
     # -- checkpointing --------------------------------------------------------
@@ -465,11 +477,10 @@ class ReconModel(_ModelBase):
         ids, mask = _pad_batch(inputs, self.vocab.pad_id)
         lang_ids = segment_language_indices(ids, self.vocab)
         h0 = Tensor(np.zeros((len(inputs), self.config.hidden_size)))
-        states = ad.gru_sequence(
+        return ad.gru_sequence(
             ad.dropout(ad.embeddings([(p["tok_emb"], ids), (p["lang_emb"], lang_ids)]), rate,
                        dropout_rng),
-            h0, _stacked_gates(p, "enc"), mask)
-        return _final_state(states)
+            h0, _stacked_gates(p, "enc"), mask, final=True)
 
     def _target_languages(self, inputs) -> np.ndarray:
         """0 for every input: the recon model has no target language."""
@@ -492,9 +503,10 @@ class ReconModel(_ModelBase):
 
     # -- inference ------------------------------------------------------------
 
-    def encode_np(self, inputs):
-        """Final encoder states (len(inputs), H) of SEP-framed id sequences, as an array."""
-        return self._encode(self._untracked_params(), inputs).data
+    def encode_np(self, inputs, p=None):
+        """Final encoder states (len(inputs), H) of SEP-framed id sequences, as an array, on
+        the untracked parameters p (made here if not given)."""
+        return self._encode(self._untracked_params() if p is None else p, inputs).data
 
     def decoder(self, input_ids) -> _GruStepper:
         return self.batch_decoder([input_ids])
@@ -510,15 +522,21 @@ class ReconModel(_ModelBase):
         The search runs under beam_config(k), which the first next resolves and
         checks before any batch, with no sets too.  A batch holds max(1,
         DECODE_CHUNK // k) sets, so that its frontier has at most DECODE_CHUNK
-        rows, and runs one beam_search_batch.  Yields (the batch's sets, their
-        candidate lists).
+        rows, and runs one beam_search_batch.  One encode_np pass encodes as
+        many whole batches as hold at most DECODE_CHUNK // 2 sets (at least
+        one), as a pass embeds each set's whole input at once.  Yields (the
+        batch's sets, their candidate lists).
         """
         config = self.beam_config(k)
         size = max(1, DECODE_CHUNK // k)
-        for start in range(0, len(csets), size):
-            batch = csets[start : start + size]
-            inputs = [assemble_reconstruction_input(cs, self.vocab) for cs in batch]
-            yield batch, dec.beam_search_batch(self.batch_decoder(inputs), len(batch), config)
+        per_pass = size * max(1, DECODE_CHUNK // 2 // size)
+        p = self._untracked_params()
+        for start in range(0, len(csets), per_pass):
+            sets = csets[start : start + per_pass]
+            inputs = [assemble_reconstruction_input(cs, self.vocab) for cs in sets]
+            steppers = self._pass_steppers(p, inputs, self._target_languages(inputs), size)
+            for i, (stepper, n) in enumerate(steppers):
+                yield sets[i * size : (i + 1) * size], dec.beam_search_batch(stepper, n, config)
 
 
 class ReflexModel(_ModelBase):
@@ -533,6 +551,7 @@ class ReflexModel(_ModelBase):
 
     kind = "reflex"
     config_class = ReflexModelConfig
+    encode_pass_chunks = 4  # short inputs: a larger pass shares more layer-0 states
 
     def _init_encoder(self, rng):
         """Draws the encoder GRUs, the bridge, and lang_emb if the decoder reads it; returns
@@ -580,9 +599,9 @@ class ReflexModel(_ModelBase):
             if layer:
                 seq = ad.dropout(_concat(runs), rate, dropout_rng)
             runs = [ad.gru_sequence(seq, h0, _stacked_gates(p, f"enc{layer}{d}"), mask, d == "b",
-                                    None if layer else ids) for d in dirs]
-        final = _concat([_final_state(states, d == "b") for states, d in zip(runs, dirs)])
-        return ad.tanh(ad.add(ad.matmul(final, p["bridge.W"]), p["bridge.b"]))
+                                    None if layer else ids,
+                                    final=layer == cfg.num_encoder_layers - 1) for d in dirs]
+        return ad.tanh(ad.add(ad.matmul(_concat(runs), p["bridge.W"]), p["bridge.b"]))
 
     def _conditioning(self, p, lang) -> _Conditioning:
         """Decoder-step conditioning of rows whose language indices are lang (any shape).
@@ -625,9 +644,10 @@ class ReflexModel(_ModelBase):
 
     # -- inference ------------------------------------------------------------
 
-    def encode_np(self, inputs):
-        """Bridged encoder states (len(inputs), H) of tagged protoforms, as an array."""
-        return self._encode(self._untracked_params(), inputs).data
+    def encode_np(self, inputs, p=None):
+        """Bridged encoder states (len(inputs), H) of tagged protoforms, as an array, on the
+        untracked parameters p (made here if not given)."""
+        return self._encode(self._untracked_params() if p is None else p, inputs).data
 
     def decoder(self, tagged_input_ids, language: str) -> _GruStepper:
         """batch_decoder of one input; language must be the one its tag names."""
@@ -669,7 +689,7 @@ def _keep_freed_memory():
     Called when a model is made, so that training and inference alike keep
     it.  By default glibc serves blocks above a dynamic threshold with mmap
     and returns freed heap tops to the kernel, so every batch's (and every
-    decode chunk's) multi-MB temporaries are faulted in afresh.  The mmap
+    encoder pass's) multi-MB temporaries are faulted in afresh.  The mmap
     threshold (64 MiB) sits above the largest per-batch array at the WikiHan
     presets, the (T~45, B=128, 1018) float64 encoder input of about 47 MB;
     the trim threshold (128 MiB) above two of them.  Setting either one

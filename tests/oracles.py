@@ -21,7 +21,8 @@ decode.beam_search ranks the whole frontier at once, and
 ``rerank_ranks_reference`` ranks candidates by s = m + lambda * r by
 counting, for each, the candidates that beat it, where rerank.rerank
 sorts.  ``padded_gru_sequence`` is ad.gru_sequence as it was before it
-stepped each distinct state once: every row at every step.  The library's
+stepped each distinct state once or kept only the final state: every row at
+every step, all the states kept.  The library's
 outputs and gradients must match these within rounding.
 ``exact_rank_sum_distribution`` enumerates the rank-sum distribution that
 stats.wilcoxon_rank_sum counts for its exact p-values, and ``midranks_loop``
@@ -338,9 +339,11 @@ def step_reflex_loss(model, examples, dropout_rng=None):
 GRU_SEQUENCE = ad.gru_sequence  # kept for padded_gru_sequence where a test replaces ad's
 
 
-def padded_gru_sequence(X, h0, gates, mask=None, reverse=False, ids=None):
-    """ad.gru_sequence as it was before it read ids: every row stepped at every step."""
-    return GRU_SEQUENCE(X, h0, gates, mask, reverse)
+def padded_gru_sequence(X, h0, gates, mask=None, reverse=False, ids=None, final=False):
+    """ad.gru_sequence as it was before it read ids or kept only the final state: every row
+    stepped at every step, and with final the last step's row gathered from all the states."""
+    states = GRU_SEQUENCE(X, h0, gates, mask, reverse)
+    return ad.embedding(states, 0 if reverse else len(states.data) - 1) if final else states
 
 
 def _gate_arrays(p, prefix):

@@ -4,6 +4,8 @@ mul, affine, sigmoid and narrow come from tests/oracles.py, since only the oracl
 them; their checks here keep the oracle GRU step honest.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -393,6 +395,72 @@ def test_untracked_gru_sequence_is_a_gru_cell_np_loop_bitwise(T, B, reverse, mas
         h = want[t] = ad.gru_cell_np(X[t].copy(), h, gates, None if mask is None else mask[t])
     assert np.array_equal(got.data, want)
     assert not got.parents and got.backward_rule is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 12), st.booleans(),
+       st.sampled_from(["tape", "no mask", "mask", "mask and ids"]), st.integers(0, 2**32 - 1))
+def test_final_state_is_the_last_step_of_the_full_run_bitwise(T, B, reverse, path, seed):
+    """gru_sequence(..., final=True) is the state after the last step of the same run with
+    every state kept, bit for bit: row T - 1, or row 0 in reverse.  Off the tape with no
+    mask, a mask, or a right-padding mask and the ids that X embeds from one h0 row; on the
+    tape the gradients of every input are bitwise equal too."""
+    rng = np.random.default_rng(seed)
+    params = _gru_params(rng, 3, 8, scale=0.7)
+    ids = rng.integers(0, 3, size=(T, B))
+    X = rng.normal(size=(3, 3))[ids] if path == "mask and ids" else rng.normal(size=(T, B, 3))
+    h0 = np.tile(rng.normal(size=8), (B, 1)) if path == "mask and ids" else rng.normal(size=(B, 8))
+    mask = None if path == "no mask" else (rng.random((T, B)) < 0.7).astype(float)
+    if path == "mask and ids":  # right-padding, so that every step steps some row
+        lengths = rng.integers(1, T + 1, size=B)
+        lengths[0] = T
+        mask = (np.arange(T)[:, None] < lengths).astype(float)
+    tape = path == "tape"
+    last = 0 if reverse else T - 1
+    upstream = Tensor(rng.normal(size=(8, 1)))
+
+    def run(final):
+        leaves = ([ad.parameter(X, "X"), ad.parameter(h0, "h0")] if tape
+                  else [Tensor(X), Tensor(h0)])
+        gates = stack_gates(params) if tape else tuple(Tensor(g.data) for g in stack_gates(params))
+        out = ad.gru_sequence(*leaves, gates, mask, reverse,
+                              ids if path == "mask and ids" else None, final=final)
+        h = out if final else ad.embedding(out, last)
+        if not tape:
+            assert not out.parents and out.backward_rule is None
+            return h.data, []
+        for p in list(params.values()):
+            p.zero_grad()
+        _sum(ad.matmul(ad.tanh(h), upstream)).backward()
+        return h.data, [p.grad.copy() for p in leaves + list(params.values())]
+
+    (got, got_grads), (want, want_grads) = run(True), run(False)
+    assert got.shape == (B, 8)
+    assert got.tobytes() == want.tobytes()
+    assert len(got_grads) == len(want_grads) == (11 if tape else 0)
+    for got_grad, want_grad in zip(got_grads, want_grads):
+        assert got_grad.tobytes() == want_grad.tobytes()
+
+
+@pytest.mark.parametrize("ids", [False, True])
+def test_final_state_off_the_tape_keeps_no_states_array(ids):
+    """One off-tape final-state pass at T = 50, B = 512, H = 64 peaks below the 13.1 MB of
+    one (T, B, H) float64 array of states."""
+    T, B, H = 50, 512, 64
+    rng = np.random.default_rng(3)
+    gates = tuple(Tensor(g.data) for g in stack_gates(_gru_params(rng, 8, H, scale=0.3)))
+    row_ids = rng.integers(0, 4, size=(T, B))
+    X = Tensor(rng.normal(size=(4, 8))[row_ids])
+    mask = (np.arange(T)[:, None] < rng.integers(1, T + 1, size=B)).astype(float)
+    h0 = Tensor(np.zeros((B, H)))
+    tracemalloc.start()
+    try:
+        h = ad.gru_sequence(X, h0, gates, mask, ids=row_ids if ids else None, final=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h.data.shape == (B, H)
+    assert peak < T * B * H * 8
 
 
 def test_backward_requires_scalar():

@@ -21,6 +21,7 @@ from protorecon.corpus import (
     assemble_reflex_input,
     build_vocabulary,
 )
+from protorecon.errors import ConfigError
 from protorecon.rerank import (
     ReflexCache,
     reconstruct_reranked,
@@ -121,6 +122,96 @@ def test_decode_rows_split_into_chunks(family, monkeypatch):
     monkeypatch.setattr(models, "DECODE_CHUNK", 4)
     assert model.greedy_decode_rows(rows) == whole
     assert model.greedy_decode_rows([]) == []
+
+
+def _record_encode_passes(monkeypatch, cls):
+    """The list that each cls.encode_np call appends its (inputs, encoded rows) to."""
+    passes, encode_np = [], cls.encode_np
+
+    def recording(self, inputs, p=None):
+        passes.append((list(inputs), encode_np(self, inputs, p)))
+        return passes[-1][1]
+
+    monkeypatch.setattr(cls, "encode_np", recording)
+    return passes
+
+
+def _record_batches(monkeypatch, name):
+    """The list that each dec.<name> call appends its (stepper's h0 rows, results) to."""
+    batches, decode = [], getattr(dec, name)
+
+    def recording(stepper, n_rows, *args):
+        batches.append((stepper.init_state(n_rows)[0], decode(stepper, n_rows, *args)))
+        return batches[-1][1]
+
+    monkeypatch.setattr(dec, name, recording)
+    return batches
+
+
+def test_greedy_rows_encode_once_per_pass_and_decode_the_parents_batches(family, monkeypatch):
+    """A pass encodes the rows of encode_pass_chunks decode batches; each batch of
+    DECODE_CHUNK consecutive rows decodes from its slice of the pass's states, to the tokens
+    that encoding and decoding that batch alone gives."""
+    dataset, vocab = family
+    model = _randomize(models.ReflexModel(tiny_reflex_config(), vocab), 7)
+    model.max_decode_len = 6
+    rows = [ids for ids, _ in _reflex_rows(dataset, vocab, 37, 5)]
+    monkeypatch.setattr(models, "DECODE_CHUNK", 4)
+    batch_alone = [dec.greedy_decode_batch(model.batch_decoder(rows[i : i + 4]),
+                                           len(rows[i : i + 4]), 6) for i in range(0, 37, 4)]
+    passes = _record_encode_passes(monkeypatch, models.ReflexModel)
+    batches = _record_batches(monkeypatch, "greedy_decode_batch")
+    assert model.encode_pass_chunks == 4
+    got = model.greedy_decode_rows(rows)
+    assert [inputs for inputs, _ in passes] == [rows[i : i + 16] for i in range(0, 37, 16)]
+    slices = [(h, i) for _, h in passes for i in range(0, len(h), 4)]
+    assert len(batches) == len(slices) == len(batch_alone) == 10
+    for (h0, tokens), (h, i), want in zip(batches, slices, batch_alone):
+        assert np.shares_memory(h0, h) and np.array_equal(h0, h[i : i + 4])
+        assert tokens == want
+    assert got == [row for tokens in batch_alone for row in tokens]
+
+
+def test_beam_sets_encode_whole_batches_per_pass(family, recon_beams, monkeypatch):
+    """A beam batch holds DECODE_CHUNK // k sets, as before passes; a pass encodes as many
+    whole batches as hold at most DECODE_CHUNK // 2 sets, and each batch searches from its
+    slice of the pass's states to the beams that encoding that batch alone gives."""
+    dataset, _ = family
+    recon, k, _ = recon_beams
+    monkeypatch.setattr(models, "DECODE_CHUNK", 16)  # 3 sets per batch, 2 batches per pass
+    config, sets = recon.beam_config(k), dataset.sets
+    batch_alone = [dec.beam_search_batch(recon.batch_decoder(
+        [assemble_reconstruction_input(cs, recon.vocab) for cs in sets[i : i + 3]]),
+        len(sets[i : i + 3]), config) for i in range(0, len(sets), 3)]
+    passes = _record_encode_passes(monkeypatch, models.ReconModel)
+    batches = _record_batches(monkeypatch, "beam_search_batch")
+    got = list(recon.beam_search_sets(sets, k))
+    assert len(sets) == 16
+    assert [len(inputs) for inputs, _ in passes] == [6, 6, 4]
+    assert [batch for batch, _ in got] == [sets[i : i + 3] for i in range(0, 16, 3)]
+    slices = [(h, i) for _, h in passes for i in range(0, len(h), 3)]
+    assert len(batches) == len(slices) == len(batch_alone) == 6
+    for (h0, beams), (h, i), want, (_, yielded) in zip(batches, slices, batch_alone, got):
+        assert np.shares_memory(h0, h) and np.array_equal(h0, h[i : i + 3])
+        assert beams is yielded
+        assert [[(c.tokens, c.length) for c in beam] for beam in beams] == \
+            [[(c.tokens, c.length) for c in beam] for beam in want]
+        assert [c.m for beam in beams for c in beam] == \
+            pytest.approx([c.m for beam in want for c in beam], abs=1e-9)
+
+
+def test_no_rows_and_no_sets_run_no_encoder_pass(family, recon_beams, monkeypatch):
+    _, vocab = family
+    recon, k, _ = recon_beams
+    reflex = models.ReflexModel(tiny_reflex_config(), vocab)
+    recon_passes = _record_encode_passes(monkeypatch, models.ReconModel)
+    reflex_passes = _record_encode_passes(monkeypatch, models.ReflexModel)
+    assert reflex.greedy_decode_rows([]) == recon.greedy_decode_rows([]) == []
+    assert list(recon.beam_search_sets([], k)) == []
+    assert recon_passes == reflex_passes == []
+    no_sets = recon.beam_search_sets([], 0)  # k is checked at the first next, with no sets too
+    with pytest.raises(ConfigError):
+        next(no_sets)
 
 
 @pytest.mark.parametrize("name", ["one-hot", "all"])

@@ -102,17 +102,18 @@ def _infer_sets(seed):
 
 
 def test_fixture_reflex_states_equal_stepping_every_row(fixture_models, monkeypatch):
-    """Each DECODE_CHUNK chunk of the uncached reflex rows of a rerank of the infer sets of
-    seed 3 encodes, stepping each distinct state once, to the states that stepping every
-    row gives, bit for bit: the fixture's H = 64 makes every gate width a multiple of 8.
-    The rows are recorded without decoding them, as only their keys decide the cache."""
+    """Each encoder pass of the uncached reflex rows of a rerank of the infer sets of seed 3
+    encodes, stepping each distinct state once and keeping only the final states, to the
+    final states that stepping every row gives, bit for bit: the fixture's H = 64 makes
+    every gate width a multiple of 8.  The rows are recorded without decoding them, as only
+    their keys decide the cache."""
     recon, reflex = fixture_models
     calls = []
     monkeypatch.setattr(models.ReflexModel, "greedy_decode_rows",
                         lambda self, rows: calls.append(rows) or [[] for _ in rows])
     for _ in scored_beams(recon, reflex, _infer_sets(3).sets, BEAM_K):
         pass
-    step = models.DECODE_CHUNK
+    step = _reflex_pass_rows()
     chunks = [rows[i : i + step] for rows in calls for i in range(0, len(rows), step)]
     assert sum(map(len, chunks)) > 4000
     shared = [reflex.encode_np(chunk) for chunk in chunks]
@@ -121,13 +122,18 @@ def test_fixture_reflex_states_equal_stepping_every_row(fixture_models, monkeypa
                                               for chunk in chunks]
 
 
+def _reflex_pass_rows():
+    """The most rows that greedy_decode_rows encodes in one reflex encoder pass."""
+    return models.ReflexModel.encode_pass_chunks * models.DECODE_CHUNK
+
+
 def _distinct_states(rows):
-    """(distinct encoder states of rows, padded cells): per DECODE_CHUNK chunk and level t,
-    the distinct prefixes rows[:t + 1] plus the distinct suffixes rows[t:] of the rows
-    longer than t, each at least 8; the padded cells are 2 * T * B per chunk."""
+    """(distinct encoder states of rows, padded cells): per encoder pass and level t, the
+    distinct prefixes rows[:t + 1] plus the distinct suffixes rows[t:] of the rows longer
+    than t, each at least 8; the padded cells are 2 * T * B per pass."""
     states = cells = 0
-    for start in range(0, len(rows), models.DECODE_CHUNK):
-        chunk = rows[start : start + models.DECODE_CHUNK]
+    for start in range(0, len(rows), _reflex_pass_rows()):
+        chunk = rows[start : start + _reflex_pass_rows()]
         T = max(map(len, chunk))
         cells += 2 * T * len(chunk)
         for t in range(T):
@@ -139,7 +145,7 @@ def _distinct_states(rows):
 
 def test_reflex_encoder_steps_each_distinct_state_once(fixture_models, monkeypatch):
     """The rows that gru_cell_np steps inside ReflexModel.encode_np during one
-    score_candidates call equal the distinct-state count, under 35% of the padded cells."""
+    score_candidates call equal the distinct-state count, under 28% of the padded cells."""
     recon, reflex = fixture_models
     items = [([c.tokens for c in beam], cset)
              for batch, beams in recon.beam_search_sets(_infer_sets(3).sets[:36], BEAM_K)
@@ -147,10 +153,10 @@ def test_reflex_encoder_steps_each_distinct_state_once(fixture_models, monkeypat
     stepped, inside = [], []
     encode_np, gru_cell_np = models.ReflexModel.encode_np, ad.gru_cell_np
 
-    def counting_encode_np(self, inputs):
+    def counting_encode_np(self, inputs, p=None):
         inside.append(True)
         try:
-            return encode_np(self, inputs)
+            return encode_np(self, inputs, p)
         finally:
             inside.pop()
 
@@ -166,9 +172,9 @@ def test_reflex_encoder_steps_each_distinct_state_once(fixture_models, monkeypat
                          for tokens in candidates if tokens for language in cset.reflexes)
     rows = [[reflex.vocab.language_tag_id(language), *tokens] for tokens, language in keys]
     states, cells = _distinct_states(rows)
-    assert len(rows) > 3 * models.DECODE_CHUNK
+    assert len(rows) > 2 * _reflex_pass_rows()
     assert sum(stepped) == states
-    assert states < 0.35 * cells
+    assert states < 0.28 * cells
 
 
 # -- the rerank and analyze commands against the oracle ------------------------------
