@@ -20,15 +20,10 @@ from .corpus import (
     read_text,
     serialize_dataset,
     serialize_split_tags,
+    split_lines,
     write_text,
 )
-from .errors import (
-    CheckpointError,
-    ConfigError,
-    ProtoreconError,
-    SchemaError,
-    VocabularyError,
-)
+from .errors import CheckpointError, ConfigError, ProtoreconError, SchemaError, VocabularyError
 from .experiment import (
     DEFAULT_K_RANGE,
     DEFAULT_LAMBDA_RANGE,
@@ -127,7 +122,7 @@ def _parse_predictions(text):
     RERANK_SUMMARY_HEADER on the first row, then the tokens in column 2 of 3.
     An id given twice is a SchemaError.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    lines = [ln for ln in split_lines(text) if ln.strip() and not ln.startswith("#")]
     width = 2
     if lines and lines[0].split("\t") == RERANK_SUMMARY_HEADER:
         lines, width = lines[1:], 3
@@ -240,7 +235,7 @@ def cmd_gridsearch(args):
 def _read_column(path):
     """The last tab-separated cell of each non-comment line of path, as finite numbers."""
     values = []
-    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(read_text(path)), start=1):
         line = line.strip()
         if line and not line.startswith("#"):
             try:

@@ -1,5 +1,5 @@
 """Cognate-set datasets: TSV ingestion, vocabularies, model-input assembly, and
-the one text-file reader and writer of the package.
+the one text-file reader, line splitter and writer of the package.
 
 A dataset is a UTF-8 TSV whose header row names the protoform column first
 and one daughter language per remaining column.  An optional leading ``id``
@@ -27,7 +27,8 @@ SPLIT_TAGS = ("train", "val", "test")
 
 @dataclass(frozen=True)
 class CognateSet:
-    """One protoform (optional) plus per-language reflex token sequences."""
+    """One protoform (optional) plus per-language reflex token sequences.  A token is a
+    non-empty string, neither SEP nor DELIM, with no whitespace (str.isspace)."""
 
     id: str
     protoform: tuple[str, ...] | None
@@ -36,12 +37,12 @@ class CognateSet:
     def __post_init__(self):
         if not self.reflexes:
             raise SchemaError(f"cognate set {self.id!r} has no reflexes")
-        for seq in list(self.reflexes.values()) + (
-            [self.protoform] if self.protoform is not None else []
-        ):
+        for seq in (*self.reflexes.values(), self.protoform or ()):
             for tok in seq:
                 if not tok:
                     raise SchemaError(f"empty token in cognate set {self.id!r}")
+                if any(c.isspace() for c in tok):  # writers join tokens with " "
+                    raise SchemaError(f"token {tok!r} with whitespace in cognate set {self.id!r}")
                 if tok in (SEP, DELIM):
                     raise SchemaError(
                         f"structural character {tok!r} inside cognate set {self.id!r}"
@@ -203,7 +204,7 @@ def parse_dataset(tsv_text: str, tokenize: str = "whitespace") -> Dataset:
     ``id``, in which case the second column is the protoform column); the
     remaining columns name the daughter languages.  CRLF line ends read as LF.
     """
-    lines = tsv_text.replace("\r\n", "\n").split("\n")
+    lines = split_lines(tsv_text)
     if lines and lines[-1] == "":
         lines = lines[:-1]
     if not lines:
@@ -311,7 +312,7 @@ def split_dataset(
 def parse_split_file(tsv_text: str) -> dict[str, str]:
     """Two-column TSV (id, split tag) supplied externally; CRLF line ends read as LF."""
     tags = {}
-    for lineno, line in enumerate(tsv_text.replace("\r\n", "\n").split("\n"), start=1):
+    for lineno, line in enumerate(split_lines(tsv_text), start=1):
         if not line:
             continue
         cells = line.split("\t")
@@ -338,6 +339,11 @@ def apply_split_tags(dataset: Dataset, tags: dict[str, str]) -> Dataset:
 
 def serialize_split_tags(tags: dict[str, str]) -> str:
     return "".join(f"{k}\t{v}\n" for k, v in tags.items())
+
+
+def split_lines(text: str) -> list[str]:
+    """The lines of text, split at LF only: the line splitter of every reader.  CRLF reads as LF."""
+    return text.replace("\r\n", "\n").split("\n")
 
 
 def read_text(path) -> str:

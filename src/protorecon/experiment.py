@@ -13,7 +13,7 @@ import numpy as np
 from . import decode as dec
 from . import models
 from .corpus import Dataset, build_vocabulary, read_dataset, write_text
-from .errors import ConfigError, ProtoreconError
+from .errors import ConfigError, ProtoreconError, SchemaError
 from .metrics import FeatureTable, evaluate, load_feature_table
 from .rerank import ReflexCache, check_lambda, rerank, rerank_sets, scored_beams
 from .analysis import write_analysis_tables
@@ -136,14 +136,8 @@ def run_seed(config: ExperimentConfig, dataset: Dataset, seed: int, table: Featu
     write_text(os.path.join(seed_dir, "metrics.tsv"), stamp + report.as_tsv_row())
     write_text(os.path.join(seed_dir, "metrics_beam_only.tsv"), stamp + beam_report.as_tsv_row())
 
-    return {
-        "ACC": report.acc,
-        "TED": report.ted,
-        "TER": report.ter,
-        "FER": report.fer,
-        "BCFS": report.bcfs,
-        "beam_ACC": beam_report.acc,
-    }
+    return dict(ACC=report.acc, TED=report.ted, TER=report.ter, FER=report.fer, BCFS=report.bcfs,
+                beam_ACC=beam_report.acc)
 
 
 def run_experiment(config: ExperimentConfig, log=None):
@@ -154,8 +148,10 @@ def run_experiment(config: ExperimentConfig, log=None):
     """
     dataset = read_dataset(config.dataset_path, config.tokenize, config.split_path, split_seed=0)
     table = load_feature_table(config.feature_table_path)
-    if table is not None:  # refused before any seed trains
+    if table is not None:  # refused before any seed trains, as is a test split with no gold
         table.check_tokens(dataset.tokens())
+    if all(cs.protoform is None for cs in dataset.subset("test").sets):
+        raise SchemaError("the test split has no cognate set with a gold protoform to score")
     stamp = f"# config={config.config_hash()} seeds={','.join(map(str, config.seeds))}\n"
 
     results = {}

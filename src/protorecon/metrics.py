@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import read_text
+from .corpus import read_text, split_lines
 from .errors import ProtoreconError, SchemaError
 
 
@@ -72,7 +72,7 @@ class FeatureTable:
     @classmethod
     def from_tsv(cls, tsv_text: str) -> "FeatureTable":
         """Header: token, tone, then one column per feature name; CRLF reads as LF."""
-        lines = [ln for ln in tsv_text.replace("\r\n", "\n").split("\n") if ln]
+        lines = [ln for ln in split_lines(tsv_text) if ln]
         if not lines:
             raise SchemaError("empty feature table")
         header = lines[0].split("\t")

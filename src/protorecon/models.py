@@ -10,7 +10,10 @@ batch_decoder through the stepper interface in decode.py) runs them on an
 untracked view of the parameters, where the ops record nothing and
 ad.gru_sequence steps one position at a time, in the reflex encoder's first
 layer each distinct state once, and keeps only the final state of each
-encoder's last layer.  A decode batch holds at most DECODE_CHUNK rows, and
+encoder's last layer.  Every decode call (batch_decoder, greedy_decode_rows,
+beam_search_sets) takes its steppers from one generator, _steppers, which
+makes the untracked view, the decoder's stacked gates and the inputs' target
+languages once per call.  A decode batch holds at most DECODE_CHUNK rows, and
 one encoder pass the inputs of one or more whole batches.
 """
 
@@ -193,20 +196,19 @@ class _Conditioning(NamedTuple):
 class _GruStepper:
     """decode.py stepper running a model's _decode_step on untracked parameters.
 
-    h0 holds one encoded row per input and lang each row's target language
-    index (all 0 for the recon model); init_state(len(h0)) takes them whole.
-    The state is (hidden matrix, languages of the rows, their
-    _Conditioning), so the conditioning follows select(), the only place
-    where the rows change.  A step is a one-step (1, B) batch of
-    _decode_step, so the conditioning is of lang[None].
+    dec_gates are the decoder's _stacked_gates of params.  h0 holds one
+    encoded row per input and lang each row's target language index (all 0
+    for the recon model); init_state(len(h0)) takes them whole.  The state
+    is (hidden matrix, languages of the rows, their _Conditioning), so the
+    conditioning follows select(), the only place where the rows change.  A
+    step is a one-step (1, B) batch of _decode_step, so the conditioning is
+    of lang[None].
     """
 
-    def __init__(self, model, params, h0, lang):
-        self._model, self._p, self._h0, self._lang = model, params, h0, lang
-        self._dec = _stacked_gates(params, "dec")
-        self.vocab_size = model.vocab.size
-        self.bos_id = model.vocab.bos_id
-        self.eos_id = model.vocab.eos_id
+    def __init__(self, model, params, dec_gates, h0, lang):
+        self._model, self._p, self._dec, self._h0, self._lang = model, params, dec_gates, h0, lang
+        vocab = model.vocab
+        self.vocab_size, self.bos_id, self.eos_id = vocab.size, vocab.bos_id, vocab.eos_id
         self.banned_ids = model.banned_output_ids()
 
     def init_state(self, batch):
@@ -367,28 +369,28 @@ class _ModelBase:
     def batch_decoder(self, inputs) -> _GruStepper:
         """Stepper whose init_state(len(inputs)) row i decodes the input id list inputs[i]
         (a reflex input into the language of its leading tag); see _GruStepper."""
-        lang, p = self._target_languages(inputs), self._untracked_params()
-        return _GruStepper(self, p, self.encode_np(inputs, p), lang)
+        for stepper, _ in self._steppers(inputs, max(1, len(inputs)), 1):
+            return stepper
+        raise ProtoreconError("a batch decoder needs at least one input")
 
-    def _pass_steppers(self, p, inputs, lang, batch):
-        """(stepper, rows) of each consecutive batch rows of inputs, whose target languages
-        are lang, after one encode_np pass over them all on the untracked parameters p."""
-        h = self.encode_np(inputs, p)
-        for start in range(0, len(h), batch):
-            h0 = h[start : start + batch]
-            yield _GruStepper(self, p, h0, lang[start : start + batch]), len(h0)
+    def _steppers(self, inputs, batch, per_pass):
+        """(stepper, rows) of each batch consecutive inputs, after one encode_np pass over per_pass
+        such batches.  The untracked parameters, the decoder's gates and the inputs' target
+        languages are made once, first: an input without a target language is refused unencoded."""
+        p, lang = self._untracked_params(), self._target_languages(inputs)
+        dec_gates, size = _stacked_gates(p, "dec"), batch * per_pass
+        for start in range(0, len(inputs), size):
+            h = self.encode_np(inputs[start : start + size], p)
+            for i in range(start, start + len(h), batch):
+                h0 = h[i - start : i - start + batch]
+                yield _GruStepper(self, p, dec_gates, h0, lang[i : i + batch]), len(h0)
 
     def greedy_decode_rows(self, rows) -> list[list[int]]:
         """Greedy decodes of input id lists to max_decode_len, in batches of DECODE_CHUNK rows
-        that each decode their slice of one encode_np pass over encode_pass_chunks batches.
-        Every row's target language is read first: a row without one is refused unencoded."""
-        p, lang, out = self._untracked_params(), self._target_languages(rows), []
-        size = self.encode_pass_chunks * DECODE_CHUNK
-        for start in range(0, len(rows), size):
-            part = slice(start, start + size)
-            for stepper, n in self._pass_steppers(p, rows[part], lang[part], DECODE_CHUNK):
-                out += dec.greedy_decode_batch(stepper, n, self.max_decode_len)
-        return out
+        that each decode their slice of one encode_np pass over encode_pass_chunks batches."""
+        steppers = self._steppers(rows, DECODE_CHUNK, self.encode_pass_chunks)
+        return [tokens for stepper, n in steppers
+                for tokens in dec.greedy_decode_batch(stepper, n, self.max_decode_len)]
 
     # -- checkpointing --------------------------------------------------------
 
@@ -520,23 +522,20 @@ class ReconModel(_ModelBase):
         """Beam candidates of a sequence of cognate sets, one batch of sets at a time.
 
         The search runs under beam_config(k), which the first next resolves and
-        checks before any batch, with no sets too.  A batch holds max(1,
-        DECODE_CHUNK // k) sets, so that its frontier has at most DECODE_CHUNK
-        rows, and runs one beam_search_batch.  One encode_np pass encodes as
-        many whole batches as hold at most DECODE_CHUNK // 2 sets (at least
-        one), as a pass embeds each set's whole input at once.  Yields (the
-        batch's sets, their candidate lists).
+        checks before any batch, with no sets too; then it assembles (or
+        refuses) every set's input.  A batch holds max(1, DECODE_CHUNK // k)
+        sets, so that its frontier has at most DECODE_CHUNK rows, and runs one
+        beam_search_batch.  One encode_np pass encodes as many whole batches as
+        hold at most DECODE_CHUNK // 2 sets (at least one), as a pass embeds
+        each set's whole input at once.  Yields (the batch's sets, their
+        candidate lists).
         """
         config = self.beam_config(k)
         size = max(1, DECODE_CHUNK // k)
-        per_pass = size * max(1, DECODE_CHUNK // 2 // size)
-        p = self._untracked_params()
-        for start in range(0, len(csets), per_pass):
-            sets = csets[start : start + per_pass]
-            inputs = [assemble_reconstruction_input(cs, self.vocab) for cs in sets]
-            steppers = self._pass_steppers(p, inputs, self._target_languages(inputs), size)
-            for i, (stepper, n) in enumerate(steppers):
-                yield sets[i * size : (i + 1) * size], dec.beam_search_batch(stepper, n, config)
+        inputs = [assemble_reconstruction_input(cs, self.vocab) for cs in csets]
+        steppers = self._steppers(inputs, size, max(1, DECODE_CHUNK // 2 // size))
+        for start, (stepper, n) in zip(range(0, len(csets), size), steppers):
+            yield csets[start : start + size], dec.beam_search_batch(stepper, n, config)
 
 
 class ReflexModel(_ModelBase):
@@ -720,6 +719,8 @@ def train(model, dataset: Dataset, log=None):
     reflex model each set contributes one example per present reflex.  The
     examples are encoded once; each batch concatenates those of its sets.
     Returns the model (trained in place, best-validation parameters kept).
+    An empty val split turns validation off: no early stop, the last epoch's
+    parameters kept, and no val TED recorded.
     """
     if dataset.split_tags is None:
         raise ConfigError("dataset must be split-tagged before training")

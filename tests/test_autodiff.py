@@ -49,6 +49,11 @@ def test_add_with_bias_broadcast():
     _check(lambda: _sum(sigmoid(ad.add(a, b))), [a, b])
 
 
+def test_add_refuses_a_shape_that_broadcasts_a_beyond_its_own():
+    with pytest.raises(DimensionError, match="add: incompatible shapes"):
+        ad.add(ad.parameter(np.zeros(3)), ad.parameter(np.zeros((2, 3))))
+
+
 def test_mul_broadcast():
     rng = np.random.default_rng(1)
     a = ad.parameter(rng.normal(size=(6, 4)), "a")
@@ -195,6 +200,21 @@ def test_softmax_cross_entropy():
     targets = np.array([0, 1, 2, 3, 4, 0])
     weights = np.array([1.0, 1.0, 0.0, 1.0, 1.0, 1.0])  # one masked row
     _check(lambda: ad.softmax_cross_entropy(logits, targets, weights), [logits])
+
+
+@pytest.mark.parametrize("logits, targets", [(np.zeros((2, 3, 4)), [0, 1]),
+                                              (np.zeros((2, 4)), [0, 1, 2])],
+                         ids=["3-D logits", "one label too many"])
+def test_softmax_cross_entropy_refuses_misshapen_inputs(logits, targets):
+    with pytest.raises(DimensionError, match="2-D logits and row labels"):
+        ad.softmax_cross_entropy(ad.parameter(logits), targets)
+
+
+@pytest.mark.parametrize("weights, normalizer", [([0.0, 0.0], None), ([1.0, 1.0], 0.0)],
+                         ids=["all rows masked", "zero normalizer"])
+def test_softmax_cross_entropy_refuses_no_weighted_rows(weights, normalizer):
+    with pytest.raises(DimensionError, match="no weighted rows"):
+        ad.softmax_cross_entropy(ad.parameter(np.zeros((2, 4))), [0, 1], weights, normalizer)
 
 
 def test_softmax_cross_entropy_steps_add_like_a_step_loop():

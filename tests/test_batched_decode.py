@@ -21,7 +21,7 @@ from protorecon.corpus import (
     assemble_reflex_input,
     build_vocabulary,
 )
-from protorecon.errors import ConfigError
+from protorecon.errors import ConfigError, ProtoreconError, VocabularyError
 from protorecon.rerank import (
     ReflexCache,
     reconstruct_reranked,
@@ -212,6 +212,62 @@ def test_no_rows_and_no_sets_run_no_encoder_pass(family, recon_beams, monkeypatc
     no_sets = recon.beam_search_sets([], 0)  # k is checked at the first next, with no sets too
     with pytest.raises(ConfigError):
         next(no_sets)
+
+
+def test_one_decode_call_stacks_gates_and_reads_languages_once(family, recon_beams, monkeypatch):
+    """A greedy_decode_rows call over several DECODE_CHUNK batches stacks the decoder gates
+    once, and a beam_search_sets call over several encoder passes reads the target languages
+    once, however many batches and passes they run."""
+    dataset, vocab = family
+    recon, k, _ = recon_beams
+    reflex = _randomize(models.ReflexModel(tiny_reflex_config(), vocab), 7)
+    reflex.max_decode_len = 6
+    rows = [ids for ids, _ in _reflex_rows(dataset, vocab, 37, 5)]
+    stacked, stack = [], models._stacked_gates
+    read, target_languages = [], models.ReconModel._target_languages
+
+    def counting_stack(params, prefix):
+        stacked.append(prefix)
+        return stack(params, prefix)
+
+    def counting_read(self, inputs):
+        read.append(len(inputs))
+        return target_languages(self, inputs)
+
+    monkeypatch.setattr(models, "_stacked_gates", counting_stack)
+    monkeypatch.setattr(models.ReconModel, "_target_languages", counting_read)
+    passes = _record_encode_passes(monkeypatch, models.ReflexModel)
+    monkeypatch.setattr(models, "DECODE_CHUNK", 4)  # 10 batches in 3 passes
+    reflex.greedy_decode_rows(rows)
+    assert len(passes) == 3 and stacked.count("dec") == 1
+    recon_passes = _record_encode_passes(monkeypatch, models.ReconModel)
+    monkeypatch.setattr(models, "DECODE_CHUNK", 16)  # 3 sets per batch, 2 batches per pass
+    stacked.clear()
+    list(recon.beam_search_sets(dataset.sets, k))
+    assert [len(inputs) for inputs, _ in recon_passes] == [6, 6, 4]
+    assert read == [16] and stacked.count("dec") == 1
+
+
+def test_beam_sets_refuse_a_bad_set_before_the_first_batch(family, recon_beams, monkeypatch):
+    """Every set's input is assembled before the first batch, so a set whose reflexes the
+    vocabulary lacks is refused before any set is searched."""
+    dataset, _ = family
+    recon, k, _ = recon_beams
+    lang = dataset.languages[0]
+    bad = dataclasses.replace(dataset.sets[-1], reflexes={lang: ("not-a-phoneme",)})
+    batches = _record_batches(monkeypatch, "beam_search_batch")
+    monkeypatch.setattr(models, "DECODE_CHUNK", 16)
+    with pytest.raises(VocabularyError):
+        next(recon.beam_search_sets([*dataset.sets[:-1], bad], k))
+    assert batches == []
+
+
+def test_batch_decoder_of_no_inputs_is_refused(family):
+    _, vocab = family
+    for model in (models.ReconModel(tiny_recon_config(), vocab),
+                  models.ReflexModel(tiny_reflex_config(), vocab)):
+        with pytest.raises(ProtoreconError, match="at least one input"):
+            model.batch_decoder([])
 
 
 @pytest.mark.parametrize("name", ["one-hot", "all"])

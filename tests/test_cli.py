@@ -292,6 +292,44 @@ def test_eval_rejects_a_prediction_for_an_unknown_id_exit_3(workdir, tmp_path, c
     assert "nosuchid" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("tokenize, cell", [("codepoint", "pa ta"), ("whitespace", "p a\u3000t")],
+                         ids=["codepoint space", "whitespace U+3000"])
+def test_eval_refuses_a_token_holding_whitespace_exit_3(tmp_path, capsys, tokenize, cell):
+    """eval reads predicted tokens back with str.split, so a gold token holding whitespace
+    is refused: exact predictions of such a set used to score ACC 50%."""
+    data, preds = tmp_path / "data.tsv", tmp_path / "preds.tsv"
+    data.write_text(f"id\tproto\tA\nw1\t{cell}\tp\nw2\tpa\tp\n", encoding="utf-8")
+    w2_gold = parse_dataset("id\tproto\tA\nw2\tpa\tp\n", tokenize).sets[0].protoform
+    preds.write_text(f"w1\t{' '.join(cell)}\nw2\t{' '.join(w2_gold)}\n", encoding="utf-8")
+    assert main(["eval", "--dataset", str(data), "--tokenize", tokenize,
+                 "--predictions", str(preds)]) == 3
+    captured = capsys.readouterr()
+    assert "whitespace" in captured.err and captured.out == ""
+
+
+def test_eval_reads_a_rerank_summary_whose_set_ids_hold_line_separators(workdir, tmp_path,
+                                                                       capsys):
+    """Lines end at LF only: a set id holding U+0085, U+2028 or a form feed, which
+    str.splitlines breaks at, reads as one id, and eval scores rerank's summary as it scores
+    the summary of the same sets under plain ids.  eval used to refuse it (exit 3)."""
+    ds = parse_dataset((workdir / "data.tsv").read_text())
+    seps = ("\x85", "\u2028", "\x0c")
+    odd = dataclasses.replace(ds, sets=tuple(dataclasses.replace(cs, id=f"{cs.id}{seps[i % 3]}x")
+                                             for i, cs in enumerate(ds.sets)))
+    reports = []
+    for name, dataset in (("plain", ds), ("odd", odd)):
+        data = tmp_path / f"{name}.tsv"
+        data.write_text(serialize_dataset(dataset), encoding="utf-8")
+        assert main(["rerank", "--dataset", str(data),
+                     "--recon-checkpoint", str(workdir / "recon.ckpt"),
+                     "--reflex-checkpoint", str(workdir / "reflex.ckpt"),
+                     "--beam-size", "3", "--out", str(tmp_path / name)]) == 0
+        assert main(["eval", "--dataset", str(data),
+                     "--predictions", str(tmp_path / name / "summary.tsv")]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("bad", ["six", "nan", "-inf"])
 @pytest.mark.parametrize("command", ["compare", "correlate"])
 def test_non_numeric_score_line_exit_3(tmp_path, capsys, command, bad):

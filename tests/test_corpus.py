@@ -21,6 +21,7 @@ from protorecon.corpus import (
     serialize_dataset,
     serialize_split_tags,
     split_dataset,
+    split_lines,
     write_text,
 )
 from protorecon.errors import ConfigError, SchemaError, VocabularyError
@@ -80,6 +81,22 @@ def test_cognate_set_rejects_structural_characters():
         CognateSet("x", ("p", "*"), {"L": ("p",)})
     with pytest.raises(SchemaError):
         CognateSet("x", None, {"L": (":",)})
+
+
+@pytest.mark.parametrize("space", [" ", "\t", "\r", "\x0c", "\x85", "\u2028", "\u3000"])
+def test_cognate_set_rejects_a_token_holding_whitespace(space):
+    """Writers join tokens with " " and eval splits them at any whitespace, so a token
+    holding whitespace would not read back as itself."""
+    with pytest.raises(SchemaError, match="whitespace"):
+        CognateSet("x", (f"p{space}a",), {"L": ("p",)})
+    with pytest.raises(SchemaError, match="whitespace"):
+        CognateSet("x", None, {"L": ("p", space)})
+    assert CognateSet(f"x{space}", ("p",), {f"L{space}": ("p",)})  # ids and languages are free
+
+
+def test_dataset_rejects_a_reflex_outside_its_languages():
+    with pytest.raises(SchemaError, match="outside the language inventory"):
+        Dataset(("L",), (CognateSet("x", ("p",), {"L": ("p",), "M": ("b",)}),))
 
 
 def test_dataset_rejects_duplicate_ids():
@@ -235,11 +252,11 @@ def test_a_leading_byte_order_mark_reads_as_absent(tmp_path, tiny_dataset):
 ALLOWED_WRITERS = {("corpus.py", "write_text"), ("checkpoint.py", "write_checkpoint")}
 
 
-class _FileWrites(ast.NodeVisitor):
-    """(innermost function, line) of each open() in a writing mode and each Path write."""
+class _Calls(ast.NodeVisitor):
+    """(innermost function, line) of each call that matches(call) holds for."""
 
-    def __init__(self):
-        self.functions, self.found = [None], []
+    def __init__(self, matches):
+        self.matches, self.functions, self.found = matches, [None], []
 
     def visit_FunctionDef(self, node):
         self.functions.append(node.name)
@@ -247,26 +264,50 @@ class _FileWrites(ast.NodeVisitor):
         self.functions.pop()
 
     def visit_Call(self, node):
-        func = node.func
-        if isinstance(func, ast.Name) and func.id == "open":
-            mode = node.args[1] if len(node.args) > 1 else next(
-                (k.value for k in node.keywords if k.arg == "mode"), None)
-            reads = mode is None or (isinstance(mode, ast.Constant)
-                                     and set(mode.value).isdisjoint("wax+"))
-            if not reads:
-                self.found.append((self.functions[-1], node.lineno))
-        elif isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes"):
-            if not (isinstance(func.value, ast.Name) and func.value.id == "corpus"):
-                self.found.append((self.functions[-1], node.lineno))
+        if self.matches(node):
+            self.found.append((self.functions[-1], node.lineno))
         self.generic_visit(node)
+
+
+def _writes_a_file(call):
+    """An open() in a writing mode, or a Path write."""
+    func = call.func
+    if isinstance(func, ast.Name) and func.id == "open":
+        mode = call.args[1] if len(call.args) > 1 else next(
+            (k.value for k in call.keywords if k.arg == "mode"), None)
+        return not (mode is None or (isinstance(mode, ast.Constant)
+                                     and set(mode.value).isdisjoint("wax+")))
+    return (isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes")
+            and not (isinstance(func.value, ast.Name) and func.value.id == "corpus"))
+
+
+def _splits_lines(call):
+    """A splitlines() call, or a call that takes a CRLF string (a replace or split of line
+    ends)."""
+    func = call.func
+    return (isinstance(func, ast.Attribute) and func.attr == "splitlines") or any(
+        isinstance(arg, ast.Constant) and arg.value == "\r\n" for arg in call.args)
+
+
+def _library_calls(matches, allowed):
+    """(module, function, line) of each call in the library that matches, outside allowed
+    (module, function) pairs."""
+    stray = []
+    for path in sorted(Path(protorecon.__file__).parent.glob("*.py")):
+        visitor = _Calls(matches)
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        stray += [(path.name, function, line) for function, line in visitor.found
+                  if (path.name, function) not in allowed]
+    return stray
 
 
 def test_the_library_writes_files_only_through_its_two_writers():
     """Text goes through corpus.write_text, checkpoints through checkpoint.write_checkpoint."""
-    stray = []
-    for path in sorted(Path(protorecon.__file__).parent.glob("*.py")):
-        visitor = _FileWrites()
-        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
-        stray += [(path.name, function, line) for function, line in visitor.found
-                  if (path.name, function) not in ALLOWED_WRITERS]
-    assert stray == []
+    assert _library_calls(_writes_a_file, ALLOWED_WRITERS) == []
+
+
+def test_the_library_splits_lines_only_in_its_line_helper():
+    """Every reader splits lines with corpus.split_lines, at LF only: str.splitlines would
+    also break at \\r, \\x0b, \\x0c, \\x1c-\\x1e, U+0085, U+2028 and U+2029."""
+    assert _library_calls(_splits_lines, {("corpus.py", "split_lines")}) == []
+    assert split_lines("a\r\nb\x85c\u2028d\re\n") == ["a", "b\x85c\u2028d\re", ""]

@@ -7,7 +7,7 @@ import pytest
 
 from protorecon import models
 from protorecon.corpus import build_vocabulary, serialize_dataset, split_dataset
-from protorecon.errors import ConfigError
+from protorecon.errors import ConfigError, SchemaError
 from protorecon.experiment import (
     DEFAULT_K_RANGE,
     DEFAULT_LAMBDA_RANGE,
@@ -209,6 +209,29 @@ def test_analyze_writes_the_tables_of_run_seed(small_family, tmp_path):
         table = [dict(zip(header.split("\t"), row.split("\t"))) for row in rows]
         [top] = [row for row in table if row["rerank_rank"] == "0"]
         assert (top["candidate"], top["r"]) == (p["reranked_top"], p["r"]), p["id"]
+
+
+def test_a_test_split_without_gold_is_refused_before_any_seed_trains(small_family, tmp_path,
+                                                                    monkeypatch, capsys):
+    """A test split none of whose sets has a gold protoform leaves nothing to score: run
+    refuses it as a data error (exit 3) before the first seed, so no model trains and no
+    seed directory is written.  It used to train and save both models of every seed, then
+    fail each seed in write_analysis_tables and exit 1."""
+    from protorecon.cli import main
+    from protorecon.corpus import parse_dataset
+
+    dataset = split_dataset(parse_dataset(small_family.read_text()))  # run's default split
+    no_gold = tmp_path / "no_gold.tsv"
+    no_gold.write_text(serialize_dataset(dataclasses.replace(dataset, sets=tuple(
+        dataclasses.replace(cs, protoform=None) if dataset.split_tags[cs.id] == "test" else cs
+        for cs in dataset.sets))), encoding="utf-8")
+    monkeypatch.setattr(models, "train", None)  # any training fails
+    out = tmp_path / "run"
+    with pytest.raises(SchemaError, match="test split has no cognate set with a gold"):
+        run_experiment(_small_config(no_gold, out, seeds=(0, 1)))
+    assert main(["run", "--dataset", str(no_gold), "--seeds", "2", "--out", str(out)]) == 3
+    assert "test split" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_failed_seed_is_named_in_failures_tsv(small_family, tmp_path, monkeypatch):

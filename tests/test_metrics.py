@@ -117,6 +117,11 @@ def test_feature_table_rejects_bad_values():
         FeatureTable.from_tsv("f1\tf2\n1\t0\n")
 
 
+def test_feature_table_rejects_a_duplicate_token():
+    with pytest.raises(SchemaError, match="line 3: duplicate token 'p'"):
+        FeatureTable.from_tsv("token\ttone\tf1\np\t0\t1\np\t0\t-1\n")
+
+
 def test_substitution_cost(table):
     assert table.substitution_cost("p", "p") == 0.0
     assert table.substitution_cost("p", "t") == pytest.approx(1 / 3)

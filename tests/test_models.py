@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import struct
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from protorecon import autodiff as ad
 from protorecon import decode as dec
 from protorecon import models
-from protorecon.checkpoint import read_checkpoint, write_checkpoint
+from protorecon.checkpoint import FORMAT_VERSION, MAGIC, read_checkpoint, write_checkpoint
 from protorecon.corpus import (
     Vocabulary,
     apply_split_tags,
@@ -22,7 +23,13 @@ from protorecon.corpus import (
     serialize_dataset,
     split_dataset,
 )
-from protorecon.errors import CheckpointError, ConfigError, ProtoreconError, VocabularyError
+from protorecon.errors import (
+    CheckpointError,
+    ConfigError,
+    ProtoreconError,
+    TrainingError,
+    VocabularyError,
+)
 from protorecon.synthetic import generate_family
 from tests.conftest import REFLEX_CONDITIONING, tiny_recon_config, tiny_reflex_config
 from tests import oracles
@@ -60,6 +67,8 @@ def test_config_validation():
     for alpha in (-0.5, float("nan"), float("inf")):
         with pytest.raises(ConfigError):
             tiny_recon_config(alpha=alpha)
+    with pytest.raises(ConfigError, match="num_encoder_layers must be >= 1"):
+        tiny_reflex_config(num_encoder_layers=0)
 
 
 def test_beam_config_resolves_against_the_model(tiny_vocab):
@@ -242,6 +251,18 @@ def test_train_zero_epochs_returns_unchanged(tiny_split):
     models.train(model, tiny_split)
     for k in before:
         assert np.array_equal(before[k], model.params[k].data)
+
+
+@pytest.mark.parametrize("kind", ["recon", "reflex"])
+def test_train_refuses_a_non_finite_loss(tiny_split, kind):
+    """A NaN in a parameter makes the first batch's loss NaN: train() raises before any
+    optimizer step, naming the epoch."""
+    model = models.new_model(kind, _tiny_config(kind), build_vocabulary(tiny_split))
+    model.params["clf.b1"].data[0] = np.nan
+    before = model.snapshot()
+    with pytest.raises(TrainingError, match="non-finite loss at epoch 0"):
+        models.train(model, tiny_split)
+    assert all(np.array_equal(before[k], model.params[k].data, equal_nan=True) for k in before)
 
 
 def test_training_reduces_loss(tiny_split):
@@ -549,6 +570,33 @@ def test_checkpoint_rejects_corruption(tmp_path):
     (tmp_path / "trailing.ckpt").write_bytes(blob + b"\x00")
     with pytest.raises(CheckpointError):
         read_checkpoint(tmp_path / "trailing.ckpt")
+
+
+def test_checkpoint_refuses_an_unsupported_dtype_or_version(tmp_path):
+    path = tmp_path / "c.ckpt"
+    with pytest.raises(CheckpointError, match="unsupported dtype complex128 for array 'a'"):
+        write_checkpoint(path, {"a": np.zeros(2, dtype=np.complex128)}, {}, "h", 0)
+    assert not path.exists()
+    write_checkpoint(path, {"a": np.zeros(2)}, {}, "h", 0)
+    blob = path.read_bytes()
+    (tmp_path / "dtype.ckpt").write_bytes(blob.replace(b'"float64"', b'"float16"'))
+    with pytest.raises(CheckpointError, match="unsupported dtype 'float16' for array 'a'"):
+        read_checkpoint(tmp_path / "dtype.ckpt")
+    version = FORMAT_VERSION + 1
+    (tmp_path / "version.ckpt").write_bytes(
+        MAGIC + struct.pack("<I", version) + blob[len(MAGIC) + 4 :])
+    with pytest.raises(CheckpointError, match=f"unsupported checkpoint version {version}"):
+        read_checkpoint(tmp_path / "version.ckpt")
+
+
+def test_load_checkpoint_refuses_a_model_header_that_is_not_an_object(tmp_path, tiny_vocab):
+    """A model header that is a JSON list fails its first lookup with a TypeError, which
+    load_checkpoint turns into a CheckpointError."""
+    model = models.ReconModel(tiny_recon_config(), tiny_vocab)
+    path = tmp_path / "list.ckpt"
+    write_checkpoint(path, model.snapshot(), ["recon"], tiny_vocab.content_hash(), 0)
+    with pytest.raises(CheckpointError, match="corrupt checkpoint header"):
+        models.load_checkpoint(path)
 
 
 def test_model_checkpoint_byte_identical(tmp_path, tiny_split):

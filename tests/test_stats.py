@@ -99,6 +99,14 @@ def test_bootstrap_refuses_a_negative_seed():
         bootstrap_ci([1.0, 2.0], [2.0, 3.0], n_resamples=1000, seed=-1)
 
 
+@pytest.mark.parametrize("x, y", [([], [1.0, 2.0]), ([1.0, 2.0], [])], ids=["x", "y"])
+def test_an_empty_sample_is_refused(x, y):
+    with pytest.raises(ProtoreconError, match="empty sample"):
+        wilcoxon_rank_sum(x, y)
+    with pytest.raises(ProtoreconError, match="empty sample"):
+        bootstrap_ci(x, y, n_resamples=1000)
+
+
 def test_bootstrap_degenerate_point():
     lo, hi = bootstrap_ci([2.0] * 6, [1.0] * 6, n_resamples=1000, seed=0)
     assert lo == pytest.approx(1.0)
