@@ -3,9 +3,10 @@
 Just enough machinery for GRU encoder-decoder models: 64-bit values, a tape
 recorded per forward pass, and backward rules for the handful of primitives
 the models need.  No general broadcasting beyond bias rows and column masks.
-An op whose inputs are all untracked (no grad, no parents) returns a plain
-Tensor before it builds a backward rule, so inference runs the training
-forward on untracked parameters with no tape.
+Every op ends in _node, the one place where an op's output becomes a tape
+node: when none of its inputs is tracked (no grad, no parents) it returns a
+plain Tensor, so inference runs the training forward on untracked
+parameters with no tape.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ class Tensor:
             if rule is None:
                 continue
             for parent, pg in rule(g):
-                if not (parent.requires_grad or parent.parents):
+                if not _tracked(parent):
                     continue
                 if id(parent) in grads:
                     grads[id(parent)] += pg
@@ -103,6 +104,14 @@ def _tracked(*tensors) -> bool:
     return False
 
 
+def _node(out, parents, rule) -> Tensor:
+    """out as a tape node over parents with backward rule, or, when no parent is tracked,
+    as a plain Tensor that records nothing."""
+    if _tracked(*parents):
+        return Tensor(out, parents=parents, backward_rule=rule)
+    return Tensor(out)
+
+
 def parameter(data, name=None) -> Tensor:
     return Tensor(data, requires_grad=True, name=name)
 
@@ -112,34 +121,27 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
     if out.shape != a.data.shape:
         raise DimensionError(f"add: incompatible shapes {a.shape} vs {b.shape}")
-    if not _tracked(a, b):
-        return Tensor(out)
 
     def rule(g):
         gb = g.sum(axis=0) if b.data.ndim < g.ndim else g
         return ((a, g), (b, gb))
 
-    return Tensor(out, parents=(a, b), backward_rule=rule)
+    return _node(out, (a, b), rule)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise DimensionError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
     out = a.data @ b.data
-    if not _tracked(a, b):
-        return Tensor(out)
 
     def rule(g):
         return ((a, g @ b.data.T), (b, a.data.T @ g))
 
-    return Tensor(out, parents=(a, b), backward_rule=rule)
+    return _node(out, (a, b), rule)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
-    out = x.data.reshape(shape)
-    if not _tracked(x):
-        return Tensor(out)
-    return Tensor(out, parents=(x,), backward_rule=lambda g: ((x, g.reshape(x.data.shape)),))
+    return _node(x.data.reshape(shape), (x,), lambda g: ((x, g.reshape(x.data.shape)),))
 
 
 def grouped_affine(x: Tensor, groups) -> Tensor:
@@ -155,9 +157,6 @@ def grouped_affine(x: Tensor, groups) -> Tensor:
     out = np.empty((len(x.data), groups[0][1].data.shape[1]))
     for i, xg, (_, w, b) in zip(index, xs, groups):
         out[i] = xg @ w.data + b.data
-    params = [t for _, w, b in groups for t in (w, b)]
-    if not _tracked(x, *params):
-        return Tensor(out)
 
     def rule(g):
         gx, grads = np.zeros_like(x.data), []
@@ -167,30 +166,26 @@ def grouped_affine(x: Tensor, groups) -> Tensor:
             gx[i] += g_part @ w.data.T
         return grads + [(x, gx)]
 
-    return Tensor(out, parents=(x, *params), backward_rule=rule)
+    return _node(out, (x, *[t for _, w, b in groups for t in (w, b)]), rule)
 
 
 def concat(tensors, axis=1) -> Tensor:
     out = np.concatenate([t.data for t in tensors], axis=axis)
-    if not _tracked(*tensors):
-        return Tensor(out)
-    splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
 
     def rule(g):
+        splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
         return tuple(zip(tensors, np.split(g, splits, axis=axis)))
 
-    return Tensor(out, parents=tuple(tensors), backward_rule=rule)
+    return _node(out, tuple(tensors), rule)
 
 
 def tanh(x: Tensor) -> Tensor:
     out = np.tanh(x.data)
-    if not _tracked(x):
-        return Tensor(out)
 
     def rule(g):
         return ((x, g * (1.0 - out * out)),)
 
-    return Tensor(out, parents=(x,), backward_rule=rule)
+    return _node(out, (x,), rule)
 
 
 def _scatter_rows(shape, ids, g):
@@ -210,11 +205,8 @@ def _scatter_rows(shape, ids, g):
 def embedding(table: Tensor, ids) -> Tensor:
     """Gather entries along axis 0 of a table by an int array of ids of any shape."""
     ids = np.asarray(ids, dtype=np.int64)
-    out = table.data[ids]
-    if not _tracked(table):
-        return Tensor(out)
-    return Tensor(out, parents=(table,),
-                  backward_rule=lambda g: ((table, _scatter_rows(table.data.shape, ids, g)),))
+    return _node(table.data[ids], (table,),
+                 lambda g: ((table, _scatter_rows(table.data.shape, ids, g)),))
 
 
 def embeddings(pairs) -> Tensor:
@@ -225,17 +217,14 @@ def embeddings(pairs) -> Tensor:
     """
     pairs = [(table, np.asarray(ids, dtype=np.int64)) for table, ids in pairs]
     out = np.concatenate([table.data[ids] for table, ids in pairs], axis=-1)
-    tables = [table for table, _ in pairs]
-    if not _tracked(*tables):
-        return Tensor(out)
-    ends = np.cumsum([table.data.shape[1] for table in tables])
 
     def rule(g):
+        ends = np.cumsum([table.data.shape[1] for table, _ in pairs])
         return tuple((table, _scatter_rows(table.data.shape, ids,
                                            g[..., end - table.data.shape[1] : end]))
                      for (table, ids), end in zip(pairs, ends))
 
-    return Tensor(out, parents=tuple(tables), backward_rule=rule)
+    return _node(out, tuple(table for table, _ in pairs), rule)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None = None,
@@ -252,15 +241,13 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None = None,
     scale = 1.0 / (1.0 - rate)
     out = x.data * scale
     out *= keep
-    if not _tracked(x):
-        return Tensor(out)
 
     def rule(g):
         gx = g * scale
         gx *= keep
         return ((x, gx),)
 
-    return Tensor(out, parents=(x,), backward_rule=rule)
+    return _node(out, (x,), rule)
 
 
 def log_softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -291,8 +278,6 @@ def softmax_cross_entropy(logits: Tensor, targets, weights=None, normalizer=None
     rows = np.arange(len(targets))
     weighted = w * logp[rows, targets]
     out = np.array(sum(float(-run.sum() / total) for run in weighted.reshape(steps, -1)))
-    if not _tracked(logits):
-        return Tensor(out)
 
     def rule(g):
         probs = np.exp(logp)
@@ -300,7 +285,7 @@ def softmax_cross_entropy(logits: Tensor, targets, weights=None, normalizer=None
         grad[rows, targets] -= w / total
         return ((logits, g.reshape(()) * grad),)
 
-    return Tensor(out, parents=(logits,), backward_rule=rule)
+    return _node(out, (logits,), rule)
 
 
 def _gate_z(z, mask):
@@ -470,7 +455,7 @@ def gru_sequence(X: Tensor, h0: Tensor, gates, mask=None, reverse=False, ids=Non
             grads.append((h0, dh))
         return grads
 
-    out = Tensor(states, parents=(X, h0, *gates), backward_rule=rule)
+    out = _node(states, (X, h0, *gates), rule)
     return embedding(out, order[-1]) if final else out
 
 

@@ -45,7 +45,8 @@ def write_checkpoint(path, arrays: dict, config: dict, vocab_hash: str, seed: in
 
 
 def read_checkpoint(path):
-    """Returns (arrays, config, vocab_hash, seed); any other layout is a CheckpointError."""
+    """Returns (arrays, config, vocab_hash, seed); any other layout, or an array name given
+    twice, is a CheckpointError."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[: len(MAGIC)] != MAGIC:
@@ -60,6 +61,8 @@ def read_checkpoint(path):
         off += hlen
         arrays = {}
         for desc in header["arrays"]:
+            if desc["name"] in arrays:  # a second payload would silently replace the first
+                raise CheckpointError(f"duplicate array name {desc['name']!r}")
             if desc["dtype"] not in _DTYPES:
                 raise CheckpointError(f"unsupported dtype {desc['dtype']!r} "
                                       f"for array {desc['name']!r}")

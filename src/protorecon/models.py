@@ -133,7 +133,7 @@ class TrainingHistory:
     epoch_losses: list = field(default_factory=list)  # (epoch, mean train loss)
     validations: list = field(default_factory=list)  # (epoch, mean val edit distance)
     best_epoch: int = -1
-    stop_reason: str = ""  # why train() stopped: "patience" or "max_epochs"
+    stop_reason: str = ""  # why train() stopped: "patience", "max_epochs" or "no_val" (no val set)
 
     def as_tsv(self) -> str:
         """One row per epoch: its loss, its validation TED (empty when not validated),
@@ -292,6 +292,10 @@ class _ModelBase:
         return list(self.params.values())
 
     def load_param_arrays(self, arrays):
+        """Each parameter's values from arrays, which must hold exactly the parameters' names."""
+        unknown = sorted(set(arrays) - set(self.params))
+        if unknown:  # e.g. a later encoder layer's, which the model would silently ignore
+            raise CheckpointError(f"arrays {unknown} are not parameters of the model")
         for k, p in self.params.items():
             if k not in arrays or arrays[k].shape != p.data.shape:
                 raise CheckpointError(f"missing or misshapen array {k!r}")
@@ -720,7 +724,7 @@ def train(model, dataset: Dataset, log=None):
     examples are encoded once; each batch concatenates those of its sets.
     Returns the model (trained in place, best-validation parameters kept).
     An empty val split turns validation off: no early stop, the last epoch's
-    parameters kept, and no val TED recorded.
+    parameters kept, no val TED recorded, and "no_val" as the stop reason.
     """
     if dataset.split_tags is None:
         raise ConfigError("dataset must be split-tagged before training")
@@ -736,7 +740,7 @@ def train(model, dataset: Dataset, log=None):
 
     longest_target = max(len(ex[1]) for exs in set_examples for ex in exs)
     model.max_decode_len = 2 * longest_target + 5
-    model.history.stop_reason = "max_epochs"
+    model.history.stop_reason = "max_epochs" if val_examples else "no_val"
 
     if cfg.max_epochs == 0:
         return model

@@ -4,6 +4,8 @@ mul, affine, sigmoid and narrow come from tests/oracles.py, since only the oracl
 them; their checks here keep the oracle GRU step honest.
 """
 
+import ast
+import operator
 import tracemalloc
 
 import numpy as np
@@ -25,6 +27,7 @@ from tests.oracles import (
     sigmoid,
     stack_gates,
 )
+from tests.test_corpus import _library_calls
 
 
 def _check(loss_fn, params, tol=1e-6, **kw):
@@ -481,6 +484,80 @@ def test_final_state_off_the_tape_keeps_no_states_array(ids):
         tracemalloc.stop()
     assert h.data.shape == (B, H)
     assert peak < T * B * H * 8
+
+
+# -- tape nodes ---------------------------------------------------------------
+
+_KEEP = np.random.default_rng(20).random((3, 4)) >= 0.5
+_IDS = np.array([[0, 4], [2, 2]])
+
+# Each op as a function of its tensor inputs in argument order, and those inputs' shapes.
+TAPE_OPS = {
+    "add": (ad.add, [(3, 4), (4,)]),
+    "matmul": (ad.matmul, [(3, 4), (4, 2)]),
+    "reshape": (lambda x: ad.reshape(x, (4, 3)), [(3, 4)]),
+    "grouped_affine": (lambda x, w0, b0, w1, b1: ad.grouped_affine(
+        x, [(np.array([0, 2, 4]), w0, b0), (np.array([1, 3]), w1, b1)]),
+        [(5, 4), (4, 3), (3,), (4, 3), (3,)]),
+    "concat": (lambda *tensors: ad.concat(tensors), [(3, 2), (3, 4), (3, 1)]),
+    "tanh": (ad.tanh, [(3, 4)]),
+    "embedding": (lambda table: ad.embedding(table, _IDS), [(5, 3)]),
+    "embeddings": (lambda t0, t1: ad.embeddings([(t0, _IDS), (t1, _IDS[::-1] % 4)]),
+                   [(5, 3), (4, 2)]),
+    "dropout": (lambda x: ad.dropout(x, 0.5, keep=_KEEP), [(3, 4)]),
+    "softmax_cross_entropy": (lambda logits: ad.softmax_cross_entropy(logits, [0, 4, 2]),
+                              [(3, 5)]),
+    "gru_sequence": (lambda X, h0, *gates: ad.gru_sequence(
+        X, h0, gates, np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])),
+        [(3, 2, 4), (2, 5), (4, 15), (5, 10), (5, 5), (15,)]),
+}
+
+
+def _op_inputs(op, tracked=None):
+    """op's inputs, drawn at their shapes: untracked, but a parameter at index tracked."""
+    rng = np.random.default_rng(21)
+    return [ad.parameter(rng.normal(size=shape)) if i == tracked else Tensor(rng.normal(size=shape))
+            for i, shape in enumerate(TAPE_OPS[op][1])]
+
+
+@pytest.mark.parametrize("op", sorted(TAPE_OPS))
+def test_an_op_on_untracked_inputs_records_nothing(op):
+    out = TAPE_OPS[op][0](*_op_inputs(op))
+    assert out.parents == () and out.backward_rule is None
+
+
+@pytest.mark.parametrize("op, tracked", [(op, i) for op in sorted(TAPE_OPS)
+                                         for i in range(len(TAPE_OPS[op][1]))])
+def test_an_op_with_a_tracked_input_is_a_node_over_all_its_inputs(op, tracked):
+    """With one tracked input among untracked ones, an op is a node whose parents are its
+    tensor inputs in argument order; backward() gives the tracked input a gradient and
+    leaves every untracked input's at None."""
+    inputs = _op_inputs(op, tracked)
+    out = TAPE_OPS[op][0](*inputs)
+    assert len(out.parents) == len(inputs) and all(map(operator.is_, out.parents, inputs))
+    assert out.backward_rule is not None
+    n = out.data.size
+    ad.matmul(ad.reshape(out, (1, n)), Tensor(np.ones((n, 1)))).backward()
+    assert [t.grad is not None for t in inputs] == [i == tracked for i in range(len(inputs))]
+    assert inputs[tracked].grad.shape == inputs[tracked].shape
+
+
+def _makes_a_tape_node(call):
+    """A Tensor(...) call that passes parents or a backward rule, by position or keyword."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    return name == "Tensor" and (
+        len(call.args) > 2 or any(isinstance(arg, ast.Starred) for arg in call.args)
+        or any(k.arg in ("parents", "backward_rule", None) for k in call.keywords))
+
+
+def test_every_tape_node_is_built_by_node():
+    """autodiff._node is the one place where an op's output becomes a tape node, and
+    Tensor.backward asks _tracked, as _node does, which parents take a gradient."""
+    assert _library_calls(_makes_a_tape_node, {("autodiff.py", "_node")}) == []
+    tracked_by = {(module, function) for module, function, _ in _library_calls(
+        lambda call: isinstance(call.func, ast.Name) and call.func.id == "_tracked", set())}
+    assert {("autodiff.py", "backward"), ("autodiff.py", "_node")} <= tracked_by
 
 
 def test_backward_requires_scalar():

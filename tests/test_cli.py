@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -430,6 +431,20 @@ def _checkpoint_with_arrays(path, source, edit):
     return path
 
 
+def _checkpoint_listing_twice(path, source, name):
+    """source's checkpoint whose header lists array name a second time, over zeros."""
+    from protorecon.checkpoint import MAGIC
+
+    blob = Path(source).read_bytes()
+    (hlen,) = struct.unpack_from("<I", blob, len(MAGIC) + 4)
+    start = len(MAGIC) + 8
+    header = json.loads(blob[start : start + hlen])
+    desc = next(d for d in header["arrays"] if d["name"] == name)
+    header["arrays"].append(desc)
+    zeros = bytes(8 * math.prod(desc["shape"]))
+    return _checkpoint_with(path, json.dumps(header), payload=blob[start + hlen :] + zeros)
+
+
 def _nan_in_first_array(arrays):
     name = next(iter(arrays))
     arrays[name] = arrays[name].copy()
@@ -466,6 +481,9 @@ MALFORMED_CHECKPOINTS = {
         p, src, lambda a: a.pop("clf.b1")),
     "misshapen parameter array": lambda p, src: _checkpoint_with_arrays(
         p, src, lambda a: a.update({"clf.b1": a["clf.b1"][:-1]})),
+    "array that is no parameter": lambda p, src: _checkpoint_with_arrays(
+        p, src, lambda a: a.update({"enc1.W_z": a["enc.W_z"]})),
+    "array listed twice": lambda p, src: _checkpoint_listing_twice(p, src, "tok_emb"),
     "unknown kind": lambda p, src: _model_checkpoint_with(
         p, src, lambda h: h.update(kind="proto")),
 }

@@ -284,6 +284,23 @@ def test_training_records_why_it_stopped(tiny_split):
     assert len(model.history.epoch_losses) < 40
 
 
+@pytest.mark.parametrize("kind", ["recon", "reflex"])
+def test_an_empty_val_split_is_written_into_the_history(tiny_split, kind):
+    """Without val examples train() runs every epoch unvalidated, and its history says so
+    with the stop reason "no_val"; with them it still writes "max_epochs" or "patience"."""
+    vocab = build_vocabulary(tiny_split)
+    no_val = apply_split_tags(tiny_split, {**tiny_split.split_tags, "w5": "train"})
+    history = models.train(models.new_model(kind, _tiny_config(kind, max_epochs=3), vocab),
+                           no_val).history
+    assert history.stop_reason == "no_val"
+    assert len(history.epoch_losses) == 3 and history.validations == []
+    assert history.as_tsv().splitlines()[-1].split("\t")[-1] == "no_val"
+    for config in (_tiny_config(kind, max_epochs=3),
+                   _tiny_config(kind, max_epochs=40, validate_every=1, patience=1)):
+        history = models.train(models.new_model(kind, config, vocab), tiny_split).history
+        assert history.validations and history.stop_reason in ("max_epochs", "patience")
+
+
 def test_history_tsv_holds_the_training_history(tiny_split):
     """Every epoch's loss and validation TED reads back exactly, with the best epoch and
     the stop reason."""
@@ -597,6 +614,31 @@ def test_load_checkpoint_refuses_a_model_header_that_is_not_an_object(tmp_path, 
     write_checkpoint(path, model.snapshot(), ["recon"], tiny_vocab.content_hash(), 0)
     with pytest.raises(CheckpointError, match="corrupt checkpoint header"):
         models.load_checkpoint(path)
+
+
+def test_read_checkpoint_refuses_an_array_name_given_twice(tmp_path):
+    """A second payload under one name would silently replace the first."""
+    path = tmp_path / "c.ckpt"
+    write_checkpoint(path, {"a": np.zeros(2), "b": np.ones(2)}, {}, "h", 0)
+    path.write_bytes(path.read_bytes().replace(b'"name":"b"', b'"name":"a"'))
+    with pytest.raises(CheckpointError, match="duplicate array name 'a'"):
+        read_checkpoint(path)
+
+
+def test_load_checkpoint_refuses_arrays_that_are_not_parameters(tmp_path, tiny_vocab):
+    """A 2-layer reflex checkpoint whose header says 1 layer: layer 0's and the bridge's
+    shapes still fit, so ignoring the 18 layer-1 arrays would decode with another encoder."""
+    model = models.ReflexModel(tiny_reflex_config(num_encoder_layers=2), tiny_vocab)
+    path = tmp_path / "reflex.ckpt"
+    model.save(path)
+    arrays, header, vocab_hash, seed = read_checkpoint(path)
+    header["config"]["num_encoder_layers"] = 1
+    write_checkpoint(path, arrays, header, vocab_hash, seed)
+    layer_1 = sorted(k for k in arrays if k.startswith("enc1"))
+    assert len(layer_1) == 18
+    with pytest.raises(CheckpointError, match="are not parameters of the model") as info:
+        models.load_checkpoint(path)
+    assert str(layer_1) in str(info.value)
 
 
 def test_model_checkpoint_byte_identical(tmp_path, tiny_split):
