@@ -8,6 +8,7 @@ array payloads.  Writing the same model twice yields byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -66,12 +67,15 @@ def read_checkpoint(path):
             if desc["dtype"] not in _DTYPES:
                 raise CheckpointError(f"unsupported dtype {desc['dtype']!r} "
                                       f"for array {desc['name']!r}")
+            shape = desc["shape"]  # a negative dimension would move the read offset back
+            if not all(type(d) is int and d >= 0 for d in shape):  # bool is an int too
+                raise CheckpointError(f"array {desc['name']!r} has shape {shape!r}: each "
+                                      f"dimension must be an int >= 0")
             dtype = np.dtype(_DTYPES[desc["dtype"]])
-            count = int(np.prod(desc["shape"], dtype=np.int64)) if desc["shape"] else 1
-            nbytes = count * dtype.itemsize
+            nbytes = math.prod(shape) * dtype.itemsize
             if off + nbytes > len(blob):
                 raise CheckpointError(f"truncated payload for array {desc['name']!r}")
-            arr = np.frombuffer(blob[off : off + nbytes], dtype=dtype).reshape(desc["shape"])
+            arr = np.frombuffer(blob[off : off + nbytes], dtype=dtype).reshape(shape)
             arrays[desc["name"]] = arr.astype(desc["dtype"])
             off += nbytes
         result = arrays, header["config"], header["vocab_hash"], header["seed"]

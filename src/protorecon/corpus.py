@@ -87,14 +87,19 @@ class Dataset:
 class Vocabulary:
     """Bijective token<->id map over structural, language-tag, and phoneme tokens.
 
-    token_to_id is derived from id_to_token.  A token that is not a string,
-    a duplicated token, or a structural token or language tag that
-    id_to_token lacks is a VocabularyError.
+    The id layout is fixed: STRUCTURAL_TOKENS at ids 0-5, then one tag per
+    entry of languages, in that order, then the phonemes.  Every structural
+    id, tag id and phoneme is derived from it.  token_to_id is derived from
+    id_to_token.  A token that is not a string, a duplicated token, a
+    structural token or language tag that id_to_token lacks, or one out of
+    its place in the layout is a VocabularyError.
     """
 
     id_to_token: tuple[str, ...]
     languages: tuple[str, ...]
     token_to_id: dict[str, int] = field(init=False, compare=False)
+
+    pad_id, bos_id, eos_id, sep_id, delim_id, unk_id = range(len(STRUCTURAL_TOKENS))
 
     def __post_init__(self):
         if not all(isinstance(tok, str) for tok in self.id_to_token):
@@ -103,10 +108,14 @@ class Vocabulary:
         if len(token_to_id) != len(self.id_to_token):
             dups = sorted({t for t in self.id_to_token if self.id_to_token.count(t) > 1})
             raise VocabularyError(f"duplicated vocabulary tokens: {dups}")
-        needed = STRUCTURAL_TOKENS + tuple(self.language_tag(lang) for lang in self.languages)
-        missing = [tok for tok in needed if tok not in token_to_id]
-        if missing:
-            raise VocabularyError(f"vocabulary lacks the tokens {missing}")
+        reserved = STRUCTURAL_TOKENS + tuple(map(self.language_tag, self.languages))
+        if self.id_to_token[: len(reserved)] != reserved:
+            missing = [tok for tok in reserved if tok not in token_to_id]
+            raise VocabularyError(
+                f"vocabulary lacks the tokens {missing}" if missing else
+                f"vocabulary does not open with {list(STRUCTURAL_TOKENS)} and then one tag per "
+                "language: a structural token is out of place, or the languages are not in "
+                "the order of their tags")
         object.__setattr__(self, "token_to_id", token_to_id)
 
     @property
@@ -114,49 +123,27 @@ class Vocabulary:
         return len(self.id_to_token)
 
     @property
-    def pad_id(self) -> int:
-        return self.token_to_id[PAD]
-
-    @property
-    def bos_id(self) -> int:
-        return self.token_to_id[BOS]
-
-    @property
-    def eos_id(self) -> int:
-        return self.token_to_id[EOS]
-
-    @property
-    def sep_id(self) -> int:
-        return self.token_to_id[SEP]
-
-    @property
-    def delim_id(self) -> int:
-        return self.token_to_id[DELIM]
-
-    @property
-    def unk_id(self) -> int:
-        return self.token_to_id[UNK]
+    def n_reserved(self) -> int:
+        """The number of structural and language-tag ids; the phonemes' ids follow them."""
+        return len(STRUCTURAL_TOKENS) + len(self.languages)
 
     @staticmethod
     def language_tag(language: str) -> str:
         return f"<{language}>"
 
     def language_tag_id(self, language: str) -> int:
-        tag = self.language_tag(language)
-        if tag not in self.token_to_id:
+        if language not in self.languages:
             raise VocabularyError(f"unknown language {language!r}")
-        return self.token_to_id[tag]
+        return len(STRUCTURAL_TOKENS) + self.languages.index(language)
 
     def phonemes(self) -> tuple[str, ...]:
         """The tokens that are neither structural nor language tags."""
-        skip = set(STRUCTURAL_TOKENS) | {self.language_tag(lang) for lang in self.languages}
-        return tuple(tok for tok in self.id_to_token if tok not in skip)
+        return self.id_to_token[self.n_reserved :]
 
     def tag_languages(self) -> np.ndarray:
         """Per id, the index in languages of the language it tags; -1 for every other id."""
         out = np.full(self.size, -1, dtype=np.int64)
-        for i, lang in enumerate(self.languages):
-            out[self.language_tag_id(lang)] = i
+        out[len(STRUCTURAL_TOKENS) : self.n_reserved] = np.arange(len(self.languages))
         return out
 
     def check_languages(self, languages):

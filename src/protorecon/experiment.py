@@ -12,7 +12,7 @@ import numpy as np
 
 from . import decode as dec
 from . import models
-from .corpus import Dataset, build_vocabulary, read_dataset, write_text
+from .corpus import Dataset, build_vocabulary, read_dataset, read_text, write_text
 from .errors import ConfigError, ProtoreconError, SchemaError
 from .metrics import FeatureTable, evaluate, load_feature_table
 from .rerank import ReflexCache, check_lambda, rerank, rerank_sets, scored_beams
@@ -88,6 +88,11 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         fields = dataclasses.asdict(self)
         fields.pop("out_dir")  # where results land does not identify the run
+        # the text of each file the run read, not its path (the packaged table: its name)
+        for name in ("dataset_path", "split_path", "feature_table_path"):
+            path = fields[name]
+            if path is not None and (name, path) != ("feature_table_path", "bundled"):
+                fields[name] = hashlib.sha256(read_text(path).encode("utf-8")).hexdigest()
         payload = json.dumps(fields, sort_keys=True)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 

@@ -309,10 +309,8 @@ class _ModelBase:
         return {k: Tensor(v.data) for k, v in self.params.items()}
 
     def banned_output_ids(self):
-        v = self.vocab
-        banned = [v.pad_id, v.bos_id, v.sep_id, v.delim_id, v.unk_id]
-        banned += [v.language_tag_id(lang) for lang in v.languages]
-        return tuple(banned)
+        """Every structural id but EOS's, and every language tag's."""
+        return tuple(i for i in range(self.vocab.n_reserved) if i != self.vocab.eos_id)
 
     # -- decoder --------------------------------------------------------------
 
@@ -434,10 +432,6 @@ def load_checkpoint(path):
     header_vocab = Vocabulary(tokens, languages)
     if header_vocab.content_hash() != vocab_hash:
         raise CheckpointError("checkpoint vocabulary does not match its stored hash")
-    # vocab_hash covers the tokens only; a language's index is its place in languages
-    tag_ids = [header_vocab.language_tag_id(lang) for lang in languages]
-    if tag_ids != sorted(set(tag_ids)):
-        raise CheckpointError("checkpoint languages are not in the order of their tags")
     for name, array in arrays.items():
         if not np.isfinite(array).all():
             raise CheckpointError(f"array {name!r} holds a non-finite value")

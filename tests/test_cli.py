@@ -687,6 +687,48 @@ def test_checkpoint_vocabulary_header_checked_exit_3(workdir, tmp_path, capsys, 
     assert err.count("data error") == 2 and err.count(message) == 2 and "Traceback" not in err
 
 
+def test_checkpoint_with_a_structural_token_moved_exit_3(workdir, tmp_path, capsys):
+    """A header vocabulary with <unk> moved from id 5 to the end, stored with its own hash:
+    every token is there once, but each tag and phoneme id is one less than the parameters
+    were trained on, so the vocabulary's layout check refuses it."""
+    import hashlib
+
+    from protorecon.checkpoint import read_checkpoint, write_checkpoint
+
+    arrays, header, _, seed = read_checkpoint(FIXTURES / "reflex.ckpt")
+    tokens = header["vocab_tokens"]
+    tokens.append(tokens.pop(tokens.index("<unk>")))
+    vocab_hash = hashlib.sha256("\x00".join(header["vocab_tokens"]).encode()).hexdigest()
+    bad = tmp_path / "reflex.ckpt"
+    write_checkpoint(bad, arrays, header, vocab_hash, seed)
+    data = ["--dataset", str(workdir / "data.tsv")]
+    assert main(["decode", *data, "--checkpoint", str(bad)]) == 3
+    assert main(["rerank", *data, "--recon-checkpoint", str(FIXTURES / "recon.ckpt"),
+                 "--reflex-checkpoint", str(bad)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.count("a structural token is out of place") == 2
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
+def test_decode_refuses_a_checkpoint_dimension_below_0_exit_3(workdir, tmp_path, capsys):
+    """A shape of [-1] would read no bytes and move the read offset 8 bytes back, into the
+    header; it is refused as a shape, before any array is read."""
+    from protorecon.checkpoint import MAGIC
+
+    blob = (workdir / "recon.ckpt").read_bytes()
+    (hlen,) = struct.unpack_from("<I", blob, len(MAGIC) + 4)
+    start = len(MAGIC) + 8
+    header = json.loads(blob[start : start + hlen])
+    header["arrays"][0]["shape"][0] = -1
+    name = header["arrays"][0]["name"]
+    bad = _checkpoint_with(tmp_path / "bad.ckpt", json.dumps(header), blob[start + hlen :])
+    assert main(["decode", "--dataset", str(workdir / "data.tsv"),
+                 "--checkpoint", str(bad)]) == 3
+    captured = capsys.readouterr()
+    assert f"data error: array {name!r} has shape [-1, " in captured.err
+    assert "each dimension must be an int >= 0" in captured.err and captured.out == ""
+
+
 def test_reflex_checkpoint_decode_cap_0_exit_3(workdir, tmp_path, capsys):
     """max_decode_len is the one source of every decode's cap: a reflex checkpoint that says
     0 would predict every reflex as empty, and rerank would exit 0 with every r at 0."""

@@ -1,15 +1,27 @@
 """Dataset parsing, vocabulary construction, input assembly, splits, and file plumbing."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import protorecon
+from protorecon import models
 from protorecon.corpus import (
+    BOS,
+    DELIM,
+    EOS,
+    PAD,
+    SEP,
     STRUCTURAL_TOKENS,
+    UNK,
     CognateSet,
     Dataset,
+    Vocabulary,
     apply_split_tags,
     assemble_reconstruction_input,
     assemble_reflex_input,
@@ -25,6 +37,8 @@ from protorecon.corpus import (
     write_text,
 )
 from protorecon.errors import ConfigError, SchemaError, VocabularyError
+from protorecon.synthetic import generate_family
+from tests.conftest import tiny_recon_config
 
 
 def test_parse_basic(tiny_dataset):
@@ -164,6 +178,52 @@ def test_tag_languages_inverts_language_tag_id(tiny_vocab):
     assert table.shape == (tiny_vocab.size,)
     tags = {tiny_vocab.language_tag_id(lang): i for i, lang in enumerate(tiny_vocab.languages)}
     assert table.tolist() == [tags.get(i, -1) for i in range(tiny_vocab.size)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_sets=st.integers(1, 12), n_daughters=st.integers(1, 5), seed=st.integers(0, 2**16),
+       data=st.data())
+def test_built_vocabularies_keep_the_layout_that_lookups_gave(n_sets, n_daughters, seed, data):
+    """build_vocabulary passes Vocabulary's layout check and round-trips through it, and
+    each id that Vocabulary derives from the layout is the one that a token lookup gives:
+    the lookups below are the definitions that the layout replaced."""
+    family, _ = generate_family(n_sets=n_sets, n_daughters=n_daughters, seed=seed)
+    languages = data.draw(st.permutations(family.languages))
+    vocab = build_vocabulary(dataclasses.replace(family, languages=tuple(languages)))
+    assert Vocabulary(vocab.id_to_token, vocab.languages) == vocab
+    lookup = vocab.token_to_id
+    assert (vocab.pad_id, vocab.bos_id, vocab.eos_id, vocab.sep_id, vocab.delim_id,
+            vocab.unk_id) == tuple(lookup[tok] for tok in (PAD, BOS, EOS, SEP, DELIM, UNK))
+    tag_ids = [lookup[Vocabulary.language_tag(lang)] for lang in languages]
+    assert [vocab.language_tag_id(lang) for lang in languages] == tag_ids
+    table = np.full(vocab.size, -1)
+    table[tag_ids] = range(len(languages))
+    assert vocab.tag_languages().tolist() == table.tolist()
+    skip = set(STRUCTURAL_TOKENS) | {Vocabulary.language_tag(lang) for lang in languages}
+    assert vocab.phonemes() == tuple(tok for tok in vocab.id_to_token if tok not in skip)
+    banned = [lookup[tok] for tok in (PAD, BOS, SEP, DELIM, UNK)] + tag_ids
+    assert models.ReconModel(tiny_recon_config(), vocab).banned_output_ids() == tuple(banned)
+
+
+@pytest.mark.parametrize("tokens", [
+    (BOS, PAD, EOS, SEP, DELIM, UNK, "<LangA>", "<LangB>", "a"),
+    (PAD, BOS, EOS, SEP, DELIM, UNK, "<LangB>", "<LangA>", "a"),
+    (PAD, BOS, EOS, SEP, DELIM, UNK, "<LangA>", "a", "<LangB>"),
+    ("a", PAD, BOS, EOS, SEP, DELIM, UNK, "<LangA>", "<LangB>"),
+], ids=["structural-swapped", "tags-reversed", "phoneme-between-tags", "phoneme-first"])
+def test_vocabulary_refuses_tokens_out_of_their_layout(tokens):
+    """Every token is present once, but not at the id that the layout gives it."""
+    with pytest.raises(VocabularyError, match="languages are not in the order of their tags"):
+        Vocabulary(tokens, ("LangA", "LangB"))
+
+
+def test_language_tag_id_refuses_a_language_outside_languages(tiny_vocab):
+    """<LangB> is still one of the tokens, a phoneme now, but LangB is no language."""
+    vocab = Vocabulary(tiny_vocab.id_to_token, ("LangA",))
+    assert vocab.language_tag_id("LangA") == tiny_vocab.language_tag_id("LangA")
+    assert "<LangB>" in vocab.phonemes()
+    with pytest.raises(VocabularyError, match="unknown language 'LangB'"):
+        vocab.language_tag_id("LangB")
 
 
 def test_split_sizes(tiny_dataset):
@@ -311,3 +371,19 @@ def test_the_library_splits_lines_only_in_its_line_helper():
     also break at \\r, \\x0b, \\x0c, \\x1c-\\x1e, U+0085, U+2028 and U+2029."""
     assert _library_calls(_splits_lines, {("corpus.py", "split_lines")}) == []
     assert split_lines("a\r\nb\x85c\u2028d\re\n") == ["a", "b\x85c\u2028d\re", ""]
+
+
+LAYOUT_NAMES = {"STRUCTURAL_TOKENS", "token_to_id", "language_tag"}
+
+
+def test_only_the_corpus_module_knows_the_vocabulary_layout():
+    """Every other module takes its ids from Vocabulary's derived ones: none names the
+    structural tokens, the token lookup or the spelling of a language tag."""
+    stray = []
+    for path in sorted(Path(protorecon.__file__).parent.glob("*.py")):
+        if path.name == "corpus.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = {getattr(node, attr, None) for attr in ("id", "attr", "name", "asname")}
+            stray += [(path.name, node.lineno, name) for name in sorted(names & LAYOUT_NAMES)]
+    assert stray == []

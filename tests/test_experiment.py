@@ -6,7 +6,12 @@ import os
 import pytest
 
 from protorecon import models
-from protorecon.corpus import build_vocabulary, serialize_dataset, split_dataset
+from protorecon.corpus import (
+    build_vocabulary,
+    serialize_dataset,
+    serialize_split_tags,
+    split_dataset,
+)
 from protorecon.errors import ConfigError, SchemaError
 from protorecon.experiment import (
     DEFAULT_K_RANGE,
@@ -44,12 +49,46 @@ def test_grid_search_tie_break_and_coverage(tiny_split):
     assert (result.k, result.lam) == min(ties)
 
 
-def test_experiment_config_hash_sensitivity():
-    a = ExperimentConfig(dataset_path="d.tsv", out_dir="o")
-    b = ExperimentConfig(dataset_path="d.tsv", out_dir="o")
+def test_experiment_config_hash_sensitivity(tmp_path):
+    (tmp_path / "d.tsv").write_text("proto\tA\np\tp\n", encoding="utf-8")
+    d = str(tmp_path / "d.tsv")
+    a = ExperimentConfig(dataset_path=d, out_dir="o")
+    b = ExperimentConfig(dataset_path=d, out_dir="o")
     assert a.config_hash() == b.config_hash()
-    c = ExperimentConfig(dataset_path="d.tsv", out_dir="o", lam=2.0)
+    c = ExperimentConfig(dataset_path=d, out_dir="o", lam=2.0)
     assert a.config_hash() != c.config_hash()
+
+
+def test_config_stamp_names_the_files_read_not_their_paths(tmp_path):
+    """The same dataset, split and feature-table bytes in two directories, under other
+    names, give one stamp."""
+    ds, _ = generate_family(n_sets=6, n_daughters=2, seed=1)
+    texts = {"data": serialize_dataset(ds),
+             "split": serialize_split_tags(split_dataset(ds, seed=0).split_tags),
+             "table": "token\ttone\tvoiced\np\t0\t-1\n"}
+    configs = []
+    for copy in ("one", "two"):
+        (tmp_path / copy).mkdir()
+        for name, text in texts.items():
+            (tmp_path / copy / f"{name}_{copy}.tsv").write_text(text, encoding="utf-8")
+        configs.append(ExperimentConfig(
+            dataset_path=str(tmp_path / copy / f"data_{copy}.tsv"), out_dir=copy,
+            split_path=str(tmp_path / copy / f"split_{copy}.tsv"),
+            feature_table_path=str(tmp_path / copy / f"table_{copy}.tsv")))
+    assert configs[0].config_hash() == configs[1].config_hash()
+
+
+def test_config_stamp_changes_when_the_dataset_at_its_path_is_edited(tmp_path):
+    """An edited dataset at the same path is another run; the bundled feature table is
+    named, not read from a file."""
+    ds, _ = generate_family(n_sets=6, n_daughters=2, seed=1)
+    path = tmp_path / "data.tsv"
+    path.write_text(serialize_dataset(ds), encoding="utf-8")
+    config = ExperimentConfig(dataset_path=str(path), out_dir="o", feature_table_path="bundled")
+    before = config.config_hash()
+    path.write_text(serialize_dataset(dataclasses.replace(ds, sets=ds.sets[1:])),
+                    encoding="utf-8")
+    assert config.config_hash() != before
 
 
 def test_experiment_config_rejects_duplicate_seeds():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import json
 import struct
 
 import numpy as np
@@ -622,6 +623,21 @@ def test_read_checkpoint_refuses_an_array_name_given_twice(tmp_path):
     write_checkpoint(path, {"a": np.zeros(2), "b": np.ones(2)}, {}, "h", 0)
     path.write_bytes(path.read_bytes().replace(b'"name":"b"', b'"name":"a"'))
     with pytest.raises(CheckpointError, match="duplicate array name 'a'"):
+        read_checkpoint(path)
+
+
+@pytest.mark.parametrize("shape", [[-1], [2, -1], [True], [1.0], ["1"], [None]], ids=json.dumps)
+def test_read_checkpoint_refuses_a_dimension_that_is_not_an_int_of_at_least_0(tmp_path, shape):
+    """Array a with shape [-1], then b with shape [3], over a 16-byte payload: a would read
+    no bytes and move the read offset 8 bytes back, so b's first value would come from the
+    header, and the trailing-bytes check would still pass.  A bool is no dimension either."""
+    header = json.dumps({"arrays": [{"name": "a", "dtype": "float64", "shape": shape},
+                                    {"name": "b", "dtype": "float64", "shape": [3]}],
+                         "config": {}, "vocab_hash": "h", "seed": 0}).encode()
+    path = tmp_path / "c.ckpt"
+    path.write_bytes(MAGIC + struct.pack("<II", FORMAT_VERSION, len(header)) + header
+                     + np.array([1.0, 2.0]).tobytes())
+    with pytest.raises(CheckpointError, match="each dimension must be an int >= 0"):
         read_checkpoint(path)
 
 
