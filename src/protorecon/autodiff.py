@@ -51,7 +51,11 @@ class Tensor:
         """Reverse-mode sweep seeding d(self)/d(self) = 1.
 
         The sweep consumes the graph: afterwards every node of it has no
-        parents and no backward rule, so a graph is differentiated once.
+        parents and no backward rule, so a graph is differentiated once.  A
+        rule owns the g it is handed and may overwrite it: the sweep pops each
+        node's g before its rule runs, and keeps a copy of any array that a
+        rule hands on as it is (its own g, or a view), since a rule may hand
+        one array to two parents, as add's does.
         """
         if self.data.size != 1:
             raise DimensionError("backward() requires a scalar loss")
@@ -150,8 +154,19 @@ def grouped_affine(x: Tensor, groups) -> Tensor:
     rows holds row indices of x, or is None for every row; the groups' rows
     cover every row of x once.  One node for all groups, so that the
     backward writes each group's rows of the input gradient in place: a
-    gather per group would scatter an input-sized gradient per group.
+    gather per group would scatter an input-sized gradient per group.  One
+    group of every row is add(matmul(x, w), b) in one node: its output and
+    input gradient are made as such, with no copy and no zero-filled gx.
     """
+    if len(groups) == 1 and groups[0][0] is None:
+        [(_, w, b)] = groups
+        out = x.data @ w.data
+        out += b.data
+
+        def rule(g):
+            return ((w, x.data.T @ g), (b, g.sum(axis=0)), (x, g @ w.data.T))
+
+        return _node(out, (x, w, b), rule)
     index = [slice(None) if rows is None else rows for rows, _, _ in groups]
     xs = [x.data[i] for i in index]
     out = np.empty((len(x.data), groups[0][1].data.shape[1]))
@@ -204,24 +219,38 @@ def _scatter_rows(shape, ids, g):
 
 def embedding(table: Tensor, ids) -> Tensor:
     """Gather entries along axis 0 of a table by an int array of ids of any shape."""
-    ids = np.asarray(ids, dtype=np.int64)
-    return _node(table.data[ids], (table,),
-                 lambda g: ((table, _scatter_rows(table.data.shape, ids, g)),))
+    return embeddings([(table, ids)])
 
 
-def embeddings(pairs) -> Tensor:
-    """Gathers of 2-D tables by (table, ids) pairs of one ids shape, concatenated.
+def embeddings(pairs, rate: float = 0.0, rng: np.random.Generator | None = None,
+               keep: np.ndarray | None = None) -> Tensor:
+    """Gathers of tables by (table, ids) pairs of one ids shape, concatenated along the last
+    axis, with inverted dropout of rate applied to the result.
 
-    Equals concat(..., axis=-1) of their embeddings, gathered straight into
-    the one output: no array per gather stays on the tape.
+    Equals dropout(concat(..., axis=-1) of their embeddings, rate, rng, keep),
+    draw for draw, gathered straight into the one output and dropped out in
+    place: the tape keeps that output and the keep mask, no array per gather
+    and no undropped copy.  The rule scales and masks the g it is handed in
+    place, then scatters it into each table.
     """
     pairs = [(table, np.asarray(ids, dtype=np.int64)) for table, ids in pairs]
-    out = np.concatenate([table.data[ids] for table, ids in pairs], axis=-1)
+    gathers = [table.data[ids] for table, ids in pairs]  # fancy indexing: fresh arrays
+    out = gathers[0] if len(gathers) == 1 else np.concatenate(gathers, axis=-1)
+    del gathers  # before the keep mask's draw, so that two input-sized arrays at most are live
+    if rate > 0.0:
+        if keep is None:
+            keep = rng.random(out.shape) >= rate
+        scale = 1.0 / (1.0 - rate)
+        out *= scale
+        out *= keep
 
     def rule(g):
-        ends = np.cumsum([table.data.shape[1] for table, _ in pairs])
+        if rate > 0.0:
+            g *= scale
+            g *= keep
+        ends = np.cumsum([table.data.shape[-1] for table, _ in pairs])
         return tuple((table, _scatter_rows(table.data.shape, ids,
-                                           g[..., end - table.data.shape[1] : end]))
+                                           g[..., end - table.data.shape[-1] : end]))
                      for (table, ids), end in zip(pairs, ends))
 
     return _node(out, tuple(table for table, _ in pairs), rule)

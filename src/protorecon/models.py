@@ -327,14 +327,14 @@ class _ModelBase:
         out in row order.  Each b2 already carries the banned-output mask row
         (NEG at banned ids), added once per forward.
         """
-        x = ad.dropout(ad.embedding(p["tok_emb"], prev_ids), rate, keep=keep[0])
+        x = ad.embeddings([(p["tok_emb"], prev_ids)], rate, keep=keep[0])
         if cond.lang_rows is not None:
             x = ad.concat([x, cond.lang_rows], axis=-1)
         states = ad.gru_sequence(x, h, dec_gates, mask)
         h_in = ad.dropout(states, rate, keep=keep[1])
         clf_in = ad.concat([h_in, cond.one_hot], axis=-1) if cond.one_hot is not None else h_in
         clf_in = ad.reshape(clf_in, (-1, clf_in.data.shape[2]))
-        hidden = ad.tanh(ad.add(ad.matmul(clf_in, p["clf.W1"]), p["clf.b1"]))
+        hidden = ad.tanh(ad.grouped_affine(clf_in, [(None, p["clf.W1"], p["clf.b1"])]))
         return states, ad.grouped_affine(hidden, cond.blocks)
 
     def _loss(self, inputs, targets, dropout_rng):
@@ -470,7 +470,8 @@ class ReconModel(_ModelBase):
     def _encode(self, p, inputs, rate=0.0, dropout_rng=None):
         """Final encoder states (len(inputs), H) of SEP-framed id sequences.
 
-        The batch is one (T, B) gather per table and one ad.gru_sequence.
+        The batch is one (T, B) gather of both tables, dropped out in place,
+        and one ad.gru_sequence.
         """
         for seq in inputs:
             self._check_framing(seq)
@@ -478,8 +479,7 @@ class ReconModel(_ModelBase):
         lang_ids = segment_language_indices(ids, self.vocab)
         h0 = Tensor(np.zeros((len(inputs), self.config.hidden_size)))
         return ad.gru_sequence(
-            ad.dropout(ad.embeddings([(p["tok_emb"], ids), (p["lang_emb"], lang_ids)]), rate,
-                       dropout_rng),
+            ad.embeddings([(p["tok_emb"], ids), (p["lang_emb"], lang_ids)], rate, dropout_rng),
             h0, _stacked_gates(p, "enc"), mask, final=True)
 
     def _target_languages(self, inputs) -> np.ndarray:
@@ -591,14 +591,14 @@ class ReflexModel(_ModelBase):
         ids, mask = _pad_batch(inputs, self.vocab.pad_id)
         h0 = Tensor(np.zeros((len(inputs), cfg.hidden_size)))
         dirs = ("f", "b") if cfg.bidirectional_encoder else ("f",)
-        seq = ad.dropout(ad.embedding(p["tok_emb"], ids), rate, dropout_rng)
+        seq = ad.embeddings([(p["tok_emb"], ids)], rate, dropout_rng)
         for layer in range(cfg.num_encoder_layers):
             if layer:
                 seq = ad.dropout(_concat(runs), rate, dropout_rng)
             runs = [ad.gru_sequence(seq, h0, _stacked_gates(p, f"enc{layer}{d}"), mask, d == "b",
                                     None if layer else ids,
                                     final=layer == cfg.num_encoder_layers - 1) for d in dirs]
-        return ad.tanh(ad.add(ad.matmul(_concat(runs), p["bridge.W"]), p["bridge.b"]))
+        return ad.tanh(ad.grouped_affine(_concat(runs), [(None, p["bridge.W"], p["bridge.b"])]))
 
     def _conditioning(self, p, lang) -> _Conditioning:
         """Decoder-step conditioning of rows whose language indices are lang (any shape).
@@ -689,9 +689,12 @@ def _keep_freed_memory():
     encoder pass's) multi-MB temporaries are faulted in afresh.  The mmap
     threshold (64 MiB) sits above the largest per-batch array at the WikiHan
     presets, the (T~45, B=128, 1018) float64 encoder input of about 47 MB;
-    the trim threshold (128 MiB) above two of them.  Setting either one
-    turns off the dynamic threshold, so both are set or neither.  Where the
-    C library has no mallopt, or it refuses a value, nothing changes.
+    the trim threshold (128 MiB) above two of them, the most that are live
+    at once: the dropped-out input that the tape keeps and, in the forward,
+    the uniform draw of its keep mask or, in the backward, its gradient.
+    Setting either one turns off the dynamic threshold, so both are set or
+    neither.  Where the C library has no mallopt, or it refuses a value,
+    nothing changes.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

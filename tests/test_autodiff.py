@@ -180,6 +180,67 @@ def test_grouped_affine_equals_gathered_affine_maps(partition):
            [x] + [t for _, w, b in groups for t in (w, b)])
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (7, 4), (40, 9)])
+def test_grouped_affine_of_one_all_rows_group_equals_add_of_matmul(shape):
+    """One group of every row is add(matmul(x, w), b) bitwise: output and all three gradients."""
+    rng = np.random.default_rng(shape[0])
+    data = [rng.normal(size=shape), rng.normal(size=(shape[1], 5)), rng.normal(size=5)]
+    upstream = Tensor(rng.normal(size=(5, 1)))
+    results = []
+    for affine_map in (lambda x, w, b: ad.grouped_affine(x, [(None, w, b)]),
+                       lambda x, w, b: ad.add(ad.matmul(x, w), b)):
+        tensors = [ad.parameter(array.copy()) for array in data]
+        out = affine_map(*tensors)
+        results.append([out.data.tobytes()])
+        _sum(ad.matmul(ad.tanh(out), upstream)).backward()
+        results[-1] += [t.grad.tobytes() for t in tensors]
+    assert results[0] == results[1]
+
+
+def _reduce(t, weights):
+    """The scalar weights . t over all of t's entries, on the tape."""
+    return ad.matmul(ad.reshape(t, (1, t.data.size)), Tensor(weights.reshape(-1, 1)))
+
+
+# How the gathered output x reaches the loss: alone; through two consumers, as layer 0 of a
+# bidirectional encoder feeds both directions; and through add, which hands one g to both
+# of its parents, there to x and to a parameter y whose rule runs after x's.
+_CONSUMERS = {
+    "one": lambda x, y, w: _reduce(x, w),
+    "two": lambda x, y, w: ad.add(_reduce(ad.tanh(x), w), _reduce(x, w[::-1].copy())),
+    "add": lambda x, y, w: _reduce(ad.add(y, x), w),
+    "add itself": lambda x, y, w: _reduce(ad.add(x, x), w),
+}
+
+
+@settings(max_examples=60)
+@given(gather=gathers(), two_tables=st.booleans(), rate=st.sampled_from([0.0, 0.25, 0.6]),
+       by_keep=st.booleans(), consumers=st.sampled_from(sorted(_CONSUMERS)),
+       seed=st.integers(0, 2**16))
+def test_embeddings_with_dropout_equal_dropout_of_embeddings(gather, two_tables, rate,
+                                                             by_keep, consumers, seed):
+    """The gather that drops out its own output equals ad.dropout over the plain gather, bit
+    for bit: the output, each table's gradient, and the generator's next draw."""
+    rows, ids = gather
+    widths = (3, 2) if two_tables else (4,)
+    tables = [np.random.default_rng(seed).normal(size=(rows, w)) for w in widths]
+    keep = np.random.default_rng(seed + 1).random((*ids.shape, sum(widths))) >= rate
+    weights = np.random.default_rng(seed + 2).normal(size=keep.size)
+    results = []
+    for fused in (True, False):
+        params = [ad.parameter(table.copy()) for table in tables]
+        y = ad.parameter(np.zeros(keep.shape))
+        pairs = list(zip(params, [ids, (ids + 1) % rows]))
+        rng = None if by_keep else np.random.default_rng(seed + 3)
+        drop = dict(rng=rng, keep=keep if by_keep else None)
+        x = (ad.embeddings(pairs, rate, **drop) if fused
+             else ad.dropout(ad.embeddings(pairs), rate, **drop))
+        _CONSUMERS[consumers](x, y, weights).backward()
+        results.append([x.data.tobytes(), None if rng is None else rng.random(),
+                        *(t.grad.tobytes() for t in [*params, y] if t.grad is not None)])
+    assert results[0] == results[1]
+
+
 def test_dropout_scales_like_a_float_mask():
     """Boolean keep masks times 1 / (1 - rate) give x * mask and g * mask bitwise."""
     x = ad.parameter(np.random.default_rng(5).normal(size=(6, 5)))

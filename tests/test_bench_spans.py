@@ -1,6 +1,6 @@
 """The benchmark's traced run wraps program functions by name: each one must still exist,
-and each counter hook must still read the argument it counts.  Short infer and train-small
-runs must check out correct."""
+and each counter hook must still read the argument it counts.  Short infer, train-small
+and train-wide runs must check out correct."""
 
 import importlib.util
 import json
@@ -72,3 +72,11 @@ def test_train_small_benchmark_smoke_run_is_correct():
     model's validation decodes go through the encoder that steps each distinct state
     once, so an error or a run-dependent state there shows here."""
     _smoke_run("train-small")
+
+
+def test_train_wide_benchmark_smoke_run_is_correct():
+    """The train-wide run trains both models at the WikiHan presets, whose dropout is above
+    0, so the gathers that drop out their own outputs in place run there with the
+    benchmark's own checks: a finite loss and validation TED, and a rerun that saves the
+    same checkpoint bytes."""
+    _smoke_run("train-wide")
