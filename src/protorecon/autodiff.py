@@ -6,7 +6,10 @@ the models need.  No general broadcasting beyond bias rows and column masks.
 Every op ends in _node, the one place where an op's output becomes a tape
 node: when none of its inputs is tracked (no grad, no parents) it returns a
 plain Tensor, so inference runs the training forward on untracked
-parameters with no tape.
+parameters with no tape.  On the tape a buffer that nothing will read again
+is written over rather than a new one made (see Tensor.backward), the
+computation-graph memory sharing of Chen et al. 2016 (arXiv:1604.06174),
+here with no recomputation.
 """
 
 from __future__ import annotations
@@ -23,9 +26,12 @@ class Tensor:
 
     A tensor that requires grad gets its gradient array on first use
     (zero_grad, or backward reaching it), so inference never allocates one.
+    A tape node counts its consumers, the nodes made over it, and is spare
+    when its op made its data afresh and its rule never reads it.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "parents", "backward_rule", "name")
+    __slots__ = ("data", "grad", "requires_grad", "parents", "backward_rule", "name",
+                 "consumers", "spare")
 
     def __init__(self, data, requires_grad=False, parents=(), backward_rule=None, name=None):
         # every op makes a Tensor, so a float64 array skips np.asarray's dtype handling
@@ -36,6 +42,8 @@ class Tensor:
         self.parents = parents
         self.backward_rule = backward_rule
         self.name = name
+        self.consumers = 0
+        self.spare = False
 
     @property
     def shape(self):
@@ -51,11 +59,16 @@ class Tensor:
         """Reverse-mode sweep seeding d(self)/d(self) = 1.
 
         The sweep consumes the graph: afterwards every node of it has no
-        parents and no backward rule, so a graph is differentiated once.  A
-        rule owns the g it is handed and may overwrite it: the sweep pops each
-        node's g before its rule runs, and keeps a copy of any array that a
-        rule hands on as it is (its own g, or a view), since a rule may hand
-        one array to two parents, as add's does.
+        parents and no backward rule, and the data of its interior nodes are
+        undefined, so a graph is differentiated once.  A rule owns the g it is
+        handed and may overwrite it: the sweep pops each node's g before its
+        rule runs, and keeps a copy of any array that a rule hands on as it is
+        (its own g, or a view), since a rule may hand one array to two
+        parents, as add's does.  A rule may also overwrite its own node's
+        output, since every consumer's rule has run by then (tanh's builds
+        1 - out**2 there), and the output of a parent of which it is the only
+        consumer, when that parent is spare (gru_sequence's writes dX over
+        X): no rule reads either again.
         """
         if self.data.size != 1:
             raise DimensionError("backward() requires a scalar loss")
@@ -108,12 +121,21 @@ def _tracked(*tensors) -> bool:
     return False
 
 
-def _node(out, parents, rule) -> Tensor:
+def _node(out, parents, rule, spare=False) -> Tensor:
     """out as a tape node over parents with backward rule, or, when no parent is tracked,
-    as a plain Tensor that records nothing."""
-    if _tracked(*parents):
-        return Tensor(out, parents=parents, backward_rule=rule)
-    return Tensor(out)
+    as a plain Tensor that records nothing.
+
+    The node counts itself a consumer of each parent that is a node.  spare
+    says that the op made out afresh and that rule never reads it.
+    """
+    if not _tracked(*parents):
+        return Tensor(out)
+    for p in parents:
+        if p.parents:
+            p.consumers += 1
+    node = Tensor(out, parents=parents, backward_rule=rule)
+    node.spare = spare
+    return node
 
 
 def parameter(data, name=None) -> Tensor:
@@ -130,7 +152,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         gb = g.sum(axis=0) if b.data.ndim < g.ndim else g
         return ((a, g), (b, gb))
 
-    return _node(out, (a, b), rule)
+    return _node(out, (a, b), rule, spare=True)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -141,73 +163,90 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def rule(g):
         return ((a, g @ b.data.T), (b, a.data.T @ g))
 
-    return _node(out, (a, b), rule)
+    return _node(out, (a, b), rule, spare=True)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
     return _node(x.data.reshape(shape), (x,), lambda g: ((x, g.reshape(x.data.shape)),))
 
 
-def grouped_affine(x: Tensor, groups) -> Tensor:
-    """x[rows] @ w + b for each (rows, w, b) group, written into those rows of the output.
+def grouped_affine(x: Tensor, groups, tanh=False) -> Tensor:
+    """x[rows] @ w + b for each (rows, w, b) group, written into those rows of the output,
+    and with tanh the tanh of that, in the same array (see _tanh_grad).
 
     rows holds row indices of x, or is None for every row; the groups' rows
     cover every row of x once.  One node for all groups, so that the
     backward writes each group's rows of the input gradient in place: a
-    gather per group would scatter an input-sized gradient per group.  One
+    gather per group would scatter an input-sized gradient per group, and
+    it gathers each group's rows of x again rather than keep them.  One
     group of every row is add(matmul(x, w), b) in one node: its output and
     input gradient are made as such, with no copy and no zero-filled gx.
     """
-    if len(groups) == 1 and groups[0][0] is None:
-        [(_, w, b)] = groups
-        out = x.data @ w.data
-        out += b.data
-
-        def rule(g):
-            return ((w, x.data.T @ g), (b, g.sum(axis=0)), (x, g @ w.data.T))
-
-        return _node(out, (x, w, b), rule)
-    index = [slice(None) if rows is None else rows for rows, _, _ in groups]
-    xs = [x.data[i] for i in index]
-    out = np.empty((len(x.data), groups[0][1].data.shape[1]))
-    for i, xg, (_, w, b) in zip(index, xs, groups):
-        out[i] = xg @ w.data + b.data
+    every_row = len(groups) == 1 and groups[0][0] is None
+    if every_row:
+        out = x.data @ groups[0][1].data
+        out += groups[0][2].data
+    else:
+        index = [slice(None) if rows is None else rows for rows, _, _ in groups]
+        out = np.empty((len(x.data), groups[0][1].data.shape[1]))
+        for i, (_, w, b) in zip(index, groups):
+            out[i] = x.data[i] @ w.data + b.data
+    if tanh:
+        np.tanh(out, out=out)
 
     def rule(g):
+        if tanh:
+            g = _tanh_grad(out, g)
+        if every_row:
+            [(_, w, b)] = groups
+            return ((w, x.data.T @ g), (b, g.sum(axis=0)), (x, g @ w.data.T))
         gx, grads = np.zeros_like(x.data), []
-        for i, xg, (_, w, b) in zip(index, xs, groups):
+        for i, (_, w, b) in zip(index, groups):
             g_part = g[i]
-            grads += [(w, xg.T @ g_part), (b, g_part.sum(axis=0))]
+            grads += [(w, x.data[i].T @ g_part), (b, g_part.sum(axis=0))]
             gx[i] += g_part @ w.data.T
         return grads + [(x, gx)]
 
-    return _node(out, (x, *[t for _, w, b in groups for t in (w, b)]), rule)
+    return _node(out, (x, *[t for _, w, b in groups for t in (w, b)]), rule, spare=not tanh)
 
 
 def concat(tensors, axis=1) -> Tensor:
+    """The tensors concatenated along axis.  A spare input's data becomes its view in the
+    output, so that its own buffer is freed; the output is then not spare."""
     out = np.concatenate([t.data for t in tensors], axis=axis)
 
-    def rule(g):
-        splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
-        return tuple(zip(tensors, np.split(g, splits, axis=axis)))
+    def parts(a):
+        return np.split(a, np.cumsum([t.data.shape[axis] for t in tensors])[:-1], axis=axis)
 
-    return _node(out, tuple(tensors), rule)
+    node = _node(out, tuple(tensors), lambda g: tuple(zip(tensors, parts(g))), spare=True)
+    if node.spare and any(t.spare for t in tensors):
+        for t, part in zip(tensors, parts(out)):
+            if t.spare:
+                t.data, t.spare = part, False
+        node.spare = False
+    return node
+
+
+def _tanh_grad(out, g):
+    """g * (1 - out**2) for a tanh node's output out, made in out's own buffer, which no rule
+    reads once that node's rule runs (see Tensor.backward)."""
+    np.multiply(out, out, out=out)
+    np.subtract(1.0, out, out=out)
+    out *= g
+    return out
 
 
 def tanh(x: Tensor) -> Tensor:
     out = np.tanh(x.data)
-
-    def rule(g):
-        return ((x, g * (1.0 - out * out)),)
-
-    return _node(out, (x,), rule)
+    return _node(out, (x,), lambda g: ((x, _tanh_grad(out, g)),))
 
 
 def _scatter_rows(shape, ids, g):
     """The gradient of a table of shape gathered by ids (any shape) from that gather's g.
 
     Sums each id's gradient rows into its table row through a one-hot
-    (rows, ids) matmul, written straight into a fresh table-shaped array.
+    (rows, ids) matmul, written straight into a fresh table-shaped array.  A
+    table's columns of a contiguous g reshape to a strided view, not a copy.
     """
     flat = ids.reshape(-1)
     one_hot = np.zeros((shape[0], flat.size))
@@ -230,8 +269,9 @@ def embeddings(pairs, rate: float = 0.0, rng: np.random.Generator | None = None,
     Equals dropout(concat(..., axis=-1) of their embeddings, rate, rng, keep),
     draw for draw, gathered straight into the one output and dropped out in
     place: the tape keeps that output and the keep mask, no array per gather
-    and no undropped copy.  The rule scales and masks the g it is handed in
-    place, then scatters it into each table.
+    and no undropped copy.  The output is spare.  The rule scales and masks
+    the g it is handed in place, then scatters each table's columns of it
+    into that table.
     """
     pairs = [(table, np.asarray(ids, dtype=np.int64)) for table, ids in pairs]
     gathers = [table.data[ids] for table, ids in pairs]  # fancy indexing: fresh arrays
@@ -239,7 +279,7 @@ def embeddings(pairs, rate: float = 0.0, rng: np.random.Generator | None = None,
     del gathers  # before the keep mask's draw, so that two input-sized arrays at most are live
     if rate > 0.0:
         if keep is None:
-            keep = rng.random(out.shape) >= rate
+            keep = keep_mask(rng, out.shape, rate)
         scale = 1.0 / (1.0 - rate)
         out *= scale
         out *= keep
@@ -253,7 +293,21 @@ def embeddings(pairs, rate: float = 0.0, rng: np.random.Generator | None = None,
                                            g[..., end - table.data.shape[-1] : end]))
                      for (table, ids), end in zip(pairs, ends))
 
-    return _node(out, tuple(table for table, _ in pairs), rule)
+    return _node(out, tuple(table for table, _ in pairs), rule, spare=True)
+
+
+KEEP_CHUNK = 1 << 17  # uniforms per draw of keep_mask: 1 MiB of float64
+
+
+def keep_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
+    """rng.random(shape) >= rate, drawn KEEP_CHUNK values at a time: the same values and the
+    generator left where one draw leaves it, with no float64 array of shape made."""
+    keep = np.empty(shape, dtype=bool)
+    flat = keep.reshape(-1)
+    for start in range(0, flat.size, KEEP_CHUNK):
+        part = flat[start : start + KEEP_CHUNK]
+        np.greater_equal(rng.random(part.size), rate, out=part)
+    return keep
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None = None,
@@ -266,7 +320,7 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None = None,
     if rate <= 0.0:
         return x
     if keep is None:
-        keep = rng.random(x.data.shape) >= rate
+        keep = keep_mask(rng, x.data.shape, rate)
     scale = 1.0 / (1.0 - rate)
     out = x.data * scale
     out *= keep
@@ -276,7 +330,7 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None = None,
         gx *= keep
         return ((x, gx),)
 
-    return _node(out, (x,), rule)
+    return _node(out, (x,), rule, spare=True)
 
 
 def log_softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -314,7 +368,7 @@ def softmax_cross_entropy(logits: Tensor, targets, weights=None, normalizer=None
         grad[rows, targets] -= w / total
         return ((logits, g.reshape(()) * grad),)
 
-    return _node(out, (logits,), rule)
+    return _node(out, (logits,), rule, spare=True)
 
 
 def _gate_z(z, mask):
@@ -415,7 +469,8 @@ def gru_sequence(X: Tensor, h0: Tensor, gates, mask=None, reverse=False, ids=Non
     and it is one node (which final gathers the last step of): the input
     projection X @ W is one GEMM over all steps (Appleyard, Kocisky & Blunsom
     2016, arXiv:1604.01946), and the backward is a BPTT loop over the steps,
-    after which dW, dU_zr, dU_h and dX are one GEMM each over the stacked steps.
+    after which dW, dU_zr, dU_h and dX are one GEMM each over the stacked steps,
+    dX written over X's buffer when X is spare and this GRU its only consumer.
     """
     W, U_zr, U_h, b = gates
     T, B, D = X.data.shape
@@ -472,12 +527,14 @@ def gru_sequence(X: Tensor, h0: Tensor, gates, mask=None, reverse=False, ids=Non
             dA[t, :, H : 2 * H] *= drh
             dh = g_t * keep[t] + drh * r[t] + dA[t, :, : 2 * H] @ U_zr.data.T
         dA = dA.reshape(T * B, 3 * H)
+        # dW reads X first, so that dX may be written over a spare X that only this GRU reads
         grads = [(W, X.data.reshape(T * B, D).T @ dA),
                  (U_zr, h_prev.reshape(T * B, H).T @ dA[:, : 2 * H]),
                  (U_h, np.multiply(r, h_prev, out=keep).reshape(T * B, H).T @ dA[:, 2 * H :]),
                  (b, dA.sum(axis=0))]
         if _tracked(X):
-            dX = np.empty((T, B, D))
+            reuse = X.spare and X.consumers == 1 and X.data.flags.c_contiguous
+            dX = X.data if reuse else np.empty((T, B, D))
             np.matmul(dA, W.data.T, out=dX.reshape(T * B, D))
             grads.append((X, dX))
         if _tracked(h0):
@@ -526,19 +583,33 @@ class Adam:
             p.zero_grad()
 
     def step(self, lr_scale: float = 1.0):
+        """Updates every parameter, its m and its v in place, by the textbook expressions in
+        their order (a product's operands swapped at most), so with their bits."""
         self.t += 1
         lr = self.lr * lr_scale
-        for i, p in enumerate(self.params):
+        m_scale, v_scale = 1.0 - self.beta1**self.t, 1.0 - self.beta2**self.t
+        for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
             if not np.all(np.isfinite(g)):
                 raise TrainingError(f"non-finite gradient for parameter {p.name!r}")
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[i] / (1.0 - self.beta1**self.t)
-            v_hat = self.v[i] / (1.0 - self.beta2**self.t)
-            p.data -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            step = np.multiply(g, 1.0 - self.beta1)
+            m *= self.beta1
+            m += step
+            np.multiply(g, 1.0 - self.beta2, out=step)
+            step *= g
+            v *= self.beta2
+            v += step
+            denom = np.divide(v, v_scale)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            np.divide(m, m_scale, out=step)
+            step *= lr
+            step /= denom
+            p.data -= step
             if self.weight_decay:
-                p.data -= lr * self.weight_decay * p.data
+                np.multiply(p.data, lr * self.weight_decay, out=step)
+                p.data -= step
+
 
 def warmup_scale(epoch: int, warmup_epochs: int) -> float:
     """Linear warmup from 0 over warmup_epochs, then constant 1."""

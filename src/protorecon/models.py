@@ -334,7 +334,7 @@ class _ModelBase:
         h_in = ad.dropout(states, rate, keep=keep[1])
         clf_in = ad.concat([h_in, cond.one_hot], axis=-1) if cond.one_hot is not None else h_in
         clf_in = ad.reshape(clf_in, (-1, clf_in.data.shape[2]))
-        hidden = ad.tanh(ad.grouped_affine(clf_in, [(None, p["clf.W1"], p["clf.b1"])]))
+        hidden = ad.grouped_affine(clf_in, [(None, p["clf.W1"], p["clf.b1"])], tanh=True)
         return states, ad.grouped_affine(hidden, cond.blocks)
 
     def _loss(self, inputs, targets, dropout_rng):
@@ -582,10 +582,13 @@ class ReflexModel(_ModelBase):
         Inputs are right-padded.  A padded step keeps the row's state, so the
         backward direction, which meets a row's pads first, stays at zero
         until its last real token.  Each layer and direction is one
-        ad.gru_sequence over the whole batch.  Layer 0 reads the ids that it
-        embeds, so off the tape it steps each distinct state once: forward,
-        each distinct (tag, prefix); backward, each distinct suffix of the
-        same length, then each row's tag.
+        ad.gru_sequence over the whole batch.  A later layer's input is the
+        dropout of the runs' concat, made as the concat of each run's dropout
+        by its columns of one keep mask, so that the tape keeps one array of
+        it and no undropped concat (concat frees its dropouts' own buffers).
+        Layer 0 reads the ids that it embeds, so off the tape it steps each
+        distinct state once: forward, each distinct (tag, prefix); backward,
+        each distinct suffix of the same length, then each row's tag.
         """
         cfg = self.config
         ids, mask = _pad_batch(inputs, self.vocab.pad_id)
@@ -594,11 +597,14 @@ class ReflexModel(_ModelBase):
         seq = ad.embeddings([(p["tok_emb"], ids)], rate, dropout_rng)
         for layer in range(cfg.num_encoder_layers):
             if layer:
-                seq = ad.dropout(_concat(runs), rate, dropout_rng)
+                shape = (*ids.shape, len(runs) * cfg.hidden_size)
+                keep = (np.split(ad.keep_mask(dropout_rng, shape, rate), len(runs), axis=-1)
+                        if rate else [None] * len(runs))
+                seq = _concat([ad.dropout(run, rate, keep=k) for run, k in zip(runs, keep)])
             runs = [ad.gru_sequence(seq, h0, _stacked_gates(p, f"enc{layer}{d}"), mask, d == "b",
                                     None if layer else ids,
                                     final=layer == cfg.num_encoder_layers - 1) for d in dirs]
-        return ad.tanh(ad.grouped_affine(_concat(runs), [(None, p["bridge.W"], p["bridge.b"])]))
+        return ad.grouped_affine(_concat(runs), [(None, p["bridge.W"], p["bridge.b"])], tanh=True)
 
     def _conditioning(self, p, lang) -> _Conditioning:
         """Decoder-step conditioning of rows whose language indices are lang (any shape).
@@ -688,13 +694,15 @@ def _keep_freed_memory():
     and returns freed heap tops to the kernel, so every batch's (and every
     encoder pass's) multi-MB temporaries are faulted in afresh.  The mmap
     threshold (64 MiB) sits above the largest per-batch array at the WikiHan
-    presets, the (T~45, B=128, 1018) float64 encoder input of about 47 MB;
-    the trim threshold (128 MiB) above two of them, the most that are live
-    at once: the dropped-out input that the tape keeps and, in the forward,
-    the uniform draw of its keep mask or, in the backward, its gradient.
-    Setting either one turns off the dynamic threshold, so both are set or
-    neither.  Where the C library has no mallopt, or it refuses a value,
-    nothing changes.
+    presets, the (T~45, B=128, 1018) float64 encoder input of about 47 MB,
+    which is the only array of its size live at once: its keep mask is drawn
+    in small chunks, and the backward writes its gradient over it.  The trim
+    threshold (128 MiB) sits above all that one batch holds at once, which
+    it frees at its end: the traced peak of a batch's forward and backward
+    at those presets is about 93 MB (recon) and 95 MB (reflex).  Setting
+    either one turns off the dynamic threshold, so both are set or neither.
+    Where the C library has no mallopt, or it refuses a value, nothing
+    changes.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

@@ -24,6 +24,14 @@ sorts.  ``padded_gru_sequence`` is ad.gru_sequence as it was before it
 stepped each distinct state once or kept only the final state: every row at
 every step, all the states kept.  The library's
 outputs and gradients must match these within rounding.
+``held`` puts a tensor behind a view node, so that no op writes over its
+buffer or frees it: the path of every op as it was before the tape reused
+buffers (Tensor.backward), which ``tanh_copying``, tanh with a rule that
+makes its gradient afresh, completes.  ``adam_step_copying`` is Adam.step as
+it was before it updated in place: a new array per expression.
+``reflex_encode_dropping_the_concat`` is ReflexModel._encode as it was
+before a later layer's input was made as the concat of each run's dropout:
+the dropout of the runs' concat, with tanh of the bridge a node of its own.
 ``exact_rank_sum_distribution`` enumerates the rank-sum distribution that
 stats.wilcoxon_rank_sum counts for its exact p-values, and ``midranks_loop``
 is stats._midranks as it was before it ranked by sorted positions: a walk
@@ -93,6 +101,53 @@ def narrow(x: Tensor, start: int, size: int, axis: int = 1) -> Tensor:
         return ((x, full),)
 
     return Tensor(x.data[index], parents=(x,), backward_rule=rule)
+
+
+def held(x: Tensor) -> Tensor:
+    """x behind a reshape node: a view, which no op writes over or frees, so that x's buffer
+    keeps its values through the backward."""
+    return ad.reshape(x, x.data.shape)
+
+
+def tanh_copying(x: Tensor) -> Tensor:
+    """tanh whose rule makes g * (1 - out * out) as a new array."""
+    out = np.tanh(x.data)
+    return Tensor(out, parents=(x,), backward_rule=lambda g: ((x, g * (1.0 - out * out)),))
+
+
+def adam_step_copying(opt, lr_scale=1.0):
+    """ad.Adam.step on opt's state, a new array per expression, m and v replaced."""
+    opt.t += 1
+    lr = opt.lr * lr_scale
+    for i, p in enumerate(opt.params):
+        g = p.grad
+        opt.m[i] = opt.beta1 * opt.m[i] + (1.0 - opt.beta1) * g
+        opt.v[i] = opt.beta2 * opt.v[i] + (1.0 - opt.beta2) * g * g
+        m_hat = opt.m[i] / (1.0 - opt.beta1**opt.t)
+        v_hat = opt.v[i] / (1.0 - opt.beta2**opt.t)
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+        if opt.weight_decay:
+            p.data -= lr * opt.weight_decay * p.data
+
+
+def reflex_encode_dropping_the_concat(model, p, inputs, rate=0.0, dropout_rng=None):
+    """ReflexModel._encode with each later layer's input ad.dropout of the runs' concat."""
+    cfg = model.config
+    ids, mask, _ = pad_batch_loop(inputs, model.vocab.pad_id)
+    ids, mask = np.ascontiguousarray(ids.T), np.ascontiguousarray(mask.T)  # time-major
+    h0 = Tensor(np.zeros((len(inputs), cfg.hidden_size)))
+    dirs = ("f", "b") if cfg.bidirectional_encoder else ("f",)
+    seq = ad.embeddings([(p["tok_emb"], ids)], rate, dropout_rng)
+    for layer in range(cfg.num_encoder_layers):
+        if layer:
+            concat = models._concat(runs)
+            keep = dropout_rng.random(concat.shape) >= rate if rate else None
+            seq = ad.dropout(concat, rate, keep=keep)
+        runs = [ad.gru_sequence(seq, h0, models._stacked_gates(p, f"enc{layer}{d}"), mask,
+                                d == "b", None if layer else ids,
+                                final=layer == cfg.num_encoder_layers - 1) for d in dirs]
+    return tanh_copying(ad.grouped_affine(held(models._concat(runs)),
+                                          [(None, p["bridge.W"], p["bridge.b"])]))
 
 
 def add_scalars(tensors) -> Tensor:

@@ -18,14 +18,17 @@ from protorecon import autodiff as ad
 from protorecon.autodiff import Tensor
 from protorecon.errors import DimensionError, TrainingError
 from tests.oracles import (
+    adam_step_copying,
     affine,
     embedding_grad,
     gru_cell_six,
+    held,
     masked_step,
     mul,
     narrow,
     sigmoid,
     stack_gates,
+    tanh_copying,
 )
 from tests.test_corpus import _library_calls
 
@@ -723,6 +726,174 @@ def test_backward_leaves_no_reference_cycle():
             gc.enable()
 
 
+# -- buffer reuse -------------------------------------------------------------
+
+
+def _reuse_params(rng):
+    """The parameters of the ops of _REUSE_OPS: a set for a first consumer (0) and one for a
+    second (1), and the table that the input x gathers from."""
+    def draw(*shape):
+        return ad.parameter(rng.normal(size=shape))
+
+    ps = {"table": draw(6, 5), "h0": draw(3, 3), "mask": (rng.random((4, 3)) < 0.8) * 1.0}
+    for k in (0, 1):
+        ps[f"gates{k}"] = (draw(5, 9), draw(3, 6), draw(3, 3), draw(9))
+        ps[f"wide gates{k}"] = (draw(7, 9), draw(3, 6), draw(3, 3), draw(9))
+        ps[f"groups{k}"] = [(np.array([4, 0, 2]), draw(5, 4), draw(4)),
+                            (np.array([1, 3, 6, 5]), draw(5, 4), draw(4))]
+        ps[f"y{k}"] = draw(4, 3, 2)
+    return ps
+
+
+def _tensors(value):
+    """The Tensors in a value of nested lists and tuples."""
+    if isinstance(value, Tensor):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _tensors(item)
+
+
+# Each op whose forward or rule reuses a buffer, over a spare input x, a gather as the
+# models' inputs are: (ids shape, build(x, ps, k, reference)).  k picks a first or second
+# consumer's parameters; reference builds the undonated path of tests/oracles.py.
+_REUSE_OPS = {
+    "gru_sequence": ((4, 3), lambda x, ps, k, ref: ad.gru_sequence(
+        held(x) if ref else x, ps["h0"], ps[f"gates{k}"], ps["mask"], reverse=k == 1)),
+    "tanh": ((4, 3), lambda x, ps, k, ref: tanh_copying(held(x)) if ref else ad.tanh(x)),
+    "affine and tanh": ((7,), lambda x, ps, k, ref: (
+        tanh_copying(ad.grouped_affine(held(x), [(None, *ps[f"groups{k}"][0][1:])])) if ref
+        else ad.grouped_affine(x, [(None, *ps[f"groups{k}"][0][1:])], tanh=True))),
+    "grouped affine and tanh": ((7,), lambda x, ps, k, ref: (
+        tanh_copying(ad.grouped_affine(held(x), ps[f"groups{k}"])) if ref
+        else ad.grouped_affine(x, ps[f"groups{k}"], tanh=True))),
+    "concat": ((4, 3), lambda x, ps, k, ref: ad.concat([held(x) if ref else x, ps[f"y{k}"]],
+                                                       axis=-1)),
+    # a GRU over a concat whose input became a view of it, and over a tanh, whose rule reads
+    # its output: neither may take dX
+    "concat into gru_sequence": ((4, 3), lambda x, ps, k, ref: ad.gru_sequence(
+        ad.concat([held(x) if ref else x, ps[f"y{k}"]], axis=-1), ps["h0"],
+        ps[f"wide gates{k}"], ps["mask"])),
+    "tanh into gru_sequence": ((4, 3), lambda x, ps, k, ref: ad.gru_sequence(
+        tanh_copying(held(x)) if ref else ad.tanh(x), ps["h0"], ps[f"gates{k}"], ps["mask"])),
+}
+
+# The consumers of x: the op alone; a second of its kind made first, as the two directions
+# of a bidirectional encoder's layer 0 read one input; and an op whose rule reads x's data
+# (a weighted sum), made before or after it
+_REUSE_CASES = {
+    "one": lambda op, x, ps, ref, w: [op(x, ps, 0, ref)],
+    "two": lambda op, x, ps, ref, w: [op(x, ps, 1, ref), op(x, ps, 0, ref)],
+    "read before": lambda op, x, ps, ref, w: [_reduce(x, w[: x.data.size]), op(x, ps, 0, ref)],
+    "read after": lambda op, x, ps, ref, w: [op(x, ps, 0, ref), _reduce(x, w[: x.data.size])],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REUSE_CASES))
+@pytest.mark.parametrize("op", sorted(_REUSE_OPS))
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**16))
+def test_buffer_reuse_equals_the_undonated_path_bitwise(op, case, seed):
+    """An op that writes over a buffer equals its undonated path bit for bit: the forward of
+    each consumer of the input x, and every parameter's gradient."""
+    ids_shape, build = _REUSE_OPS[op]
+    ids = np.random.default_rng(seed).integers(0, 6, ids_shape)
+    weights = np.random.default_rng(seed + 1).normal(size=100)
+    results = []
+    for ref in (False, True):
+        ps = _reuse_params(np.random.default_rng(seed + 2))
+        outs = _REUSE_CASES[case](build, ad.embedding(ps["table"], ids), ps, ref, weights)
+        results.append([out.data.tobytes() for out in outs])  # before backward() reuses them
+        loss = _reduce(outs[0], weights[: outs[0].data.size])
+        for out in outs[1:]:
+            loss = ad.add(loss, _reduce(out, weights[::-1][: out.data.size].copy()))
+        loss.backward()
+        results[-1] += [t.grad.tobytes() for t in _tensors(list(ps.values()))
+                        if t.grad is not None]
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("consumers", [1, 2])
+def test_gru_sequence_writes_dx_over_a_spare_input_of_one_consumer(consumers):
+    """dX is X's own buffer when the GRU is X's one consumer, and a new array when another
+    GRU reads X too."""
+    ps = _reuse_params(np.random.default_rng(3))
+    x = ad.embedding(ps["table"], np.random.default_rng(4).integers(0, 6, (4, 3)))
+    states = [ad.gru_sequence(x, ps["h0"], ps[f"gates{k}"], ps["mask"]) for k in range(consumers)]
+    [dx] = [pg for parent, pg in states[0].backward_rule(np.ones((4, 3, 3))) if parent is x]
+    assert (dx is x.data) == (consumers == 1)
+
+
+def test_tanh_rules_build_their_gradient_in_their_output():
+    """tanh's rule hands on g * (1 - out**2) in its output's buffer; an affine map with tanh
+    makes that pre-activation gradient in its output too."""
+    rng = np.random.default_rng(5)
+    x = ad.parameter(rng.normal(size=(4, 3)))
+    w, b = ad.parameter(rng.normal(size=(3, 2))), ad.parameter(rng.normal(size=2))
+    out = ad.tanh(x)
+    [(_, dx)] = out.backward_rule(np.ones((4, 3)))
+    assert dx is out.data
+    out = ad.grouped_affine(x, [(None, w, b)], tanh=True)
+    out.backward_rule(np.ones((4, 2)))
+    assert np.array_equal(out.data, 1.0 - np.tanh(x.data @ w.data + b.data) ** 2)
+
+
+def test_concat_frees_the_buffer_of_a_spare_input():
+    """A spare input's data becomes its view in the output, values kept; a parameter's stays."""
+    rng = np.random.default_rng(6)
+    table, y = ad.parameter(rng.normal(size=(5, 3))), ad.parameter(rng.normal(size=(2, 2, 4)))
+    x = ad.embedding(table, np.array([[0, 4], [2, 2]]))
+    values, y_data = x.data.copy(), y.data
+    out = ad.concat([x, y], axis=-1)
+    assert x.data.base is out.data and np.array_equal(x.data, values) and not x.spare
+    assert y.data is y_data and not out.spare  # the view reads the output: nothing writes it
+
+
+def test_a_node_is_spare_when_its_rule_never_reads_its_output():
+    """The ops whose outputs are made afresh and never read by their own rules mark them
+    spare; tanh, an affine map with tanh and gru_sequence read theirs, and reshape's is a
+    view."""
+    spare = {"add", "concat", "dropout", "embedding", "embeddings", "grouped_affine", "matmul",
+             "softmax_cross_entropy"}
+    for op, (build, _shapes) in TAPE_OPS.items():
+        assert build(*_op_inputs(op, 0)).spare == (op in spare), op
+    x, w, b = (ad.parameter(np.ones(shape)) for shape in ((2, 3), (3, 4), (4,)))
+    assert not ad.grouped_affine(x, [(None, w, b)], tanh=True).spare
+    assert not ad.reshape(ad.matmul(x, w), (4, 2)).spare
+
+
+def test_scatter_rows_reads_a_table_s_columns_of_g_without_a_copy():
+    """The columns of a two-table gather's g reach the matmul as a strided view: the traced
+    peak is the one-hot matrix and the table gradient, not a copy of the columns."""
+    rng = np.random.default_rng(8)
+    g, ids = rng.normal(size=(40, 64, 200)), rng.integers(0, 30, (40, 64))
+    tracemalloc.start()
+    try:
+        got = ad._scatter_rows((30, 120), ids, g[..., 80:])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 * (ids.size + 120) * 8 + 4096 < g[..., 80:].nbytes
+    np.testing.assert_allclose(got, embedding_grad((30, 120), ids, g[..., 80:]), rtol=0,
+                               atol=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.lists(st.integers(1, 9), min_size=1, max_size=3).map(tuple),
+       chunk=st.integers(1, 50), rate=st.sampled_from([0.1, 0.5, 0.9]), seed=st.integers(0, 99))
+def test_keep_mask_equals_one_draw_and_leaves_the_stream_there(shape, chunk, rate, seed):
+    """Drawn in chunks, the keep mask is rng.random(shape) >= rate, and the generator's next
+    draw is the one that follows that draw."""
+    chunked, whole = np.random.default_rng(seed), np.random.default_rng(seed)
+    saved, ad.KEEP_CHUNK = ad.KEEP_CHUNK, chunk
+    try:
+        keep = ad.keep_mask(chunked, shape, rate)
+    finally:
+        ad.KEEP_CHUNK = saved
+    assert keep.dtype == bool and np.array_equal(keep, whole.random(shape) >= rate)
+    assert chunked.random() == whole.random()
+
+
 # -- optimizer ----------------------------------------------------------------
 
 
@@ -757,11 +928,41 @@ def test_adam_two_step_recurrence():
 
 
 def test_adam_rejects_nonfinite_gradient():
-    p = ad.parameter(np.array([1.0]), "p")
-    opt = ad.Adam([p], lr=0.1)
-    p.grad[:] = np.nan
-    with pytest.raises(TrainingError):
+    """The parameter is named, and it, its m and its v keep their values; the parameters
+    before it in the list were updated."""
+    for bad in (np.inf, -np.inf, np.nan):
+        first, second = ad.parameter(np.ones(3), "first"), ad.parameter(np.ones((2, 2)), "second")
+        opt = ad.Adam([first, second], lr=0.1)
+        first.grad[:], second.grad[:] = 0.5, 0.25
         opt.step()
+        state = [a.copy() for a in (second.data, opt.m[1], opt.v[1])]
+        moved = first.data.copy()
+        second.grad[1, 0] = bad
+        with pytest.raises(TrainingError, match="non-finite gradient for parameter 'second'"):
+            opt.step()
+        assert all(np.array_equal(a, b) for a, b in zip(state, (second.data, opt.m[1], opt.v[1])))
+        assert not np.array_equal(first.data, moved)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+def test_adam_step_in_place_equals_the_copying_step_bitwise(weight_decay):
+    """Five steps of Adam.step and of the step that makes an array per expression, on the
+    same gradients and warmup scales: the same parameter, m and v bits."""
+    rng = np.random.default_rng(12)
+    shapes = [(7, 5), (5,), (3, 4, 2)]
+    runs = []
+    for step in (ad.Adam.step, adam_step_copying):
+        params = [ad.parameter(np.random.default_rng(i).normal(size=s)) for i, s in
+                  enumerate(shapes)]
+        opt = ad.Adam(params, lr=0.003, beta1=0.85, beta2=0.995, weight_decay=weight_decay)
+        grads = np.random.default_rng(13)
+        for scale in (0.2, 0.4, 1.0, 1.0, 0.7):
+            for p in params:
+                p.grad[...] = grads.normal(size=p.data.shape) * rng.choice([1e-3, 1.0, 1e3])
+            step(opt, lr_scale=scale)
+        runs.append([a.tobytes() for a in (*[p.data for p in params], *opt.m, *opt.v)])
+        rng = np.random.default_rng(12)
+    assert runs[0] == runs[1]
 
 
 def test_adam_decoupled_weight_decay():
